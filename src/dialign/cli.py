@@ -36,13 +36,16 @@ from .metrics import (
 from .profiles import SlotMatcher, build_overlap_bench, eval_matcher
 from .rl import (
     CURVE_COLUMNS,
+    Checkpoint,
     PPOConfig,
     PolicyAgent,
+    _batch_reward_means,
     load_checkpoint,
     save_checkpoint,
     train,
 )
 from .scenarios import (
+    Scenario,
     default_conflict,
     generate_profile,
     generate_scenarios,
@@ -76,6 +79,16 @@ def _parse_weights(text: str) -> tuple[float, float]:
     if wp < 0 or wr < 0:
         raise ConfigError("reward weights must be non-negative")
     return wp, wr
+
+
+def _check_checkpoint_schema(checkpoint: Checkpoint, scenario_list: Sequence[Scenario]) -> None:
+    """A checkpoint only fits scenarios of the schema it was trained on."""
+    schema = scenario_list[0].profile.schema
+    if checkpoint.schema.name != schema.name or checkpoint.schema.slots != tuple(schema.slots):
+        raise SchemaError(
+            f"checkpoint schema {checkpoint.schema.name!r} does not match "
+            f"scenario schema {schema.name!r}"
+        )
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -138,11 +151,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     start_step = 0
     if args.resume:
         checkpoint = load_checkpoint(args.resume)
-        schema = scenario_list[0].profile.schema
-        if checkpoint.schema.slots != tuple(schema.slots):
-            raise SchemaError(
-                f"checkpoint schema {checkpoint.schema.name!r} does not match scenarios"
-            )
+        _check_checkpoint_schema(checkpoint, scenario_list)
         policy, value_fn = checkpoint.policy(), checkpoint.value_fn()
         start_step = checkpoint.step
 
@@ -207,6 +216,12 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:
         horizon_override = LONGTERM_DEFAULT_HORIZON
+    if horizon_override is None:
+        horizons = sorted({scenario.horizon for scenario in scenario_list})
+        if len(horizons) > 1:
+            raise ConfigError(
+                f"scenarios mix horizons {horizons}; pass --horizon to evaluate them together"
+            )
 
     if args.agent == "oracle":
         checkpoint = None
@@ -214,14 +229,7 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         if not args.checkpoint:
             raise ConfigError("eval with --agent policy needs --checkpoint")
         checkpoint = load_checkpoint(args.checkpoint)
-        schema = scenario_list[0].profile.schema
-        if (
-            checkpoint.schema.name != schema.name
-            or checkpoint.schema.slots != tuple(schema.slots)
-        ):
-            raise SchemaError(
-                f"checkpoint schema {checkpoint.schema.name!r} incompatible with scenarios"
-            )
+        _check_checkpoint_schema(checkpoint, scenario_list)
 
     records = []
     conflict_rng = random.Random(seed)
@@ -229,8 +237,6 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         conflict = scenario.conflict
         if mode == "conflict" and conflict is None:
             conflict = default_conflict(scenario.profile, scenario.style_seed, conflict_rng)
-        elif mode != "conflict":
-            conflict = scenario.conflict
         config = scenario.user_config(horizon=horizon_override, conflict=conflict)
         env = DialogueEnv(config, matcher=matcher)
         for episode in range(args.episodes):
@@ -288,9 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             + [f"{summary.average:.2f}", f"{summary.n_ir:.4f}", f"{summary.n_r2:.4f}"]
         ],
     )
-    mean_total = float(np.mean([sum(t.total_reward for t in r.turns) for r in records]))
-    mean_profile = float(np.mean([sum(t.profile_reward for t in r.turns) for r in records]))
-    mean_response = float(np.mean([sum(t.response_reward for t in r.turns) for r in records]))
+    mean_total, mean_profile, mean_response = _batch_reward_means(records)
     _write_csv(
         out / "summary.csv",
         ["mode", "episodes", "avg_alignment", "n_ir", "n_r2",
@@ -443,6 +447,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (DialignError, ProtocolError, OSError, FloatingPointError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

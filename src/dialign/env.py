@@ -16,7 +16,8 @@ downstream by the consumers of episode data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterator, Mapping, Protocol
 
 import numpy as np
@@ -96,31 +97,51 @@ class RewardBreakdown:
 
 @dataclass(frozen=True)
 class DialogueState:
-    """Transcript so far.  Between actions it always ends in a user turn."""
+    """Transcript so far.  Between actions it always ends in a user turn.
 
-    user_turns: tuple[UserUtterance, ...]
-    agent_turns: tuple[ResponseRecord, ...]
+    Alongside the transcript the state carries, one turn at a time, what
+    the observation and the judge read from it: the latest evidence value
+    per slot (read-only), every (slot, value) pair the agent has addressed,
+    and whether any user turn has revealed evidence yet.
+    """
+
+    user_turns: tuple[UserUtterance, ...] = ()
+    agent_turns: tuple[ResponseRecord, ...] = ()
+    seen_values: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
+    addressed: tuple[tuple[str, str], ...] = ()
+    evidence_revealed: bool = False
 
     @property
     def turn(self) -> int:
         return len(self.user_turns)
 
-    def seen_values(self) -> dict[str, str]:
-        """Latest evidence value per slot across all user turns."""
-        seen: dict[str, str] = {}
-        for utterance in self.user_turns:
-            for slot, value in utterance.evidence:
-                seen[slot] = value
-        return seen
+    def with_user_turn(self, utterance: UserUtterance) -> "DialogueState":
+        seen = self.seen_values
+        if utterance.evidence:
+            updated = dict(seen)
+            updated.update(utterance.evidence)
+            seen = MappingProxyType(updated)
+        return replace(
+            self,
+            user_turns=self.user_turns + (utterance,),
+            seen_values=seen,
+            evidence_revealed=self.evidence_revealed or bool(utterance.evidence),
+        )
 
-    def evidence_revealed(self) -> bool:
-        return any(utterance.evidence for utterance in self.user_turns)
+    def with_agent_turn(self, response: ResponseRecord) -> "DialogueState":
+        return replace(
+            self,
+            agent_turns=self.agent_turns + (response,),
+            addressed=self.addressed + tuple(response.addressed_slots),
+        )
 
-    def prior_addressed(self) -> tuple[tuple[str, str], ...]:
-        pairs: list[tuple[str, str]] = []
-        for record in self.agent_turns:
-            pairs.extend(record.addressed_slots)
-        return tuple(pairs)
+    def judge_context(self) -> JudgeContext:
+        """What the judge sees for the agent turn answering the latest user turn."""
+        return JudgeContext(
+            latest_topics=self.user_turns[-1].topic_slots,
+            evidence_revealed=self.evidence_revealed,
+            prior_addressed=self.addressed,
+        )
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,7 @@ GLOBAL_FEATURE_DIM = 2
 
 
 def observe(state: DialogueState, schema: SlotSchema, horizon: int) -> Observation:
-    seen = state.seen_values()
+    seen = state.seen_values
     topics = set(state.user_turns[-1].topic_slots) if state.user_turns else set()
     names = tuple(schema.slots)
     slot_feats = np.zeros((len(names), SLOT_FEATURE_DIM))
@@ -170,7 +191,7 @@ class EnvView:
 
     state: DialogueState
     observation: Observation
-    seen_values: dict[str, str]
+    seen_values: Mapping[str, str]
     schema: SlotSchema
     horizon: int
     turn: int
@@ -187,6 +208,26 @@ class TurnOutcome:
     judgment: ResponseJudgment
     aligned: bool
     theoretical_max: float
+
+
+def score_turn(
+    judge: RuleJudge,
+    response: ResponseRecord,
+    estimate: Profile,
+    context: JudgeContext,
+    truth: Profile,
+    matcher: SlotMatcher,
+) -> tuple[ResponseJudgment, RewardBreakdown]:
+    """Judge one agent turn and score its estimate against the truth.
+
+    The one scoring path shared by the environment and offline replay.
+    """
+    judgment = judge.judge(response, estimate, context)
+    r_response = float(response_reward(judgment))
+    r_profile = profile_reward(estimate, truth, matcher)
+    return judgment, RewardBreakdown(
+        profile=r_profile, response=r_response, total=r_profile + r_response
+    )
 
 
 class DialogueEnv:
@@ -217,7 +258,7 @@ class DialogueEnv:
     def reset(self) -> DialogueState:
         self._user_state = initial_state(self.config)
         opening = first_utterance(self.config)
-        self._state = DialogueState(user_turns=(opening,), agent_turns=())
+        self._state = DialogueState().with_user_turn(opening)
         self._done = False
         self._truth_cache = None
         return self._state
@@ -242,7 +283,7 @@ class DialogueEnv:
         return EnvView(
             state=self._state,
             observation=observe(self._state, self.schema, self.horizon),
-            seen_values=self._state.seen_values(),
+            seen_values=self._state.seen_values,
             schema=self.schema,
             horizon=self.horizon,
             turn=self._state.turn,
@@ -255,21 +296,17 @@ class DialogueEnv:
             raise ProtocolError("step() after the episode ended")
 
         state = self._state
-        turn = state.turn
-        context = JudgeContext(
-            latest_topics=state.user_turns[-1].topic_slots,
-            evidence_revealed=state.evidence_revealed(),
-            prior_addressed=state.prior_addressed(),
-        )
-        judgment = self.judge.judge(action.response, action.estimate, context)
         truth_now = self.effective_truth()
-        r_response = float(response_reward(judgment))
-        r_profile = profile_reward(action.estimate, truth_now, self.matcher)
-        breakdown = RewardBreakdown(
-            profile=r_profile, response=r_response, total=r_profile + r_response
+        judgment, breakdown = score_turn(
+            self.judge,
+            action.response,
+            action.estimate,
+            state.judge_context(),
+            truth_now,
+            self.matcher,
         )
         outcome = TurnOutcome(
-            turn=turn,
+            turn=state.turn,
             utterance=state.user_turns[-1],
             action=action,
             breakdown=breakdown,
@@ -278,20 +315,15 @@ class DialogueEnv:
             theoretical_max=theoretical_max(self._user_state, truth_now),
         )
 
-        agent_turns = state.agent_turns + (action.response,)
-        if turn >= self.horizon:
-            self._done = True
-            self._state = DialogueState(user_turns=state.user_turns, agent_turns=agent_turns)
-        else:
+        self._state = state.with_agent_turn(action.response)
+        step_result = None
+        if state.turn < self.horizon:
             step_result = next_utterance(self._user_state, self.config)
-            if step_result is None:
-                self._done = True
-                self._state = DialogueState(user_turns=state.user_turns, agent_turns=agent_turns)
-            else:
-                utterance, self._user_state = step_result
-                self._state = DialogueState(
-                    user_turns=state.user_turns + (utterance,), agent_turns=agent_turns
-                )
+        if step_result is None:
+            self._done = True
+        else:
+            utterance, self._user_state = step_result
+            self._state = self._state.with_user_turn(utterance)
         return self._state, breakdown, self._done, outcome
 
 
@@ -333,45 +365,10 @@ class EpisodeRecord:
     turns: list[TurnRecord] = field(default_factory=list)
     schema_version: str = EPISODE_SCHEMA_VERSION
 
-    def final_estimate(self) -> dict[str, str]:
-        return dict(self.turns[-1].estimate) if self.turns else {}
-
-    def total_rewards(self) -> list[float]:
-        return [t.total_reward for t in self.turns]
-
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "scenario_id": self.scenario_id,
-            "schema_name": self.schema_name,
-            "schema_slots": list(self.schema_slots),
-            "open_schema": self.open_schema,
-            "truth": self.truth,
-            "conflict": self.conflict,
-            "horizon": self.horizon,
-            "style_seed": self.style_seed,
-            "matcher": self.matcher,
-            "turns": [
-                {
-                    "turn": t.turn,
-                    "user_text": t.user_text,
-                    "evidence": [list(pair) for pair in t.evidence],
-                    "topic_slots": list(t.topic_slots),
-                    "response_text": t.response_text,
-                    "addressed": [list(pair) for pair in t.addressed],
-                    "continues": t.continues,
-                    "estimate": t.estimate,
-                    "profile_reward": t.profile_reward,
-                    "response_reward": t.response_reward,
-                    "total_reward": t.total_reward,
-                    "criteria": t.criteria,
-                    "dimensions": t.dimensions,
-                    "aligned": t.aligned,
-                    "theoretical_max": t.theoretical_max,
-                }
-                for t in self.turns
-            ],
-        }
+        # One JSON key per dataclass field, in field order; tuples become lists.
+        payload = {"schema_version": self.schema_version, **vars(self)}
+        payload["turns"] = [vars(t) for t in self.turns]
         return json.dumps(payload)
 
     @classmethod
@@ -381,37 +378,14 @@ class EpisodeRecord:
             raise ValueError(
                 f"unsupported episode schema version {payload.get('schema_version')!r}"
             )
-        record = cls(
-            scenario_id=payload["scenario_id"],
-            schema_name=payload["schema_name"],
-            schema_slots=tuple(payload["schema_slots"]),
-            open_schema=payload["open_schema"],
-            truth=dict(payload["truth"]),
-            conflict=payload["conflict"],
-            horizon=payload["horizon"],
-            style_seed=payload["style_seed"],
-            matcher=payload["matcher"],
-        )
+        payload["schema_slots"] = tuple(payload["schema_slots"])
+        record = cls(**{**payload, "turns": []})
         for t in payload["turns"]:
-            record.turns.append(
-                TurnRecord(
-                    turn=t["turn"],
-                    user_text=t["user_text"],
-                    evidence=tuple((s, v) for s, v in t["evidence"]),
-                    topic_slots=tuple(t["topic_slots"]),
-                    response_text=t["response_text"],
-                    addressed=tuple((s, v) for s, v in t["addressed"]),
-                    continues=t["continues"],
-                    estimate=dict(t["estimate"]),
-                    profile_reward=t["profile_reward"],
-                    response_reward=t["response_reward"],
-                    total_reward=t["total_reward"],
-                    criteria={k: int(v) for k, v in t["criteria"].items()},
-                    dimensions=dict(t["dimensions"]),
-                    aligned=t["aligned"],
-                    theoretical_max=t["theoretical_max"],
-                )
-            )
+            t["evidence"] = tuple(map(tuple, t["evidence"]))
+            t["topic_slots"] = tuple(t["topic_slots"])
+            t["addressed"] = tuple(map(tuple, t["addressed"]))
+            t["criteria"] = {k: int(v) for k, v in t["criteria"].items()}
+            record.turns.append(TurnRecord(**t))
         return record
 
     def schema_object(self) -> SlotSchema:
@@ -522,29 +496,26 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
     schema = record.schema_object()
     judge = RuleJudge()
     breakdowns: list[RewardBreakdown] = []
-    prior: list[tuple[str, str]] = []
-    evidence_seen = False
+    state = DialogueState()
     for t in record.turns:
-        evidence_seen = evidence_seen or bool(t.evidence)
-        estimate = Profile(schema=schema, entries=dict(t.estimate))
+        state = state.with_user_turn(
+            UserUtterance(
+                text=t.user_text, evidence=t.evidence, turn=t.turn, topic_slots=t.topic_slots
+            )
+        )
         response = ResponseRecord(
             addressed_slots=t.addressed, continues=t.continues, text=t.response_text
         )
-        context = JudgeContext(
-            latest_topics=t.topic_slots,
-            evidence_revealed=evidence_seen,
-            prior_addressed=tuple(prior),
+        _, breakdown = score_turn(
+            judge,
+            response,
+            Profile(schema=schema, entries=dict(t.estimate)),
+            state.judge_context(),
+            Profile(schema=schema, entries=record.effective_truth_at(t.turn)),
+            matcher,
         )
-        judgment = judge.judge(response, estimate, context)
-        truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
-        r_profile = profile_reward(estimate, truth, matcher)
-        r_response = float(response_reward(judgment))
-        breakdowns.append(
-            RewardBreakdown(
-                profile=r_profile, response=r_response, total=r_profile + r_response
-            )
-        )
-        prior.extend(t.addressed)
+        breakdowns.append(breakdown)
+        state = state.with_agent_turn(response)
     return breakdowns
 
 

@@ -112,15 +112,6 @@ class Profile:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
-    def with_entries(self, updates: Mapping[str, str]) -> "Profile":
-        """Return a copy with ``updates`` merged in (replace-or-add)."""
-        merged = dict(self.entries)
-        merged.update(updates)
-        return Profile(schema=self.schema, entries=merged)
-
     def to_record(self) -> dict:
         return {"schema": self.schema.name, "entries": dict(self.entries)}
 
@@ -212,6 +203,18 @@ class SlotMatcher:
         raise ConfigError(f"cannot parse matcher spec {text!r}")
 
 
+_HALF_TOKEN_MATCHER = SlotMatcher(kind="token", threshold=0.5)
+
+
+def clearly_different(slot: str, value: str, candidates: Iterable[str]) -> list[str]:
+    """The candidates that match ``value`` under neither bundled matcher.
+
+    A token:0.5 match is implied by an exact match of non-empty text, so
+    ruling it out rules out both.
+    """
+    return [c for c in candidates if not _HALF_TOKEN_MATCHER.values_match(slot, c, value)]
+
+
 # --- overlap scoring ---------------------------------------------------------
 
 
@@ -288,13 +291,7 @@ def _alter(
     rng: random.Random,
     counter: int,
 ) -> str:
-    # The substitute must not match the original under either bundled matcher.
-    candidates = [
-        v
-        for v in pools.get(slot, [])
-        if normalize_text(v) != normalize_text(value)
-        and len(token_set(v) & token_set(value)) / max(len(token_set(v) | token_set(value)), 1) < 0.5
-    ]
+    candidates = clearly_different(slot, value, pools.get(slot, []))
     if candidates:
         return rng.choice(candidates)
     return f"substitute{counter} item{counter}"

@@ -179,33 +179,25 @@ class CategoricalSlotPolicy:
         return global_feats @ self.theta[_W_ENG]
 
     def sample(self, obs: Observation, rng: np.random.Generator) -> PolicyDecision:
-        decision, _ = self.sample_with_log_prob(obs, rng)
-        return decision
-
-    def sample_with_log_prob(
-        self, obs: Observation, rng: np.random.Generator
-    ) -> tuple[PolicyDecision, float]:
-        """Draw a decision and its log-probability in one pass."""
-        z_inc = self._include_logits(obs.slot_feats)
-        include_mask = rng.random(obs.n_slots) < _sigmoid(z_inc)
-        # Mirrors log_prob_batch term by term (same reductions, same association)
-        # so stored log-probs match the update-time recomputation bit for bit.
-        lp = float(np.sum(_log_sigmoid(np.where(include_mask, z_inc, -z_inc))))
+        """Draw a decision; its log-probability comes from ``log_prob_batch``."""
+        include_mask = rng.random(obs.n_slots) < _sigmoid(self._include_logits(obs.slot_feats))
         logits = self._response_logits(obs.slot_feats)
-        log_norm = float(np.logaddexp.reduce(logits))
-        probs = np.exp(logits - log_norm)
+        probs = np.exp(logits - np.logaddexp.reduce(logits))
         choice = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
         choice = min(choice, len(probs) - 1)
-        lp = lp + float(logits[choice]) - log_norm
-        z_eng = float(self._engage_logit(obs.global_feats))
-        engage = bool(rng.random() < _sigmoid(z_eng))
-        lp = lp + float(_log_sigmoid(z_eng if engage else -z_eng))
-        decision = PolicyDecision(
+        engage = bool(rng.random() < _sigmoid(float(self._engage_logit(obs.global_feats))))
+        return PolicyDecision(
             include=tuple(int(v) for v in include_mask),
             response_choice=choice,
             engage=engage,
         )
-        return decision, lp
+
+    def sample_with_log_prob(
+        self, obs: Observation, rng: np.random.Generator
+    ) -> tuple[PolicyDecision, float]:
+        """``sample`` followed by ``log_prob``."""
+        decision = self.sample(obs, rng)
+        return decision, self.log_prob(obs, decision)
 
     def greedy(self, obs: Observation) -> PolicyDecision:
         include = tuple(int(z > 0.0) for z in self._include_logits(obs.slot_feats))
@@ -253,9 +245,6 @@ class CategoricalSlotPolicy:
         """Analytic d log pi / d theta for a single sampled decision."""
         return self.grad_components(DecisionBatch.from_pairs([obs], [decision]))[0]
 
-    def clone(self) -> "CategoricalSlotPolicy":
-        return CategoricalSlotPolicy(self.n_slots, self.theta)
-
 
 def numerical_log_prob_grad(
     policy: CategoricalSlotPolicy,
@@ -294,9 +283,6 @@ class LinearValue:
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         return features @ self.phi
-
-    def clone(self) -> "LinearValue":
-        return LinearValue(self.dim, self.phi)
 
 
 # --- trajectories and GAE ------------------------------------------------------
@@ -395,8 +381,9 @@ class PolicyAgent:
     Translates head decisions into a concrete action: included slots take
     their latest evidence value (or the unknown placeholder when the policy
     includes a slot blind), and the response addresses the chosen slot only
-    when the estimate actually carries it.  Records everything needed for
-    the PPO update as it goes.
+    when the estimate actually carries it.  Records the observations,
+    decisions and values the PPO update needs as it goes; ``finish`` scores
+    the episode's decisions under the frozen policy in one batched call.
     """
 
     def __init__(
@@ -412,19 +399,16 @@ class PolicyAgent:
         self.greedy = greedy
         self.observations: list[Observation] = []
         self.decisions: list[PolicyDecision] = []
-        self.log_probs: list[float] = []
         self.values: list[float] = []
 
     def act(self, view: EnvView) -> AgentAction:
         obs = view.observation
         if self.greedy:
             decision = self.policy.greedy(obs)
-            log_prob = self.policy.log_prob(obs, decision)
         else:
-            decision, log_prob = self.policy.sample_with_log_prob(obs, self.rng)
+            decision = self.policy.sample(obs, self.rng)
         self.observations.append(obs)
         self.decisions.append(decision)
-        self.log_probs.append(log_prob)
         if self.value_fn is not None:
             self.values.append(self.value_fn.predict(obs.flat()))
 
@@ -454,7 +438,9 @@ class PolicyAgent:
         return Trajectory(
             observations=self.observations,
             decisions=self.decisions,
-            log_probs_old=np.array(self.log_probs),
+            log_probs_old=self.policy.log_prob_batch(
+                DecisionBatch.from_pairs(self.observations, self.decisions)
+            ),
             values=values,
             rewards=rewards,
         )

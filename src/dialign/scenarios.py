@@ -15,8 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .profiles import ALOE_SLOTS, Profile, SlotSchema, normalize_text, token_set
-from .user_sim import ConflictSpec, UserConfig
+from .profiles import ALOE_SLOTS, Profile, SlotSchema, clearly_different
+from .user_sim import ConflictSpec, UserConfig, reveal_order
 
 
 def _load_pools() -> dict[str, dict[str, list[str]]]:
@@ -87,13 +87,6 @@ def generate_profile(rng: random.Random, schema: SlotSchema) -> Profile:
     return Profile(schema=schema, entries=entries)
 
 
-def reveal_order(profile: Profile, style_seed: int) -> list[str]:
-    """The order slots surface in an episode; must mirror the simulator."""
-    order = list(profile.entries)
-    random.Random(style_seed).shuffle(order)
-    return order
-
-
 def default_conflict(
     profile: Profile,
     style_seed: int,
@@ -110,13 +103,7 @@ def default_conflict(
     original = profile.entries[target]
     pools = dict(_POOLS["aloe"])
     pools.update(_POOLS["extended"])
-    candidates = [
-        v
-        for v in pools.get(target, [])
-        if normalize_text(v) != normalize_text(original)
-        and len(token_set(v) & token_set(original)) / max(len(token_set(v) | token_set(original)), 1)
-        < 0.5
-    ]
+    candidates = clearly_different(target, original, pools.get(target, []))
     replacement = rng.choice(candidates) if candidates else f"changed {target.lower()}"
     return ConflictSpec(turn=turn, replace={target: replacement})
 

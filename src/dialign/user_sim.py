@@ -128,9 +128,6 @@ class UserState:
     active_entries: dict[str, str] = field(default_factory=dict)
     conflict_applied: bool = False
 
-    def active_profile(self, schema_source: Profile) -> Profile:
-        return Profile(schema=schema_source.schema, entries=dict(self.active_entries))
-
 
 def _turn_rng(config: UserConfig, turn: int) -> random.Random:
     # Seeding with a string keeps the stream stable across processes.
@@ -142,14 +139,19 @@ def first_utterance(config: UserConfig) -> UserUtterance:
     return UserUtterance(text=FIRST_UTTERANCE_TEXT, evidence=(), turn=1, topic_slots=())
 
 
+def reveal_order(profile: Profile, style_seed: int) -> list[str]:
+    """The order in which the profile's slots first surface, fixed by style_seed."""
+    order = list(profile.entries)
+    random.Random(style_seed).shuffle(order)
+    return order
+
+
 def initial_state(config: UserConfig) -> UserState:
     """State at t=1: nothing revealed, reveal order fixed by style_seed."""
-    order = list(config.profile.entries)
-    random.Random(config.style_seed).shuffle(order)
     state = UserState(
         turn=1,
         revealed=(),
-        pending=tuple(order),
+        pending=tuple(reveal_order(config.profile, config.style_seed)),
         active_entries=dict(config.profile.entries),
     )
     if config.conflict is not None and config.conflict.turn == 1:

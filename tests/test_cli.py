@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dialign.cli
 from dialign.cli import main
 from dialign.env import read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
@@ -81,6 +84,20 @@ def test_bad_matcher_spec_exits_2(scenario_dir: Path, tmp_path: Path) -> None:
         ]
     )
     assert code == 2
+
+
+def test_unexpected_exception_exits_3_with_one_line(
+    monkeypatch: pytest.MonkeyPatch, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    def broken(source):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(dialign.cli, "load_scenarios", broken)
+    code = main(["eval", "--scenarios", str(scenario_dir), "--out", str(tmp_path), "--agent", "oracle"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unexpected" in err and "Traceback" not in err
 
 
 def test_missing_scenario_path_exits_2(tmp_path: Path) -> None:
@@ -180,7 +197,36 @@ def test_train_resume_appends_curve(scenario_dir: Path, tmp_path: Path) -> None:
     assert second == 0
     rows = _read_csv(out / "curve.csv")
     assert [int(r["step"]) for r in rows] == [1, 2, 3, 4]
-    assert load_checkpoint(out / "checkpoint.json").step == 4
+    resumed = load_checkpoint(out / "checkpoint.json")
+    assert resumed.step == 4
+
+    # Stopping and resuming gives the bits of an uninterrupted run.
+    straight = tmp_path / "straight"
+    assert main(
+        [
+            "train", "--scenarios", str(scenario_dir), "--out", str(straight),
+            "--rounds", "4", "--samples", "1", "--seed", "1",
+        ]
+    ) == 0
+    uninterrupted = load_checkpoint(straight / "checkpoint.json")
+    assert np.array_equal(resumed.theta, uninterrupted.theta)
+    assert np.array_equal(resumed.phi, uninterrupted.phi)
+
+
+def test_resume_with_other_schema_name_exits_2(
+    trained_dir: Path, scenario_dir: Path, tmp_path: Path
+) -> None:
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    payload["schema"]["name"] = "renamed"
+    checkpoint = tmp_path / "renamed.json"
+    checkpoint.write_text(json.dumps(payload))
+    code = main(
+        [
+            "train", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "out"),
+            "--rounds", "1", "--samples", "1", "--resume", str(checkpoint),
+        ]
+    )
+    assert code == 2
 
 
 # --- eval --------------------------------------------------------------------------
@@ -237,6 +283,24 @@ def test_eval_summary_is_recomputable_from_episodes(scenario_dir: Path, tmp_path
     for record in episodes:
         for turn, breakdown in zip(record.turns, replay_rewards(record, matcher)):
             assert breakdown.total == pytest.approx(turn.total_reward, abs=1e-9)
+
+
+def test_eval_rejects_mixed_horizons_exits_2(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    mixed, short = tmp_path / "mixed", tmp_path / "short"
+    assert main(["gen-scenarios", "--out", str(mixed), "--count", "2", "--seed", "1"]) == 0
+    assert main(
+        ["gen-scenarios", "--out", str(short), "--count", "1", "--seed", "2", "--horizon", "5"]
+    ) == 0
+    shutil.copy(short / "scenario_0000.json", mixed / "scenario_short.json")
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(mixed), "--agent", "oracle"]
+    assert main(args + ["--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "horizon" in err
+    # An explicit horizon evaluates them together.
+    assert main(args + ["--out", str(tmp_path / "h"), "--horizon", "8"]) == 0
 
 
 def test_eval_policy_agent_uses_checkpoint(trained_dir: Path, scenario_dir: Path, tmp_path: Path) -> None:

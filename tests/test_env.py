@@ -6,11 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialign.env import (
     EPISODE_SCHEMA_VERSION,
+    UNKNOWN_VALUE,
     AgentAction,
     DialogueEnv,
+    EnvView,
+    EpisodeRecord,
     EvidenceOracleAgent,
     RewardBreakdown,
     discounted_return,
@@ -249,6 +254,63 @@ def test_rollout_produces_a_replayable_record(tmp_path: Path) -> None:
         assert breakdown.profile == turn.profile_reward
         assert breakdown.response == turn.response_reward
         assert breakdown.total == turn.total_reward
+
+
+class _RandomAgent:
+    """Acts at random: blind and stale guesses, unsupported claims, random engagement."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+
+    def _value(self, slot: str, view: EnvView) -> str:
+        options = [UNKNOWN_VALUE, self.rng.choice(_POOLS[slot])]
+        if slot in view.seen_values:
+            options.append(view.seen_values[slot])
+        return self.rng.choice(options)
+
+    def act(self, view: EnvView) -> AgentAction:
+        rng = self.rng
+        entries = {
+            slot: self._value(slot, view) for slot in view.schema.slots if rng.random() < 0.6
+        }
+        addressed = []
+        for _ in range(rng.randint(0, 2)):
+            if entries and rng.random() < 0.7:
+                addressed.append(rng.choice(sorted(entries.items())))
+            else:
+                slot = rng.choice(view.schema.slots)
+                addressed.append((slot, self._value(slot, view)))
+        return AgentAction(
+            response=make_response(addressed, continues=rng.random() < 0.8),
+            estimate=Profile(schema=view.schema, entries=entries),
+        )
+
+
+@given(
+    style_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    agent_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    horizon=st.integers(min_value=1, max_value=14),
+    conflict_turn=st.one_of(st.none(), st.integers(min_value=1, max_value=14)),
+    matcher_spec=st.sampled_from(["exact", "token:0.5"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_replay_reproduces_logged_rewards_of_a_random_agent(
+    style_seed: int, agent_seed: int, horizon: int, conflict_turn: int | None, matcher_spec: str
+) -> None:
+    profile = _profile(rng_seed=style_seed % 1000)
+    conflict = None
+    if conflict_turn is not None:
+        slot = random.Random(style_seed).choice(list(profile.entries))
+        new = next(v for v in _POOLS[slot] if v != profile.entries[slot])
+        conflict = ConflictSpec(turn=min(conflict_turn, horizon), replace={slot: new})
+    config = UserConfig(profile=profile, horizon=horizon, conflict=conflict, style_seed=style_seed)
+    env = DialogueEnv(config, matcher=SlotMatcher.parse(matcher_spec))
+    record = rollout(env, _RandomAgent(agent_seed), scenario_id="random")
+    logged = [
+        RewardBreakdown(t.profile_reward, t.response_reward, t.total_reward) for t in record.turns
+    ]
+    assert replay_rewards(record) == logged
+    assert replay_rewards(EpisodeRecord.from_json(record.to_json())) == logged
 
 
 def test_episode_json_round_trip(tmp_path: Path) -> None:
