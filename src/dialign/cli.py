@@ -212,6 +212,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     seed = args.seed if args.seed is not None else 0
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:

@@ -1,12 +1,15 @@
 """Multi-turn dialogue environment.
 
-State after t user turns is the transcript {u_1, r_1, ..., u_t}; an action
-is the pair (structured response, full replacement profile estimate).  Each
-step judges the response, scores the estimate against the current effective
-ground truth (which reflects any conflict swap already triggered), appends
-the agent turn, and asks the simulator for the next user turn until the
-horizon is reached.  Rewards are immediate: the turn-t action is scored
-before the turn-t+1 utterance is generated.
+State after t user turns is what the next agent turn and the judge read
+from the dialogue {u_1, r_1, ..., u_t}: the latest user utterance u_t, the
+latest evidence value per slot, and whether any evidence has been revealed.
+The full transcript lives only in the EpisodeRecord.  An action is the pair
+(structured response, full replacement profile estimate).  Each step judges
+the response, scores the estimate against the current effective ground
+truth (which reflects any conflict swap already triggered), and asks the
+simulator for the next user turn until the horizon is reached.  Rewards are
+immediate: the turn-t action is scored before the turn-t+1 utterance is
+generated.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -16,7 +19,7 @@ downstream by the consumers of episode data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Protocol
 
@@ -97,23 +100,21 @@ class RewardBreakdown:
 
 @dataclass(frozen=True)
 class DialogueState:
-    """Transcript so far.  Between actions it always ends in a user turn.
+    """What the observation and the judge read from the dialogue so far.
 
-    Alongside the transcript the state carries, one turn at a time, what
-    the observation and the judge read from it: the latest evidence value
-    per slot (read-only), every (slot, value) pair the agent has addressed,
-    and whether any user turn has revealed evidence yet.
+    Between actions the dialogue always ends in a user turn, ``latest``
+    (None only before the opening turn).  The state carries, one user turn
+    at a time, the latest evidence value per slot (read-only) and whether
+    any user turn has revealed evidence yet.
     """
 
-    user_turns: tuple[UserUtterance, ...] = ()
-    agent_turns: tuple[ResponseRecord, ...] = ()
+    latest: UserUtterance | None = None
     seen_values: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
-    addressed: tuple[tuple[str, str], ...] = ()
     evidence_revealed: bool = False
 
     @property
     def turn(self) -> int:
-        return len(self.user_turns)
+        return self.latest.turn if self.latest is not None else 0
 
     def with_user_turn(self, utterance: UserUtterance) -> "DialogueState":
         seen = self.seen_values
@@ -121,26 +122,17 @@ class DialogueState:
             updated = dict(seen)
             updated.update(utterance.evidence)
             seen = MappingProxyType(updated)
-        return replace(
-            self,
-            user_turns=self.user_turns + (utterance,),
+        return DialogueState(
+            latest=utterance,
             seen_values=seen,
             evidence_revealed=self.evidence_revealed or bool(utterance.evidence),
-        )
-
-    def with_agent_turn(self, response: ResponseRecord) -> "DialogueState":
-        return replace(
-            self,
-            agent_turns=self.agent_turns + (response,),
-            addressed=self.addressed + tuple(response.addressed_slots),
         )
 
     def judge_context(self) -> JudgeContext:
         """What the judge sees for the agent turn answering the latest user turn."""
         return JudgeContext(
-            latest_topics=self.user_turns[-1].topic_slots,
+            latest_topics=self.latest.topic_slots,
             evidence_revealed=self.evidence_revealed,
-            prior_addressed=self.addressed,
         )
 
 
@@ -170,7 +162,7 @@ GLOBAL_FEATURE_DIM = 2
 
 def observe(state: DialogueState, schema: SlotSchema, horizon: int) -> Observation:
     seen = state.seen_values
-    topics = set(state.user_turns[-1].topic_slots) if state.user_turns else set()
+    topics = set(state.latest.topic_slots) if state.latest is not None else set()
     names = tuple(schema.slots)
     slot_feats = np.zeros((len(names), SLOT_FEATURE_DIM))
     for i, slot in enumerate(names):
@@ -307,7 +299,7 @@ class DialogueEnv:
         )
         outcome = TurnOutcome(
             turn=state.turn,
-            utterance=state.user_turns[-1],
+            utterance=state.latest,
             action=action,
             breakdown=breakdown,
             judgment=judgment,
@@ -315,7 +307,6 @@ class DialogueEnv:
             theoretical_max=theoretical_max(self._user_state, truth_now),
         )
 
-        self._state = state.with_agent_turn(action.response)
         step_result = None
         if state.turn < self.horizon:
             step_result = next_utterance(self._user_state, self.config)
@@ -323,7 +314,7 @@ class DialogueEnv:
             self._done = True
         else:
             utterance, self._user_state = step_result
-            self._state = self._state.with_user_turn(utterance)
+            self._state = state.with_user_turn(utterance)
         return self._state, breakdown, self._done, outcome
 
 
@@ -412,7 +403,7 @@ class EvidenceOracleAgent:
         seen = view.seen_values
         estimate = Profile(schema=view.schema, entries=dict(seen))
         addressed: list[tuple[str, str]] = []
-        for topic in view.state.user_turns[-1].topic_slots:
+        for topic in view.state.latest.topic_slots:
             if topic in seen:
                 addressed = [(topic, seen[topic])]
                 break
@@ -503,19 +494,17 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
                 text=t.user_text, evidence=t.evidence, turn=t.turn, topic_slots=t.topic_slots
             )
         )
-        response = ResponseRecord(
-            addressed_slots=t.addressed, continues=t.continues, text=t.response_text
-        )
         _, breakdown = score_turn(
             judge,
-            response,
+            ResponseRecord(
+                addressed_slots=t.addressed, continues=t.continues, text=t.response_text
+            ),
             Profile(schema=schema, entries=dict(t.estimate)),
             state.judge_context(),
             Profile(schema=schema, entries=record.effective_truth_at(t.turn)),
             matcher,
         )
         breakdowns.append(breakdown)
-        state = state.with_agent_turn(response)
     return breakdowns
 
 

@@ -44,7 +44,6 @@ class JudgeContext:
 
     latest_topics: tuple[str, ...]
     evidence_revealed: bool
-    prior_addressed: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -111,22 +110,6 @@ class RuleJudge:
                 consistent += 1
         preference_ok = consistent == len(addressed)
 
-        # A revision contradicts history only if the earlier value still
-        # matches the current estimate; estimate changes legitimize revisions.
-        contradiction = False
-        for slot, value in addressed:
-            believed = estimate.entries.get(slot)
-            if believed is None:
-                continue
-            for prior_slot, prior_value in context.prior_addressed:
-                if prior_slot != slot:
-                    continue
-                if normalize_text(prior_value) != normalize_text(value) and normalize_text(
-                    prior_value
-                ) == normalize_text(believed):
-                    contradiction = True
-        logical = int(preference_ok and not contradiction)
-
         engagement = int(bool(response.continues))
         informativeness = 1 if not context.evidence_revealed else int(len(addressed) >= 1)
 
@@ -139,7 +122,7 @@ class RuleJudge:
         return ResponseJudgment(
             naturalness=1,
             relevance=relevance,
-            logical_consistency=logical,
+            logical_consistency=int(preference_ok),
             engagement=engagement,
             informativeness=informativeness,
             preference_expression=pref_expr,

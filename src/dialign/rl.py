@@ -72,7 +72,6 @@ class PPOConfig:
     epochs: int = 4
     samples_per_scenario: int = 4
     total_rounds: int = 10
-    rollouts_per_update: int | None = None
     ratio_clamp: float = 60.0
     seed: int = 0
 
@@ -88,8 +87,6 @@ class PPOConfig:
             raise ConfigError("learning rates must be non-negative")
         if self.epochs < 1 or self.samples_per_scenario < 1 or self.total_rounds < 1:
             raise ConfigError("epochs, samples_per_scenario, total_rounds must be >= 1")
-        if self.rollouts_per_update is not None and self.rollouts_per_update < 1:
-            raise ConfigError("rollouts_per_update must be >= 1 when set")
         if self.ratio_clamp <= 0:
             raise ConfigError("ratio_clamp must be positive")
 
@@ -456,25 +453,16 @@ def collect(
     round_index: int,
 ) -> tuple[list[Trajectory], list[EpisodeRecord]]:
     """Sample a batch of episodes under the frozen current policy."""
-    pairs = [
-        (idx, sample)
-        for idx in range(len(scenarios))
-        for sample in range(cfg.samples_per_scenario)
-    ]
-    if cfg.rollouts_per_update is not None and cfg.rollouts_per_update < len(pairs):
-        picker = np.random.default_rng([cfg.seed, round_index, 0xC0FFEE])
-        chosen = picker.choice(len(pairs), size=cfg.rollouts_per_update, replace=False)
-        pairs = [pairs[i] for i in sorted(chosen)]
     trajectories: list[Trajectory] = []
     records: list[EpisodeRecord] = []
-    for idx, sample in pairs:
-        scenario_id, config = scenarios[idx]
-        rng = np.random.default_rng([cfg.seed, round_index, idx, sample])
-        env = DialogueEnv(config, matcher=matcher)
-        agent = PolicyAgent(policy, value_fn, rng)
-        record = rollout(env, agent, scenario_id=scenario_id)
-        trajectories.append(agent.finish(record, weights))
-        records.append(record)
+    for idx, (scenario_id, config) in enumerate(scenarios):
+        for sample in range(cfg.samples_per_scenario):
+            rng = np.random.default_rng([cfg.seed, round_index, idx, sample])
+            env = DialogueEnv(config, matcher=matcher)
+            agent = PolicyAgent(policy, value_fn, rng)
+            record = rollout(env, agent, scenario_id=scenario_id)
+            trajectories.append(agent.finish(record, weights))
+            records.append(record)
     return trajectories, records
 
 

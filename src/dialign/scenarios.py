@@ -117,6 +117,8 @@ def generate_scenarios(
 ) -> list[Scenario]:
     if count < 1:
         raise ConfigError("need at least one scenario")
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if conflict and horizon < DEFAULT_CONFLICT_TURN + 1:
         raise ConfigError(
             f"conflict scenarios need horizon > {DEFAULT_CONFLICT_TURN} to recover"

@@ -126,7 +126,6 @@ class UserState:
     revealed: tuple[str, ...]
     pending: tuple[str, ...]
     active_entries: dict[str, str] = field(default_factory=dict)
-    conflict_applied: bool = False
 
 
 def _turn_rng(config: UserConfig, turn: int) -> random.Random:
@@ -170,7 +169,6 @@ def _apply_conflict(state: UserState, conflict: ConflictSpec) -> UserState:
         revealed=revealed,
         pending=pending,
         active_entries=active,
-        conflict_applied=True,
     )
 
 
@@ -188,7 +186,9 @@ def next_utterance(
     turn = state.turn + 1
     rng = _turn_rng(config, turn)
     conflict = config.conflict
-    fires = conflict is not None and turn == conflict.turn and not state.conflict_applied
+    # Turns here start at 2 and only grow, so a conflict fires at most once;
+    # initial_state handles a turn-1 conflict.
+    fires = conflict is not None and turn == conflict.turn
     excluded = set(conflict.replace) if fires else set()
 
     budget = config.reveal_count(turn)
@@ -208,7 +208,6 @@ def next_utterance(
         # Shared reference is safe: states never mutate entries in place, and
         # _apply_conflict copies before swapping values.
         active_entries=state.active_entries,
-        conflict_applied=state.conflict_applied,
     )
     if fires:
         assert conflict is not None

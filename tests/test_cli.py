@@ -69,6 +69,19 @@ def test_validation_error_exits_2(tmp_path: Path) -> None:
     assert code == 2
 
 
+def test_config_file_with_unknown_key_exits_2(
+    scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    config = tmp_path / "ppo.json"
+    config.write_text(json.dumps({"epochs": 2, "rollouts_per_update": 8}))
+    capsys.readouterr()
+    args = ["train", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "t")]
+    assert main(args + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rollouts_per_update" in err
+    assert not (tmp_path / "t").exists()
+
+
 def test_bad_matcher_spec_exits_2(scenario_dir: Path, tmp_path: Path) -> None:
     code = main(
         [
@@ -301,6 +314,17 @@ def test_eval_rejects_mixed_horizons_exits_2(
     assert err.count("\n") == 1 and "horizon" in err
     # An explicit horizon evaluates them together.
     assert main(args + ["--out", str(tmp_path / "h"), "--horizon", "8"]) == 0
+
+
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+def test_eval_episode_count_below_one_exits_2(
+    episodes: str, scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "e")]
+    assert main(args + ["--agent", "oracle", "--episodes", episodes]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--episodes" in err
 
 
 def test_eval_policy_agent_uses_checkpoint(trained_dir: Path, scenario_dir: Path, tmp_path: Path) -> None:

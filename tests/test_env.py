@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialign.env import (
@@ -29,7 +29,7 @@ from dialign.env import (
 )
 from dialign.errors import ProtocolError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema
-from dialign.user_sim import ConflictSpec, UserConfig
+from dialign.user_sim import ConflictSpec, UserConfig, reveal_order
 
 _POOLS = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "dialign" / "data" / "value_pools.json").read_text()
@@ -83,17 +83,18 @@ def test_episode_runs_exactly_horizon_steps_then_refuses_more() -> None:
 def test_turns_alternate_user_then_agent() -> None:
     env = _env(horizon=6)
     state = env.reset()
-    assert len(state.user_turns) == 1
-    assert len(state.agent_turns) == 0
+    assert state.turn == 1
+    assert state.latest.turn == 1
     agent = EvidenceOracleAgent()
     turn = 0
     while not env.done:
         turn += 1
         state, _, done, _ = env.step(agent.act(env.view()))
-        assert len(state.agent_turns) == turn
         # The user replies after every agent turn except the last.
         expected_user_turns = turn + (0 if done else 1)
-        assert len(state.user_turns) == expected_user_turns
+        assert state.turn == expected_user_turns
+        assert state.latest.turn == expected_user_turns
+    assert turn == 6
 
 
 def test_reward_is_computed_before_the_next_user_turn() -> None:
@@ -290,20 +291,49 @@ class _RandomAgent:
     style_seed=st.integers(min_value=0, max_value=2**31 - 1),
     agent_seed=st.integers(min_value=0, max_value=2**31 - 1),
     horizon=st.integers(min_value=1, max_value=14),
+    reveal_schedule=st.one_of(
+        st.none(), st.lists(st.integers(min_value=0, max_value=2), max_size=14)
+    ),
     conflict_turn=st.one_of(st.none(), st.integers(min_value=1, max_value=14)),
+    conflict_rank=st.integers(min_value=0, max_value=9),
     matcher_spec=st.sampled_from(["exact", "token:0.5"]),
+)
+# The turn-3 swap un-reveals the one slot revealed so far, so turns 3-5 have no
+# topic after evidence was revealed; at turns 4 and 5 this agent addresses
+# nothing and continues, so only the carried evidence flag fails the turn.
+@example(
+    style_seed=2,
+    agent_seed=0,
+    horizon=5,
+    reveal_schedule=[0, 1, 0, 0, 0],
+    conflict_turn=3,
+    conflict_rank=0,
+    matcher_spec="exact",
 )
 @settings(max_examples=80, deadline=None)
 def test_replay_reproduces_logged_rewards_of_a_random_agent(
-    style_seed: int, agent_seed: int, horizon: int, conflict_turn: int | None, matcher_spec: str
+    style_seed: int,
+    agent_seed: int,
+    horizon: int,
+    reveal_schedule: list[int] | None,
+    conflict_turn: int | None,
+    conflict_rank: int,
+    matcher_spec: str,
 ) -> None:
     profile = _profile(rng_seed=style_seed % 1000)
     conflict = None
     if conflict_turn is not None:
-        slot = random.Random(style_seed).choice(list(profile.entries))
+        # The swap hits the slot the user reveals conflict_rank-th.
+        slot = reveal_order(profile, style_seed)[conflict_rank]
         new = next(v for v in _POOLS[slot] if v != profile.entries[slot])
         conflict = ConflictSpec(turn=min(conflict_turn, horizon), replace={slot: new})
-    config = UserConfig(profile=profile, horizon=horizon, conflict=conflict, style_seed=style_seed)
+    config = UserConfig(
+        profile=profile,
+        horizon=horizon,
+        reveal_schedule=None if reveal_schedule is None else tuple(reveal_schedule[:horizon]),
+        conflict=conflict,
+        style_seed=style_seed,
+    )
     env = DialogueEnv(config, matcher=SlotMatcher.parse(matcher_spec))
     record = rollout(env, _RandomAgent(agent_seed), scenario_id="random")
     logged = [

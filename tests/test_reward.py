@@ -119,13 +119,9 @@ def test_addressing_a_slot_missing_from_the_estimate_is_inconsistent() -> None:
 def test_contradicting_an_earlier_response_fails_consistency() -> None:
     judge = RuleJudge()
     estimate = _estimate(Age="34")
-    context = JudgeContext(
-        latest_topics=("Age",),
-        evidence_revealed=True,
-        prior_addressed=(("Age", "34"),),
-    )
-    # Estimate still says 34 but the new response claims 40: inconsistent with
-    # the estimate itself, and flagged either way.
+    context = JudgeContext(latest_topics=("Age",), evidence_revealed=True)
+    # An earlier response said 34 and the estimate still says 34, so claiming
+    # 40 now disagrees with the estimate: that is how a contradiction shows.
     verdict = judge.judge(FakeResponse(addressed_slots=(("Age", "40"),)), estimate, context)
     assert verdict.logical_consistency == 0
 
@@ -135,25 +131,17 @@ def test_revision_after_estimate_change_is_not_a_contradiction() -> None:
     # Earlier the agent said 34; its estimate later moved to 40 (e.g. after a
     # preference conflict), so repeating the new value is legitimate.
     estimate = _estimate(Age="40")
-    context = JudgeContext(
-        latest_topics=("Age",),
-        evidence_revealed=True,
-        prior_addressed=(("Age", "34"),),
-    )
+    context = JudgeContext(latest_topics=("Age",), evidence_revealed=True)
     verdict = judge.judge(FakeResponse(addressed_slots=(("Age", "40"),)), estimate, context)
     assert verdict.logical_consistency == 1
 
 
 def test_sticking_to_a_stale_belief_contradicts_history_rule() -> None:
     judge = RuleJudge()
-    # prior said 34, estimate still 34, now addressing 40 -> contradiction AND
-    # estimate mismatch; both paths force the criterion to 0.
+    # prior said 34, estimate still 34, now addressing 40: the estimate
+    # mismatch forces the criterion to 0 even when the turn has no topic.
     estimate = _estimate(Age="34")
-    context = JudgeContext(
-        latest_topics=(),
-        evidence_revealed=True,
-        prior_addressed=(("Age", "34"),),
-    )
+    context = JudgeContext(latest_topics=(), evidence_revealed=True)
     verdict = judge.judge(FakeResponse(addressed_slots=(("Age", "40"),)), estimate, context)
     assert verdict.logical_consistency == 0
 

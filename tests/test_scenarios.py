@@ -87,6 +87,12 @@ def test_conflict_requires_room_to_recover() -> None:
         generate_scenarios(2, seed=0, horizon=6, conflict=True)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_horizon_below_one_is_rejected(horizon: int) -> None:
+    with pytest.raises(ConfigError, match="horizon"):
+        generate_scenarios(2, seed=0, horizon=horizon)
+
+
 def test_user_config_horizon_override_resets_schedule() -> None:
     scenario = generate_scenarios(1, seed=17)[0]
     config = scenario.user_config(horizon=70)
