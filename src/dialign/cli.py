@@ -144,16 +144,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     matcher = SlotMatcher.parse(args.matcher)
     cfg = _load_ppo_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    schema = scenario_list[0].profile.schema
 
     policy = value_fn = None
     start_step = 0
     if args.resume:
         checkpoint = load_checkpoint(args.resume)
         _check_checkpoint_schema(checkpoint, scenario_list)
+        checkpoint.check_resumable(cfg, weights, matcher, schema)
         policy, value_fn = checkpoint.policy(), checkpoint.value_fn()
         start_step = checkpoint.step
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     pairs = [(s.scenario_id, s.user_config()) for s in scenario_list]
     result = train(
@@ -166,10 +168,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         start_step=start_step,
     )
 
-    schema = scenario_list[0].profile.schema
     save_checkpoint(
         out / "checkpoint.json", result.policy, result.value_fn, cfg, weights, schema,
-        step=result.final_step,
+        step=result.final_step, matcher=matcher,
     )
     curve_path = out / "curve.csv"
     mode = "a" if (args.resume and curve_path.exists()) else "w"
@@ -218,12 +219,18 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:
         horizon_override = LONGTERM_DEFAULT_HORIZON
-    if horizon_override is None:
+    horizon = horizon_override
+    if horizon is None:
         horizons = sorted({scenario.horizon for scenario in scenario_list})
         if len(horizons) > 1:
             raise ConfigError(
                 f"scenarios mix horizons {horizons}; pass --horizon to evaluate them together"
             )
+        horizon = horizons[0]
+    if horizon < 2:
+        raise ConfigError(
+            f"eval needs a horizon of at least 2 turns to fit the alignment trend, got {horizon}"
+        )
 
     if args.agent == "oracle":
         checkpoint = None

@@ -6,10 +6,17 @@ latest evidence value per slot, and whether any evidence has been revealed.
 The full transcript lives only in the EpisodeRecord.  An action is the pair
 (structured response, full replacement profile estimate).  Each step judges
 the response, scores the estimate against the current effective ground
-truth (which reflects any conflict swap already triggered), and asks the
-simulator for the next user turn until the horizon is reached.  Rewards are
-immediate: the turn-t action is scored before the turn-t+1 utterance is
-generated.
+truth (which reflects any conflict swap already triggered), and moves on to
+the next user turn until the horizon is reached.  Rewards are immediate:
+the turn-t action is scored against the truth in force at turn t.
+
+The scripted user never reads the agent's turns, so the user's side of an
+episode is known before it starts.  The environment replays the config's
+cached ``script`` through an ``EpisodeTable`` of every turn's dialogue
+state and the episode's observation stack, built once per config;
+``reset`` rewinds to turn 1 and ``step`` moves one row down the table.
+Agents see the whole observation stack, which lets a policy draw all of an
+episode's decisions in one batched call.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -34,14 +41,9 @@ from .reward import (
     alignment_verdict,
     response_reward,
 )
-from .user_sim import (
-    UserConfig,
-    UserUtterance,
-    first_utterance,
-    initial_state,
-    next_utterance,
-    theoretical_max,
-)
+# next_utterance is only re-exported: bench/tests/test_bench.py checks that the
+# tracer patches it in this namespace.
+from .user_sim import UserConfig, UserUtterance, next_utterance  # noqa: F401
 
 EPISODE_SCHEMA_VERSION = "dialign.episode.v1"
 
@@ -138,18 +140,23 @@ class DialogueState:
 
 @dataclass(frozen=True)
 class Observation:
-    """Fixed-length feature view of a DialogueState for linear policies.
+    """Fixed-length feature view of a DialogueState for linear policies,
+    or of a stack of them along a leading turn axis.
 
     Per slot: [bias, evidence seen, topic of the latest utterance].
     Global: [bias, turn fraction of horizon].
     """
 
-    slot_feats: np.ndarray
-    global_feats: np.ndarray
+    slot_feats: np.ndarray  # (n_slots, 3), or (T, n_slots, 3) for a stack
+    global_feats: np.ndarray  # (2,), or (T, 2) for a stack
     slot_names: tuple[str, ...]
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.global_feats, self.slot_feats.ravel()])
+        """[global | slot features row by row], one row per stacked observation."""
+        lead = self.global_feats.shape[:-1]
+        return np.concatenate(
+            [self.global_feats, self.slot_feats.reshape(*lead, -1)], axis=-1
+        )
 
     @property
     def n_slots(self) -> int:
@@ -164,11 +171,9 @@ def observe(state: DialogueState, schema: SlotSchema, horizon: int) -> Observati
     seen = state.seen_values
     topics = set(state.latest.topic_slots) if state.latest is not None else set()
     names = tuple(schema.slots)
-    slot_feats = np.zeros((len(names), SLOT_FEATURE_DIM))
-    for i, slot in enumerate(names):
-        slot_feats[i, 0] = 1.0
-        slot_feats[i, 1] = 1.0 if slot in seen else 0.0
-        slot_feats[i, 2] = 1.0 if slot in topics else 0.0
+    slot_feats = np.array(
+        [(1.0, float(slot in seen), float(slot in topics)) for slot in names]
+    ).reshape(len(names), SLOT_FEATURE_DIM)
     global_feats = np.array([1.0, state.turn / float(horizon)])
     return Observation(slot_feats=slot_feats, global_feats=global_feats, slot_names=names)
 
@@ -179,14 +184,27 @@ def observation_dim(n_slots: int) -> int:
 
 @dataclass(frozen=True)
 class EnvView:
-    """What an agent sees when asked to act."""
+    """What an agent sees when asked to act: the dialogue state now, and the
+    observation stack of the whole episode (row ``turn - 1`` is now)."""
 
     state: DialogueState
-    observation: Observation
-    seen_values: Mapping[str, str]
+    observations: Observation
     schema: SlotSchema
     horizon: int
-    turn: int
+
+    @property
+    def turn(self) -> int:
+        return self.state.turn
+
+    @property
+    def seen_values(self) -> Mapping[str, str]:
+        return self.state.seen_values
+
+    @property
+    def observation(self) -> Observation:
+        row = self.turn - 1
+        stack = self.observations
+        return Observation(stack.slot_feats[row], stack.global_feats[row], stack.slot_names)
 
 
 @dataclass
@@ -222,6 +240,32 @@ def score_turn(
     )
 
 
+@dataclass(frozen=True)
+class EpisodeTable:
+    """Row t - 1 is the dialogue state after user turn t and its observation.
+
+    Read it as ``UserConfig.episode_table``, which builds it once per config.
+    """
+
+    states: tuple[DialogueState, ...]
+    observations: Observation
+
+    @classmethod
+    def build(cls, config: UserConfig) -> "EpisodeTable":
+        states: list[DialogueState] = []
+        state = DialogueState()
+        for scripted in config.script:
+            state = state.with_user_turn(scripted.utterance)
+            states.append(state)
+        schema, horizon = config.profile.schema, config.horizon
+        rows = [observe(state, schema, horizon) for state in states]
+        slot_feats = np.stack([row.slot_feats for row in rows])
+        global_feats = np.stack([row.global_feats for row in rows])
+        # Every episode of the config shares these arrays; nothing may write to them.
+        slot_feats.flags.writeable = global_feats.flags.writeable = False
+        return cls(tuple(states), Observation(slot_feats, global_feats, rows[0].slot_names))
+
+
 class DialogueEnv:
     """Gym-style wrapper around the scripted user and the rule judge."""
 
@@ -234,10 +278,10 @@ class DialogueEnv:
         self.config = config
         self.matcher = matcher or SlotMatcher(kind="exact")
         self.judge = judge or RuleJudge()
-        self._state: DialogueState | None = None
-        self._user_state = None
+        self._script = config.script
+        self._table = config.episode_table
+        self._index: int | None = None
         self._done = False
-        self._truth_cache: tuple[dict[str, str], Profile] | None = None
 
     @property
     def schema(self) -> SlotSchema:
@@ -248,53 +292,44 @@ class DialogueEnv:
         return self.config.horizon
 
     def reset(self) -> DialogueState:
-        self._user_state = initial_state(self.config)
-        opening = first_utterance(self.config)
-        self._state = DialogueState().with_user_turn(opening)
+        self._index = 0
         self._done = False
-        self._truth_cache = None
-        return self._state
+        return self._table.states[0]
 
     @property
     def done(self) -> bool:
         return self._done
 
+    def _current(self) -> int:
+        if self._index is None:
+            raise ProtocolError("reset() the environment before using it")
+        return self._index
+
     def effective_truth(self) -> Profile:
-        if self._user_state is None:
-            raise ProtocolError("reset() the environment before querying truth")
-        entries = self._user_state.active_entries
-        # Entries dicts are shared across states until a conflict swaps values,
-        # so identity is a sound cache key.
-        if self._truth_cache is None or self._truth_cache[0] is not entries:
-            self._truth_cache = (entries, Profile(schema=self.schema, entries=dict(entries)))
-        return self._truth_cache[1]
+        return self._script[self._current()].truth
 
     def view(self) -> EnvView:
-        if self._state is None:
-            raise ProtocolError("reset() the environment before acting")
         return EnvView(
-            state=self._state,
-            observation=observe(self._state, self.schema, self.horizon),
-            seen_values=self._state.seen_values,
+            state=self._table.states[self._current()],
+            observations=self._table.observations,
             schema=self.schema,
             horizon=self.horizon,
-            turn=self._state.turn,
         )
 
     def step(self, action: AgentAction) -> tuple[DialogueState, RewardBreakdown, bool, TurnOutcome]:
-        if self._state is None or self._user_state is None:
-            raise ProtocolError("step() before reset()")
+        index = self._current()
         if self._done:
             raise ProtocolError("step() after the episode ended")
 
-        state = self._state
-        truth_now = self.effective_truth()
+        states = self._table.states
+        state = states[index]
+        scripted = self._script[index]
         judgment, breakdown = score_turn(
             self.judge,
             action.response,
             action.estimate,
             state.judge_context(),
-            truth_now,
+            scripted.truth,
             self.matcher,
         )
         outcome = TurnOutcome(
@@ -303,19 +338,14 @@ class DialogueEnv:
             action=action,
             breakdown=breakdown,
             judgment=judgment,
-            aligned=alignment_verdict(action.response, judgment, truth_now, self.matcher),
-            theoretical_max=theoretical_max(self._user_state, truth_now),
+            aligned=alignment_verdict(action.response, judgment, scripted.truth, self.matcher),
+            theoretical_max=scripted.theoretical_max,
         )
-
-        step_result = None
-        if state.turn < self.horizon:
-            step_result = next_utterance(self._user_state, self.config)
-        if step_result is None:
-            self._done = True
+        if index + 1 < len(states):
+            self._index = index + 1
         else:
-            utterance, self._user_state = step_result
-            self._state = state.with_user_turn(utterance)
-        return self._state, breakdown, self._done, outcome
+            self._done = True
+        return states[self._index], breakdown, self._done, outcome
 
 
 # --- episode records ----------------------------------------------------------

@@ -8,6 +8,14 @@ linear in the observation features, log-probabilities and their gradients
 are computed analytically, and a central finite-difference helper is
 provided so tests can cross-check the closed form.
 
+Sampling works on a stack of observations: one ``rng.random((T, n + 2))``
+draw per stack gives the inclusion, response and engagement uniforms of
+every row, in the order per-row draws would consume them.  The scripted
+user ignores the agent, so an episode's observations are all known when it
+starts, and ``PolicyAgent`` draws the whole episode's decisions at turn 1.
+A trajectory carries its episode's ``DecisionBatch`` and flattened features
+as arrays, which the update concatenates.
+
 The update is clipped-surrogate PPO: for each collected batch the sampling
 policy is frozen (its log-probabilities are stored with the trajectories),
 advantages come from generalized advantage estimation with a terminal value
@@ -144,8 +152,33 @@ class DecisionBatch:
             engage=np.array([float(dec.engage) for dec in decisions]),
         )
 
+    @classmethod
+    def concatenate(cls, batches: Sequence["DecisionBatch"]) -> "DecisionBatch":
+        return cls(
+            slot_feats=np.concatenate([b.slot_feats for b in batches]),
+            global_feats=np.concatenate([b.global_feats for b in batches]),
+            include=np.concatenate([b.include for b in batches]),
+            response_choice=np.concatenate([b.response_choice for b in batches]),
+            engage=np.concatenate([b.engage for b in batches]),
+        )
+
+    def decision(self, row: int) -> PolicyDecision:
+        return PolicyDecision(
+            include=tuple(int(v) for v in self.include[row]),
+            response_choice=int(self.response_choice[row]),
+            engage=bool(self.engage[row]),
+        )
+
     def __len__(self) -> int:
         return self.global_feats.shape[0]
+
+
+def _stacked(obs: Observation) -> tuple[np.ndarray, np.ndarray]:
+    """(slot_feats, global_feats) with a leading row axis; one observation is one row."""
+    return (
+        obs.slot_feats.reshape(-1, *obs.slot_feats.shape[-2:]),
+        obs.global_feats.reshape(-1, obs.global_feats.shape[-1]),
+    )
 
 
 class CategoricalSlotPolicy:
@@ -175,32 +208,51 @@ class CategoricalSlotPolicy:
     def _engage_logit(self, global_feats: np.ndarray) -> np.ndarray:
         return global_feats @ self.theta[_W_ENG]
 
-    def sample(self, obs: Observation, rng: np.random.Generator) -> PolicyDecision:
-        """Draw a decision; its log-probability comes from ``log_prob_batch``."""
-        include_mask = rng.random(obs.n_slots) < _sigmoid(self._include_logits(obs.slot_feats))
-        logits = self._response_logits(obs.slot_feats)
-        probs = np.exp(logits - np.logaddexp.reduce(logits))
-        choice = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
-        choice = min(choice, len(probs) - 1)
-        engage = bool(rng.random() < _sigmoid(float(self._engage_logit(obs.global_feats))))
-        return PolicyDecision(
-            include=tuple(int(v) for v in include_mask),
+    def sample(self, obs: Observation, rng: np.random.Generator) -> DecisionBatch:
+        """Draw one decision per row of an observation stack (a single
+        observation is a stack of one); log-probabilities come from
+        ``log_prob_batch``.
+
+        Row t's uniforms are ``n_slots`` inclusion draws, then the response
+        draw, then the engagement draw, so one ``(T, n_slots + 2)`` draw
+        consumes the generator exactly as T per-row draws would.
+        """
+        slot_feats, global_feats = _stacked(obs)
+        n = slot_feats.shape[1]
+        uniforms = rng.random((len(global_feats), n + 2))
+        include = uniforms[:, :n] < _sigmoid(self._include_logits(slot_feats))
+        logits = self._response_logits(slot_feats)
+        probs = np.exp(logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True))
+        # Inverse-CDF draw: the first index whose cumulative mass reaches the
+        # scaled uniform, capped at the "address nothing" column.
+        target = uniforms[:, n] * probs.sum(axis=-1)
+        choice = np.minimum(np.sum(np.cumsum(probs, axis=-1) < target[:, None], axis=-1), n)
+        engage = uniforms[:, n + 1] < _sigmoid(self._engage_logit(global_feats))
+        return DecisionBatch(
+            slot_feats=slot_feats,
+            global_feats=global_feats,
+            include=include.astype(float),
             response_choice=choice,
-            engage=engage,
+            engage=engage.astype(float),
         )
 
     def sample_with_log_prob(
         self, obs: Observation, rng: np.random.Generator
     ) -> tuple[PolicyDecision, float]:
-        """``sample`` followed by ``log_prob``."""
-        decision = self.sample(obs, rng)
-        return decision, self.log_prob(obs, decision)
+        """``sample`` of one observation, with its ``log_prob_batch`` value."""
+        batch = self.sample(obs, rng)
+        return batch.decision(0), float(self.log_prob_batch(batch)[0])
 
-    def greedy(self, obs: Observation) -> PolicyDecision:
-        include = tuple(int(z > 0.0) for z in self._include_logits(obs.slot_feats))
-        choice = int(np.argmax(self._response_logits(obs.slot_feats)))
-        engage = bool(float(self._engage_logit(obs.global_feats)) > 0.0)
-        return PolicyDecision(include=include, response_choice=choice, engage=engage)
+    def greedy(self, obs: Observation) -> DecisionBatch:
+        """The most likely decision of each head, per row of an observation stack."""
+        slot_feats, global_feats = _stacked(obs)
+        return DecisionBatch(
+            slot_feats=slot_feats,
+            global_feats=global_feats,
+            include=(self._include_logits(slot_feats) > 0.0).astype(float),
+            response_choice=np.argmax(self._response_logits(slot_feats), axis=-1),
+            engage=(self._engage_logit(global_feats) > 0.0).astype(float),
+        )
 
     def log_prob_batch(self, batch: DecisionBatch) -> np.ndarray:
         z_inc = self._include_logits(batch.slot_feats)  # (N, n)
@@ -287,18 +339,22 @@ class LinearValue:
 
 @dataclass
 class Trajectory:
-    """One episode's worth of training data, sampled under a frozen policy."""
+    """One episode's worth of training data, sampled under a frozen policy.
 
-    observations: list[Observation]
-    decisions: list[PolicyDecision]
+    ``features`` holds the flattened observation of each turn, the critic's
+    input.
+    """
+
+    batch: DecisionBatch
+    features: np.ndarray
     log_probs_old: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.observations)
+        n = len(self.batch)
         if not (
-            len(self.decisions) == n
+            self.features.shape[0] == n
             and self.log_probs_old.shape == (n,)
             and self.values.shape == (n,)
             and self.rewards.shape == (n,)
@@ -306,7 +362,7 @@ class Trajectory:
             raise ValueError("trajectory fields must share one length")
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.batch)
 
 
 def compute_gae(
@@ -375,12 +431,14 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 class PolicyAgent:
     """Adapts a CategoricalSlotPolicy to the environment's Agent protocol.
 
-    Translates head decisions into a concrete action: included slots take
-    their latest evidence value (or the unknown placeholder when the policy
-    includes a slot blind), and the response addresses the chosen slot only
-    when the estimate actually carries it.  Records the observations,
-    decisions and values the PPO update needs as it goes; ``finish`` scores
-    the episode's decisions under the frozen policy in one batched call.
+    At turn 1 it draws (or, when greedy, picks) the decisions of every turn
+    from the view's observation stack in one call, and values each turn's
+    features with the critic.  Each turn then translates that turn's
+    decision into a concrete action: included slots take their latest
+    evidence value (or the unknown placeholder when the policy includes a
+    slot blind), and the response addresses the chosen slot only when the
+    estimate actually carries it.  ``finish`` scores the episode's
+    decisions under the frozen policy in one batched call.
     """
 
     def __init__(
@@ -394,34 +452,44 @@ class PolicyAgent:
         self.value_fn = value_fn
         self.rng = rng
         self.greedy = greedy
-        self.observations: list[Observation] = []
-        self.decisions: list[PolicyDecision] = []
-        self.values: list[float] = []
+
+    def _decide_episode(self, observations: Observation) -> None:
+        if self.greedy:
+            batch = self.policy.greedy(observations)
+        else:
+            batch = self.policy.sample(observations, self.rng)
+        self.batch = batch
+        self.features = observations.flat()
+        if self.value_fn is None:
+            self.values = np.zeros(len(batch))
+        else:
+            # Per-row 1-D dot products: a matrix-vector product can round differently.
+            self.values = np.array([self.value_fn.predict(row) for row in self.features])
+        # Plain lists: each turn reads one row, and numpy scalars are slow to read.
+        self._include = batch.include.astype(bool).tolist()
+        self._choice = batch.response_choice.tolist()
+        self._engage = batch.engage.astype(bool).tolist()
 
     def act(self, view: EnvView) -> AgentAction:
-        obs = view.observation
-        if self.greedy:
-            decision = self.policy.greedy(obs)
-        else:
-            decision = self.policy.sample(obs, self.rng)
-        self.observations.append(obs)
-        self.decisions.append(decision)
-        if self.value_fn is not None:
-            self.values.append(self.value_fn.predict(obs.flat()))
-
+        if view.turn == 1:
+            self._decide_episode(view.observations)
+        row = view.turn - 1
+        names = view.observations.slot_names
+        seen = view.seen_values
         entries = {
-            slot: view.seen_values.get(slot, UNKNOWN_VALUE)
-            for slot, included in zip(obs.slot_names, decision.include)
+            slot: seen.get(slot, UNKNOWN_VALUE)
+            for slot, included in zip(names, self._include[row])
             if included
         }
         estimate = Profile(schema=view.schema, entries=entries)
         addressed: list[tuple[str, str]] = []
-        if decision.response_choice < obs.n_slots:
-            slot = obs.slot_names[decision.response_choice]
+        choice = self._choice[row]
+        if choice < len(names):
+            slot = names[choice]
             if slot in entries:
                 addressed = [(slot, entries[slot])]
         return AgentAction(
-            response=make_response(addressed, continues=decision.engage), estimate=estimate
+            response=make_response(addressed, continues=self._engage[row]), estimate=estimate
         )
 
     def finish(self, record: EpisodeRecord, weights: tuple[float, float]) -> Trajectory:
@@ -431,14 +499,11 @@ class PolicyAgent:
                 for t in record.turns
             ]
         )
-        values = np.array(self.values) if self.values else np.zeros(len(self.observations))
         return Trajectory(
-            observations=self.observations,
-            decisions=self.decisions,
-            log_probs_old=self.policy.log_prob_batch(
-                DecisionBatch.from_pairs(self.observations, self.decisions)
-            ),
-            values=values,
+            batch=self.batch,
+            features=self.features,
+            log_probs_old=self.policy.log_prob_batch(self.batch),
+            values=self.values,
             rewards=rewards,
         )
 
@@ -456,9 +521,9 @@ def collect(
     trajectories: list[Trajectory] = []
     records: list[EpisodeRecord] = []
     for idx, (scenario_id, config) in enumerate(scenarios):
+        env = DialogueEnv(config, matcher=matcher)
         for sample in range(cfg.samples_per_scenario):
             rng = np.random.default_rng([cfg.seed, round_index, idx, sample])
-            env = DialogueEnv(config, matcher=matcher)
             agent = PolicyAgent(policy, value_fn, rng)
             record = rollout(env, agent, scenario_id=scenario_id)
             trajectories.append(agent.finish(record, weights))
@@ -488,15 +553,11 @@ def update(
         raise ValueError("update needs at least one trajectory")
     if not np.all(np.isfinite(policy.theta)) or not np.all(np.isfinite(value_fn.phi)):
         raise FloatingPointError("non-finite parameters entering update")
-    observations: list[Observation] = []
-    decisions: list[PolicyDecision] = []
     logp_old_parts: list[np.ndarray] = []
     adv_parts: list[np.ndarray] = []
     return_parts: list[np.ndarray] = []
     for traj in trajectories:
         advantages = compute_gae(traj.rewards, traj.values, cfg.gamma, cfg.lam)
-        observations.extend(traj.observations)
-        decisions.extend(traj.decisions)
         logp_old_parts.append(traj.log_probs_old)
         adv_parts.append(advantages)
         return_parts.append(advantages + traj.values)
@@ -504,8 +565,8 @@ def update(
     logp_old = np.concatenate(logp_old_parts)
     advantages = normalize_advantages(np.concatenate(adv_parts))
     returns = np.concatenate(return_parts)
-    features = np.stack([obs.flat() for obs in observations])
-    batch = DecisionBatch.from_pairs(observations, decisions)
+    features = np.concatenate([traj.features for traj in trajectories])
+    batch = DecisionBatch.concatenate([traj.batch for traj in trajectories])
     n = logp_old.size
 
     clip_fractions: list[float] = []
@@ -633,12 +694,25 @@ def train(
 # --- checkpoints -------------------------------------------------------------------
 
 
+def _resume_identity(
+    cfg: PPOConfig, weights: tuple[float, float], matcher_label: str
+) -> dict:
+    """The settings a resumed run must share with its checkpoint to continue
+    bit for bit: every PPO field except the round budget, the reward
+    weights and the matcher."""
+    ppo = asdict(cfg)
+    del ppo["total_rounds"]
+    return {**ppo, "weights": list(weights), "matcher": matcher_label}
+
+
 def config_fingerprint(
-    cfg: PPOConfig, weights: tuple[float, float], schema: SlotSchema
+    cfg: PPOConfig,
+    weights: tuple[float, float],
+    schema: SlotSchema,
+    matcher_label: str = "exact",
 ) -> str:
     payload = {
-        "ppo": asdict(cfg),
-        "weights": list(weights),
+        **_resume_identity(cfg, weights, matcher_label),
         "schema": {"name": schema.name, "slots": list(schema.slots), "open": schema.open_schema},
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -653,12 +727,33 @@ class Checkpoint:
     fingerprint: str
     ppo: dict
     weights: tuple[float, float]
+    matcher: str | None
 
     def policy(self) -> CategoricalSlotPolicy:
         return CategoricalSlotPolicy(len(self.schema.slots), self.theta)
 
     def value_fn(self) -> LinearValue:
         return LinearValue(observation_dim(len(self.schema.slots)), self.phi)
+
+    def check_resumable(
+        self,
+        cfg: PPOConfig,
+        weights: tuple[float, float],
+        matcher: SlotMatcher,
+        schema: SlotSchema,
+    ) -> None:
+        """Raise CheckpointError naming the first setting this run changes."""
+        if self.matcher is None:
+            raise CheckpointError("checkpoint records no matcher, so it cannot be resumed")
+        recorded = {**self.ppo, "weights": list(self.weights), "matcher": self.matcher}
+        for name, value in _resume_identity(cfg, weights, matcher.label).items():
+            if recorded.get(name) != value:
+                raise CheckpointError(
+                    f"cannot resume: checkpoint has {name}={recorded.get(name)!r}, "
+                    f"this run has {name}={value!r}"
+                )
+        if self.fingerprint != config_fingerprint(cfg, weights, schema, matcher.label):
+            raise CheckpointError("cannot resume: checkpoint fingerprint does not match this run")
 
 
 def save_checkpoint(
@@ -669,7 +764,9 @@ def save_checkpoint(
     weights: tuple[float, float],
     schema: SlotSchema,
     step: int,
+    matcher: SlotMatcher | None = None,
 ) -> None:
+    matcher_label = (matcher or SlotMatcher(kind="exact")).label
     payload = {
         "format": CHECKPOINT_FORMAT,
         "theta": policy.theta.tolist(),
@@ -680,9 +777,10 @@ def save_checkpoint(
             "open": schema.open_schema,
         },
         "step": step,
-        "fingerprint": config_fingerprint(cfg, weights, schema),
+        "fingerprint": config_fingerprint(cfg, weights, schema, matcher_label),
         "ppo": asdict(cfg),
         "weights": list(weights),
+        "matcher": matcher_label,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -713,4 +811,5 @@ def load_checkpoint(path) -> Checkpoint:
         fingerprint=payload["fingerprint"],
         ppo=dict(payload.get("ppo", {})),
         weights=tuple(payload.get("weights", (1.0, 1.0))),  # type: ignore[arg-type]
+        matcher=payload.get("matcher"),
     )

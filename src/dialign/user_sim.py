@@ -17,6 +17,13 @@ between the swap and the re-reveal.
 
 When nothing is left to reveal the user restates an earlier preference
 (chit-chat); restatements carry a topic slot but no new evidence.
+
+The user never reads the agent's turns, so a config's whole side of the
+episode is fixed in advance: ``UserConfig.script`` walks ``initial_state``
+and ``next_utterance`` once, on first use, and keeps every turn's utterance,
+truth and reveal ceiling for the environment to replay.  The environment's
+own per-turn table, derived from the script, is kept with the config too
+(``UserConfig.episode_table``).
 """
 
 from __future__ import annotations
@@ -24,11 +31,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ConfigError
-from .profiles import Profile
+from .profiles import Profile, clearly_different
+
+if TYPE_CHECKING:
+    from .env import EpisodeTable
 
 FIRST_UTTERANCE_TEXT = "Hello"
 
@@ -64,7 +75,12 @@ class UserConfig:
     ``reveal_schedule[i]`` is the reveal budget for turn ``i + 1``; the
     turn-1 entry is ignored because the opening turn is fixed.  ``None``
     means one reveal per turn; turns past the end of an explicit schedule
-    reveal nothing.
+    reveal nothing.  A conflict must replace each value it names with a
+    clearly different one: a kept value would be un-revealed while an
+    agent still holds it, lifting recall above the reveal ceiling.
+
+    ``script`` and ``episode_table`` are computed on first use and kept, so
+    a config (its profile included) must not be mutated afterwards.
     """
 
     profile: Profile
@@ -90,15 +106,48 @@ class UserConfig:
                 raise ConfigError(
                     f"conflict turn {self.conflict.turn} outside [1, {self.horizon}]"
                 )
-            for slot in self.conflict.replace:
+            for slot, value in self.conflict.replace.items():
                 if not self.profile.schema.allows(slot):
                     raise ConfigError(f"conflict slot {slot!r} not allowed by schema")
+                old = self.profile.entries.get(slot)
+                if old is not None and not clearly_different(slot, old, [value]):
+                    raise ConfigError(
+                        f"conflict replacement {value!r} for {slot!r} is not clearly "
+                        f"different from {old!r}"
+                    )
 
     def reveal_count(self, turn: int) -> int:
         if self.reveal_schedule is None:
             return 1
         index = turn - 1
         return self.reveal_schedule[index] if index < len(self.reveal_schedule) else 0
+
+    @cached_property
+    def script(self) -> tuple[ScriptedTurn, ...]:
+        """The user's side of turns 1..horizon, built once by walking
+        ``initial_state`` and ``next_utterance``."""
+        state = initial_state(self)
+        utterance = first_utterance(self)
+        entries = truth = None
+        turns: list[ScriptedTurn] = []
+        while True:
+            # States share one entries dict until a conflict swaps values.
+            if state.active_entries is not entries:
+                entries = state.active_entries
+                truth = Profile(schema=self.profile.schema, entries=dict(entries))
+            turns.append(ScriptedTurn(utterance, truth, theoretical_max(state, truth)))
+            step = next_utterance(state, self)
+            if step is None:
+                return tuple(turns)
+            utterance, state = step
+
+    @cached_property
+    def episode_table(self) -> EpisodeTable:
+        """The environment's per-turn dialogue states and observations for
+        ``script``, kept with the config so every episode of it reuses them."""
+        from .env import EpisodeTable  # env imports this module, so import late
+
+        return EpisodeTable.build(self)
 
 
 @dataclass(frozen=True)
@@ -111,6 +160,16 @@ class UserUtterance:
     evidence: tuple[tuple[str, str], ...]
     turn: int
     topic_slots: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class ScriptedTurn:
+    """One turn of the user's side: the utterance, the ground truth in force
+    when the agent answers it, and the reveal ceiling at that moment."""
+
+    utterance: UserUtterance
+    truth: Profile
+    theoretical_max: float
 
 
 @dataclass(frozen=True)

@@ -228,10 +228,7 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
     policy = CategoricalSlotPolicy(n_slots=10, theta=rng.normal(0, 0.3, POLICY_DIM))
     value_fn = LinearValue(dim=observation_dim(10))
     trajectories, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), _EXACT, 0)
-    batch = DecisionBatch.from_pairs(
-        [o for t in trajectories for o in t.observations],
-        [d for t in trajectories for d in t.decisions],
-    )
+    batch = DecisionBatch.concatenate([t.batch for t in trajectories])
     stored = np.concatenate([t.log_probs_old for t in trajectories])
     ratios = np.asarray(policy_ratio(policy.log_prob_batch(batch), stored, cfg.ratio_clamp))
     max_ratio_err = float(np.max(np.abs(ratios - 1.0)))

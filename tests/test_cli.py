@@ -242,6 +242,60 @@ def test_resume_with_other_schema_name_exits_2(
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "changed",
+    [["--seed", "99"], ["--weights", "0,1"], ["--matcher", "token:0.5"], ["--epochs", "2"]],
+)
+def test_resume_with_changed_setup_exits_2(
+    changed: list[str], trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    out = tmp_path / "out"
+    args = [
+        "train", "--scenarios", str(scenario_dir), "--out", str(out), "--rounds", "1",
+        "--samples", "1", "--seed", "0", "--resume", str(trained_dir / "checkpoint.json"),
+    ]
+    capsys.readouterr()
+    assert main(args + changed) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and changed[0].lstrip("-") in err
+    assert not out.exists()
+
+
+def test_resume_with_only_more_rounds_continues(
+    trained_dir: Path, scenario_dir: Path, tmp_path: Path
+) -> None:
+    out = tmp_path / "more"
+    assert main(
+        [
+            "train", "--scenarios", str(scenario_dir), "--out", str(out), "--rounds", "2",
+            "--samples", "1", "--seed", "0", "--resume", str(trained_dir / "checkpoint.json"),
+        ]
+    ) == 0
+    assert load_checkpoint(out / "checkpoint.json").step == 5
+
+
+def test_checkpoint_without_matcher_evaluates_but_does_not_resume(
+    trained_dir: Path, scenario_dir: Path, tmp_path: Path
+) -> None:
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    del payload["matcher"]
+    checkpoint = tmp_path / "no-matcher.json"
+    checkpoint.write_text(json.dumps(payload))
+    assert main(
+        [
+            "train", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "t"),
+            "--rounds", "1", "--samples", "1", "--seed", "0", "--resume", str(checkpoint),
+        ]
+    ) == 2
+    assert main(
+        [
+            "eval", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "e"),
+            "--checkpoint", str(checkpoint),
+        ]
+    ) == 0
+
+
 # --- eval --------------------------------------------------------------------------
 
 
@@ -314,6 +368,23 @@ def test_eval_rejects_mixed_horizons_exits_2(
     assert err.count("\n") == 1 and "horizon" in err
     # An explicit horizon evaluates them together.
     assert main(args + ["--out", str(tmp_path / "h"), "--horizon", "8"]) == 0
+
+
+def test_eval_on_horizon_one_exits_2_and_writes_nothing(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    scenarios = tmp_path / "h1"
+    assert main(
+        ["gen-scenarios", "--out", str(scenarios), "--count", "1", "--seed", "4", "--horizon", "1"]
+    ) == 0
+    for extra in ([], ["--mode", "longterm", "--horizon", "1"]):
+        out = tmp_path / "e"
+        capsys.readouterr()
+        args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle"]
+        assert main(args + extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "horizon" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("episodes", ["0", "-2"])

@@ -27,8 +27,10 @@ from dialign.env import (
     rollout,
     write_episodes,
 )
-from dialign.errors import ProtocolError
-from dialign.profiles import Profile, SlotMatcher, SlotSchema
+import dialign.user_sim
+from dialign.errors import ConfigError, ProtocolError
+from dialign.profiles import Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall
+from dialign.scenarios import generate_scenarios
 from dialign.user_sim import ConflictSpec, UserConfig, reveal_order
 
 _POOLS = json.loads(
@@ -115,6 +117,25 @@ def test_reward_is_computed_before_the_next_user_turn() -> None:
     for seen, reward in zip(seen_counts, rewards):
         expected = 2.0 * seen / (seen + truth_size) if seen else 0.0
         assert reward == pytest.approx(expected)
+
+
+def test_user_side_is_walked_once_per_config(monkeypatch: pytest.MonkeyPatch) -> None:
+    walked: list[int] = []
+    original = dialign.user_sim.next_utterance
+
+    def counting(state, config):
+        walked.append(state.turn)
+        return original(state, config)
+
+    monkeypatch.setattr(dialign.user_sim, "next_utterance", counting)
+    env = _env(horizon=6, style_seed=1)
+    first = rollout(env, EvidenceOracleAgent())
+    # One call per turn; the call after turn 6 returns None at the horizon.
+    assert walked == [1, 2, 3, 4, 5, 6]
+    # A second reset, and a second environment on the same config, replay the script.
+    assert rollout(env, EvidenceOracleAgent()).to_json() == first.to_json()
+    assert rollout(DialogueEnv(env.config), EvidenceOracleAgent()).to_json() == first.to_json()
+    assert walked == [1, 2, 3, 4, 5, 6]
 
 
 # --- reward bookkeeping ------------------------------------------------------------
@@ -341,6 +362,71 @@ def test_replay_reproduces_logged_rewards_of_a_random_agent(
     ]
     assert replay_rewards(record) == logged
     assert replay_rewards(EpisodeRecord.from_json(record.to_json())) == logged
+
+
+class _EvidenceSubsetAgent:
+    """Evidence-only agent that keeps a random subset of the seen values."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+
+    def act(self, view: EnvView) -> AgentAction:
+        entries = {s: v for s, v in view.seen_values.items() if self.rng.random() < 0.5}
+        return AgentAction(
+            response=make_response([], continues=True),
+            estimate=Profile(schema=view.schema, entries=entries),
+        )
+
+
+@given(
+    scenario_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    agent_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    conflict_turn=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+    conflict_rank=st.integers(min_value=0, max_value=9),
+    replacement=st.integers(min_value=0, max_value=63),
+    matcher_spec=st.sampled_from(["exact", "token:0.5"]),
+)
+# A turn-4 conflict that keeps the first revealed slot's value: the oracle
+# still holds it while the slot is un-revealed (recall 0.3, ceiling 0.2).
+@example(
+    scenario_seed=7,
+    agent_seed=0,
+    conflict_turn=4,
+    conflict_rank=0,
+    replacement=0,
+    matcher_spec="exact",
+)
+@settings(max_examples=60, deadline=None)
+def test_evidence_only_agents_never_exceed_the_reveal_ceiling(
+    scenario_seed: int,
+    agent_seed: int,
+    conflict_turn: int | None,
+    conflict_rank: int,
+    replacement: int,
+    matcher_spec: str,
+) -> None:
+    scenario = generate_scenarios(1, seed=scenario_seed)[0]
+    conflict = None
+    if conflict_turn is not None:
+        slot = reveal_order(scenario.profile, scenario.style_seed)[conflict_rank]
+        old = scenario.profile.entries[slot]
+        # Option 0 keeps the old value.
+        options = [old] + _POOLS[slot]
+        new = options[replacement % len(options)]
+        conflict = ConflictSpec(turn=conflict_turn, replace={slot: new})
+    try:
+        config = scenario.user_config(conflict=conflict)
+    except ConfigError:
+        assert conflict is not None and not clearly_different(slot, old, [new])
+        return
+    matcher = SlotMatcher.parse(matcher_spec)
+    schema = scenario.profile.schema
+    for agent in (EvidenceOracleAgent(), _EvidenceSubsetAgent(agent_seed)):
+        record = rollout(DialogueEnv(config, matcher=matcher), agent)
+        for t in record.turns:
+            truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
+            _, recall = precision_recall(Profile(schema=schema, entries=t.estimate), truth, matcher)
+            assert recall <= t.theoretical_max + 1e-12
 
 
 def test_episode_json_round_trip(tmp_path: Path) -> None:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dialign.env import Observation, observation_dim
+from dialign.env import DialogueEnv, DialogueState, Observation, observation_dim, observe, rollout
 from dialign.errors import CheckpointError, ConfigError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema
 from dialign.rl import (
@@ -32,6 +34,7 @@ from dialign.rl import (
     update,
 )
 from dialign.scenarios import generate_scenarios
+from dialign.user_sim import first_utterance, initial_state, next_utterance
 
 _N_SLOTS = 10
 
@@ -218,12 +221,95 @@ def test_sample_with_log_prob_agrees_with_log_prob() -> None:
         assert lp == policy.log_prob(obs, decision)
 
 
+def _reference_draw(
+    policy: CategoricalSlotPolicy, obs: Observation, rng: np.random.Generator
+) -> PolicyDecision:
+    """One observation's draw as separate random(n), random(), random() calls."""
+    theta = policy.theta
+    p_include = 1.0 / (1.0 + np.exp(-(obs.slot_feats @ theta[0:3])))
+    include = rng.random(obs.n_slots) < p_include
+    logits = np.append(obs.slot_feats @ theta[3:6], theta[6])
+    probs = np.exp(logits - np.logaddexp.reduce(logits))
+    choice = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
+    engage = rng.random() < 1.0 / (1.0 + np.exp(-float(obs.global_feats @ theta[7:9])))
+    return PolicyDecision(
+        include=tuple(int(v) for v in include),
+        response_choice=min(choice, obs.n_slots),
+        engage=bool(engage),
+    )
+
+
+@given(
+    theta=st.lists(
+        st.floats(min_value=-4.0, max_value=4.0), min_size=POLICY_DIM, max_size=POLICY_DIM
+    ),
+    flags=st.lists(
+        st.lists(st.tuples(st.booleans(), st.booleans()), min_size=_N_SLOTS, max_size=_N_SLOTS),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int) -> None:
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=np.array(theta))
+    horizon = len(flags)
+    rows = []
+    for t, turn_flags in enumerate(flags):
+        slot_feats = np.ones((_N_SLOTS, 3))
+        slot_feats[:, 1:] = np.array(turn_flags, dtype=float)
+        rows.append(
+            Observation(
+                slot_feats=slot_feats,
+                global_feats=np.array([1.0, (t + 1) / horizon]),
+                slot_names=tuple(f"slot{i}" for i in range(_N_SLOTS)),
+            )
+        )
+    stack = Observation(
+        slot_feats=np.stack([o.slot_feats for o in rows]),
+        global_feats=np.stack([o.global_feats for o in rows]),
+        slot_names=rows[0].slot_names,
+    )
+
+    batch = policy.sample(stack, np.random.default_rng(seed))
+    batched = [batch.decision(t) for t in range(horizon)]
+    single_rng = np.random.default_rng(seed)
+    assert batched == [policy.sample(o, single_rng).decision(0) for o in rows]
+    reference_rng = np.random.default_rng(seed)
+    assert batched == [_reference_draw(policy, o, reference_rng) for o in rows]
+
+    greedy = policy.greedy(stack)
+    assert [greedy.decision(t) for t in range(horizon)] == [
+        policy.greedy(o).decision(0) for o in rows
+    ]
+
+
+@given(
+    theta=st.lists(
+        st.floats(min_value=-4.0, max_value=4.0), min_size=POLICY_DIM, max_size=POLICY_DIM
+    ),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+@settings(max_examples=25, deadline=None)
+def test_greedy_decisions_do_not_depend_on_the_rng(theta: list[float], seeds) -> None:
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=np.array(theta))
+    sid, config = _scenario_pairs(1, seed=12)[0]
+    env = DialogueEnv(config)
+    logs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        logs.append(rollout(env, PolicyAgent(policy, None, rng, greedy=True), sid).to_json())
+        assert rng.bit_generator.state == before
+    assert logs[0] == logs[1]
+
+
 def test_greedy_decision_maximizes_each_head() -> None:
     rng = np.random.default_rng(41)
     theta = rng.normal(size=POLICY_DIM)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
     obs = _random_observation(rng)
-    decision = policy.greedy(obs)
+    decision = policy.greedy(obs).decision(0)
     flips = [
         PolicyDecision(
             include=tuple(
@@ -255,10 +341,7 @@ def test_ratios_are_exactly_one_right_after_collection() -> None:
     trajectories, _ = collect(
         pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0
     )
-    batch = DecisionBatch.from_pairs(
-        [o for t in trajectories for o in t.observations],
-        [d for t in trajectories for d in t.decisions],
-    )
+    batch = DecisionBatch.concatenate([t.batch for t in trajectories])
     stored = np.concatenate([t.log_probs_old for t in trajectories])
     recomputed = policy.log_prob_batch(batch)
     ratios = policy_ratio(recomputed, stored, cfg.ratio_clamp)
@@ -279,14 +362,38 @@ def test_collection_is_deterministic_given_seed_and_round() -> None:
     assert run() == run()
 
 
+def test_stored_values_are_per_row_predictions() -> None:
+    pairs = _scenario_pairs(3, seed=8)
+    cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=4)
+    dim = observation_dim(_N_SLOTS)
+    value_fn = LinearValue(dim=dim, phi=np.random.default_rng(61).normal(size=dim))
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
+    trajectories, _ = collect(
+        pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0
+    )
+    for index, (_, config) in enumerate(pairs):
+        # Walk the user side afresh and value each turn's observation on its own.
+        state = DialogueState().with_user_turn(first_utterance(config))
+        user = initial_state(config)
+        expected = [value_fn.predict(observe(state, config.profile.schema, config.horizon).flat())]
+        while (step := next_utterance(user, config)) is not None:
+            utterance, user = step
+            state = state.with_user_turn(utterance)
+            expected.append(
+                value_fn.predict(observe(state, config.profile.schema, config.horizon).flat())
+            )
+        for traj in trajectories[2 * index : 2 * index + 2]:
+            assert traj.values.tolist() == expected
+
+
 def test_trajectory_length_validation() -> None:
     rng = np.random.default_rng(43)
-    obs = [_random_observation(rng)]
-    dec = [_random_decision(rng)]
+    obs = _random_observation(rng)
+    batch = DecisionBatch.from_pairs([obs], [_random_decision(rng)])
     with pytest.raises(ValueError):
         Trajectory(
-            observations=obs,
-            decisions=dec,
+            batch=batch,
+            features=obs.flat()[None, :],
             log_probs_old=np.zeros(2),
             values=np.zeros(1),
             rewards=np.zeros(1),
@@ -307,21 +414,26 @@ def _toy_trajectories(
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_traj):
-        observations = [_random_observation(rng) for _ in range(length)]
-        decisions = [policy.sample(o, rng) for o in observations]
-        log_probs = np.array([policy.log_prob(o, d) for o, d in zip(observations, decisions)])
-        values = np.array([value_fn.predict(o.flat()) for o in observations])
+        rows = [_random_observation(rng) for _ in range(length)]
+        stack = Observation(
+            slot_feats=np.stack([o.slot_feats for o in rows]),
+            global_feats=np.stack([o.global_feats for o in rows]),
+            slot_names=rows[0].slot_names,
+        )
+        batch = policy.sample(stack, rng)
+        features = stack.flat()
+        values = np.array([value_fn.predict(row) for row in features])
         if reward_fn is None:
             rewards = rng.uniform(0.0, 2.0, size=length)
         else:
             rewards = np.array(
-                [reward_fn(o, d) for o, d in zip(observations, decisions)], dtype=float
+                [reward_fn(o, batch.decision(i)) for i, o in enumerate(rows)], dtype=float
             )
         out.append(
             Trajectory(
-                observations=observations,
-                decisions=decisions,
-                log_probs_old=log_probs,
+                batch=batch,
+                features=features,
+                log_probs_old=policy.log_prob_batch(batch),
                 values=values,
                 rewards=rewards,
             )
@@ -368,9 +480,7 @@ def test_update_decreases_critic_loss_on_fixed_batch() -> None:
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
     trajectories = _toy_trajectories(policy, value_fn, n_traj=6, length=5, seed=13)
     returns = np.concatenate([np.cumsum(t.rewards[::-1])[::-1] for t in trajectories])
-    feats = np.array(
-        [o.flat() for t in trajectories for o in t.observations], dtype=float
-    )
+    feats = np.concatenate([t.features for t in trajectories])
     loss_before = float(np.mean((feats @ value_fn.phi - returns) ** 2))
     update(policy, value_fn, trajectories, PPOConfig(epochs=3, actor_lr=0.0, critic_lr=0.005))
     loss_after = float(np.mean((feats @ value_fn.phi - returns) ** 2))

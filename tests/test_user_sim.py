@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from dialign.errors import ConfigError
-from dialign.profiles import Profile, SlotSchema
+from dialign.profiles import Profile, SlotSchema, clearly_different
+from dialign.scenarios import generate_scenarios
 from dialign.user_sim import (
     FIRST_UTTERANCE_TEXT,
     ConflictSpec,
@@ -17,6 +18,7 @@ from dialign.user_sim import (
     first_utterance,
     initial_state,
     next_utterance,
+    reveal_order,
     theoretical_max,
 )
 
@@ -169,6 +171,18 @@ def test_conflict_validation() -> None:
         )
 
 
+def test_conflict_that_keeps_a_value_is_rejected() -> None:
+    # Keeping the value would un-reveal a slot the agent still holds correctly,
+    # so its recall would exceed the reveal ceiling.
+    scenario = generate_scenarios(1, seed=7)[0]
+    slot = reveal_order(scenario.profile, scenario.style_seed)[0]
+    old = scenario.profile.entries[slot]
+    for kept in (old, old.upper(), f"{old} indeed"):
+        assert not clearly_different(slot, old, [kept])
+        with pytest.raises(ConfigError, match="clearly different"):
+            scenario.user_config(conflict=ConflictSpec(turn=4, replace={slot: kept}))
+
+
 # --- conflict mechanics -------------------------------------------------------------
 
 
@@ -255,6 +269,39 @@ def test_conflict_at_turn_one_applies_before_any_reveal() -> None:
         for s, value in utterance.evidence:
             if s == slot:
                 assert value == new
+
+
+# --- the cached script ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("conflict_turn", [None, 1, 6])
+def test_cached_script_equals_a_fresh_walk(conflict_turn: int | None) -> None:
+    profile = _profile(rng_seed=5)
+    conflict = None
+    if conflict_turn is not None:
+        slot = reveal_order(profile, 5)[0]
+        new = clearly_different(slot, profile.entries[slot], _POOLS[slot])[0]
+        conflict = ConflictSpec(turn=conflict_turn, replace={slot: new})
+    config = UserConfig(profile=profile, horizon=10, conflict=conflict, style_seed=5)
+
+    utterances = [first_utterance(config)]
+    states = [initial_state(config)]
+    while (step := next_utterance(states[-1], config)) is not None:
+        utterances.append(step[0])
+        states.append(step[1])
+
+    script = config.script
+    assert [turn.utterance for turn in script] == utterances
+    assert [turn.truth.entries for turn in script] == [s.active_entries for s in states]
+    assert [turn.theoretical_max for turn in script] == [
+        theoretical_max(s, s.active_entries) for s in states
+    ]
+    if conflict_turn is not None:
+        before = conflict_turn - 1
+        assert [turn.truth.entries[slot] for turn in script] == (
+            [profile.entries[slot]] * before + [new] * (10 - before)
+        )
+    assert config.script is script
 
 
 # --- theoretical max ------------------------------------------------------------------
