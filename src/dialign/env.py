@@ -14,9 +14,11 @@ The scripted user never reads the agent's turns, so the user's side of an
 episode is known before it starts.  The environment replays the config's
 cached ``script`` through an ``EpisodeTable`` of every turn's dialogue
 state and the episode's observation stack, built once per config;
-``reset`` rewinds to turn 1 and ``step`` moves one row down the table.
-Agents see the whole observation stack, which lets a policy draw all of an
-episode's decisions in one batched call.
+``reset`` rewinds to turn 1 and ``step`` scores the turn, returns its
+``TurnRecord`` and moves one row down the table.  Observations exist only
+as stacks with a leading turn axis (``observe`` maps T dialogue states to
+one), and agents see the whole episode's stack, which lets a policy draw
+all of an episode's decisions in one batched call.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, Protocol
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -140,41 +142,38 @@ class DialogueState:
 
 @dataclass(frozen=True)
 class Observation:
-    """Fixed-length feature view of a DialogueState for linear policies,
-    or of a stack of them along a leading turn axis.
+    """Fixed-length feature views of T DialogueStates for linear policies,
+    stacked along a leading turn axis.
 
     Per slot: [bias, evidence seen, topic of the latest utterance].
     Global: [bias, turn fraction of horizon].
     """
 
-    slot_feats: np.ndarray  # (n_slots, 3), or (T, n_slots, 3) for a stack
-    global_feats: np.ndarray  # (2,), or (T, 2) for a stack
+    slot_feats: np.ndarray  # (T, n_slots, 3)
+    global_feats: np.ndarray  # (T, 2)
     slot_names: tuple[str, ...]
 
     def flat(self) -> np.ndarray:
-        """[global | slot features row by row], one row per stacked observation."""
-        lead = self.global_feats.shape[:-1]
+        """[global | slot features row by row], one row per turn: (T, dim)."""
         return np.concatenate(
-            [self.global_feats, self.slot_feats.reshape(*lead, -1)], axis=-1
+            [self.global_feats, self.slot_feats.reshape(len(self.global_feats), -1)], axis=1
         )
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slot_names)
 
 
 SLOT_FEATURE_DIM = 3
 GLOBAL_FEATURE_DIM = 2
 
 
-def observe(state: DialogueState, schema: SlotSchema, horizon: int) -> Observation:
-    seen = state.seen_values
-    topics = set(state.latest.topic_slots) if state.latest is not None else set()
+def observe(states: Sequence[DialogueState], schema: SlotSchema, horizon: int) -> Observation:
+    """The observation stack of ``states``, one row per state."""
     names = tuple(schema.slots)
-    slot_feats = np.array(
-        [(1.0, float(slot in seen), float(slot in topics)) for slot in names]
-    ).reshape(len(names), SLOT_FEATURE_DIM)
-    global_feats = np.array([1.0, state.turn / float(horizon)])
+    rows = []
+    for state in states:
+        seen = state.seen_values
+        topics = set(state.latest.topic_slots) if state.latest is not None else set()
+        rows.append([(1.0, float(slot in seen), float(slot in topics)) for slot in names])
+    slot_feats = np.array(rows).reshape(len(states), len(names), SLOT_FEATURE_DIM)
+    global_feats = np.array([(1.0, state.turn / float(horizon)) for state in states])
     return Observation(slot_feats=slot_feats, global_feats=global_feats, slot_names=names)
 
 
@@ -200,28 +199,11 @@ class EnvView:
     def seen_values(self) -> Mapping[str, str]:
         return self.state.seen_values
 
-    @property
-    def observation(self) -> Observation:
-        row = self.turn - 1
-        stack = self.observations
-        return Observation(stack.slot_feats[row], stack.global_feats[row], stack.slot_names)
 
-
-@dataclass
-class TurnOutcome:
-    """Everything the environment knows about one completed agent turn."""
-
-    turn: int
-    utterance: UserUtterance
-    action: AgentAction
-    breakdown: RewardBreakdown
-    judgment: ResponseJudgment
-    aligned: bool
-    theoretical_max: float
+_JUDGE = RuleJudge()
 
 
 def score_turn(
-    judge: RuleJudge,
     response: ResponseRecord,
     estimate: Profile,
     context: JudgeContext,
@@ -232,7 +214,7 @@ def score_turn(
 
     The one scoring path shared by the environment and offline replay.
     """
-    judgment = judge.judge(response, estimate, context)
+    judgment = _JUDGE.judge(response, estimate, context)
     r_response = float(response_reward(judgment))
     r_profile = profile_reward(estimate, truth, matcher)
     return judgment, RewardBreakdown(
@@ -257,27 +239,19 @@ class EpisodeTable:
         for scripted in config.script:
             state = state.with_user_turn(scripted.utterance)
             states.append(state)
-        schema, horizon = config.profile.schema, config.horizon
-        rows = [observe(state, schema, horizon) for state in states]
-        slot_feats = np.stack([row.slot_feats for row in rows])
-        global_feats = np.stack([row.global_feats for row in rows])
+        observations = observe(states, config.profile.schema, config.horizon)
         # Every episode of the config shares these arrays; nothing may write to them.
-        slot_feats.flags.writeable = global_feats.flags.writeable = False
-        return cls(tuple(states), Observation(slot_feats, global_feats, rows[0].slot_names))
+        observations.slot_feats.flags.writeable = False
+        observations.global_feats.flags.writeable = False
+        return cls(tuple(states), observations)
 
 
 class DialogueEnv:
     """Gym-style wrapper around the scripted user and the rule judge."""
 
-    def __init__(
-        self,
-        config: UserConfig,
-        matcher: SlotMatcher | None = None,
-        judge: RuleJudge | None = None,
-    ) -> None:
+    def __init__(self, config: UserConfig, matcher: SlotMatcher | None = None) -> None:
         self.config = config
         self.matcher = matcher or SlotMatcher(kind="exact")
-        self.judge = judge or RuleJudge()
         self._script = config.script
         self._table = config.episode_table
         self._index: int | None = None
@@ -305,9 +279,6 @@ class DialogueEnv:
             raise ProtocolError("reset() the environment before using it")
         return self._index
 
-    def effective_truth(self) -> Profile:
-        return self._script[self._current()].truth
-
     def view(self) -> EnvView:
         return EnvView(
             state=self._table.states[self._current()],
@@ -316,36 +287,42 @@ class DialogueEnv:
             horizon=self.horizon,
         )
 
-    def step(self, action: AgentAction) -> tuple[DialogueState, RewardBreakdown, bool, TurnOutcome]:
+    def step(self, action: AgentAction) -> TurnRecord:
+        """Score ``action`` as the agent turn answering the current user turn,
+        advance to the next user turn, and return the turn's record."""
         index = self._current()
         if self._done:
             raise ProtocolError("step() after the episode ended")
 
-        states = self._table.states
-        state = states[index]
+        state = self._table.states[index]
         scripted = self._script[index]
+        response, estimate = action.response, action.estimate
         judgment, breakdown = score_turn(
-            self.judge,
-            action.response,
-            action.estimate,
-            state.judge_context(),
-            scripted.truth,
-            self.matcher,
+            response, estimate, state.judge_context(), scripted.truth, self.matcher
         )
-        outcome = TurnOutcome(
+        utterance = state.latest
+        record = TurnRecord(
             turn=state.turn,
-            utterance=state.latest,
-            action=action,
-            breakdown=breakdown,
-            judgment=judgment,
-            aligned=alignment_verdict(action.response, judgment, scripted.truth, self.matcher),
+            user_text=utterance.text,
+            evidence=utterance.evidence,
+            topic_slots=utterance.topic_slots,
+            response_text=response.text,
+            addressed=response.addressed_slots,
+            continues=response.continues,
+            estimate=dict(estimate.entries),
+            profile_reward=breakdown.profile,
+            response_reward=breakdown.response,
+            total_reward=breakdown.total,
+            criteria=_criteria_dict(judgment),
+            dimensions=judgment.dimensions(),
+            aligned=alignment_verdict(response, judgment, scripted.truth, self.matcher),
             theoretical_max=scripted.theoretical_max,
         )
-        if index + 1 < len(states):
+        if index + 1 < len(self._script):
             self._index = index + 1
         else:
             self._done = True
-        return states[self._index], breakdown, self._done, outcome
+        return record
 
 
 # --- episode records ----------------------------------------------------------
@@ -472,39 +449,9 @@ def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> Epi
         style_seed=config.style_seed,
         matcher=env.matcher.label,
     )
-    done = False
-    while not done:
-        view = env.view()
-        action = agent.act(view)
-        _, breakdown, done, outcome = env.step(action)
-        record.turns.append(
-            TurnRecord(
-                turn=outcome.turn,
-                user_text=outcome.utterance.text,
-                evidence=outcome.utterance.evidence,
-                topic_slots=outcome.utterance.topic_slots,
-                response_text=action.response.text,
-                addressed=action.response.addressed_slots,
-                continues=action.response.continues,
-                estimate=dict(action.estimate.entries),
-                profile_reward=breakdown.profile,
-                response_reward=breakdown.response,
-                total_reward=breakdown.total,
-                criteria=_criteria_dict(outcome.judgment),
-                dimensions=outcome.judgment.dimensions(),
-                aligned=outcome.aligned,
-                theoretical_max=outcome.theoretical_max,
-            )
-        )
+    while not env.done:
+        record.turns.append(env.step(agent.act(env.view())))
     return record
-
-
-def discounted_return(rewards: list[float] | tuple[float, ...], gamma: float) -> float:
-    """Sum of gamma^(t-1) * reward_t over the episode."""
-    total = 0.0
-    for t, reward in enumerate(rewards):
-        total += (gamma**t) * reward
-    return total
 
 
 def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) -> list[RewardBreakdown]:
@@ -515,7 +462,6 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
     """
     matcher = matcher or SlotMatcher.parse(record.matcher)
     schema = record.schema_object()
-    judge = RuleJudge()
     breakdowns: list[RewardBreakdown] = []
     state = DialogueState()
     for t in record.turns:
@@ -525,7 +471,6 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
             )
         )
         _, breakdown = score_turn(
-            judge,
             ResponseRecord(
                 addressed_slots=t.addressed, continues=t.continues, text=t.response_text
             ),

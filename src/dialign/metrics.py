@@ -9,10 +9,6 @@ fitted against turn indices 1..K:
     N-IR  = fitted slope (normalized improvement rate)
     N-R^2 = coefficient of determination of that fit (improvement stability)
 
-A running-prefix normalization variant is available behind ``mode=
-"running"`` for comparison; it leaves the first point at 0 by convention
-since a single-point prefix has no range.
-
 Also here: agreement statistics between two binary raters from a confusion
 matrix (accuracy, precision, recall, F1, specificity, Cohen's kappa), and
 the long-horizon profile-recall curve against the theoretical maximum
@@ -50,41 +46,24 @@ def alignment_level(scores: Sequence[Sequence[float]], k: int) -> float:
     return 100.0 * float(np.mean(column))
 
 
-def alignment_curve(scores: Sequence[Sequence[float]], k_max: int | None = None) -> list[float]:
-    """[AL(1), ..., AL(K)] with K defaulting to the shortest episode."""
+def alignment_curve(scores: Sequence[Sequence[float]]) -> list[float]:
+    """[AL(1), ..., AL(K)] with K the shortest episode's length."""
     if not scores:
         raise ValueError("alignment_curve needs at least one episode")
     limit = min(len(ep) for ep in scores)
-    if k_max is not None:
-        if k_max > limit:
-            raise ValueError(f"k_max {k_max} exceeds shortest episode length {limit}")
-        limit = k_max
     return [alignment_level(scores, k) for k in range(1, limit + 1)]
 
 
-def normalize_curve(values: Sequence[float], mode: str = "global") -> list[float]:
-    """Min-max normalize a curve to [0, 1].
-
-    ``global`` uses the whole curve's range; a constant curve maps to all
-    zeros.  ``running`` uses the prefix range up to each point, with
-    zero-range prefixes (including the first point) mapping to 0.
-    """
-    if mode not in ("global", "running"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
+def normalize_curve(values: Sequence[float]) -> list[float]:
+    """Min-max normalize a curve to [0, 1] over its whole range; a constant
+    curve maps to all zeros."""
     if len(values) == 0:
         raise ValueError("cannot normalize an empty curve")
     vals = [float(v) for v in values]
-    if mode == "global":
-        lo, hi = min(vals), max(vals)
-        if hi == lo:
-            return [0.0] * len(vals)
-        return [(v - lo) / (hi - lo) for v in vals]
-    out: list[float] = []
-    for k in range(1, len(vals) + 1):
-        prefix = vals[:k]
-        lo, hi = min(prefix), max(prefix)
-        out.append(0.0 if hi == lo else (vals[k - 1] - lo) / (hi - lo))
-    return out
+    lo, hi = min(vals), max(vals)
+    if hi == lo:
+        return [0.0] * len(vals)
+    return [(v - lo) / (hi - lo) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -128,8 +107,8 @@ class AlignmentSummary:
     normalized: tuple[float, ...]
 
 
-def summarize_alignment(values: Sequence[float], mode: str = "global") -> AlignmentSummary:
-    normalized = normalize_curve(values, mode=mode)
+def summarize_alignment(values: Sequence[float]) -> AlignmentSummary:
+    normalized = normalize_curve(values)
     fit = fit_improvement(normalized)
     return AlignmentSummary(
         average=float(np.mean(np.asarray(values, dtype=float))),

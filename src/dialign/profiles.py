@@ -23,7 +23,7 @@ import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, SchemaError
 
@@ -116,12 +116,12 @@ class Profile:
         return {"schema": self.schema.name, "entries": dict(self.entries)}
 
 
-def load_profile(record: Mapping, registry: Mapping[str, SlotSchema] | None = None) -> Profile:
+def load_profile(record: Mapping) -> Profile:
     """Build a Profile from a parsed JSON record ``{"schema": ..., "entries": ...}``.
 
-    ``schema`` may be a registered name (``"aloe"`` is built in), an unknown
-    name (treated as an open schema inferred from the entry keys), or an
-    inline ``{"name", "slots", "open"}`` object.
+    ``schema`` may be ``"aloe"`` (built in), any other name (treated as an
+    open schema inferred from the entry keys), or an inline ``{"name",
+    "slots", "open"}`` object.
     """
     if "entries" not in record or "schema" not in record:
         raise ValueError("profile record needs 'schema' and 'entries' fields")
@@ -133,47 +133,44 @@ def load_profile(record: Mapping, registry: Mapping[str, SlotSchema] | None = No
             slots=tuple(spec.get("slots", entries.keys())),
             open_schema=bool(spec.get("open", False)),
         )
+    elif spec == "aloe":
+        schema = SlotSchema.aloe()
     else:
-        known = {"aloe": SlotSchema.aloe()}
-        if registry:
-            known.update(registry)
-        schema = known.get(spec) or SlotSchema(
-            name=str(spec), slots=tuple(entries.keys()), open_schema=True
-        )
+        schema = SlotSchema(name=str(spec), slots=tuple(entries.keys()), open_schema=True)
     return Profile(schema=schema, entries=entries)
 
 
 # --- matchers ---------------------------------------------------------------
-
-MatchPredicate = Callable[[str, str, str], bool]
 
 
 @dataclass(frozen=True)
 class SlotMatcher:
     """Deterministic predicate deciding whether two slot values agree.
 
-    ``kind`` selects the rule: ``"exact"`` compares normalized strings,
+    ``kind`` selects the rule: ``"exact"`` compares normalized strings, and
     ``"token"`` compares Jaccard overlap of normalized token sets against
-    ``threshold``, and ``"custom"`` delegates to ``predicate`` so an external
-    judge can be plugged in.  All bundled rules are symmetric and reflexive.
+    ``threshold``.  Both rules are symmetric and reflexive.  A matcher is
+    logged and checkpointed by its ``label``, so only thresholds the label
+    reproduces exactly (at most 6 significant digits) are accepted.
     """
 
     kind: str = "exact"
     threshold: float = 0.5
-    predicate: MatchPredicate | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exact", "token", "custom"):
+        if self.kind not in ("exact", "token"):
             raise ConfigError(f"unknown matcher kind {self.kind!r}")
+        if self.kind == "exact" and self.threshold != 0.5:
+            raise ConfigError("exact matcher takes no threshold")
         if self.kind == "token" and not (0.0 < self.threshold <= 1.0):
             raise ConfigError(f"token threshold must be in (0, 1], got {self.threshold}")
-        if self.kind == "custom" and self.predicate is None:
-            raise ConfigError("custom matcher needs a predicate")
+        if self.kind == "token" and float(f"{self.threshold:g}") != self.threshold:
+            raise ConfigError(
+                f"token threshold {self.threshold!r} is not reproduced by its label "
+                f"{self.label!r}; use at most 6 significant digits"
+            )
 
     def values_match(self, slot: str, a: str, b: str) -> bool:
-        if self.kind == "custom":
-            assert self.predicate is not None
-            return bool(self.predicate(slot, a, b))
         na, nb = normalize_text(a), normalize_text(b)
         if self.kind == "exact":
             return na == nb and na != ""

@@ -5,16 +5,18 @@ features: a Bernoulli inclusion decision per schema slot (does the estimate
 carry this slot), one categorical choice over slots-plus-none for which slot
 the response addresses, and a Bernoulli engagement flag.  All heads are
 linear in the observation features, log-probabilities and their gradients
-are computed analytically, and a central finite-difference helper is
-provided so tests can cross-check the closed form.
+are computed analytically, and a central finite-difference helper over a
+``DecisionBatch`` (one gradient row per batch row) is provided so tests
+can cross-check the closed form.
 
-Sampling works on a stack of observations: one ``rng.random((T, n + 2))``
-draw per stack gives the inclusion, response and engagement uniforms of
-every row, in the order per-row draws would consume them.  The scripted
-user ignores the agent, so an episode's observations are all known when it
-starts, and ``PolicyAgent`` draws the whole episode's decisions at turn 1.
-A trajectory carries its episode's ``DecisionBatch`` and flattened features
-as arrays, which the update concatenates.
+Observations and decisions exist only as stacks: sampling maps an
+observation stack to a ``DecisionBatch`` with one row per turn, and one
+``rng.random((T, n + 2))`` draw per stack gives the inclusion, response and
+engagement uniforms of every row, in the order per-row draws would consume
+them.  The scripted user ignores the agent, so an episode's observations
+are all known when it starts, and ``PolicyAgent`` draws the whole episode's
+decisions at turn 1.  A trajectory carries its episode's ``DecisionBatch``
+and flattened features as arrays, which the update concatenates.
 
 The update is clipped-surrogate PPO: for each collected batch the sampling
 policy is frozen (its log-probabilities are stored with the trajectories),
@@ -99,19 +101,6 @@ class PPOConfig:
             raise ConfigError("ratio_clamp must be positive")
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    """One sampled action in head coordinates.
-
-    ``response_choice`` indexes the schema slots; the value ``n_slots``
-    means "address nothing".
-    """
-
-    include: tuple[int, ...]
-    response_choice: int
-    engage: bool
-
-
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -123,11 +112,12 @@ def _log_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class DecisionBatch:
-    """Column-oriented view of (observation, decision) pairs.
+    """Observation rows and the decision taken at each, column by column.
 
-    Collection-time and update-time log-probabilities go through the same
-    batched code path, so recomputing under unchanged parameters reproduces
-    the stored values bit for bit.
+    ``response_choice`` indexes the schema slots; the value ``n_slots``
+    means "address nothing".  Collection-time and update-time
+    log-probabilities go through the same batched code path, so recomputing
+    under unchanged parameters reproduces the stored values bit for bit.
     """
 
     slot_feats: np.ndarray  # (N, n_slots, SLOT_FEATURE_DIM)
@@ -135,22 +125,6 @@ class DecisionBatch:
     include: np.ndarray  # (N, n_slots) in {0, 1}
     response_choice: np.ndarray  # (N,) ints in [0, n_slots]
     engage: np.ndarray  # (N,) in {0, 1}
-
-    @classmethod
-    def from_pairs(
-        cls,
-        observations: Sequence[Observation],
-        decisions: Sequence[PolicyDecision],
-    ) -> "DecisionBatch":
-        if len(observations) != len(decisions):
-            raise ValueError("observations and decisions must pair up")
-        return cls(
-            slot_feats=np.stack([obs.slot_feats for obs in observations]),
-            global_feats=np.stack([obs.global_feats for obs in observations]),
-            include=np.array([dec.include for dec in decisions], dtype=float),
-            response_choice=np.array([dec.response_choice for dec in decisions], dtype=int),
-            engage=np.array([float(dec.engage) for dec in decisions]),
-        )
 
     @classmethod
     def concatenate(cls, batches: Sequence["DecisionBatch"]) -> "DecisionBatch":
@@ -162,23 +136,8 @@ class DecisionBatch:
             engage=np.concatenate([b.engage for b in batches]),
         )
 
-    def decision(self, row: int) -> PolicyDecision:
-        return PolicyDecision(
-            include=tuple(int(v) for v in self.include[row]),
-            response_choice=int(self.response_choice[row]),
-            engage=bool(self.engage[row]),
-        )
-
     def __len__(self) -> int:
         return self.global_feats.shape[0]
-
-
-def _stacked(obs: Observation) -> tuple[np.ndarray, np.ndarray]:
-    """(slot_feats, global_feats) with a leading row axis; one observation is one row."""
-    return (
-        obs.slot_feats.reshape(-1, *obs.slot_feats.shape[-2:]),
-        obs.global_feats.reshape(-1, obs.global_feats.shape[-1]),
-    )
 
 
 class CategoricalSlotPolicy:
@@ -209,15 +168,14 @@ class CategoricalSlotPolicy:
         return global_feats @ self.theta[_W_ENG]
 
     def sample(self, obs: Observation, rng: np.random.Generator) -> DecisionBatch:
-        """Draw one decision per row of an observation stack (a single
-        observation is a stack of one); log-probabilities come from
-        ``log_prob_batch``.
+        """Draw one decision per row of an observation stack;
+        log-probabilities come from ``log_prob_batch``.
 
         Row t's uniforms are ``n_slots`` inclusion draws, then the response
         draw, then the engagement draw, so one ``(T, n_slots + 2)`` draw
         consumes the generator exactly as T per-row draws would.
         """
-        slot_feats, global_feats = _stacked(obs)
+        slot_feats, global_feats = obs.slot_feats, obs.global_feats
         n = slot_feats.shape[1]
         uniforms = rng.random((len(global_feats), n + 2))
         include = uniforms[:, :n] < _sigmoid(self._include_logits(slot_feats))
@@ -238,14 +196,14 @@ class CategoricalSlotPolicy:
 
     def sample_with_log_prob(
         self, obs: Observation, rng: np.random.Generator
-    ) -> tuple[PolicyDecision, float]:
-        """``sample`` of one observation, with its ``log_prob_batch`` value."""
+    ) -> tuple[DecisionBatch, np.ndarray]:
+        """``sample``, with the batch's ``log_prob_batch`` values."""
         batch = self.sample(obs, rng)
-        return batch.decision(0), float(self.log_prob_batch(batch)[0])
+        return batch, self.log_prob_batch(batch)
 
     def greedy(self, obs: Observation) -> DecisionBatch:
         """The most likely decision of each head, per row of an observation stack."""
-        slot_feats, global_feats = _stacked(obs)
+        slot_feats, global_feats = obs.slot_feats, obs.global_feats
         return DecisionBatch(
             slot_feats=slot_feats,
             global_feats=global_feats,
@@ -270,9 +228,6 @@ class CategoricalSlotPolicy:
         lp = lp + batch.engage * _log_sigmoid(z_eng) + (1.0 - batch.engage) * _log_sigmoid(-z_eng)
         return lp
 
-    def log_prob(self, obs: Observation, decision: PolicyDecision) -> float:
-        return float(self.log_prob_batch(DecisionBatch.from_pairs([obs], [decision]))[0])
-
     def grad_components(self, batch: DecisionBatch) -> np.ndarray:
         """Per-sample analytic d log pi / d theta, shape (N, POLICY_DIM)."""
         n = len(batch)
@@ -290,28 +245,20 @@ class CategoricalSlotPolicy:
         grads[:, _W_ENG] = (batch.engage - p_eng)[:, None] * batch.global_feats
         return grads
 
-    def log_prob_grad(self, obs: Observation, decision: PolicyDecision) -> np.ndarray:
-        """Analytic d log pi / d theta for a single sampled decision."""
-        return self.grad_components(DecisionBatch.from_pairs([obs], [decision]))[0]
-
 
 def numerical_log_prob_grad(
-    policy: CategoricalSlotPolicy,
-    obs: Observation,
-    decision: PolicyDecision,
-    eps: float = 1e-5,
+    policy: CategoricalSlotPolicy, batch: DecisionBatch, eps: float = 1e-5
 ) -> np.ndarray:
-    """Central-difference gradient of log_prob, for cross-checking."""
-    base = policy.theta.copy()
-    grad = np.zeros_like(base)
+    """Central-difference d log pi / d theta per batch row, shape (N, POLICY_DIM),
+    for cross-checking ``grad_components``."""
+    base = policy.theta
+    grad = np.zeros((len(batch), base.size))
     for i in range(base.size):
-        theta_hi = base.copy()
-        theta_hi[i] += eps
-        theta_lo = base.copy()
-        theta_lo[i] -= eps
-        hi = CategoricalSlotPolicy(policy.n_slots, theta_hi).log_prob(obs, decision)
-        lo = CategoricalSlotPolicy(policy.n_slots, theta_lo).log_prob(obs, decision)
-        grad[i] = (hi - lo) / (2.0 * eps)
+        step = np.zeros_like(base)
+        step[i] = eps
+        hi = CategoricalSlotPolicy(policy.n_slots, base + step).log_prob_batch(batch)
+        lo = CategoricalSlotPolicy(policy.n_slots, base - step).log_prob_batch(batch)
+        grad[:, i] = (hi - lo) / (2.0 * eps)
     return grad
 
 

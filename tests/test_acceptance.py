@@ -46,7 +46,6 @@ from dialign.rl import (
     DecisionBatch,
     LinearValue,
     PolicyAgent,
-    PolicyDecision,
     PPOConfig,
     collect,
     numerical_log_prob_grad,
@@ -173,14 +172,15 @@ def test_reward_functions_match_independent_oracles() -> None:
 
 
 def _probe_observation(rng: np.random.Generator, n_slots: int = 10) -> Observation:
+    """A random observation, as a stack of one."""
     slot_feats = np.ones((n_slots, 3))
     slot_feats[:, 1] = rng.integers(0, 2, size=n_slots)
     slot_feats[:, 2] = 0.0
     if rng.random() < 0.8:
         slot_feats[rng.integers(0, n_slots), 2] = 1.0
     return Observation(
-        slot_feats=slot_feats,
-        global_feats=np.array([1.0, float(rng.integers(1, 11)) / 10.0]),
+        slot_feats=slot_feats[None],
+        global_feats=np.array([[1.0, float(rng.integers(1, 11)) / 10.0]]),
         slot_names=tuple(f"slot{i}" for i in range(n_slots)),
     )
 
@@ -195,13 +195,15 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
             n_slots=10, theta=rng.normal(0.0, 0.7, size=POLICY_DIM)
         )
         obs = _probe_observation(rng)
-        decision = PolicyDecision(
-            include=tuple(int(b) for b in rng.integers(0, 2, size=10)),
-            response_choice=int(rng.integers(0, 11)),
-            engage=bool(rng.integers(0, 2)),
+        batch = DecisionBatch(
+            slot_feats=obs.slot_feats,
+            global_feats=obs.global_feats,
+            include=rng.integers(0, 2, size=10)[None].astype(float),
+            response_choice=np.array([rng.integers(0, 11)]),
+            engage=np.array([float(rng.integers(0, 2))]),
         )
-        analytic = policy.log_prob_grad(obs, decision)
-        numeric = numerical_log_prob_grad(policy, obs, decision)
+        analytic = policy.grad_components(batch)[0]
+        numeric = numerical_log_prob_grad(policy, batch)[0]
         rel = float(np.linalg.norm(analytic - numeric)) / max(
             1.0, float(np.linalg.norm(numeric))
         )

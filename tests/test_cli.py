@@ -99,6 +99,30 @@ def test_bad_matcher_spec_exits_2(scenario_dir: Path, tmp_path: Path) -> None:
     assert code == 2
 
 
+def test_matcher_threshold_its_label_cannot_keep_exits_2(
+    scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The label keeps 6 significant digits; a longer threshold would be
+    # checkpointed and replayed as a different matcher.
+    out = tmp_path / "x"
+    code = main(
+        [
+            "train",
+            "--scenarios",
+            str(scenario_dir),
+            "--out",
+            str(out),
+            "--matcher",
+            "token:0.1234567",
+            "--rounds",
+            "1",
+        ]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_unexpected_exception_exits_3_with_one_line(
     monkeypatch: pytest.MonkeyPatch, scenario_dir: Path, tmp_path: Path,
     capsys: pytest.CaptureFixture[str],

@@ -4,7 +4,6 @@ import json
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from dialign.env import (
     EpisodeRecord,
     EvidenceOracleAgent,
     RewardBreakdown,
-    discounted_return,
     make_response,
     observation_dim,
     observe,
@@ -75,7 +73,7 @@ def test_episode_runs_exactly_horizon_steps_then_refuses_more() -> None:
     steps = 0
     while not env.done:
         action = agent.act(env.view())
-        _, _, done, _ = env.step(action)
+        env.step(action)
         steps += 1
     assert steps == 5
     with pytest.raises(ProtocolError):
@@ -91,11 +89,13 @@ def test_turns_alternate_user_then_agent() -> None:
     turn = 0
     while not env.done:
         turn += 1
-        state, _, done, _ = env.step(agent.act(env.view()))
+        record = env.step(agent.act(env.view()))
+        assert record.turn == turn
         # The user replies after every agent turn except the last.
-        expected_user_turns = turn + (0 if done else 1)
-        assert state.turn == expected_user_turns
-        assert state.latest.turn == expected_user_turns
+        if not env.done:
+            state = env.view().state
+            assert state.turn == turn + 1
+            assert state.latest.turn == turn + 1
     assert turn == 6
 
 
@@ -112,8 +112,7 @@ def test_reward_is_computed_before_the_next_user_turn() -> None:
     while not env.done:
         view = env.view()
         seen_counts.append(len(view.seen_values))
-        _, breakdown, _, _ = env.step(agent.act(view))
-        rewards.append(breakdown.profile)
+        rewards.append(env.step(agent.act(view)).profile_reward)
     for seen, reward in zip(seen_counts, rewards):
         expected = 2.0 * seen / (seen + truth_size) if seen else 0.0
         assert reward == pytest.approx(expected)
@@ -156,8 +155,7 @@ def test_oracle_agent_profile_curve_matches_closed_form() -> None:
     agent = EvidenceOracleAgent()
     profile_rewards = []
     while not env.done:
-        _, breakdown, _, _ = env.step(agent.act(env.view()))
-        profile_rewards.append(breakdown.profile)
+        profile_rewards.append(env.step(agent.act(env.view())).profile_reward)
     expected = [2.0 * k / (k + 10.0) if k else 0.0 for k in range(10)]
     assert profile_rewards == pytest.approx(expected)
 
@@ -167,18 +165,9 @@ def test_oracle_agent_earns_full_response_reward() -> None:
     env.reset()
     agent = EvidenceOracleAgent()
     while not env.done:
-        _, breakdown, _, outcome = env.step(agent.act(env.view()))
-        assert breakdown.response == 1.0
-        assert outcome.judgment.criteria() == (1, 1, 1, 1, 1)
-
-
-def test_discounted_return_matches_brute_force() -> None:
-    rng = np.random.default_rng(5)
-    for gamma in (0.0, 0.5, 1.0):
-        for _ in range(20):
-            rewards = rng.uniform(-1, 2, size=rng.integers(1, 12)).tolist()
-            expected = sum(r * gamma**t for t, r in enumerate(rewards))
-            assert discounted_return(rewards, gamma) == pytest.approx(expected, abs=1e-12)
+        record = env.step(agent.act(env.view()))
+        assert record.response_reward == 1.0
+        assert list(record.criteria.values()) == [1] * 5
 
 
 # --- observations -------------------------------------------------------------------
@@ -187,15 +176,19 @@ def test_discounted_return_matches_brute_force() -> None:
 def test_observation_layout_and_dim() -> None:
     env = _env(horizon=10)
     state = env.reset()
-    obs = observe(state, env.schema, env.horizon)
-    assert obs.slot_feats.shape == (10, 3)
-    assert obs.global_feats.shape == (2,)
-    assert obs.flat().shape == (observation_dim(10),)
+    obs = observe([state], env.schema, env.horizon)
+    assert obs.slot_feats.shape == (1, 10, 3)
+    assert obs.global_feats.shape == (1, 2)
+    assert obs.flat().shape == (1, observation_dim(10))
     # Turn 1: bias on, nothing seen, greeting has no topic.
-    assert obs.slot_feats[:, 0].tolist() == [1.0] * 10
-    assert obs.slot_feats[:, 1:].sum() == 0.0
-    assert obs.global_feats[0] == 1.0
-    assert obs.global_feats[1] == pytest.approx(0.1)
+    assert obs.slot_feats[0, :, 0].tolist() == [1.0] * 10
+    assert obs.slot_feats[0, :, 1:].sum() == 0.0
+    assert obs.global_feats[0, 0] == 1.0
+    assert obs.global_feats[0, 1] == pytest.approx(0.1)
+    stack = env.view().observations
+    assert stack.slot_feats.shape == (10, 10, 3)
+    assert stack.flat().shape == (10, observation_dim(10))
+    assert stack.flat()[0].tolist() == obs.flat()[0].tolist()
 
 
 def test_observation_tracks_seen_and_topic_flags() -> None:
@@ -204,9 +197,9 @@ def test_observation_tracks_seen_and_topic_flags() -> None:
     agent = EvidenceOracleAgent()
     env.step(agent.act(env.view()))
     view = env.view()
-    obs = view.observation
-    seen_flags = obs.slot_feats[:, 1]
-    topic_flags = obs.slot_feats[:, 2]
+    obs = view.observations
+    seen_flags = obs.slot_feats[view.turn - 1, :, 1]
+    topic_flags = obs.slot_feats[view.turn - 1, :, 2]
     assert seen_flags.sum() == 1.0
     assert topic_flags.sum() == 1.0
     revealed_slot = next(iter(view.seen_values))
@@ -241,7 +234,7 @@ def test_effective_truth_switches_at_conflict_turn() -> None:
     truth_by_turn: dict[int, str] = {}
     while not env.done:
         view = env.view()
-        truth_by_turn[view.turn] = env.effective_truth().entries[slot]
+        truth_by_turn[view.turn] = env.config.script[view.turn - 1].truth.entries[slot]
         env.step(agent.act(view))
     assert truth_by_turn[5] == old
     assert truth_by_turn[6] == new
@@ -254,9 +247,8 @@ def test_oracle_profile_reward_dips_at_conflict_and_recovers() -> None:
     agent = EvidenceOracleAgent()
     by_turn: dict[int, float] = {}
     while not env.done:
-        view = env.view()
-        _, breakdown, _, _ = env.step(agent.act(view))
-        by_turn[view.turn] = breakdown.profile
+        record = env.step(agent.act(env.view()))
+        by_turn[record.turn] = record.profile_reward
     assert by_turn[6] < by_turn[5]
     assert by_turn[10] > by_turn[6]
 

@@ -52,9 +52,6 @@ def test_alignment_level_validates_inputs() -> None:
 def test_alignment_curve_uses_shortest_episode() -> None:
     scores = [[1, 1, 1, 1], [0, 1, 1]]
     assert alignment_curve(scores) == pytest.approx([50.0, 100.0, 100.0])
-    assert alignment_curve(scores, k_max=2) == pytest.approx([50.0, 100.0])
-    with pytest.raises(ValueError):
-        alignment_curve(scores, k_max=4)
 
 
 # --- normalization ----------------------------------------------------------------
@@ -69,20 +66,10 @@ def test_normalize_constant_curve_maps_to_zeros() -> None:
     assert normalize_curve([5.0, 5.0, 5.0]) == [0.0, 0.0, 0.0]
 
 
-def test_normalize_running_uses_prefix_range() -> None:
-    values = [10.0, 20.0, 15.0, 30.0]
-    out = normalize_curve(values, mode="running")
-    # First point has zero prefix range -> 0; afterwards each point is scaled
-    # by the min/max seen so far.
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(1.0)
-    assert out[2] == pytest.approx(0.5)
-    assert out[3] == pytest.approx(1.0)
-
-
 def test_normalize_rejects_unknown_mode_and_empty() -> None:
-    with pytest.raises(ValueError):
-        normalize_curve([1.0], mode="softmax")
+    # Global min-max is the only normalization; no mode can be chosen.
+    with pytest.raises(TypeError):
+        normalize_curve([1.0], mode="softmax")  # type: ignore[call-arg]
     with pytest.raises(ValueError):
         normalize_curve([])
 

@@ -99,9 +99,9 @@ def test_open_schema_accepts_new_slots() -> None:
 def test_load_profile_round_trips_record() -> None:
     schema = SlotSchema.aloe()
     profile = Profile(schema=schema, entries={"Age": "34", "Location": "coastal town"})
-    loaded = load_profile(profile.to_record(), registry={"aloe": schema})
+    loaded = load_profile(profile.to_record())
     assert loaded.entries == profile.entries
-    assert loaded.schema.name == "aloe"
+    assert loaded.schema == schema
 
 
 # --- matchers ------------------------------------------------------------------
@@ -137,10 +137,38 @@ def test_matcher_parse_rejects_garbage() -> None:
         SlotMatcher.parse("exact:0.5")
 
 
-def test_custom_predicate_matcher() -> None:
-    matcher = SlotMatcher(kind="custom", predicate=lambda slot, a, b: a[0] == b[0])
-    assert matcher.values_match("Interests", "apples", "anchors")
-    assert not matcher.values_match("Interests", "apples", "pears")
+@given(
+    spec=st.one_of(
+        st.just(("exact", 0.5)),
+        st.tuples(
+            st.just("token"),
+            st.one_of(
+                st.integers(min_value=1, max_value=10**6).map(lambda k: k / 10**6),
+                st.integers(min_value=1, max_value=10**6).map(lambda k: k / 10**9),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_matcher_label_parses_back_to_the_same_matcher(spec: tuple[str, float]) -> None:
+    # Records and checkpoints keep only the label, so every matcher that
+    # can be built must be rebuilt exactly from it.
+    kind, threshold = spec
+    try:
+        matcher = SlotMatcher(kind=kind, threshold=threshold)
+    except ConfigError:
+        return
+    assert SlotMatcher.parse(matcher.label) == matcher
+
+
+def test_thresholds_the_label_cannot_reproduce_are_rejected() -> None:
+    assert SlotMatcher.parse("token:0.123457").label == "token:0.123457"
+    for spec in ("token:0.1234567", "token:0.12345671"):
+        with pytest.raises(ConfigError):
+            SlotMatcher.parse(spec)
+    with pytest.raises(ConfigError):
+        SlotMatcher(kind="exact", threshold=0.3)
 
 
 @given(st.text(max_size=20), st.text(max_size=20))

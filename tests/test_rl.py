@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from dialign.rl import (
     DecisionBatch,
     LinearValue,
     PolicyAgent,
-    PolicyDecision,
     PPOConfig,
     Trajectory,
     collect,
@@ -39,23 +38,52 @@ from dialign.user_sim import first_utterance, initial_state, next_utterance
 _N_SLOTS = 10
 
 
-def _random_observation(rng: np.random.Generator, n_slots: int = _N_SLOTS) -> Observation:
-    slot_feats = np.ones((n_slots, 3))
-    slot_feats[:, 1] = rng.integers(0, 2, size=n_slots)
-    slot_feats[:, 2] = 0.0
-    if rng.random() < 0.8:
-        slot_feats[rng.integers(0, n_slots), 2] = 1.0
-    global_feats = np.array([1.0, float(rng.integers(1, 11)) / 10.0])
-    names = tuple(f"slot{i}" for i in range(n_slots))
-    return Observation(slot_feats=slot_feats, global_feats=global_feats, slot_names=names)
+_NAMES = tuple(f"slot{i}" for i in range(_N_SLOTS))
 
 
-def _random_decision(rng: np.random.Generator, n_slots: int = _N_SLOTS) -> PolicyDecision:
-    return PolicyDecision(
-        include=tuple(int(b) for b in rng.integers(0, 2, size=n_slots)),
-        response_choice=int(rng.integers(0, n_slots + 1)),
-        engage=bool(rng.integers(0, 2)),
+def _random_observations(rng: np.random.Generator, rows: int = 1) -> Observation:
+    """A stack of ``rows`` random observations with 0/1 seen and topic flags."""
+    slot_rows, global_rows = [], []
+    for _ in range(rows):
+        slot_feats = np.ones((_N_SLOTS, 3))
+        slot_feats[:, 1] = rng.integers(0, 2, size=_N_SLOTS)
+        slot_feats[:, 2] = 0.0
+        if rng.random() < 0.8:
+            slot_feats[rng.integers(0, _N_SLOTS), 2] = 1.0
+        slot_rows.append(slot_feats)
+        global_rows.append([1.0, float(rng.integers(1, 11)) / 10.0])
+    return Observation(np.stack(slot_rows), np.array(global_rows), _NAMES)
+
+
+def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBatch:
+    """Uniformly random decisions, one per row of ``obs``."""
+    rows = len(obs.global_feats)
+    return DecisionBatch(
+        slot_feats=obs.slot_feats,
+        global_feats=obs.global_feats,
+        include=rng.integers(0, 2, size=(rows, _N_SLOTS)).astype(float),
+        response_choice=rng.integers(0, _N_SLOTS + 1, size=rows),
+        engage=rng.integers(0, 2, size=rows).astype(float),
     )
+
+
+def _row(batch: DecisionBatch, t: int) -> DecisionBatch:
+    """Row t of a batch as a batch of one."""
+    return DecisionBatch(
+        slot_feats=batch.slot_feats[t : t + 1],
+        global_feats=batch.global_feats[t : t + 1],
+        include=batch.include[t : t + 1],
+        response_choice=batch.response_choice[t : t + 1],
+        engage=batch.engage[t : t + 1],
+    )
+
+
+def _decisions(batch: DecisionBatch) -> list[tuple[tuple[int, ...], int, bool]]:
+    """Each row's (include flags, response choice, engage) as plain values."""
+    return [
+        (tuple(int(v) for v in inc), int(choice), bool(eng))
+        for inc, choice, eng in zip(batch.include, batch.response_choice, batch.engage)
+    ]
 
 
 def _scenario_pairs(count: int, seed: int = 0):
@@ -193,10 +221,9 @@ def test_analytic_gradient_matches_finite_differences_on_100_probes() -> None:
     for _ in range(100):
         theta = rng.normal(0.0, 0.7, size=POLICY_DIM)
         policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
-        obs = _random_observation(rng)
-        decision = _random_decision(rng)
-        analytic = policy.log_prob_grad(obs, decision)
-        numeric = numerical_log_prob_grad(policy, obs, decision)
+        batch = _random_decisions(rng, _random_observations(rng))
+        analytic = policy.grad_components(batch)[0]
+        numeric = numerical_log_prob_grad(policy, batch)[0]
         scale = max(1.0, float(np.linalg.norm(numeric)))
         assert float(np.linalg.norm(analytic - numeric)) / scale <= 1e-4
 
@@ -204,39 +231,42 @@ def test_analytic_gradient_matches_finite_differences_on_100_probes() -> None:
 def test_log_prob_single_equals_batch_row() -> None:
     rng = np.random.default_rng(31)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
-    observations = [_random_observation(rng) for _ in range(6)]
-    decisions = [_random_decision(rng) for _ in range(6)]
-    batch = DecisionBatch.from_pairs(observations, decisions)
+    batch = _random_decisions(rng, _random_observations(rng, rows=6))
     batched = policy.log_prob_batch(batch)
-    singles = [policy.log_prob(o, d) for o, d in zip(observations, decisions)]
+    singles = [float(policy.log_prob_batch(_row(batch, t))[0]) for t in range(6)]
     assert batched.tolist() == pytest.approx(singles, abs=0.0)
+    # The finite-difference reference gives one gradient row per batch row.
+    numeric = numerical_log_prob_grad(policy, batch)
+    assert numeric.shape == (6, POLICY_DIM)
+    for t in range(6):
+        assert numeric[t].tolist() == numerical_log_prob_grad(policy, _row(batch, t))[0].tolist()
 
 
 def test_sample_with_log_prob_agrees_with_log_prob() -> None:
     rng = np.random.default_rng(37)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
-    for _ in range(25):
-        obs = _random_observation(rng)
-        decision, lp = policy.sample_with_log_prob(obs, rng)
-        assert lp == policy.log_prob(obs, decision)
+    for rows in range(1, 26):
+        batch, lp = policy.sample_with_log_prob(_random_observations(rng, rows), rng)
+        assert len(batch) == rows
+        assert lp.tolist() == policy.log_prob_batch(batch).tolist()
 
 
 def _reference_draw(
-    policy: CategoricalSlotPolicy, obs: Observation, rng: np.random.Generator
-) -> PolicyDecision:
+    policy: CategoricalSlotPolicy,
+    slot_feats: np.ndarray,
+    global_feats: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[tuple[int, ...], int, bool]:
     """One observation's draw as separate random(n), random(), random() calls."""
     theta = policy.theta
-    p_include = 1.0 / (1.0 + np.exp(-(obs.slot_feats @ theta[0:3])))
-    include = rng.random(obs.n_slots) < p_include
-    logits = np.append(obs.slot_feats @ theta[3:6], theta[6])
+    n_slots = len(slot_feats)
+    p_include = 1.0 / (1.0 + np.exp(-(slot_feats @ theta[0:3])))
+    include = rng.random(n_slots) < p_include
+    logits = np.append(slot_feats @ theta[3:6], theta[6])
     probs = np.exp(logits - np.logaddexp.reduce(logits))
     choice = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
-    engage = rng.random() < 1.0 / (1.0 + np.exp(-float(obs.global_feats @ theta[7:9])))
-    return PolicyDecision(
-        include=tuple(int(v) for v in include),
-        response_choice=min(choice, obs.n_slots),
-        engage=bool(engage),
-    )
+    engage = rng.random() < 1.0 / (1.0 + np.exp(-float(global_feats @ theta[7:9])))
+    return tuple(int(v) for v in include), min(choice, n_slots), bool(engage)
 
 
 @given(
@@ -254,33 +284,23 @@ def _reference_draw(
 def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int) -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=np.array(theta))
     horizon = len(flags)
-    rows = []
-    for t, turn_flags in enumerate(flags):
-        slot_feats = np.ones((_N_SLOTS, 3))
-        slot_feats[:, 1:] = np.array(turn_flags, dtype=float)
-        rows.append(
-            Observation(
-                slot_feats=slot_feats,
-                global_feats=np.array([1.0, (t + 1) / horizon]),
-                slot_names=tuple(f"slot{i}" for i in range(_N_SLOTS)),
-            )
-        )
-    stack = Observation(
-        slot_feats=np.stack([o.slot_feats for o in rows]),
-        global_feats=np.stack([o.global_feats for o in rows]),
-        slot_names=rows[0].slot_names,
-    )
+    slot_feats = np.ones((horizon, _N_SLOTS, 3))
+    slot_feats[:, :, 1:] = np.array(flags, dtype=float)
+    global_feats = np.array([[1.0, (t + 1) / horizon] for t in range(horizon)])
+    stack = Observation(slot_feats, global_feats, _NAMES)
+    rows = [Observation(slot_feats[t : t + 1], global_feats[t : t + 1], _NAMES) for t in range(horizon)]
 
-    batch = policy.sample(stack, np.random.default_rng(seed))
-    batched = [batch.decision(t) for t in range(horizon)]
+    batched = _decisions(policy.sample(stack, np.random.default_rng(seed)))
     single_rng = np.random.default_rng(seed)
-    assert batched == [policy.sample(o, single_rng).decision(0) for o in rows]
+    assert batched == [_decisions(policy.sample(o, single_rng))[0] for o in rows]
     reference_rng = np.random.default_rng(seed)
-    assert batched == [_reference_draw(policy, o, reference_rng) for o in rows]
+    assert batched == [
+        _reference_draw(policy, slot_feats[t], global_feats[t], reference_rng)
+        for t in range(horizon)
+    ]
 
-    greedy = policy.greedy(stack)
-    assert [greedy.decision(t) for t in range(horizon)] == [
-        policy.greedy(o).decision(0) for o in rows
+    assert _decisions(policy.greedy(stack)) == [
+        _decisions(policy.greedy(o))[0] for o in rows
     ]
 
 
@@ -308,26 +328,18 @@ def test_greedy_decision_maximizes_each_head() -> None:
     rng = np.random.default_rng(41)
     theta = rng.normal(size=POLICY_DIM)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
-    obs = _random_observation(rng)
-    decision = policy.greedy(obs).decision(0)
-    flips = [
-        PolicyDecision(
-            include=tuple(
-                1 - inc if i == j else inc for i, inc in enumerate(decision.include)
-            ),
-            response_choice=decision.response_choice,
-            engage=decision.engage,
-        )
-        for j in range(_N_SLOTS)
-    ]
-    base = policy.log_prob(obs, decision)
-    for other in flips:
-        assert policy.log_prob(obs, other) <= base + 1e-12
+    greedy = policy.greedy(_random_observations(rng))
+    base = float(policy.log_prob_batch(greedy)[0])
+    others = []
+    for j in range(_N_SLOTS):
+        include = greedy.include.copy()
+        include[0, j] = 1.0 - include[0, j]
+        others.append(replace(greedy, include=include))
     for choice in range(_N_SLOTS + 1):
-        other = PolicyDecision(
-            include=decision.include, response_choice=choice, engage=decision.engage
-        )
-        assert policy.log_prob(obs, other) <= base + 1e-12
+        others.append(replace(greedy, response_choice=np.array([choice])))
+    others.append(replace(greedy, engage=1.0 - greedy.engage))
+    for other in others:
+        assert float(policy.log_prob_batch(other)[0]) <= base + 1e-12
 
 
 # --- collection invariants -------------------------------------------------------------
@@ -373,27 +385,48 @@ def test_stored_values_are_per_row_predictions() -> None:
     )
     for index, (_, config) in enumerate(pairs):
         # Walk the user side afresh and value each turn's observation on its own.
+        schema, horizon = config.profile.schema, config.horizon
         state = DialogueState().with_user_turn(first_utterance(config))
         user = initial_state(config)
-        expected = [value_fn.predict(observe(state, config.profile.schema, config.horizon).flat())]
+        expected = [value_fn.predict(observe([state], schema, horizon).flat()[0])]
         while (step := next_utterance(user, config)) is not None:
             utterance, user = step
             state = state.with_user_turn(utterance)
-            expected.append(
-                value_fn.predict(observe(state, config.profile.schema, config.horizon).flat())
-            )
+            expected.append(value_fn.predict(observe([state], schema, horizon).flat()[0]))
         for traj in trajectories[2 * index : 2 * index + 2]:
             assert traj.values.tolist() == expected
 
 
+def test_episode_table_observations_are_read_only_and_survive_collection() -> None:
+    # Every episode of a config shares its table's observation arrays.
+    pairs = _scenario_pairs(2, seed=14)
+    observations = pairs[0][1].episode_table.observations
+    before = [observations.slot_feats.copy(), observations.global_feats.copy()]
+    for array in (observations.slot_feats, observations.global_feats):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+    cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=3)
+    theta = np.random.default_rng(67).normal(size=POLICY_DIM)
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
+    value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
+    for round_index in (1, 2):
+        trajectories, _ = collect(
+            pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), round_index
+        )
+        update(policy, value_fn, trajectories, cfg)
+    assert pairs[0][1].episode_table.observations is observations
+    assert observations.slot_feats.tolist() == before[0].tolist()
+    assert observations.global_feats.tolist() == before[1].tolist()
+
+
 def test_trajectory_length_validation() -> None:
     rng = np.random.default_rng(43)
-    obs = _random_observation(rng)
-    batch = DecisionBatch.from_pairs([obs], [_random_decision(rng)])
+    obs = _random_observations(rng)
+    batch = _random_decisions(rng, obs)
     with pytest.raises(ValueError):
         Trajectory(
             batch=batch,
-            features=obs.flat()[None, :],
+            features=obs.flat(),
             log_probs_old=np.zeros(2),
             values=np.zeros(1),
             rewards=np.zeros(1),
@@ -414,21 +447,14 @@ def _toy_trajectories(
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_traj):
-        rows = [_random_observation(rng) for _ in range(length)]
-        stack = Observation(
-            slot_feats=np.stack([o.slot_feats for o in rows]),
-            global_feats=np.stack([o.global_feats for o in rows]),
-            slot_names=rows[0].slot_names,
-        )
+        stack = _random_observations(rng, rows=length)
         batch = policy.sample(stack, rng)
         features = stack.flat()
         values = np.array([value_fn.predict(row) for row in features])
         if reward_fn is None:
             rewards = rng.uniform(0.0, 2.0, size=length)
         else:
-            rewards = np.array(
-                [reward_fn(o, batch.decision(i)) for i, o in enumerate(rows)], dtype=float
-            )
+            rewards = np.asarray(reward_fn(batch), dtype=float)
         out.append(
             Trajectory(
                 batch=batch,
@@ -448,7 +474,7 @@ def test_update_with_zero_variance_advantages_leaves_policy_unchanged() -> None:
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
     cfg = PPOConfig(epochs=2, critic_lr=0.0)
     trajectories = _toy_trajectories(
-        policy, value_fn, n_traj=3, length=4, seed=7, reward_fn=lambda o, d: 0.0
+        policy, value_fn, n_traj=3, length=4, seed=7, reward_fn=lambda b: np.zeros(len(b))
     )
     before = policy.theta.copy()
     update(policy, value_fn, trajectories, cfg)
@@ -466,7 +492,7 @@ def test_update_improves_surrogate_objective_on_fixed_batch() -> None:
         n_traj=8,
         length=6,
         seed=11,
-        reward_fn=lambda o, d: 1.0 if d.engage else 0.0,
+        reward_fn=lambda b: b.engage,
     )
     engage_before = float(policy.theta[7])
     update(policy, value_fn, trajectories, PPOConfig(epochs=4, critic_lr=0.0))
