@@ -62,6 +62,7 @@ from .rl import (
     PolicyAgent,
     Trajectory,
     compute_gae,
+    draw_decisions,
     load_checkpoint,
     policy_ratio,
     ppo_surrogate,

@@ -40,6 +40,7 @@ from .rl import (
     PPOConfig,
     PolicyAgent,
     _batch_reward_means,
+    draw_decisions,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -154,10 +155,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         checkpoint.check_resumable(cfg, weights, matcher, schema)
         policy, value_fn = checkpoint.policy(), checkpoint.value_fn()
         start_step = checkpoint.step
+    pairs = [(s.scenario_id, s.user_config()) for s in scenario_list]
+    for _, config in pairs:
+        DialogueEnv(config, matcher=matcher)  # refuses a conflict the matcher cannot see
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    pairs = [(s.scenario_id, s.user_config()) for s in scenario_list]
     result = train(
         pairs,
         cfg,
@@ -240,22 +242,24 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         checkpoint = load_checkpoint(args.checkpoint)
         _check_checkpoint_schema(checkpoint, scenario_list)
 
-    records = []
+    episodes = []  # (scenario id, environment, policy seed)
     conflict_rng = random.Random(seed)
     for index, scenario in enumerate(scenario_list):
         conflict = scenario.conflict
         if mode == "conflict" and conflict is None:
-            conflict = default_conflict(scenario.profile, scenario.style_seed, conflict_rng)
+            conflict = default_conflict(
+                scenario.profile, scenario.style_seed, conflict_rng, matcher=matcher
+            )
         config = scenario.user_config(horizon=horizon_override, conflict=conflict)
         env = DialogueEnv(config, matcher=matcher)
-        for episode in range(args.episodes):
-            if checkpoint is None:
-                agent = EvidenceOracleAgent()
-            else:
-                rng = np.random.default_rng([seed, index, episode])
-                agent = PolicyAgent(checkpoint.policy(), None, rng)
-            records.append(rollout(env, agent, scenario_id=scenario.scenario_id))
-    return records
+        episodes += [(scenario.scenario_id, env, [seed, index, e]) for e in range(args.episodes)]
+    if checkpoint is None:
+        agents = [EvidenceOracleAgent() for _ in episodes]
+    else:
+        stacks = [env.config.episode_table.observations for _, env, _ in episodes]
+        drawn = draw_decisions(checkpoint.policy(), stacks, [key for *_, key in episodes])
+        agents = [PolicyAgent(decisions) for decisions, _ in drawn]
+    return [rollout(env, agent, scenario_id=sid) for (sid, env, _), agent in zip(episodes, agents)]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -34,8 +34,8 @@ from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError
-from .profiles import Profile, SlotMatcher, SlotSchema, profile_reward
+from .errors import ConfigError, ProtocolError
+from .profiles import Profile, SlotMatcher, SlotSchema, clearly_different, profile_reward
 from .reward import (
     JudgeContext,
     ResponseJudgment,
@@ -252,6 +252,15 @@ class DialogueEnv:
     def __init__(self, config: UserConfig, matcher: SlotMatcher | None = None) -> None:
         self.config = config
         self.matcher = matcher or SlotMatcher(kind="exact")
+        # A replacement matching the old value would keep scoring a stale,
+        # un-revealed value, lifting recall above the reveal ceiling.
+        for slot, value in (config.conflict.replace if config.conflict else {}).items():
+            old = config.profile.entries.get(slot)
+            if old is not None and not clearly_different(slot, old, [value], self.matcher):
+                raise ConfigError(
+                    f"matcher {self.matcher.label} matches the conflict replacement "
+                    f"{value!r} for {slot!r} to the value it replaces, {old!r}"
+                )
         self._script = config.script
         self._table = config.episode_table
         self._index: int | None = None

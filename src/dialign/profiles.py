@@ -203,13 +203,17 @@ class SlotMatcher:
 _HALF_TOKEN_MATCHER = SlotMatcher(kind="token", threshold=0.5)
 
 
-def clearly_different(slot: str, value: str, candidates: Iterable[str]) -> list[str]:
-    """The candidates that match ``value`` under neither bundled matcher.
+def clearly_different(
+    slot: str, value: str, candidates: Iterable[str], matcher: SlotMatcher | None = None
+) -> list[str]:
+    """The candidates that match ``value`` under neither bundled matcher, nor
+    under ``matcher`` when one is given.
 
     A token:0.5 match is implied by an exact match of non-empty text, so
     ruling it out rules out both.
     """
-    return [c for c in candidates if not _HALF_TOKEN_MATCHER.values_match(slot, c, value)]
+    matchers = [_HALF_TOKEN_MATCHER] + ([matcher] if matcher else [])
+    return [c for c in candidates if not any(m.values_match(slot, c, value) for m in matchers)]
 
 
 # --- overlap scoring ---------------------------------------------------------

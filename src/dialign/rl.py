@@ -10,13 +10,12 @@ are computed analytically, and a central finite-difference helper over a
 can cross-check the closed form.
 
 Observations and decisions exist only as stacks: sampling maps an
-observation stack to a ``DecisionBatch`` with one row per turn, and one
-``rng.random((T, n + 2))`` draw per stack gives the inclusion, response and
-engagement uniforms of every row, in the order per-row draws would consume
-them.  The scripted user ignores the agent, so an episode's observations
-are all known when it starts, and ``PolicyAgent`` draws the whole episode's
-decisions at turn 1.  A trajectory carries its episode's ``DecisionBatch``
-and flattened features as arrays, which the update concatenates.
+observation stack and one row of uniforms per observation to a
+``DecisionBatch``.  The scripted user ignores the agent, so every episode's
+observations are known before it starts, and decisions are drawn up front
+for a whole training round or eval call in one policy call
+(``draw_decisions``); ``PolicyAgent`` acts out one episode's slice.  Each
+PPO epoch computes the log-probabilities and their gradients in one pass.
 
 The update is clipped-surrogate PPO: for each collected batch the sampling
 policy is frozen (its log-probabilities are stored with the trajectories),
@@ -33,7 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -128,16 +128,14 @@ class DecisionBatch:
 
     @classmethod
     def concatenate(cls, batches: Sequence["DecisionBatch"]) -> "DecisionBatch":
-        return cls(
-            slot_feats=np.concatenate([b.slot_feats for b in batches]),
-            global_feats=np.concatenate([b.global_feats for b in batches]),
-            include=np.concatenate([b.include for b in batches]),
-            response_choice=np.concatenate([b.response_choice for b in batches]),
-            engage=np.concatenate([b.engage for b in batches]),
-        )
+        columns = {f.name: [getattr(b, f.name) for b in batches] for f in fields(cls)}
+        return cls(**{name: np.concatenate(parts) for name, parts in columns.items()})
 
     def __len__(self) -> int:
         return self.global_feats.shape[0]
+
+    def __getitem__(self, rows: slice) -> "DecisionBatch":
+        return DecisionBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 class CategoricalSlotPolicy:
@@ -167,17 +165,18 @@ class CategoricalSlotPolicy:
     def _engage_logit(self, global_feats: np.ndarray) -> np.ndarray:
         return global_feats @ self.theta[_W_ENG]
 
-    def sample(self, obs: Observation, rng: np.random.Generator) -> DecisionBatch:
-        """Draw one decision per row of an observation stack;
-        log-probabilities come from ``log_prob_batch``.
+    def sample(self, obs: Observation, uniforms: np.ndarray) -> DecisionBatch:
+        """Draw one decision per row of an observation stack from that row of
+        ``uniforms``; log-probabilities come from ``log_prob_batch``.
 
         Row t's uniforms are ``n_slots`` inclusion draws, then the response
-        draw, then the engagement draw, so one ``(T, n_slots + 2)`` draw
-        consumes the generator exactly as T per-row draws would.
+        draw, then the engagement draw, so one ``rng.random((T, n_slots + 2))``
+        draw consumes the generator exactly as T per-row draws would.
         """
         slot_feats, global_feats = obs.slot_feats, obs.global_feats
         n = slot_feats.shape[1]
-        uniforms = rng.random((len(global_feats), n + 2))
+        if uniforms.shape != (len(global_feats), n + 2):
+            raise ValueError(f"need ({len(global_feats)}, {n + 2}) uniforms, got {uniforms.shape}")
         include = uniforms[:, :n] < _sigmoid(self._include_logits(slot_feats))
         logits = self._response_logits(slot_feats)
         probs = np.exp(logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True))
@@ -195,10 +194,10 @@ class CategoricalSlotPolicy:
         )
 
     def sample_with_log_prob(
-        self, obs: Observation, rng: np.random.Generator
+        self, obs: Observation, uniforms: np.ndarray
     ) -> tuple[DecisionBatch, np.ndarray]:
         """``sample``, with the batch's ``log_prob_batch`` values."""
-        batch = self.sample(obs, rng)
+        batch = self.sample(obs, uniforms)
         return batch, self.log_prob_batch(batch)
 
     def greedy(self, obs: Observation) -> DecisionBatch:
@@ -213,6 +212,13 @@ class CategoricalSlotPolicy:
         )
 
     def log_prob_batch(self, batch: DecisionBatch) -> np.ndarray:
+        return self.log_prob_and_grad(batch, with_grad=False)[0]
+
+    def log_prob_and_grad(
+        self, batch: DecisionBatch, with_grad: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Per-row log pi and, ``with_grad``, the analytic d log pi / d theta,
+        shape (N, POLICY_DIM), from one evaluation of each head's logits."""
         z_inc = self._include_logits(batch.slot_feats)  # (N, n)
         # Bernoulli log-pmf in logit form: y*log(sigma) + (1-y)*log(1-sigma)
         lp = np.sum(
@@ -226,31 +232,26 @@ class CategoricalSlotPolicy:
         lp = lp + logits[rows, batch.response_choice] - log_norm
         z_eng = self._engage_logit(batch.global_feats)
         lp = lp + batch.engage * _log_sigmoid(z_eng) + (1.0 - batch.engage) * _log_sigmoid(-z_eng)
-        return lp
-
-    def grad_components(self, batch: DecisionBatch) -> np.ndarray:
-        """Per-sample analytic d log pi / d theta, shape (N, POLICY_DIM)."""
-        n = len(batch)
-        grads = np.zeros((n, POLICY_DIM))
-        p_inc = _sigmoid(self._include_logits(batch.slot_feats))  # (N, n_slots)
+        if not with_grad:
+            return lp, None
+        grads = np.zeros((len(batch), POLICY_DIM))
+        p_inc = _sigmoid(z_inc)  # (N, n_slots)
         grads[:, _W_INC] = np.einsum("ns,nsk->nk", batch.include - p_inc, batch.slot_feats)
-        logits = self._response_logits(batch.slot_feats)
-        probs = np.exp(logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True))
+        probs = np.exp(logits - log_norm[:, None])
         indicator = np.zeros_like(probs)
-        indicator[np.arange(n), batch.response_choice] = 1.0
+        indicator[rows, batch.response_choice] = 1.0
         diff = indicator - probs
         grads[:, _W_RESP] = np.einsum("ns,nsk->nk", diff[:, :-1], batch.slot_feats)
         grads[:, _B_NONE] = diff[:, -1]
-        p_eng = _sigmoid(self._engage_logit(batch.global_feats))
-        grads[:, _W_ENG] = (batch.engage - p_eng)[:, None] * batch.global_feats
-        return grads
+        grads[:, _W_ENG] = (batch.engage - _sigmoid(z_eng))[:, None] * batch.global_feats
+        return lp, grads
 
 
 def numerical_log_prob_grad(
     policy: CategoricalSlotPolicy, batch: DecisionBatch, eps: float = 1e-5
 ) -> np.ndarray:
     """Central-difference d log pi / d theta per batch row, shape (N, POLICY_DIM),
-    for cross-checking ``grad_components``."""
+    for cross-checking ``log_prob_and_grad``."""
     base = policy.theta
     grad = np.zeros((len(batch), base.size))
     for i in range(base.size):
@@ -375,51 +376,53 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 # --- acting in the environment -------------------------------------------------
 
 
-class PolicyAgent:
-    """Adapts a CategoricalSlotPolicy to the environment's Agent protocol.
+def draw_decisions(
+    policy: CategoricalSlotPolicy,
+    stacks: Sequence[Observation],
+    seeds: Sequence[Sequence[int]] | None = None,
+) -> list[tuple[DecisionBatch, np.ndarray]]:
+    """Each episode's decisions and log-probabilities, from one policy call
+    over the concatenated observation stacks.
 
-    At turn 1 it draws (or, when greedy, picks) the decisions of every turn
-    from the view's observation stack in one call, and values each turn's
-    features with the critic.  Each turn then translates that turn's
-    decision into a concrete action: included slots take their latest
-    evidence value (or the unknown placeholder when the policy includes a
-    slot blind), and the response addresses the chosen slot only when the
-    estimate actually carries it.  ``finish`` scores the episode's
-    decisions under the frozen policy in one batched call.
+    Episode i's uniforms are one ``(T_i, n_slots + 2)`` draw from
+    ``default_rng(seeds[i])``, so its decisions are exactly those ``sample``
+    makes from that block alone.  ``seeds=None`` takes greedy decisions.
+    """
+    sizes = [len(stack.global_feats) for stack in stacks]
+    slot_feats = np.concatenate([stack.slot_feats for stack in stacks])
+    global_feats = np.concatenate([stack.global_feats for stack in stacks])
+    obs = Observation(slot_feats, global_feats, stacks[0].slot_names)
+    if seeds is None:
+        batch = policy.greedy(obs)
+        log_probs = policy.log_prob_batch(batch)
+    else:
+        uniforms = np.concatenate(
+            [np.random.default_rng(seed).random((size, policy.n_slots + 2))
+             for size, seed in zip(sizes, seeds, strict=True)]
+        )
+        batch, log_probs = policy.sample_with_log_prob(obs, uniforms)
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [(batch[a:b], log_probs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class PolicyAgent:
+    """Acts out one episode's decisions, drawn up front for a whole training
+    round or eval call by ``draw_decisions``, as an environment Agent.
+
+    Each turn translates its row into a concrete action: included slots take
+    their latest evidence value (or the unknown placeholder when the policy
+    includes a slot blind), and the response addresses the chosen slot only
+    when the estimate actually carries it.
     """
 
-    def __init__(
-        self,
-        policy: CategoricalSlotPolicy,
-        value_fn: LinearValue | None,
-        rng: np.random.Generator,
-        greedy: bool = False,
-    ) -> None:
-        self.policy = policy
-        self.value_fn = value_fn
-        self.rng = rng
-        self.greedy = greedy
-
-    def _decide_episode(self, observations: Observation) -> None:
-        if self.greedy:
-            batch = self.policy.greedy(observations)
-        else:
-            batch = self.policy.sample(observations, self.rng)
-        self.batch = batch
-        self.features = observations.flat()
-        if self.value_fn is None:
-            self.values = np.zeros(len(batch))
-        else:
-            # Per-row 1-D dot products: a matrix-vector product can round differently.
-            self.values = np.array([self.value_fn.predict(row) for row in self.features])
+    def __init__(self, decisions: DecisionBatch) -> None:
+        self.decisions = decisions
         # Plain lists: each turn reads one row, and numpy scalars are slow to read.
-        self._include = batch.include.astype(bool).tolist()
-        self._choice = batch.response_choice.tolist()
-        self._engage = batch.engage.astype(bool).tolist()
+        self._include = decisions.include.astype(bool).tolist()
+        self._choice = decisions.response_choice.tolist()
+        self._engage = decisions.engage.astype(bool).tolist()
 
     def act(self, view: EnvView) -> AgentAction:
-        if view.turn == 1:
-            self._decide_episode(view.observations)
         row = view.turn - 1
         names = view.observations.slot_names
         seen = view.seen_values
@@ -439,20 +442,15 @@ class PolicyAgent:
             response=make_response(addressed, continues=self._engage[row]), estimate=estimate
         )
 
-    def finish(self, record: EpisodeRecord, weights: tuple[float, float]) -> Trajectory:
-        rewards = np.array(
-            [
-                combined_reward(t.profile_reward, t.response_reward, weights)
-                for t in record.turns
-            ]
-        )
-        return Trajectory(
-            batch=self.batch,
-            features=self.features,
-            log_probs_old=self.policy.log_prob_batch(self.batch),
-            values=self.values,
-            rewards=rewards,
-        )
+    def finish(
+        self, record: EpisodeRecord, weights: tuple[float, float], features: np.ndarray,
+        log_probs_old: np.ndarray, values: np.ndarray,
+    ) -> Trajectory:
+        """The played episode as a trajectory, rewards weighted per turn."""
+        profile = np.array([t.profile_reward for t in record.turns])
+        response = np.array([t.response_reward for t in record.turns])
+        rewards = combined_reward(profile, response, weights)
+        return Trajectory(self.decisions, features, log_probs_old, values, rewards)
 
 
 def collect(
@@ -464,16 +462,23 @@ def collect(
     matcher: SlotMatcher,
     round_index: int,
 ) -> tuple[list[Trajectory], list[EpisodeRecord]]:
-    """Sample a batch of episodes under the frozen current policy."""
+    """Sample a batch of episodes under the frozen current policy and critic:
+    one ``draw_decisions`` call for the round, each scenario valued once."""
+    samples = range(cfg.samples_per_scenario)
+    stacks = [config.episode_table.observations for _, config in scenarios]
+    seeds = [[cfg.seed, round_index, idx, s] for idx in range(len(stacks)) for s in samples]
+    drawn = iter(draw_decisions(policy, [stack for stack in stacks for _ in samples], seeds))
     trajectories: list[Trajectory] = []
     records: list[EpisodeRecord] = []
-    for idx, (scenario_id, config) in enumerate(scenarios):
+    for (scenario_id, config), stack in zip(scenarios, stacks):
         env = DialogueEnv(config, matcher=matcher)
-        for sample in range(cfg.samples_per_scenario):
-            rng = np.random.default_rng([cfg.seed, round_index, idx, sample])
-            agent = PolicyAgent(policy, value_fn, rng)
+        features = stack.flat()
+        # Per-row 1-D dot products: a matrix-vector product can round differently.
+        values = np.array([value_fn.predict(row) for row in features])
+        for decisions, log_probs in islice(drawn, len(samples)):
+            agent = PolicyAgent(decisions)
             record = rollout(env, agent, scenario_id=scenario_id)
-            trajectories.append(agent.finish(record, weights))
+            trajectories.append(agent.finish(record, weights, features, log_probs, values))
             records.append(record)
     return trajectories, records
 
@@ -500,18 +505,12 @@ def update(
         raise ValueError("update needs at least one trajectory")
     if not np.all(np.isfinite(policy.theta)) or not np.all(np.isfinite(value_fn.phi)):
         raise FloatingPointError("non-finite parameters entering update")
-    logp_old_parts: list[np.ndarray] = []
-    adv_parts: list[np.ndarray] = []
-    return_parts: list[np.ndarray] = []
-    for traj in trajectories:
-        advantages = compute_gae(traj.rewards, traj.values, cfg.gamma, cfg.lam)
-        logp_old_parts.append(traj.log_probs_old)
-        adv_parts.append(advantages)
-        return_parts.append(advantages + traj.values)
-
-    logp_old = np.concatenate(logp_old_parts)
-    advantages = normalize_advantages(np.concatenate(adv_parts))
-    returns = np.concatenate(return_parts)
+    gae = np.concatenate(
+        [compute_gae(traj.rewards, traj.values, cfg.gamma, cfg.lam) for traj in trajectories]
+    )
+    returns = gae + np.concatenate([traj.values for traj in trajectories])
+    advantages = normalize_advantages(gae)
+    logp_old = np.concatenate([traj.log_probs_old for traj in trajectories])
     features = np.concatenate([traj.features for traj in trajectories])
     batch = DecisionBatch.concatenate([traj.batch for traj in trajectories])
     n = logp_old.size
@@ -519,7 +518,7 @@ def update(
     clip_fractions: list[float] = []
     surrogates: list[float] = []
     for _ in range(cfg.epochs):
-        logp_new = policy.log_prob_batch(batch)
+        logp_new, grad_rows = policy.log_prob_and_grad(batch)
         ratio = policy_ratio(logp_new, logp_old, clamp=cfg.ratio_clamp)
         surrogate = ppo_surrogate(ratio, advantages, cfg.clip_eps)
         surrogates.append(float(np.mean(surrogate)))
@@ -529,7 +528,7 @@ def update(
         )
         clip_fractions.append(float(np.mean(clip_active)))
         sample_weights = np.where(clip_active, 0.0, advantages * ratio)
-        grad = sample_weights @ policy.grad_components(batch) / n
+        grad = sample_weights @ grad_rows / n
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(
                 f"non-finite policy gradient (|grad|={np.abs(grad).max()!r}); aborting update"

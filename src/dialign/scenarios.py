@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .profiles import ALOE_SLOTS, Profile, SlotSchema, clearly_different
+from .profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, clearly_different
 from .user_sim import ConflictSpec, UserConfig, reveal_order
 
 
@@ -92,18 +92,20 @@ def default_conflict(
     style_seed: int,
     rng: random.Random,
     turn: int = DEFAULT_CONFLICT_TURN,
+    matcher: SlotMatcher | None = None,
 ) -> ConflictSpec:
     """Swap the first-revealed slot's value for a clearly different one.
 
     Targeting the earliest reveal guarantees the slot is already revealed
     well before the conflict turn, so an evidence-tracking agent is left
-    holding a stale value and the reward dip is observable.
+    holding a stale value and the reward dip is observable.  The run's
+    ``matcher``, if given, must not match the replacement to the old value.
     """
     target = reveal_order(profile, style_seed)[0]
     original = profile.entries[target]
     pools = dict(_POOLS["aloe"])
     pools.update(_POOLS["extended"])
-    candidates = clearly_different(target, original, pools.get(target, []))
+    candidates = clearly_different(target, original, pools.get(target, []), matcher)
     replacement = rng.choice(candidates) if candidates else f"changed {target.lower()}"
     return ConflictSpec(turn=turn, replace={target: replacement})
 

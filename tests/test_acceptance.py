@@ -48,6 +48,7 @@ from dialign.rl import (
     PolicyAgent,
     PPOConfig,
     collect,
+    draw_decisions,
     numerical_log_prob_grad,
     policy_ratio,
     train,
@@ -202,7 +203,7 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
             response_choice=np.array([rng.integers(0, 11)]),
             engage=np.array([float(rng.integers(0, 2))]),
         )
-        analytic = policy.grad_components(batch)[0]
+        analytic = policy.log_prob_and_grad(batch)[1][0]
         numeric = numerical_log_prob_grad(policy, batch)[0]
         rel = float(np.linalg.norm(analytic - numeric)) / max(
             1.0, float(np.linalg.norm(numeric))
@@ -248,13 +249,12 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
 # --- 5. end-to-end learning -----------------------------------------------------------
 
 
-def _greedy_records(policy: CategoricalSlotPolicy, pairs, seed: int) -> list:
-    records = []
-    for sid, ucfg in pairs:
-        env = DialogueEnv(ucfg, matcher=_EXACT)
-        agent = PolicyAgent(policy, None, np.random.default_rng(seed), greedy=True)
-        records.append(rollout(env, agent, sid))
-    return records
+def _greedy_records(policy: CategoricalSlotPolicy, pairs) -> list:
+    stacks = [ucfg.episode_table.observations for _, ucfg in pairs]
+    return [
+        rollout(DialogueEnv(ucfg, matcher=_EXACT), PolicyAgent(decisions), sid)
+        for (sid, ucfg), (decisions, _) in zip(pairs, draw_decisions(policy, stacks))
+    ]
 
 
 def test_training_improves_reward_and_produces_rising_alignment() -> None:
@@ -273,7 +273,7 @@ def test_training_improves_reward_and_produces_rising_alignment() -> None:
         first = result.curve[0].mean_total_reward
         last = result.curve[-1].mean_total_reward
         improvements.append(last / first)
-        records = _greedy_records(result.policy, pairs, seed)
+        records = _greedy_records(result.policy, pairs)
         curve = alignment_curve(alignment_matrix(records))
         slopes.append(summarize_alignment(curve).n_ir)
 
@@ -313,7 +313,7 @@ def test_full_reward_beats_single_component_rewards_under_shared_scoring() -> No
             result = train(pairs, cfg=cfg, weights=weights, matcher=_EXACT)
             # Rescore every configuration under the full (1, 1) objective.
             totals = []
-            for record in _greedy_records(result.policy, pairs, seed):
+            for record in _greedy_records(result.policy, pairs):
                 totals.append(
                     sum(t.profile_reward + t.response_reward for t in record.turns)
                 )

@@ -12,7 +12,7 @@ import dialign.cli
 from dialign.cli import main
 from dialign.env import read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
-from dialign.profiles import SlotMatcher
+from dialign.profiles import Profile, SlotMatcher, precision_recall
 from dialign.rl import load_checkpoint
 
 
@@ -476,6 +476,49 @@ def test_eval_conflict_mode_injects_default_swap(scenario_dir: Path, tmp_path: P
     for record in episodes:
         assert record.conflict is not None
         assert record.conflict["turn"] == 6
+
+
+def test_eval_refuses_a_scenario_conflict_its_matcher_matches(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # scenario_0011 swaps 'outgoing and spontaneous' for 'introverted and
+    # careful', which token:0.2 still matches.
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "16", "--seed", "0",
+                 "--conflict"]) == 0
+    for name in sorted(p.name for p in scenarios.iterdir()):
+        if name != "scenario_0011.json":
+            (scenarios / name).unlink()
+    args = ["eval", "--scenarios", str(scenarios), "--agent", "oracle"]
+    assert main([*args, "--out", str(tmp_path / "ok"), "--matcher", "token:0.5"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "bad"), "--matcher", "token:0.2"]) == 2
+    err = capsys.readouterr().err
+    assert "'Personality Traits'" in err and len(err.strip().splitlines()) == 1
+    train_out = tmp_path / "train"
+    train_args = ["train", "--scenarios", str(scenarios), "--out", str(train_out), "--rounds", "1"]
+    assert main([*train_args, "--matcher", "token:0.2"]) == 2
+    assert not train_out.exists()
+
+
+def test_eval_conflict_mode_picks_swaps_the_run_matcher_sees(tmp_path: Path) -> None:
+    # Without the run's matcher, the default swaps of this set include
+    # 'associate degree in nursing' -> 'law degree' (Jaccard 0.2).
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "8", "--seed", "16"]) == 0
+    out = tmp_path / "evalc"
+    args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle",
+            "--mode", "conflict", "--matcher", "token:0.2"]
+    assert main(args) == 0
+    loose = SlotMatcher.parse("token:0.2")
+    for record in read_episodes(out / "episodes.jsonl"):
+        ((slot, new),) = record.conflict["replace"].items()
+        assert not loose.values_match(slot, new, record.truth[slot])
+        schema = record.schema_object()
+        for t in record.turns:
+            truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
+            _, recall = precision_recall(Profile(schema=schema, entries=t.estimate), truth, loose)
+            assert recall <= t.theoretical_max + 1e-12
 
 
 def test_eval_longterm_mode_writes_checkpoint_table(scenario_dir: Path, tmp_path: Path) -> None:

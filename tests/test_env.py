@@ -376,7 +376,21 @@ class _EvidenceSubsetAgent:
     conflict_turn=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
     conflict_rank=st.integers(min_value=0, max_value=9),
     replacement=st.integers(min_value=0, max_value=63),
-    matcher_spec=st.sampled_from(["exact", "token:0.5"]),
+    matcher_spec=st.one_of(
+        st.just("exact"),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(lambda t: f"token:{t:g}"),
+    ),
+)
+# 'outgoing and spontaneous' -> 'introverted and careful' is clearly different
+# (Jaccard 0.2), but token:0.2 still matches the stale value at turn 6 (recall
+# 0.5, ceiling 0.4), so the environment must refuse the pair.
+@example(
+    scenario_seed=103,
+    agent_seed=0,
+    conflict_turn=6,
+    conflict_rank=3,
+    replacement=1,
+    matcher_spec="token:0.2",
 )
 # A turn-4 conflict that keeps the first revealed slot's value: the oracle
 # still holds it while the slot is un-revealed (recall 0.3, ceiling 0.2).
@@ -412,13 +426,28 @@ def test_evidence_only_agents_never_exceed_the_reveal_ceiling(
         assert conflict is not None and not clearly_different(slot, old, [new])
         return
     matcher = SlotMatcher.parse(matcher_spec)
+    try:
+        env = DialogueEnv(config, matcher=matcher)
+    except ConfigError:
+        assert conflict is not None and matcher.values_match(slot, new, old)
+        return
     schema = scenario.profile.schema
     for agent in (EvidenceOracleAgent(), _EvidenceSubsetAgent(agent_seed)):
-        record = rollout(DialogueEnv(config, matcher=matcher), agent)
+        record = rollout(env, agent)
         for t in record.turns:
             truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
             _, recall = precision_recall(Profile(schema=schema, entries=t.estimate), truth, matcher)
             assert recall <= t.theoretical_max + 1e-12
+
+
+def test_env_refuses_a_conflict_its_matcher_matches_to_the_old_value() -> None:
+    scenario = generate_scenarios(16, seed=0, conflict=True)[11]
+    config = scenario.user_config()
+    assert config.conflict.replace == {"Personality Traits": "introverted and careful"}
+    for spec in ("exact", "token:0.5", "token:0.21"):
+        DialogueEnv(config, matcher=SlotMatcher.parse(spec))
+    with pytest.raises(ConfigError, match="'Personality Traits'"):
+        DialogueEnv(config, matcher=SlotMatcher.parse("token:0.2"))
 
 
 def test_episode_json_round_trip(tmp_path: Path) -> None:

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialign.env import DialogueEnv, DialogueState, Observation, observation_dim, observe, rollout
+from dialign.env import DialogueState, Observation, observation_dim, observe
 from dialign.errors import CheckpointError, ConfigError
-from dialign.profiles import Profile, SlotMatcher, SlotSchema
+from dialign.profiles import SlotMatcher, SlotSchema
+from dialign.reward import combined_reward
 from dialign.rl import (
     POLICY_DIM,
     CategoricalSlotPolicy,
     DecisionBatch,
     LinearValue,
-    PolicyAgent,
     PPOConfig,
     Trajectory,
     collect,
     compute_gae,
+    draw_decisions,
     config_fingerprint,
     load_checkpoint,
     normalize_advantages,
@@ -64,17 +65,6 @@ def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBat
         include=rng.integers(0, 2, size=(rows, _N_SLOTS)).astype(float),
         response_choice=rng.integers(0, _N_SLOTS + 1, size=rows),
         engage=rng.integers(0, 2, size=rows).astype(float),
-    )
-
-
-def _row(batch: DecisionBatch, t: int) -> DecisionBatch:
-    """Row t of a batch as a batch of one."""
-    return DecisionBatch(
-        slot_feats=batch.slot_feats[t : t + 1],
-        global_feats=batch.global_feats[t : t + 1],
-        include=batch.include[t : t + 1],
-        response_choice=batch.response_choice[t : t + 1],
-        engage=batch.engage[t : t + 1],
     )
 
 
@@ -222,10 +212,40 @@ def test_analytic_gradient_matches_finite_differences_on_100_probes() -> None:
         theta = rng.normal(0.0, 0.7, size=POLICY_DIM)
         policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
         batch = _random_decisions(rng, _random_observations(rng))
-        analytic = policy.grad_components(batch)[0]
+        analytic = policy.log_prob_and_grad(batch)[1][0]
         numeric = numerical_log_prob_grad(policy, batch)[0]
         scale = max(1.0, float(np.linalg.norm(numeric)))
         assert float(np.linalg.norm(analytic - numeric)) / scale <= 1e-4
+
+
+def _separate_grad_pass(policy: CategoricalSlotPolicy, batch: DecisionBatch) -> np.ndarray:
+    """The per-row d log pi / d theta as a pass of its own, computing each
+    head's logits and the log-normaliser afresh."""
+    theta, n = policy.theta, len(batch)
+    grads = np.zeros((n, POLICY_DIM))
+    p_inc = 1.0 / (1.0 + np.exp(-(batch.slot_feats @ theta[0:3])))
+    grads[:, 0:3] = np.einsum("ns,nsk->nk", batch.include - p_inc, batch.slot_feats)
+    slot_logits = batch.slot_feats @ theta[3:6]
+    logits = np.concatenate([slot_logits, np.full((n, 1), theta[6])], axis=-1)
+    probs = np.exp(logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True))
+    indicator = np.zeros_like(probs)
+    indicator[np.arange(n), batch.response_choice] = 1.0
+    diff = indicator - probs
+    grads[:, 3:6] = np.einsum("ns,nsk->nk", diff[:, :-1], batch.slot_feats)
+    grads[:, 6] = diff[:, -1]
+    p_eng = 1.0 / (1.0 + np.exp(-(batch.global_feats @ theta[7:9])))
+    grads[:, 7:9] = (batch.engage - p_eng)[:, None] * batch.global_feats
+    return grads
+
+
+def test_fused_pass_equals_separate_passes() -> None:
+    rng = np.random.default_rng(47)
+    for rows in [1, 2, 7, 64, 640] + [int(r) for r in rng.integers(1, 200, size=25)]:
+        policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(0.0, 2.0, POLICY_DIM))
+        batch = _random_decisions(rng, _random_observations(rng, rows))
+        log_probs, grads = policy.log_prob_and_grad(batch)
+        assert np.array_equal(log_probs, policy.log_prob_batch(batch))
+        assert np.array_equal(grads, _separate_grad_pass(policy, batch))
 
 
 def test_log_prob_single_equals_batch_row() -> None:
@@ -233,20 +253,21 @@ def test_log_prob_single_equals_batch_row() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
     batch = _random_decisions(rng, _random_observations(rng, rows=6))
     batched = policy.log_prob_batch(batch)
-    singles = [float(policy.log_prob_batch(_row(batch, t))[0]) for t in range(6)]
+    singles = [float(policy.log_prob_batch(batch[t : t + 1])[0]) for t in range(6)]
     assert batched.tolist() == pytest.approx(singles, abs=0.0)
     # The finite-difference reference gives one gradient row per batch row.
     numeric = numerical_log_prob_grad(policy, batch)
     assert numeric.shape == (6, POLICY_DIM)
     for t in range(6):
-        assert numeric[t].tolist() == numerical_log_prob_grad(policy, _row(batch, t))[0].tolist()
+        assert numeric[t].tolist() == numerical_log_prob_grad(policy, batch[t : t + 1])[0].tolist()
 
 
 def test_sample_with_log_prob_agrees_with_log_prob() -> None:
     rng = np.random.default_rng(37)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
     for rows in range(1, 26):
-        batch, lp = policy.sample_with_log_prob(_random_observations(rng, rows), rng)
+        uniforms = rng.random((rows, _N_SLOTS + 2))
+        batch, lp = policy.sample_with_log_prob(_random_observations(rng, rows), uniforms)
         assert len(batch) == rows
         assert lp.tolist() == policy.log_prob_batch(batch).tolist()
 
@@ -290,9 +311,12 @@ def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int)
     stack = Observation(slot_feats, global_feats, _NAMES)
     rows = [Observation(slot_feats[t : t + 1], global_feats[t : t + 1], _NAMES) for t in range(horizon)]
 
-    batched = _decisions(policy.sample(stack, np.random.default_rng(seed)))
+    uniforms = np.random.default_rng(seed).random((horizon, _N_SLOTS + 2))
+    batched = _decisions(policy.sample(stack, uniforms))
     single_rng = np.random.default_rng(seed)
-    assert batched == [_decisions(policy.sample(o, single_rng))[0] for o in rows]
+    assert batched == [
+        _decisions(policy.sample(o, single_rng.random((1, _N_SLOTS + 2))))[0] for o in rows
+    ]
     reference_rng = np.random.default_rng(seed)
     assert batched == [
         _reference_draw(policy, slot_feats[t], global_feats[t], reference_rng)
@@ -308,20 +332,47 @@ def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int)
     theta=st.lists(
         st.floats(min_value=-4.0, max_value=4.0), min_size=POLICY_DIM, max_size=POLICY_DIM
     ),
-    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    horizons=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+    samples=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    round_index=st.integers(min_value=0, max_value=10_000),
+    weights=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
 )
-@settings(max_examples=25, deadline=None)
-def test_greedy_decisions_do_not_depend_on_the_rng(theta: list[float], seeds) -> None:
+@settings(max_examples=40, deadline=None)
+def test_round_draw_equals_per_episode_draws(
+    theta: list[float], horizons: list[int], samples: int, seed: int, round_index: int, weights
+) -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=np.array(theta))
-    sid, config = _scenario_pairs(1, seed=12)[0]
-    env = DialogueEnv(config)
-    logs = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        before = rng.bit_generator.state
-        logs.append(rollout(env, PolicyAgent(policy, None, rng, greedy=True), sid).to_json())
-        assert rng.bit_generator.state == before
-    assert logs[0] == logs[1]
+    dim = observation_dim(_N_SLOTS)
+    value_fn = LinearValue(dim=dim, phi=np.random.default_rng(seed).normal(size=dim))
+    scenario_list = generate_scenarios(len(horizons), seed=seed % 997)
+    pairs = [(s.scenario_id, s.user_config(horizon=h)) for s, h in zip(scenario_list, horizons)]
+    cfg = PPOConfig(samples_per_scenario=samples, seed=seed)
+    trajectories, records = collect(
+        pairs, policy, value_fn, cfg, weights, SlotMatcher(kind="exact"), round_index
+    )
+    assert len(trajectories) == len(pairs) * samples
+    for k, (traj, record) in enumerate(zip(trajectories, records)):
+        idx, sample = divmod(k, samples)
+        stack = pairs[idx][1].episode_table.observations
+        # The per-episode draw: sample on the episode's own uniform block.
+        rng = np.random.default_rng([seed, round_index, idx, sample])
+        expected = policy.sample(stack, rng.random((len(stack.global_feats), _N_SLOTS + 2)))
+        for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
+            assert np.array_equal(getattr(traj.batch, name), getattr(expected, name))
+        assert np.array_equal(traj.log_probs_old, policy.log_prob_batch(expected))
+        assert traj.values.tolist() == [value_fn.predict(row) for row in stack.flat()]
+        assert np.array_equal(traj.features, stack.flat())
+        assert traj.rewards.tolist() == [
+            combined_reward(t.profile_reward, t.response_reward, weights) for t in record.turns
+        ]
+
+    # Greedy eval goes through the same up-front path.
+    stacks = [config.episode_table.observations for _, config in pairs for _ in range(samples)]
+    for (decisions, log_probs), stack in zip(draw_decisions(policy, stacks), stacks):
+        expected = policy.greedy(stack)
+        assert _decisions(decisions) == _decisions(expected)
+        assert np.array_equal(log_probs, policy.log_prob_batch(expected))
 
 
 def test_greedy_decision_maximizes_each_head() -> None:
@@ -448,7 +499,7 @@ def _toy_trajectories(
     out = []
     for _ in range(n_traj):
         stack = _random_observations(rng, rows=length)
-        batch = policy.sample(stack, rng)
+        batch = policy.sample(stack, rng.random((length, _N_SLOTS + 2)))
         features = stack.flat()
         values = np.array([value_fn.predict(row) for row in features])
         if reward_fn is None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dialign.errors import ConfigError
-from dialign.profiles import SlotSchema
+from dialign.profiles import SlotMatcher, SlotSchema
 from dialign.scenarios import (
     DEFAULT_CONFLICT_TURN,
     default_conflict,
@@ -71,6 +71,27 @@ def test_default_conflict_targets_first_revealed_slot() -> None:
     assert conflict.turn == DEFAULT_CONFLICT_TURN
     assert set(conflict.replace) == {first_slot}
     assert conflict.replace[first_slot] != scenario.profile.entries[first_slot]
+
+
+def test_default_conflict_skips_replacements_the_run_matcher_matches() -> None:
+    loose = SlotMatcher.parse("token:0.2")
+    strict = [SlotMatcher.parse(spec) for spec in ("exact", "token:0.5", "token:0.8")]
+    loose_hits_without_filter = 0
+    for scenario in generate_scenarios(32, seed=0):
+        profile, style_seed = scenario.profile, scenario.style_seed
+        for seed in range(20):
+            plain = default_conflict(profile, style_seed, random.Random(seed))
+            ((slot, new),) = plain.replace.items()
+            loose_hits_without_filter += loose.values_match(slot, new, profile.entries[slot])
+            filtered = default_conflict(profile, style_seed, random.Random(seed), matcher=loose)
+            ((slot, new),) = filtered.replace.items()
+            assert not loose.values_match(slot, new, profile.entries[slot])
+            # Matchers no looser than token:0.5 keep today's picks.
+            for matcher in strict:
+                assert default_conflict(
+                    profile, style_seed, random.Random(seed), matcher=matcher
+                ) == plain
+    assert loose_hits_without_filter > 0
 
 
 def test_conflict_scenarios_embed_a_conflict() -> None:
