@@ -60,7 +60,7 @@ from .rl import (
     LinearValue,
     PPOConfig,
     PolicyAgent,
-    Trajectory,
+    RoundBatch,
     compute_gae,
     draw_decisions,
     load_checkpoint,

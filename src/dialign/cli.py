@@ -36,17 +36,17 @@ from .metrics import (
 from .profiles import SlotMatcher, build_overlap_bench, eval_matcher
 from .rl import (
     CURVE_COLUMNS,
-    Checkpoint,
     PPOConfig,
     PolicyAgent,
     _batch_reward_means,
+    check_schema,
     draw_decisions,
+    episode_rows,
     load_checkpoint,
     save_checkpoint,
     train,
 )
 from .scenarios import (
-    Scenario,
     default_conflict,
     generate_profile,
     generate_scenarios,
@@ -80,16 +80,6 @@ def _parse_weights(text: str) -> tuple[float, float]:
     if wp < 0 or wr < 0:
         raise ConfigError("reward weights must be non-negative")
     return wp, wr
-
-
-def _check_checkpoint_schema(checkpoint: Checkpoint, scenario_list: Sequence[Scenario]) -> None:
-    """A checkpoint only fits scenarios of the schema it was trained on."""
-    schema = scenario_list[0].profile.schema
-    if checkpoint.schema.name != schema.name or checkpoint.schema.slots != tuple(schema.slots):
-        raise SchemaError(
-            f"checkpoint schema {checkpoint.schema.name!r} does not match "
-            f"scenario schema {schema.name!r}"
-        )
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -145,13 +135,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     matcher = SlotMatcher.parse(args.matcher)
     cfg = _load_ppo_config(args)
-    schema = scenario_list[0].profile.schema
+    checkpoint = load_checkpoint(args.resume) if args.resume else None
+    schema = checkpoint.schema if checkpoint is not None else scenario_list[0].profile.schema
+    check_schema(((s.scenario_id, s.profile.schema) for s in scenario_list), schema)
 
     policy = value_fn = None
     start_step = 0
-    if args.resume:
-        checkpoint = load_checkpoint(args.resume)
-        _check_checkpoint_schema(checkpoint, scenario_list)
+    if checkpoint is not None:
         checkpoint.check_resumable(cfg, weights, matcher, schema)
         policy, value_fn = checkpoint.policy(), checkpoint.value_fn()
         start_step = checkpoint.step
@@ -240,7 +230,7 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         if not args.checkpoint:
             raise ConfigError("eval with --agent policy needs --checkpoint")
         checkpoint = load_checkpoint(args.checkpoint)
-        _check_checkpoint_schema(checkpoint, scenario_list)
+        check_schema(((s.scenario_id, s.profile.schema) for s in scenario_list), checkpoint.schema)
 
     episodes = []  # (scenario id, environment, policy seed)
     conflict_rng = random.Random(seed)
@@ -257,8 +247,9 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         agents = [EvidenceOracleAgent() for _ in episodes]
     else:
         stacks = [env.config.episode_table.observations for _, env, _ in episodes]
-        drawn = draw_decisions(checkpoint.policy(), stacks, [key for *_, key in episodes])
-        agents = [PolicyAgent(decisions) for decisions, _ in drawn]
+        decisions, _ = draw_decisions(checkpoint.policy(), stacks, [key for *_, key in episodes])
+        lengths = [len(stack.global_feats) for stack in stacks]
+        agents = [PolicyAgent(decisions, rows) for rows in episode_rows(lengths)]
     return [rollout(env, agent, scenario_id=sid) for (sid, env, _), agent in zip(episodes, agents)]
 
 

@@ -38,7 +38,6 @@ from .errors import ConfigError, ProtocolError
 from .profiles import Profile, SlotMatcher, SlotSchema, clearly_different, profile_reward
 from .reward import (
     JudgeContext,
-    ResponseJudgment,
     RuleJudge,
     alignment_verdict,
     response_reward,
@@ -93,9 +92,14 @@ class AgentAction:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
+    """A scored turn: its rewards and the judge's verdicts, as logged."""
+
     profile: float
     response: float
     total: float
+    criteria: dict[str, int]
+    dimensions: dict[str, float]
+    aligned: bool
 
     def __post_init__(self) -> None:
         if self.total != self.profile + self.response:
@@ -189,7 +193,6 @@ class EnvView:
     state: DialogueState
     observations: Observation
     schema: SlotSchema
-    horizon: int
 
     @property
     def turn(self) -> int:
@@ -209,7 +212,7 @@ def score_turn(
     context: JudgeContext,
     truth: Profile,
     matcher: SlotMatcher,
-) -> tuple[ResponseJudgment, RewardBreakdown]:
+) -> RewardBreakdown:
     """Judge one agent turn and score its estimate against the truth.
 
     The one scoring path shared by the environment and offline replay.
@@ -217,8 +220,9 @@ def score_turn(
     judgment = _JUDGE.judge(response, estimate, context)
     r_response = float(response_reward(judgment))
     r_profile = profile_reward(estimate, truth, matcher)
-    return judgment, RewardBreakdown(
-        profile=r_profile, response=r_response, total=r_profile + r_response
+    return RewardBreakdown(
+        r_profile, r_response, r_profile + r_response, judgment.criteria(),
+        judgment.dimensions(), alignment_verdict(response, judgment, truth, matcher),
     )
 
 
@@ -293,7 +297,6 @@ class DialogueEnv:
             state=self._table.states[self._current()],
             observations=self._table.observations,
             schema=self.schema,
-            horizon=self.horizon,
         )
 
     def step(self, action: AgentAction) -> TurnRecord:
@@ -306,7 +309,7 @@ class DialogueEnv:
         state = self._table.states[index]
         scripted = self._script[index]
         response, estimate = action.response, action.estimate
-        judgment, breakdown = score_turn(
+        scored = score_turn(
             response, estimate, state.judge_context(), scripted.truth, self.matcher
         )
         utterance = state.latest
@@ -319,12 +322,12 @@ class DialogueEnv:
             addressed=response.addressed_slots,
             continues=response.continues,
             estimate=dict(estimate.entries),
-            profile_reward=breakdown.profile,
-            response_reward=breakdown.response,
-            total_reward=breakdown.total,
-            criteria=_criteria_dict(judgment),
-            dimensions=judgment.dimensions(),
-            aligned=alignment_verdict(response, judgment, scripted.truth, self.matcher),
+            profile_reward=scored.profile,
+            response_reward=scored.response,
+            total_reward=scored.total,
+            criteria=scored.criteria,
+            dimensions=scored.dimensions,
+            aligned=scored.aligned,
             theoretical_max=scripted.theoretical_max,
         )
         if index + 1 < len(self._script):
@@ -429,16 +432,6 @@ class EvidenceOracleAgent:
         return AgentAction(response=make_response(addressed, continues=True), estimate=estimate)
 
 
-def _criteria_dict(judgment: ResponseJudgment) -> dict[str, int]:
-    return {
-        "naturalness": judgment.naturalness,
-        "relevance": judgment.relevance,
-        "logical_consistency": judgment.logical_consistency,
-        "engagement": judgment.engagement,
-        "informativeness": judgment.informativeness,
-    }
-
-
 def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> EpisodeRecord:
     """Play one full episode and return its self-contained record."""
     env.reset()
@@ -464,10 +457,11 @@ def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> Epi
 
 
 def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) -> list[RewardBreakdown]:
-    """Recompute every turn's rewards from the raw logged fields.
+    """Recompute every turn's rewards, criteria, dimensions and alignment
+    verdict from the raw logged fields.
 
     Used to check that episode logs are self-contained: the replay must
-    reproduce the logged breakdowns exactly (same judge, same matcher).
+    reproduce the logged values exactly (same judge, same matcher).
     """
     matcher = matcher or SlotMatcher.parse(record.matcher)
     schema = record.schema_object()
@@ -479,7 +473,7 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
                 text=t.user_text, evidence=t.evidence, turn=t.turn, topic_slots=t.topic_slots
             )
         )
-        _, breakdown = score_turn(
+        breakdowns.append(score_turn(
             ResponseRecord(
                 addressed_slots=t.addressed, continues=t.continues, text=t.response_text
             ),
@@ -487,8 +481,7 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
             state.judge_context(),
             Profile(schema=schema, entries=record.effective_truth_at(t.turn)),
             matcher,
-        )
-        breakdowns.append(breakdown)
+        ))
     return breakdowns
 
 

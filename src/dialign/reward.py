@@ -60,14 +60,14 @@ class ResponseJudgment:
     goal_alignment: float
     persona_coherence: float
 
-    def criteria(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.naturalness,
-            self.relevance,
-            self.logical_consistency,
-            self.engagement,
-            self.informativeness,
-        )
+    def criteria(self) -> dict[str, int]:
+        return {
+            "naturalness": self.naturalness,
+            "relevance": self.relevance,
+            "logical_consistency": self.logical_consistency,
+            "engagement": self.engagement,
+            "informativeness": self.informativeness,
+        }
 
     def dimensions(self) -> dict[str, float]:
         return {
@@ -135,7 +135,7 @@ class RuleJudge:
 def response_reward(judgment: ResponseJudgment) -> int:
     """Product of the five binary criteria: 1 only if all pass."""
     total = 1
-    for criterion in judgment.criteria():
+    for criterion in judgment.criteria().values():
         if criterion not in (0, 1):
             raise ValueError(f"criteria must be binary, got {criterion!r}")
         total *= criterion

@@ -14,13 +14,15 @@ observation stack and one row of uniforms per observation to a
 ``DecisionBatch``.  The scripted user ignores the agent, so every episode's
 observations are known before it starts, and decisions are drawn up front
 for a whole training round or eval call in one policy call
-(``draw_decisions``); ``PolicyAgent`` acts out one episode's slice.  Each
-PPO epoch computes the log-probabilities and their gradients in one pass.
+(``draw_decisions``); ``PolicyAgent`` acts out its episode's rows.  A
+round stays one row-stacked ``RoundBatch`` from the draw to the update.
 
-The update is clipped-surrogate PPO: for each collected batch the sampling
-policy is frozen (its log-probabilities are stored with the trajectories),
-advantages come from generalized advantage estimation with a terminal value
-of zero, advantages are normalized per batch, and the actor ascends
+The update is clipped-surrogate PPO: for each collected round the sampling
+policy is frozen (its log-probabilities are stored in the round batch),
+advantages come from one generalized advantage estimation pass over the
+round with a terminal value of zero, advantages are normalized per round,
+each epoch computes log-probabilities and gradients in one pass, and the
+actor ascends
 
     E[ min(ratio * A, clip(ratio, 1 - eps, 1 + eps) * A) ]
 
@@ -32,9 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
-from itertools import islice
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .env import (
     observation_dim,
     rollout,
 )
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, SchemaError
 from .profiles import Profile, SlotMatcher, SlotSchema
 from .reward import combined_reward
 from .user_sim import UserConfig
@@ -126,16 +127,8 @@ class DecisionBatch:
     response_choice: np.ndarray  # (N,) ints in [0, n_slots]
     engage: np.ndarray  # (N,) in {0, 1}
 
-    @classmethod
-    def concatenate(cls, batches: Sequence["DecisionBatch"]) -> "DecisionBatch":
-        columns = {f.name: [getattr(b, f.name) for b in batches] for f in fields(cls)}
-        return cls(**{name: np.concatenate(parts) for name, parts in columns.items()})
-
     def __len__(self) -> int:
         return self.global_feats.shape[0]
-
-    def __getitem__(self, rows: slice) -> "DecisionBatch":
-        return DecisionBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 class CategoricalSlotPolicy:
@@ -272,7 +265,6 @@ class LinearValue:
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (dim,):
             raise ConfigError(f"phi must have shape ({dim},), got {phi.shape}")
-        self.dim = dim
         self.phi = phi.copy()
 
     def predict(self, flat_obs: np.ndarray) -> float:
@@ -282,35 +274,44 @@ class LinearValue:
         return features @ self.phi
 
 
-# --- trajectories and GAE ------------------------------------------------------
+# --- round batches and GAE -------------------------------------------------------
 
 
-@dataclass
-class Trajectory:
-    """One episode's worth of training data, sampled under a frozen policy.
+@dataclass(frozen=True)
+class RoundBatch:
+    """One training round's data, sampled under a frozen policy, row-stacked
+    episode after episode; ``lengths`` gives each episode's turn count.
 
-    ``features`` holds the flattened observation of each turn, the critic's
-    input.
+    ``features`` holds the flattened observation of each row, the critic's
+    input, and ``values`` the critic's per-row prediction of it.
     """
 
-    batch: DecisionBatch
+    decisions: DecisionBatch
     features: np.ndarray
     log_probs_old: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
+    lengths: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.batch)
+        n = len(self.decisions)
         if not (
             self.features.shape[0] == n
             and self.log_probs_old.shape == (n,)
             and self.values.shape == (n,)
             and self.rewards.shape == (n,)
+            and self.lengths.ndim == 1
+            and self.lengths.size > 0
+            and np.all(self.lengths >= 1)
+            and self.lengths.sum() == n
         ):
-            raise ValueError("trajectory fields must share one length")
+            raise ValueError("round batch columns must share one length, split by episode lengths")
 
-    def __len__(self) -> int:
-        return len(self.batch)
+
+def episode_rows(lengths: Sequence[int]) -> list[slice]:
+    """Each episode's rows in a stack of episodes of these lengths, in order."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - n, end) for n, end in zip(lengths, ends)]
 
 
 def compute_gae(
@@ -319,26 +320,27 @@ def compute_gae(
     gamma: float,
     lam: float,
 ) -> np.ndarray:
-    """Backward-recursive generalized advantage estimation.
+    """Backward-recursive generalized advantage estimation over an
+    (episodes x turns) table; a 1-D input is one episode.
 
     delta_t = r_t + gamma * V(s_{t+1}) - V(s_t), with V past the final step
-    taken as 0, and A_t = delta_t + gamma * lam * A_{t+1}.
+    taken as 0, and A_t = delta_t + gamma * lam * A_{t+1}.  Zero rewards and
+    values padding an episode add exactly 0, so its advantages keep their bits.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    if rewards.shape != values.shape or rewards.ndim != 1:
-        raise ValueError(
-            f"rewards and values must be equal-length vectors, got {rewards.shape} vs {values.shape}"
-        )
-    horizon = rewards.size
-    advantages = np.zeros(horizon)
-    last = 0.0
-    for t in reversed(range(horizon)):
-        next_value = values[t + 1] if t + 1 < horizon else 0.0
-        delta = rewards[t] + gamma * next_value - values[t]
+    if rewards.shape != values.shape or rewards.ndim not in (1, 2):
+        raise ValueError(f"rewards and values must share a 1-D or 2-D shape, got "
+                         f"{rewards.shape} vs {values.shape}")
+    table_r, table_v = np.atleast_2d(rewards), np.atleast_2d(values)
+    advantages = np.zeros_like(table_r)
+    next_value = last = np.zeros(table_r.shape[0])
+    for t in reversed(range(table_r.shape[1])):
+        delta = table_r[:, t] + gamma * next_value - table_v[:, t]
         last = delta + gamma * lam * last
-        advantages[t] = last
-    return advantages
+        advantages[:, t] = last
+        next_value = table_v[:, t]
+    return advantages.reshape(rewards.shape)
 
 
 def policy_ratio(
@@ -380,34 +382,30 @@ def draw_decisions(
     policy: CategoricalSlotPolicy,
     stacks: Sequence[Observation],
     seeds: Sequence[Sequence[int]] | None = None,
-) -> list[tuple[DecisionBatch, np.ndarray]]:
-    """Each episode's decisions and log-probabilities, from one policy call
-    over the concatenated observation stacks.
+) -> tuple[DecisionBatch, np.ndarray]:
+    """Every episode's decisions and log-probabilities, row-stacked in the
+    order of ``stacks``, from one policy call.
 
     Episode i's uniforms are one ``(T_i, n_slots + 2)`` draw from
-    ``default_rng(seeds[i])``, so its decisions are exactly those ``sample``
+    ``default_rng(seeds[i])``, so its rows are exactly those ``sample``
     makes from that block alone.  ``seeds=None`` takes greedy decisions.
     """
-    sizes = [len(stack.global_feats) for stack in stacks]
     slot_feats = np.concatenate([stack.slot_feats for stack in stacks])
     global_feats = np.concatenate([stack.global_feats for stack in stacks])
     obs = Observation(slot_feats, global_feats, stacks[0].slot_names)
     if seeds is None:
         batch = policy.greedy(obs)
-        log_probs = policy.log_prob_batch(batch)
-    else:
-        uniforms = np.concatenate(
-            [np.random.default_rng(seed).random((size, policy.n_slots + 2))
-             for size, seed in zip(sizes, seeds, strict=True)]
-        )
-        batch, log_probs = policy.sample_with_log_prob(obs, uniforms)
-    bounds = np.cumsum([0] + sizes).tolist()
-    return [(batch[a:b], log_probs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return batch, policy.log_prob_batch(batch)
+    uniforms = np.concatenate(
+        [np.random.default_rng(seed).random((len(stack.global_feats), policy.n_slots + 2))
+         for stack, seed in zip(stacks, seeds, strict=True)]
+    )
+    return policy.sample_with_log_prob(obs, uniforms)
 
 
 class PolicyAgent:
-    """Acts out one episode's decisions, drawn up front for a whole training
-    round or eval call by ``draw_decisions``, as an environment Agent.
+    """Acts out its episode's rows of the decisions ``draw_decisions`` drew
+    up front for a whole training round or eval call, as an environment Agent.
 
     Each turn translates its row into a concrete action: included slots take
     their latest evidence value (or the unknown placeholder when the policy
@@ -415,12 +413,11 @@ class PolicyAgent:
     when the estimate actually carries it.
     """
 
-    def __init__(self, decisions: DecisionBatch) -> None:
-        self.decisions = decisions
+    def __init__(self, decisions: DecisionBatch, rows: slice) -> None:
         # Plain lists: each turn reads one row, and numpy scalars are slow to read.
-        self._include = decisions.include.astype(bool).tolist()
-        self._choice = decisions.response_choice.tolist()
-        self._engage = decisions.engage.astype(bool).tolist()
+        self._include = decisions.include[rows].astype(bool).tolist()
+        self._choice = decisions.response_choice[rows].tolist()
+        self._engage = decisions.engage[rows].astype(bool).tolist()
 
     def act(self, view: EnvView) -> AgentAction:
         row = view.turn - 1
@@ -442,15 +439,11 @@ class PolicyAgent:
             response=make_response(addressed, continues=self._engage[row]), estimate=estimate
         )
 
-    def finish(
-        self, record: EpisodeRecord, weights: tuple[float, float], features: np.ndarray,
-        log_probs_old: np.ndarray, values: np.ndarray,
-    ) -> Trajectory:
-        """The played episode as a trajectory, rewards weighted per turn."""
+    def finish(self, record: EpisodeRecord, weights: tuple[float, float]) -> np.ndarray:
+        """The played episode's rewards, weighted per turn."""
         profile = np.array([t.profile_reward for t in record.turns])
         response = np.array([t.response_reward for t in record.turns])
-        rewards = combined_reward(profile, response, weights)
-        return Trajectory(self.decisions, features, log_probs_old, values, rewards)
+        return combined_reward(profile, response, weights)
 
 
 def collect(
@@ -461,26 +454,34 @@ def collect(
     weights: tuple[float, float],
     matcher: SlotMatcher,
     round_index: int,
-) -> tuple[list[Trajectory], list[EpisodeRecord]]:
-    """Sample a batch of episodes under the frozen current policy and critic:
+) -> tuple[RoundBatch, list[EpisodeRecord]]:
+    """Sample a round of episodes under the frozen current policy and critic:
     one ``draw_decisions`` call for the round, each scenario valued once."""
     samples = range(cfg.samples_per_scenario)
-    stacks = [config.episode_table.observations for _, config in scenarios]
-    seeds = [[cfg.seed, round_index, idx, s] for idx in range(len(stacks)) for s in samples]
-    drawn = iter(draw_decisions(policy, [stack for stack in stacks for _ in samples], seeds))
-    trajectories: list[Trajectory] = []
+    stacks = [config.episode_table.observations for _, config in scenarios for _ in samples]
+    seeds = [[cfg.seed, round_index, idx, s] for idx in range(len(scenarios)) for s in samples]
+    decisions, log_probs = draw_decisions(policy, stacks, seeds)
+    lengths = [len(stack.global_feats) for stack in stacks]
+    rows = iter(episode_rows(lengths))
+    features, values, rewards = [], [], []
     records: list[EpisodeRecord] = []
-    for (scenario_id, config), stack in zip(scenarios, stacks):
+    for scenario_id, config in scenarios:
         env = DialogueEnv(config, matcher=matcher)
-        features = stack.flat()
+        flat = config.episode_table.observations.flat()
         # Per-row 1-D dot products: a matrix-vector product can round differently.
-        values = np.array([value_fn.predict(row) for row in features])
-        for decisions, log_probs in islice(drawn, len(samples)):
-            agent = PolicyAgent(decisions)
+        predicted = np.array([value_fn.predict(row) for row in flat])
+        for _ in samples:
+            agent = PolicyAgent(decisions, next(rows))
             record = rollout(env, agent, scenario_id=scenario_id)
-            trajectories.append(agent.finish(record, weights, features, log_probs, values))
+            rewards.append(agent.finish(record, weights))
             records.append(record)
-    return trajectories, records
+            features.append(flat)
+            values.append(predicted)
+    batch = RoundBatch(
+        decisions, np.concatenate(features), log_probs, np.concatenate(values),
+        np.concatenate(rewards), np.array(lengths),
+    )
+    return batch, records
 
 
 # --- the PPO update -------------------------------------------------------------
@@ -497,28 +498,26 @@ class UpdateStats:
 def update(
     policy: CategoricalSlotPolicy,
     value_fn: LinearValue,
-    trajectories: Sequence[Trajectory],
+    batch: RoundBatch,
     cfg: PPOConfig,
 ) -> UpdateStats:
-    """One PPO update over a batch of trajectories (in place)."""
-    if not trajectories:
-        raise ValueError("update needs at least one trajectory")
+    """One PPO update over a round batch (in place)."""
     if not np.all(np.isfinite(policy.theta)) or not np.all(np.isfinite(value_fn.phi)):
         raise FloatingPointError("non-finite parameters entering update")
-    gae = np.concatenate(
-        [compute_gae(traj.rewards, traj.values, cfg.gamma, cfg.lam) for traj in trajectories]
-    )
-    returns = gae + np.concatenate([traj.values for traj in trajectories])
+    # (episodes x turns) tables, zero past each episode's end.
+    in_episode = np.arange(batch.lengths.max()) < batch.lengths[:, None]
+    rewards, values = np.zeros(in_episode.shape), np.zeros(in_episode.shape)
+    rewards[in_episode], values[in_episode] = batch.rewards, batch.values
+    gae = compute_gae(rewards, values, cfg.gamma, cfg.lam)[in_episode]
+    returns = gae + batch.values
     advantages = normalize_advantages(gae)
-    logp_old = np.concatenate([traj.log_probs_old for traj in trajectories])
-    features = np.concatenate([traj.features for traj in trajectories])
-    batch = DecisionBatch.concatenate([traj.batch for traj in trajectories])
+    logp_old, features, decisions = batch.log_probs_old, batch.features, batch.decisions
     n = logp_old.size
 
     clip_fractions: list[float] = []
     surrogates: list[float] = []
     for _ in range(cfg.epochs):
-        logp_new, grad_rows = policy.log_prob_and_grad(batch)
+        logp_new, grad_rows = policy.log_prob_and_grad(decisions)
         ratio = policy_ratio(logp_new, logp_old, clamp=cfg.ratio_clamp)
         surrogate = ppo_surrogate(ratio, advantages, cfg.clip_eps)
         surrogates.append(float(np.mean(surrogate)))
@@ -594,6 +593,21 @@ def _batch_reward_means(records: Sequence[EpisodeRecord]) -> tuple[float, float,
     )
 
 
+def check_schema(schemas: Iterable[tuple[str, SlotSchema]], expected: SlotSchema) -> None:
+    """Refuse the first scenario whose schema (name, slots or openness) is
+    not ``expected``: one policy and critic fit one slot layout."""
+
+    def describe(schema: SlotSchema) -> str:
+        return f"{schema.name!r} ({len(schema.slots)} slots, open={schema.open_schema})"
+
+    for scenario_id, schema in schemas:
+        if schema != expected:
+            raise SchemaError(
+                f"scenario {scenario_id} has schema {describe(schema)}, "
+                f"which does not match {describe(expected)}"
+            )
+
+
 def train(
     scenarios: Sequence[tuple[str, UserConfig]],
     cfg: PPOConfig,
@@ -607,9 +621,7 @@ def train(
     if not scenarios:
         raise ConfigError("training needs at least one scenario")
     schema = scenarios[0][1].profile.schema
-    for _, config in scenarios:
-        if config.profile.schema.name != schema.name:
-            raise ConfigError("all training scenarios must share a schema")
+    check_schema(((sid, config.profile.schema) for sid, config in scenarios), schema)
     matcher = matcher or SlotMatcher(kind="exact")
     n_slots = len(schema.slots)
     policy = policy or CategoricalSlotPolicy(n_slots)
@@ -619,11 +631,11 @@ def train(
     step = start_step
     for round_index in range(cfg.total_rounds):
         step = start_step + round_index + 1
-        trajectories, records = collect(
+        batch, records = collect(
             scenarios, policy, value_fn, cfg, weights, matcher, round_index=step
         )
         mean_total, mean_profile, mean_response = _batch_reward_means(records)
-        stats = update(policy, value_fn, trajectories, cfg)
+        stats = update(policy, value_fn, batch, cfg)
         curve.append(
             CurveRow(
                 step=step,

@@ -49,6 +49,7 @@ from dialign.rl import (
     PPOConfig,
     collect,
     draw_decisions,
+    episode_rows,
     numerical_log_prob_grad,
     policy_ratio,
     train,
@@ -230,10 +231,10 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
     cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=2)
     policy = CategoricalSlotPolicy(n_slots=10, theta=rng.normal(0, 0.3, POLICY_DIM))
     value_fn = LinearValue(dim=observation_dim(10))
-    trajectories, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), _EXACT, 0)
-    batch = DecisionBatch.concatenate([t.batch for t in trajectories])
-    stored = np.concatenate([t.log_probs_old for t in trajectories])
-    ratios = np.asarray(policy_ratio(policy.log_prob_batch(batch), stored, cfg.ratio_clamp))
+    batch, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), _EXACT, 0)
+    stored = batch.log_probs_old
+    recomputed = policy.log_prob_batch(batch.decisions)
+    ratios = np.asarray(policy_ratio(recomputed, stored, cfg.ratio_clamp))
     max_ratio_err = float(np.max(np.abs(ratios - 1.0)))
     ratio_ok = max_ratio_err <= 1e-12
 
@@ -251,9 +252,11 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
 
 def _greedy_records(policy: CategoricalSlotPolicy, pairs) -> list:
     stacks = [ucfg.episode_table.observations for _, ucfg in pairs]
+    decisions, _ = draw_decisions(policy, stacks)
+    rows = episode_rows([len(stack.global_feats) for stack in stacks])
     return [
-        rollout(DialogueEnv(ucfg, matcher=_EXACT), PolicyAgent(decisions), sid)
-        for (sid, ucfg), (decisions, _) in zip(pairs, draw_decisions(policy, stacks))
+        rollout(DialogueEnv(ucfg, matcher=_EXACT), PolicyAgent(decisions, episode), sid)
+        for (sid, ucfg), episode in zip(pairs, rows)
     ]
 
 

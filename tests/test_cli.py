@@ -266,6 +266,45 @@ def test_resume_with_other_schema_name_exits_2(
     assert code == 2
 
 
+def test_scenarios_whose_schemas_differ_exit_2_before_writing(
+    trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # Two extended scenarios share the schema name, but one lost a slot.
+    mixed = tmp_path / "mixed"
+    assert main(["gen-scenarios", "--out", str(mixed), "--count", "2", "--seed", "3",
+                 "--extended"]) == 0
+    path = mixed / "scenario_0001.json"
+    payload = json.loads(path.read_text())
+    del payload["profile"]["entries"][next(iter(payload["profile"]["entries"]))]
+    path.write_text(json.dumps(payload))
+    run = tmp_path / "run"
+    assert main(["train", "--scenarios", str(mixed / "scenario_0000.json"), "--out", str(run),
+                 "--rounds", "1", "--samples", "1"]) == 0
+    checkpoint = str(run / "checkpoint.json")
+
+    # A checkpoint that differs from its scenarios only in openness.
+    reopened = json.loads((trained_dir / "checkpoint.json").read_text())
+    reopened["schema"]["open"] = True
+    reopened_path = tmp_path / "reopened.json"
+    reopened_path.write_text(json.dumps(reopened))
+
+    out = tmp_path / "out"
+    for args, scenario in (
+        (["train", "--scenarios", str(mixed), "--rounds", "1"], "scenario_0001"),
+        (["train", "--scenarios", str(mixed), "--rounds", "1", "--resume", checkpoint],
+         "scenario_0001"),
+        (["eval", "--scenarios", str(mixed), "--checkpoint", checkpoint], "scenario_0001"),
+        (["eval", "--scenarios", str(scenario_dir), "--checkpoint", str(reopened_path)],
+         "scenario_0000"),
+    ):
+        capsys.readouterr()
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"scenario {scenario} " in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "changed",
     [["--seed", "99"], ["--weights", "0,1"], ["--matcher", "token:0.5"], ["--epochs", "2"]],

@@ -28,7 +28,8 @@ from dialign.env import (
 import dialign.user_sim
 from dialign.errors import ConfigError, ProtocolError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall
-from dialign.scenarios import generate_scenarios
+from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows
+from dialign.scenarios import default_conflict, generate_scenarios
 from dialign.user_sim import ConflictSpec, UserConfig, reveal_order
 
 _POOLS = json.loads(
@@ -141,10 +142,11 @@ def test_user_side_is_walked_once_per_config(monkeypatch: pytest.MonkeyPatch) ->
 
 
 def test_breakdown_total_is_exact_sum() -> None:
-    breakdown = RewardBreakdown(profile=0.25, response=1.0, total=1.25)
+    verdicts = dict(criteria={}, dimensions={}, aligned=False)
+    breakdown = RewardBreakdown(profile=0.25, response=1.0, total=1.25, **verdicts)
     assert breakdown.total == breakdown.profile + breakdown.response
     with pytest.raises(ValueError):
-        RewardBreakdown(profile=0.25, response=1.0, total=1.0)
+        RewardBreakdown(profile=0.25, response=1.0, total=1.0, **verdicts)
 
 
 def test_oracle_agent_profile_curve_matches_closed_form() -> None:
@@ -349,11 +351,65 @@ def test_replay_reproduces_logged_rewards_of_a_random_agent(
     )
     env = DialogueEnv(config, matcher=SlotMatcher.parse(matcher_spec))
     record = rollout(env, _RandomAgent(agent_seed), scenario_id="random")
-    logged = [
-        RewardBreakdown(t.profile_reward, t.response_reward, t.total_reward) for t in record.turns
-    ]
+    logged = _logged(record)
     assert replay_rewards(record) == logged
     assert replay_rewards(EpisodeRecord.from_json(record.to_json())) == logged
+
+
+def _logged(record: EpisodeRecord) -> list[RewardBreakdown]:
+    """Every turn's logged rewards and verdicts, in the shape replay returns."""
+    return [
+        RewardBreakdown(
+            t.profile_reward, t.response_reward, t.total_reward, t.criteria, t.dimensions,
+            t.aligned,
+        )
+        for t in record.turns
+    ]
+
+
+def _episode_agents(kind: str, env: DialogueEnv, seed: int) -> list:
+    if kind == "oracle":
+        return [EvidenceOracleAgent()]
+    if kind == "random":
+        return [_RandomAgent(seed + k) for k in range(4)]
+    stack = env.config.episode_table.observations
+    policy = CategoricalSlotPolicy(len(env.schema.slots), random.Random(seed).choices(
+        [-2.0, -0.5, 0.0, 0.5, 2.0], k=POLICY_DIM
+    ))
+    seeds = [[seed, k] for k in range(4)]
+    decisions, _ = draw_decisions(policy, [stack] * len(seeds), seeds)
+    return [PolicyAgent(decisions, rows) for rows in episode_rows([len(stack.global_feats)] * 4)]
+
+
+@pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])
+@pytest.mark.parametrize("with_conflict", [False, True])
+@pytest.mark.parametrize("kind", ["oracle", "random", "policy"])
+def test_replay_reproduces_every_logged_turn_and_catches_tampering(
+    kind: str, with_conflict: bool, matcher_spec: str
+) -> None:
+    matcher = SlotMatcher.parse(matcher_spec)
+    rng = random.Random(29)
+    for scenario in generate_scenarios(3, seed=29):
+        conflict = None
+        if with_conflict:
+            conflict = default_conflict(scenario.profile, scenario.style_seed, rng, matcher=matcher)
+        env = DialogueEnv(scenario.user_config(conflict=conflict), matcher=matcher)
+        for agent in _episode_agents(kind, env, scenario.style_seed):
+            record = rollout(env, agent, scenario_id=scenario.scenario_id)
+            assert replay_rewards(record) == _logged(record)
+            line = record.to_json()
+            assert replay_rewards(EpisodeRecord.from_json(line)) == _logged(record)
+
+            turn = rng.randrange(len(record.turns))
+            criterion = rng.choice(sorted(record.turns[turn].criteria))
+            for field, change in (
+                ("criteria", lambda t: {**t["criteria"], criterion: 1 - t["criteria"][criterion]}),
+                ("aligned", lambda t: not t["aligned"]),
+            ):
+                payload = json.loads(line)
+                payload["turns"][turn][field] = change(payload["turns"][turn])
+                tampered = EpisodeRecord.from_json(json.dumps(payload))
+                assert replay_rewards(tampered) != _logged(tampered)
 
 
 class _EvidenceSubsetAgent:

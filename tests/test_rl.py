@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +19,12 @@ from dialign.rl import (
     DecisionBatch,
     LinearValue,
     PPOConfig,
-    Trajectory,
+    RoundBatch,
     collect,
     compute_gae,
     draw_decisions,
     config_fingerprint,
+    episode_rows,
     load_checkpoint,
     normalize_advantages,
     numerical_log_prob_grad,
@@ -66,6 +67,11 @@ def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBat
         response_choice=rng.integers(0, _N_SLOTS + 1, size=rows),
         engage=rng.integers(0, 2, size=rows).astype(float),
     )
+
+
+def _row(batch: DecisionBatch, t: int) -> DecisionBatch:
+    """Row ``t`` of the batch as a one-row batch."""
+    return DecisionBatch(**{f.name: getattr(batch, f.name)[t : t + 1] for f in fields(batch)})
 
 
 def _decisions(batch: DecisionBatch) -> list[tuple[tuple[int, ...], int, bool]]:
@@ -156,6 +162,31 @@ def test_gae_general_lambda_matches_exponential_sum_oracle() -> None:
 def test_gae_shape_mismatch_raises() -> None:
     with pytest.raises(ValueError):
         compute_gae([1.0, 2.0], [0.0], gamma=1.0, lam=1.0)
+    with pytest.raises(ValueError):
+        compute_gae(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), gamma=1.0, lam=1.0)
+
+
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8),
+    gamma=st.floats(min_value=0.0, max_value=1.0),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_padded_round_gae_equals_per_episode_gae(
+    lengths: list[int], gamma: float, lam: float, seed: int
+) -> None:
+    # One pass over an (episodes x turns) table zero-padded to the longest
+    # episode gives every episode the bits of its own 1-D pass.
+    rng = np.random.default_rng(seed)
+    episodes = [(rng.uniform(-2, 2, size=n), rng.uniform(-2, 2, size=n)) for n in lengths]
+    rewards, values = np.zeros((len(lengths), max(lengths))), np.zeros((len(lengths), max(lengths)))
+    for row, (r, v) in enumerate(episodes):
+        rewards[row, : r.size], values[row, : v.size] = r, v
+    table = compute_gae(rewards, values, gamma=gamma, lam=lam)
+    for row, (r, v) in enumerate(episodes):
+        assert np.array_equal(table[row, : r.size], compute_gae(r, v, gamma=gamma, lam=lam))
+        assert not table[row, r.size :].any()
 
 
 # --- ratios and surrogate --------------------------------------------------------------
@@ -253,13 +284,13 @@ def test_log_prob_single_equals_batch_row() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
     batch = _random_decisions(rng, _random_observations(rng, rows=6))
     batched = policy.log_prob_batch(batch)
-    singles = [float(policy.log_prob_batch(batch[t : t + 1])[0]) for t in range(6)]
+    singles = [float(policy.log_prob_batch(_row(batch, t))[0]) for t in range(6)]
     assert batched.tolist() == pytest.approx(singles, abs=0.0)
     # The finite-difference reference gives one gradient row per batch row.
     numeric = numerical_log_prob_grad(policy, batch)
     assert numeric.shape == (6, POLICY_DIM)
     for t in range(6):
-        assert numeric[t].tolist() == numerical_log_prob_grad(policy, batch[t : t + 1])[0].tolist()
+        assert numeric[t].tolist() == numerical_log_prob_grad(policy, _row(batch, t))[0].tolist()
 
 
 def test_sample_with_log_prob_agrees_with_log_prob() -> None:
@@ -348,31 +379,34 @@ def test_round_draw_equals_per_episode_draws(
     scenario_list = generate_scenarios(len(horizons), seed=seed % 997)
     pairs = [(s.scenario_id, s.user_config(horizon=h)) for s, h in zip(scenario_list, horizons)]
     cfg = PPOConfig(samples_per_scenario=samples, seed=seed)
-    trajectories, records = collect(
+    batch, records = collect(
         pairs, policy, value_fn, cfg, weights, SlotMatcher(kind="exact"), round_index
     )
-    assert len(trajectories) == len(pairs) * samples
-    for k, (traj, record) in enumerate(zip(trajectories, records)):
+    assert len(records) == len(pairs) * samples
+    assert batch.lengths.tolist() == [h for h in horizons for _ in range(samples)]
+    rows = episode_rows(batch.lengths)
+    for k, (episode, record) in enumerate(zip(rows, records)):
         idx, sample = divmod(k, samples)
         stack = pairs[idx][1].episode_table.observations
         # The per-episode draw: sample on the episode's own uniform block.
         rng = np.random.default_rng([seed, round_index, idx, sample])
         expected = policy.sample(stack, rng.random((len(stack.global_feats), _N_SLOTS + 2)))
         for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
-            assert np.array_equal(getattr(traj.batch, name), getattr(expected, name))
-        assert np.array_equal(traj.log_probs_old, policy.log_prob_batch(expected))
-        assert traj.values.tolist() == [value_fn.predict(row) for row in stack.flat()]
-        assert np.array_equal(traj.features, stack.flat())
-        assert traj.rewards.tolist() == [
+            assert np.array_equal(getattr(batch.decisions, name)[episode], getattr(expected, name))
+        assert np.array_equal(batch.log_probs_old[episode], policy.log_prob_batch(expected))
+        assert batch.values[episode].tolist() == [value_fn.predict(row) for row in stack.flat()]
+        assert np.array_equal(batch.features[episode], stack.flat())
+        assert batch.rewards[episode].tolist() == [
             combined_reward(t.profile_reward, t.response_reward, weights) for t in record.turns
         ]
 
     # Greedy eval goes through the same up-front path.
     stacks = [config.episode_table.observations for _, config in pairs for _ in range(samples)]
-    for (decisions, log_probs), stack in zip(draw_decisions(policy, stacks), stacks):
+    decisions, log_probs = draw_decisions(policy, stacks)
+    for episode, stack in zip(rows, stacks):
         expected = policy.greedy(stack)
-        assert _decisions(decisions) == _decisions(expected)
-        assert np.array_equal(log_probs, policy.log_prob_batch(expected))
+        assert _decisions(decisions)[episode] == _decisions(expected)
+        assert np.array_equal(log_probs[episode], policy.log_prob_batch(expected))
 
 
 def test_greedy_decision_maximizes_each_head() -> None:
@@ -401,13 +435,9 @@ def test_ratios_are_exactly_one_right_after_collection() -> None:
     cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=1)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
-    trajectories, _ = collect(
-        pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0
-    )
-    batch = DecisionBatch.concatenate([t.batch for t in trajectories])
-    stored = np.concatenate([t.log_probs_old for t in trajectories])
-    recomputed = policy.log_prob_batch(batch)
-    ratios = policy_ratio(recomputed, stored, cfg.ratio_clamp)
+    batch, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0)
+    recomputed = policy.log_prob_batch(batch.decisions)
+    ratios = policy_ratio(recomputed, batch.log_probs_old, cfg.ratio_clamp)
     assert np.max(np.abs(np.asarray(ratios) - 1.0)) <= 1e-12
 
 
@@ -419,8 +449,8 @@ def test_collection_is_deterministic_given_seed_and_round() -> None:
     def run() -> list[float]:
         policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
         value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
-        trajectories, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), matcher, 0)
-        return [float(r) for t in trajectories for r in t.rewards]
+        batch, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), matcher, 0)
+        return batch.rewards.tolist()
 
     assert run() == run()
 
@@ -431,9 +461,8 @@ def test_stored_values_are_per_row_predictions() -> None:
     dim = observation_dim(_N_SLOTS)
     value_fn = LinearValue(dim=dim, phi=np.random.default_rng(61).normal(size=dim))
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
-    trajectories, _ = collect(
-        pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0
-    )
+    batch, _ = collect(pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0)
+    rows = episode_rows(batch.lengths)
     for index, (_, config) in enumerate(pairs):
         # Walk the user side afresh and value each turn's observation on its own.
         schema, horizon = config.profile.schema, config.horizon
@@ -444,8 +473,8 @@ def test_stored_values_are_per_row_predictions() -> None:
             utterance, user = step
             state = state.with_user_turn(utterance)
             expected.append(value_fn.predict(observe([state], schema, horizon).flat()[0]))
-        for traj in trajectories[2 * index : 2 * index + 2]:
-            assert traj.values.tolist() == expected
+        for episode in rows[2 * index : 2 * index + 2]:
+            assert batch.values[episode].tolist() == expected
 
 
 def test_episode_table_observations_are_read_only_and_survive_collection() -> None:
@@ -461,61 +490,76 @@ def test_episode_table_observations_are_read_only_and_survive_collection() -> No
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
     for round_index in (1, 2):
-        trajectories, _ = collect(
+        batch, _ = collect(
             pairs, policy, value_fn, cfg, (1.0, 1.0), SlotMatcher(kind="exact"), round_index
         )
-        update(policy, value_fn, trajectories, cfg)
+        update(policy, value_fn, batch, cfg)
     assert pairs[0][1].episode_table.observations is observations
     assert observations.slot_feats.tolist() == before[0].tolist()
     assert observations.global_feats.tolist() == before[1].tolist()
 
 
-def test_trajectory_length_validation() -> None:
+def test_round_batch_length_validation() -> None:
     rng = np.random.default_rng(43)
-    obs = _random_observations(rng)
-    batch = _random_decisions(rng, obs)
-    with pytest.raises(ValueError):
-        Trajectory(
-            batch=batch,
-            features=obs.flat(),
-            log_probs_old=np.zeros(2),
-            values=np.zeros(1),
-            rewards=np.zeros(1),
-        )
+    obs = _random_observations(rng, rows=3)
+    decisions = _random_decisions(rng, obs)
+    columns = dict(
+        decisions=decisions,
+        features=obs.flat(),
+        log_probs_old=np.zeros(3),
+        values=np.zeros(3),
+        rewards=np.zeros(3),
+        lengths=np.array([1, 2]),
+    )
+    RoundBatch(**columns)
+    for name, bad in (
+        ("log_probs_old", np.zeros(2)),
+        ("values", np.zeros(4)),
+        ("rewards", np.zeros((3, 1))),
+        ("features", obs.flat()[:2]),
+        ("lengths", np.array([1, 1])),
+        ("lengths", np.array([0, 3])),
+        ("lengths", np.array([[1, 2]])),
+        ("lengths", np.array([], dtype=int)),
+    ):
+        with pytest.raises(ValueError):
+            RoundBatch(**{**columns, name: bad})
 
 
 # --- updates ---------------------------------------------------------------------------
 
 
-def _toy_trajectories(
+def _toy_round(
     policy: CategoricalSlotPolicy,
     value_fn: LinearValue,
-    n_traj: int,
-    length: int,
+    lengths: list[int],
     seed: int,
     reward_fn=None,
-) -> list[Trajectory]:
+) -> RoundBatch:
+    """Random episodes of these lengths as one round batch; each episode
+    draws its observations, then its uniforms, then its rewards."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_traj):
-        stack = _random_observations(rng, rows=length)
-        batch = policy.sample(stack, rng.random((length, _N_SLOTS + 2)))
-        features = stack.flat()
-        values = np.array([value_fn.predict(row) for row in features])
+    stacks, uniforms, rewards = [], [], []
+    for length in lengths:
+        stacks.append(_random_observations(rng, rows=length))
+        uniforms.append(rng.random((length, _N_SLOTS + 2)))
         if reward_fn is None:
-            rewards = rng.uniform(0.0, 2.0, size=length)
-        else:
-            rewards = np.asarray(reward_fn(batch), dtype=float)
-        out.append(
-            Trajectory(
-                batch=batch,
-                features=features,
-                log_probs_old=policy.log_prob_batch(batch),
-                values=values,
-                rewards=rewards,
-            )
-        )
-    return out
+            rewards.append(rng.uniform(0.0, 2.0, size=length))
+    obs = Observation(
+        np.concatenate([o.slot_feats for o in stacks]),
+        np.concatenate([o.global_feats for o in stacks]),
+        _NAMES,
+    )
+    decisions = policy.sample(obs, np.concatenate(uniforms))
+    features = obs.flat()
+    return RoundBatch(
+        decisions=decisions,
+        features=features,
+        log_probs_old=policy.log_prob_batch(decisions),
+        values=np.array([value_fn.predict(row) for row in features]),
+        rewards=np.concatenate(rewards) if reward_fn is None else reward_fn(decisions) * 1.0,
+        lengths=np.array(lengths),
+    )
 
 
 def test_update_with_zero_variance_advantages_leaves_policy_unchanged() -> None:
@@ -524,11 +568,11 @@ def test_update_with_zero_variance_advantages_leaves_policy_unchanged() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
     cfg = PPOConfig(epochs=2, critic_lr=0.0)
-    trajectories = _toy_trajectories(
-        policy, value_fn, n_traj=3, length=4, seed=7, reward_fn=lambda b: np.zeros(len(b))
+    batch = _toy_round(
+        policy, value_fn, lengths=[4] * 3, seed=7, reward_fn=lambda b: np.zeros(len(b))
     )
     before = policy.theta.copy()
-    update(policy, value_fn, trajectories, cfg)
+    update(policy, value_fn, batch, cfg)
     assert policy.theta.tolist() == before.tolist()
 
 
@@ -537,16 +581,15 @@ def test_update_improves_surrogate_objective_on_fixed_batch() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(0, 0.1, POLICY_DIM))
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
     # Reward engaging responses only: the engage head has a clean signal.
-    trajectories = _toy_trajectories(
+    batch = _toy_round(
         policy,
         value_fn,
-        n_traj=8,
-        length=6,
+        lengths=[6] * 8,
         seed=11,
         reward_fn=lambda b: b.engage,
     )
     engage_before = float(policy.theta[7])
-    update(policy, value_fn, trajectories, PPOConfig(epochs=4, critic_lr=0.0))
+    update(policy, value_fn, batch, PPOConfig(epochs=4, critic_lr=0.0))
     engage_after = float(policy.theta[7])
     # The engage bias weight moves toward engaging.
     assert engage_after > engage_before
@@ -555,20 +598,40 @@ def test_update_improves_surrogate_objective_on_fixed_batch() -> None:
 def test_update_decreases_critic_loss_on_fixed_batch() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
-    trajectories = _toy_trajectories(policy, value_fn, n_traj=6, length=5, seed=13)
-    returns = np.concatenate([np.cumsum(t.rewards[::-1])[::-1] for t in trajectories])
-    feats = np.concatenate([t.features for t in trajectories])
+    batch = _toy_round(policy, value_fn, lengths=[5] * 6, seed=13)
+    returns = np.concatenate(
+        [np.cumsum(batch.rewards[rows][::-1])[::-1] for rows in episode_rows(batch.lengths)]
+    )
+    feats = batch.features
     loss_before = float(np.mean((feats @ value_fn.phi - returns) ** 2))
-    update(policy, value_fn, trajectories, PPOConfig(epochs=3, actor_lr=0.0, critic_lr=0.005))
+    update(policy, value_fn, batch, PPOConfig(epochs=3, actor_lr=0.0, critic_lr=0.005))
     loss_after = float(np.mean((feats @ value_fn.phi - returns) ** 2))
     assert loss_after < loss_before
+
+
+def test_update_advantages_are_per_episode_gae_for_mixed_lengths() -> None:
+    # Frozen actor and critic: the reported value loss is the squared error
+    # against the returns, so it pins every advantage bit of the one padded
+    # GAE pass to separate per-episode passes.
+    rng = np.random.default_rng(71)
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
+    dim = observation_dim(_N_SLOTS)
+    value_fn = LinearValue(dim=dim, phi=rng.normal(size=dim))
+    cfg = PPOConfig(epochs=1, actor_lr=0.0, critic_lr=0.0, gamma=0.9, lam=0.5)
+    batch = _toy_round(policy, value_fn, lengths=[3, 7, 1, 10, 13, 7], seed=23)
+    gae = np.concatenate([
+        compute_gae(batch.rewards[rows], batch.values[rows], cfg.gamma, cfg.lam)
+        for rows in episode_rows(batch.lengths)
+    ])
+    expected = float(np.mean((batch.features @ value_fn.phi - (gae + batch.values)) ** 2))
+    assert update(policy, value_fn, batch, cfg).value_loss == expected
 
 
 def test_update_reports_clip_fraction_in_unit_interval() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
-    trajectories = _toy_trajectories(policy, value_fn, n_traj=4, length=5, seed=17)
-    stats = update(policy, value_fn, trajectories, PPOConfig(epochs=3))
+    batch = _toy_round(policy, value_fn, lengths=[5] * 4, seed=17)
+    stats = update(policy, value_fn, batch, PPOConfig(epochs=3))
     assert 0.0 <= stats.clip_fraction <= 1.0
     assert np.isfinite(stats.value_loss)
 
@@ -576,10 +639,10 @@ def test_update_reports_clip_fraction_in_unit_interval() -> None:
 def test_update_raises_on_nonfinite_parameters() -> None:
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
     value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
-    trajectories = _toy_trajectories(policy, value_fn, n_traj=2, length=4, seed=19)
+    batch = _toy_round(policy, value_fn, lengths=[4] * 2, seed=19)
     policy.theta[0] = np.nan
     with pytest.raises(FloatingPointError):
-        update(policy, value_fn, trajectories, PPOConfig(epochs=1))
+        update(policy, value_fn, batch, PPOConfig(epochs=1))
 
 
 # --- training loop -----------------------------------------------------------------------
