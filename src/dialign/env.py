@@ -12,9 +12,10 @@ the turn-t action is scored against the truth in force at turn t.
 
 The scripted user never reads the agent's turns, so the user's side of an
 episode is known before it starts.  The environment replays the config's
-cached ``script`` through an ``EpisodeTable`` of every turn's dialogue
-state and the episode's observation stack, built once per config;
-``reset`` rewinds to turn 1 and ``step`` scores the turn, returns its
+cached ``script`` through an ``EpisodeTable`` of every turn's agent view
+(dialogue state and the episode's observation stack) and judge context,
+built once per config; ``reset`` rewinds to turn 1, ``view`` returns the
+current row's view, and ``step`` scores the turn, returns its
 ``TurnRecord`` and moves one row down the table.  Observations exist only
 as stacks with a leading turn axis (``observe`` maps T dialogue states to
 one), and agents see the whole episode's stack, which lets a policy draw
@@ -222,18 +223,21 @@ def score_turn(
     r_profile = profile_reward(estimate, truth, matcher)
     return RewardBreakdown(
         r_profile, r_response, r_profile + r_response, judgment.criteria(),
-        judgment.dimensions(), alignment_verdict(response, judgment, truth, matcher),
+        judgment.dimensions(), alignment_verdict(response, r_response, truth, matcher),
     )
 
 
 @dataclass(frozen=True)
 class EpisodeTable:
-    """Row t - 1 is the dialogue state after user turn t and its observation.
+    """Row t - 1 is what the agent sees and the judge reads for the agent
+    turn answering user turn t: the ``EnvView`` (which holds the dialogue
+    state) and the ``JudgeContext``; ``observations`` is the episode's stack.
 
     Read it as ``UserConfig.episode_table``, which builds it once per config.
     """
 
-    states: tuple[DialogueState, ...]
+    views: tuple[EnvView, ...]
+    contexts: tuple[JudgeContext, ...]
     observations: Observation
 
     @classmethod
@@ -243,11 +247,16 @@ class EpisodeTable:
         for scripted in config.script:
             state = state.with_user_turn(scripted.utterance)
             states.append(state)
-        observations = observe(states, config.profile.schema, config.horizon)
+        schema = config.profile.schema
+        observations = observe(states, schema, config.horizon)
         # Every episode of the config shares these arrays; nothing may write to them.
         observations.slot_feats.flags.writeable = False
         observations.global_feats.flags.writeable = False
-        return cls(tuple(states), observations)
+        return cls(
+            tuple(EnvView(state, observations, schema) for state in states),
+            tuple(state.judge_context() for state in states),
+            observations,
+        )
 
 
 class DialogueEnv:
@@ -281,7 +290,7 @@ class DialogueEnv:
     def reset(self) -> DialogueState:
         self._index = 0
         self._done = False
-        return self._table.states[0]
+        return self._table.views[0].state
 
     @property
     def done(self) -> bool:
@@ -293,11 +302,7 @@ class DialogueEnv:
         return self._index
 
     def view(self) -> EnvView:
-        return EnvView(
-            state=self._table.states[self._current()],
-            observations=self._table.observations,
-            schema=self.schema,
-        )
+        return self._table.views[self._current()]
 
     def step(self, action: AgentAction) -> TurnRecord:
         """Score ``action`` as the agent turn answering the current user turn,
@@ -306,11 +311,11 @@ class DialogueEnv:
         if self._done:
             raise ProtocolError("step() after the episode ended")
 
-        state = self._table.states[index]
+        state = self._table.views[index].state
         scripted = self._script[index]
         response, estimate = action.response, action.estimate
         scored = score_turn(
-            response, estimate, state.judge_context(), scripted.truth, self.matcher
+            response, estimate, self._table.contexts[index], scripted.truth, self.matcher
         )
         utterance = state.latest
         record = TurnRecord(

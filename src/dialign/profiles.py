@@ -63,24 +63,28 @@ class SlotSchema:
     """A named slot-name namespace.
 
     Closed schemas reject entries outside ``slots``; open schemas accept any
-    well-formed slot name (the Extended-style setting).
+    well-formed slot name (the Extended-style setting).  ``slot_set`` holds
+    the slots as a set for containment checks.
     """
 
     name: str
     slots: tuple[str, ...]
     open_schema: bool = False
+    slot_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("schema name must be non-empty")
-        if len(set(self.slots)) != len(self.slots):
+        slot_set = frozenset(self.slots)
+        if len(slot_set) != len(self.slots):
             raise ValueError("schema slots must be unique")
         for slot in self.slots:
             if not isinstance(slot, str) or not slot.strip():
                 raise ValueError(f"bad slot name: {slot!r}")
+        object.__setattr__(self, "slot_set", slot_set)
 
     def allows(self, slot: str) -> bool:
-        return self.open_schema or slot in self.slots
+        return self.open_schema or slot in self.slot_set
 
     @classmethod
     def aloe(cls) -> "SlotSchema":
@@ -99,13 +103,18 @@ class Profile:
     entries: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        schema = self.schema
+        # A closed schema's slots are all well-formed, so entries whose slots
+        # it contains need only their values checked.
+        slots_ok = not schema.open_schema and self.entries.keys() <= schema.slot_set
         for slot, value in self.entries.items():
-            if not isinstance(slot, str) or not slot.strip():
-                raise ValueError(f"bad slot name: {slot!r}")
-            if not self.schema.allows(slot):
-                raise SchemaError(
-                    f"slot {slot!r} not allowed by closed schema {self.schema.name!r}"
-                )
+            if not slots_ok:
+                if not isinstance(slot, str) or not slot.strip():
+                    raise ValueError(f"bad slot name: {slot!r}")
+                if not schema.allows(slot):
+                    raise SchemaError(
+                        f"slot {slot!r} not allowed by closed schema {schema.name!r}"
+                    )
             if not isinstance(value, str) or not value.strip():
                 raise ValueError(f"empty value for slot {slot!r}")
 

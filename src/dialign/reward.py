@@ -28,7 +28,7 @@ reward and this response reward; both weights default to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from .profiles import Profile, SlotMatcher, normalize_text
 
@@ -78,17 +78,6 @@ class ResponseJudgment:
         }
 
 
-def _validate_addressed(addressed: Sequence[tuple[str, str]]) -> None:
-    for pair in addressed:
-        if len(pair) != 2:
-            raise ValueError(f"addressed entry must be a (slot, value) pair: {pair!r}")
-        slot, value = pair
-        if not isinstance(slot, str) or not slot.strip():
-            raise ValueError(f"addressed slot must be non-empty text: {slot!r}")
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"addressed value for {slot!r} must be non-empty text")
-
-
 class RuleJudge:
     """Deterministic rule-based judge over structured responses."""
 
@@ -96,34 +85,41 @@ class RuleJudge:
         self, response: ResponseLike, estimate: Profile, context: JudgeContext
     ) -> ResponseJudgment:
         addressed = tuple(response.addressed_slots)
-        _validate_addressed(addressed)
+        topics = context.latest_topics
+        believed_values = estimate.entries
+        # One pass validates each addressed pair and counts those on a topic
+        # of the latest utterance, present in the estimate, and agreeing with it.
+        on_topic = present = consistent = 0
+        for pair in addressed:
+            if len(pair) != 2:
+                raise ValueError(f"addressed entry must be a (slot, value) pair: {pair!r}")
+            slot, value = pair
+            if not isinstance(slot, str) or not slot.strip():
+                raise ValueError(f"addressed slot must be non-empty text: {slot!r}")
+            if not isinstance(value, str) or not value.strip():
+                raise ValueError(f"addressed value for {slot!r} must be non-empty text")
+            if slot in topics:
+                on_topic += 1
+            believed = believed_values.get(slot)
+            if believed is not None:
+                present += 1
+                if normalize_text(value) == normalize_text(believed):
+                    consistent += 1
 
-        relevance = 1
-        if context.latest_topics:
-            names = {slot for slot, _ in addressed}
-            relevance = int(any(topic in names for topic in context.latest_topics))
-
-        consistent = 0
-        for slot, value in addressed:
-            believed = estimate.entries.get(slot)
-            if believed is not None and normalize_text(value) == normalize_text(believed):
-                consistent += 1
-        preference_ok = consistent == len(addressed)
-
-        engagement = int(bool(response.continues))
-        informativeness = 1 if not context.evidence_revealed else int(len(addressed) >= 1)
-
-        if addressed:
-            pref_expr = consistent / len(addressed)
-            coherence = sum(1 for s, _ in addressed if s in estimate.entries) / len(addressed)
+        n = len(addressed)
+        relevance = int(on_topic > 0) if topics else 1
+        informativeness = 1 if not context.evidence_revealed else int(n >= 1)
+        if n:
+            pref_expr = consistent / n
+            coherence = present / n
         else:
             pref_expr = coherence = 0.0 if context.evidence_revealed else 1.0
 
         return ResponseJudgment(
             naturalness=1,
             relevance=relevance,
-            logical_consistency=int(preference_ok),
-            engagement=engagement,
+            logical_consistency=int(consistent == n),
+            engagement=int(bool(response.continues)),
             informativeness=informativeness,
             preference_expression=pref_expr,
             style_consistency=1.0,
@@ -135,7 +131,13 @@ class RuleJudge:
 def response_reward(judgment: ResponseJudgment) -> int:
     """Product of the five binary criteria: 1 only if all pass."""
     total = 1
-    for criterion in judgment.criteria().values():
+    for criterion in (
+        judgment.naturalness,
+        judgment.relevance,
+        judgment.logical_consistency,
+        judgment.engagement,
+        judgment.informativeness,
+    ):
         if criterion not in (0, 1):
             raise ValueError(f"criteria must be binary, got {criterion!r}")
         total *= criterion
@@ -154,18 +156,18 @@ def combined_reward(
 
 def alignment_verdict(
     response: ResponseLike,
-    judgment: ResponseJudgment,
+    reward: float,
     truth: Profile,
     matcher: SlotMatcher,
 ) -> bool:
     """Evaluation-time alignment check with ground-truth access.
 
     Unlike the training judge, evaluation sees the user's full profile: a
-    turn counts as aligned when the rule criteria all pass, the response
-    personalizes on at least one slot, and every addressed value agrees
-    with the truth.
+    turn counts as aligned when the rule criteria all pass (its
+    ``response_reward`` is 1), the response personalizes on at least one
+    slot, and every addressed value agrees with the truth.
     """
-    if response_reward(judgment) != 1:
+    if reward != 1:
         return False
     addressed = tuple(response.addressed_slots)
     if not addressed:

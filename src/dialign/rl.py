@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,6 +89,17 @@ class PPOConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "int":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
+            elif (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{spec.name} must be a finite number, got {value!r}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -100,6 +113,8 @@ class PPOConfig:
             raise ConfigError("epochs, samples_per_scenario, total_rounds must be >= 1")
         if self.ratio_clamp <= 0:
             raise ConfigError("ratio_clamp must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -109,6 +124,20 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 def _log_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     # log sigma(z) = -log(1 + exp(-z)), stable for large |z|
     return -np.logaddexp(0.0, -z)
+
+
+def _bernoulli_log_pmf(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log P(y) of y in {0, 1} under logit z: log sigma(z) or log sigma(-z)."""
+    return _log_sigmoid(np.where(y == 1, z, -z))
+
+
+def _log_normalizer(logits: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis of (N, K) logits, folded left to right.
+
+    Reducing the transposed copy over its leading axis runs the same left
+    fold as a reduction along each row, as K - 1 vector steps over all rows.
+    """
+    return np.logaddexp.reduce(np.ascontiguousarray(logits.T), axis=0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +201,7 @@ class CategoricalSlotPolicy:
             raise ValueError(f"need ({len(global_feats)}, {n + 2}) uniforms, got {uniforms.shape}")
         include = uniforms[:, :n] < _sigmoid(self._include_logits(slot_feats))
         logits = self._response_logits(slot_feats)
-        probs = np.exp(logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True))
+        probs = np.exp(logits - _log_normalizer(logits)[:, None])
         # Inverse-CDF draw: the first index whose cumulative mass reaches the
         # scaled uniform, capped at the "address nothing" column.
         target = uniforms[:, n] * probs.sum(axis=-1)
@@ -213,18 +242,13 @@ class CategoricalSlotPolicy:
         """Per-row log pi and, ``with_grad``, the analytic d log pi / d theta,
         shape (N, POLICY_DIM), from one evaluation of each head's logits."""
         z_inc = self._include_logits(batch.slot_feats)  # (N, n)
-        # Bernoulli log-pmf in logit form: y*log(sigma) + (1-y)*log(1-sigma)
-        lp = np.sum(
-            batch.include * _log_sigmoid(z_inc)
-            + (1.0 - batch.include) * _log_sigmoid(-z_inc),
-            axis=-1,
-        )
+        lp = np.sum(_bernoulli_log_pmf(batch.include, z_inc), axis=-1)
         logits = self._response_logits(batch.slot_feats)  # (N, n+1)
-        log_norm = np.logaddexp.reduce(logits, axis=-1)
+        log_norm = _log_normalizer(logits)
         rows = np.arange(len(batch))
         lp = lp + logits[rows, batch.response_choice] - log_norm
         z_eng = self._engage_logit(batch.global_feats)
-        lp = lp + batch.engage * _log_sigmoid(z_eng) + (1.0 - batch.engage) * _log_sigmoid(-z_eng)
+        lp = lp + _bernoulli_log_pmf(batch.engage, z_eng)
         if not with_grad:
             return lp, None
         grads = np.zeros((len(batch), POLICY_DIM))

@@ -143,7 +143,7 @@ class UserConfig:
 
     @cached_property
     def episode_table(self) -> EpisodeTable:
-        """The environment's per-turn dialogue states and observations for
+        """The environment's per-turn agent views and judge contexts for
         ``script``, kept with the config so every episode of it reuses them."""
         from .env import EpisodeTable  # env imports this module, so import late
 

@@ -82,6 +82,41 @@ def test_config_file_with_unknown_key_exits_2(
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize(
+    "setting, flags",
+    [
+        ({"epochs": 2.5}, []),
+        ({"epochs": "4"}, []),
+        ({"epochs": True}, []),
+        ({"samples_per_scenario": 1.0}, []),
+        ({"total_rounds": "1"}, []),
+        ({"seed": 1.5}, []),
+        ({"seed": False}, []),
+        ({"clip_eps": "0.2"}, []),
+        ({"gamma": None}, []),
+        ({"actor_lr": float("nan")}, []),
+        ({"critic_lr": float("inf")}, []),
+        ({"ratio_clamp": True}, []),
+        ({}, ["--seed", "-1"]),
+    ],
+    ids=lambda case: json.dumps(case) if isinstance(case, dict) else " ".join(case),
+)
+def test_mistyped_ppo_setting_exits_2_before_writing(
+    setting: dict, flags: list[str], scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    config = tmp_path / "ppo.json"
+    config.write_text(json.dumps({"total_rounds": 1, "samples_per_scenario": 1, **setting}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = ["train", "--scenarios", str(scenario_dir), "--out", str(out), "--config", str(config)]
+    assert main(args + flags) == 2
+    err = capsys.readouterr().err
+    name = next(iter(setting), "seed")
+    assert err.count("\n") == 1 and name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_matcher_spec_exits_2(scenario_dir: Path, tmp_path: Path) -> None:
     code = main(
         [

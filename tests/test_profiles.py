@@ -96,6 +96,56 @@ def test_open_schema_accepts_new_slots() -> None:
     assert profile.entries["Pets"] == "two cats"
 
 
+class _Text(str):
+    """A str subclass, as a caller's own string type would be."""
+
+
+def _reference_profile_check(schema: SlotSchema, entries: dict) -> None:
+    """Profile validation as one loop over the entries, slot then value, with
+    the closed-schema check a scan of the slot tuple."""
+    for slot, value in entries.items():
+        if not isinstance(slot, str) or not slot.strip():
+            raise ValueError(f"bad slot name: {slot!r}")
+        if not (schema.open_schema or slot in schema.slots):
+            raise SchemaError(f"slot {slot!r} not allowed by closed schema {schema.name!r}")
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"empty value for slot {slot!r}")
+
+
+def _check_outcome(check, *args) -> tuple:
+    try:
+        check(*args)
+    except (ValueError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return ("accepted",)
+
+
+_VALIDATION_SCHEMAS = (
+    SlotSchema.aloe(),
+    SlotSchema(name="extended", slots=ALOE_SLOTS + ("Pets",), open_schema=True),
+    SlotSchema(name="mini", slots=("Age", "Pets")),
+)
+_VALIDATION_SLOTS = ("Age", "Occupation", "Pets", "Favorite Cuisine", "", "   ", 3, None,
+                     _Text("Age"), _Text("Pets"), _Text(" "))
+_VALIDATION_VALUES = ("34", "two cats", "", "  \t", 5, None, 1.5, _Text("nurse"), _Text("  "))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    schema=st.sampled_from(_VALIDATION_SCHEMAS),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(_VALIDATION_SLOTS), st.sampled_from(_VALIDATION_VALUES)),
+        max_size=5,
+    ),
+)
+def test_profile_validation_equals_the_reference_loop(schema: SlotSchema, pairs: list) -> None:
+    entries = dict(pairs)
+    expected = _check_outcome(_reference_profile_check, schema, entries)
+    assert _check_outcome(Profile, schema, entries) == expected
+    if expected == ("accepted",):
+        assert Profile(schema=schema, entries=entries).entries == entries
+
+
 def test_load_profile_round_trips_record() -> None:
     schema = SlotSchema.aloe()
     profile = Profile(schema=schema, entries={"Age": "34", "Location": "coastal town"})

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dialign.profiles import Profile, SlotMatcher, SlotSchema
+from dialign.env import score_turn
+from dialign.profiles import Profile, SlotMatcher, SlotSchema, normalize_text, profile_reward
 from dialign.reward import (
     JudgeContext,
     ResponseJudgment,
@@ -223,22 +226,153 @@ def test_alignment_verdict_needs_truth_agreement() -> None:
     right = FakeResponse(addressed_slots=(("Age", "34"),))
     wrong = FakeResponse(addressed_slots=(("Age", "40"),))
     passing = _judgment()
-    assert alignment_verdict(right, passing, truth, matcher)
-    assert not alignment_verdict(wrong, passing, truth, matcher)
+    assert alignment_verdict(right, response_reward(passing), truth, matcher)
+    assert not alignment_verdict(wrong, response_reward(passing), truth, matcher)
 
 
 def test_alignment_verdict_requires_personalization_and_passing_criteria() -> None:
     matcher = SlotMatcher(kind="exact")
     truth = _estimate(Age="34")
     empty = FakeResponse(addressed_slots=())
-    assert not alignment_verdict(empty, _judgment(), truth, matcher)
+    assert not alignment_verdict(empty, response_reward(_judgment()), truth, matcher)
     right = FakeResponse(addressed_slots=(("Age", "34"),))
     failing = _judgment(engagement=0)
-    assert not alignment_verdict(right, failing, truth, matcher)
+    assert not alignment_verdict(right, response_reward(failing), truth, matcher)
 
 
 def test_alignment_verdict_rejects_slots_absent_from_truth() -> None:
     matcher = SlotMatcher(kind="exact")
     truth = _estimate(Age="34")
     response = FakeResponse(addressed_slots=(("Occupation", "nurse"),))
-    assert not alignment_verdict(response, _judgment(), truth, matcher)
+    assert not alignment_verdict(response, response_reward(_judgment()), truth, matcher)
+
+
+# --- parity with the per-criterion reference ------------------------------------------
+
+
+def _reference_judgment(
+    response: FakeResponse, estimate: Profile, context: JudgeContext
+) -> ResponseJudgment:
+    """The judge as one pass per criterion: validate every pair, then relevance
+    from a set of addressed names, consistency, and coherence each on their own."""
+    addressed = tuple(response.addressed_slots)
+    for pair in addressed:
+        if len(pair) != 2:
+            raise ValueError(f"addressed entry must be a (slot, value) pair: {pair!r}")
+        slot, value = pair
+        if not isinstance(slot, str) or not slot.strip():
+            raise ValueError(f"addressed slot must be non-empty text: {slot!r}")
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"addressed value for {slot!r} must be non-empty text")
+    relevance = 1
+    if context.latest_topics:
+        names = {slot for slot, _ in addressed}
+        relevance = int(any(topic in names for topic in context.latest_topics))
+    consistent = 0
+    for slot, value in addressed:
+        believed = estimate.entries.get(slot)
+        if believed is not None and normalize_text(value) == normalize_text(believed):
+            consistent += 1
+    informativeness = 1 if not context.evidence_revealed else int(len(addressed) >= 1)
+    if addressed:
+        pref_expr = consistent / len(addressed)
+        coherence = sum(1 for s, _ in addressed if s in estimate.entries) / len(addressed)
+    else:
+        pref_expr = coherence = 0.0 if context.evidence_revealed else 1.0
+    return ResponseJudgment(
+        naturalness=1,
+        relevance=relevance,
+        logical_consistency=int(consistent == len(addressed)),
+        engagement=int(bool(response.continues)),
+        informativeness=informativeness,
+        preference_expression=pref_expr,
+        style_consistency=1.0,
+        goal_alignment=float(relevance),
+        persona_coherence=coherence,
+    )
+
+
+def _reference_score(
+    response: FakeResponse, estimate: Profile, context: JudgeContext, truth: Profile,
+    matcher: SlotMatcher,
+) -> tuple:
+    """score_turn's fields, the reward read from the criteria dict and recomputed
+    for the alignment verdict."""
+    judgment = _reference_judgment(response, estimate, context)
+
+    def product(j: ResponseJudgment) -> int:
+        total = 1
+        for criterion in j.criteria().values():
+            if criterion not in (0, 1):
+                raise ValueError(f"criteria must be binary, got {criterion!r}")
+            total *= criterion
+        return total
+
+    r_response = float(product(judgment))
+    r_profile = profile_reward(estimate, truth, matcher)
+    aligned = product(judgment) == 1 and bool(response.addressed_slots) and all(
+        truth.entries.get(slot) is not None
+        and matcher.values_match(slot, value, truth.entries[slot])
+        for slot, value in response.addressed_slots
+    )
+    return (r_profile, r_response, r_profile + r_response, judgment.criteria(),
+            judgment.dimensions(), aligned)
+
+
+def _typed(values) -> list:
+    """Each value with its type, so 1 and 1.0 count as different."""
+    return [(type(v), v) for v in values]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_PARITY_SLOTS = ("Age", "Occupation", "Location", "Interests")
+# "Nurse." and " nurse" equal "nurse" only after normalize_text; "" and "  " are blank.
+_PARITY_VALUES = ("nurse", "Nurse.", " nurse", "teacher", "34", "thirty four")
+_ADDRESSED_VALUES = _PARITY_VALUES + ("", "  ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    estimate=st.dictionaries(st.sampled_from(_PARITY_SLOTS), st.sampled_from(_PARITY_VALUES)),
+    truth=st.dictionaries(
+        st.sampled_from(_PARITY_SLOTS), st.sampled_from(_PARITY_VALUES), min_size=1
+    ),
+    addressed=st.lists(
+        st.tuples(st.sampled_from(_PARITY_SLOTS + ("", "Pets")), st.sampled_from(_ADDRESSED_VALUES)),
+        max_size=3,
+    ),
+    topics=st.lists(st.sampled_from(_PARITY_SLOTS), max_size=2, unique=True),
+    revealed=st.booleans(),
+    continues=st.booleans(),
+    matcher=st.sampled_from([SlotMatcher(kind="exact"), SlotMatcher(kind="token", threshold=0.5)]),
+)
+def test_judge_and_score_turn_equal_the_per_criterion_reference(
+    estimate: dict, truth: dict, addressed: list, topics: list, revealed: bool,
+    continues: bool, matcher: SlotMatcher,
+) -> None:
+    response = FakeResponse(addressed_slots=tuple(addressed), continues=continues)
+    est, tru = _estimate(**estimate), _estimate(**truth)
+    context = JudgeContext(latest_topics=tuple(topics), evidence_revealed=revealed)
+
+    judged = _outcome(RuleJudge().judge, response, est, context)
+    reference = _outcome(_reference_judgment, response, est, context)
+    if judged[0] != "ok" or reference[0] != "ok":
+        assert judged == reference
+        return
+    assert _typed(astuple(judged[1])) == _typed(astuple(reference[1]))
+
+    scored = score_turn(response, est, context, tru, matcher)
+    expected = _reference_score(response, est, context, tru, matcher)
+    actual = (scored.profile, scored.response, scored.total, scored.criteria,
+              scored.dimensions, scored.aligned)
+    assert _typed(actual[:3]) == _typed(expected[:3])
+    assert actual[3:] == expected[3:]
+    assert _typed(actual[3].values()) == _typed(expected[3].values())
+    assert _typed(actual[4].values()) == _typed(expected[4].values())
+    assert type(actual[5]) is bool

@@ -269,14 +269,49 @@ def _separate_grad_pass(policy: CategoricalSlotPolicy, batch: DecisionBatch) -> 
     return grads
 
 
+def _two_sided_log_prob(policy: CategoricalSlotPolicy, batch: DecisionBatch) -> np.ndarray:
+    """The per-row log pi with each Bernoulli head as y*log(sigma(z)) +
+    (1-y)*log(sigma(-z)) and the softmax normaliser reduced along each row."""
+    theta, n = policy.theta, len(batch)
+
+    def log_sigmoid(z: np.ndarray) -> np.ndarray:
+        return -np.logaddexp(0.0, -z)
+
+    z_inc = batch.slot_feats @ theta[0:3]
+    lp = np.sum(
+        batch.include * log_sigmoid(z_inc) + (1.0 - batch.include) * log_sigmoid(-z_inc),
+        axis=-1,
+    )
+    slot_logits = batch.slot_feats @ theta[3:6]
+    logits = np.concatenate([slot_logits, np.full((n, 1), theta[6])], axis=-1)
+    log_norm = np.logaddexp.reduce(logits, axis=-1)
+    lp = lp + logits[np.arange(n), batch.response_choice] - log_norm
+    z_eng = batch.global_feats @ theta[7:9]
+    return lp + batch.engage * log_sigmoid(z_eng) + (1.0 - batch.engage) * log_sigmoid(-z_eng)
+
+
+def _max_abs_logit(theta: np.ndarray, batch: DecisionBatch) -> float:
+    heads = (batch.slot_feats @ theta[0:3], batch.slot_feats @ theta[3:6],
+             theta[6:7], batch.global_feats @ theta[7:9])
+    return max(float(np.abs(z).max()) for z in heads)
+
+
 def test_fused_pass_equals_separate_passes() -> None:
     rng = np.random.default_rng(47)
-    for rows in [1, 2, 7, 64, 640] + [int(r) for r in rng.integers(1, 200, size=25)]:
-        policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(0.0, 2.0, POLICY_DIM))
+    sizes = [1, 2, 7, 64, 640] + [int(r) for r in rng.integers(1, 200, size=25)]
+    # The second half scales theta so the largest logit is +-800: log sigma
+    # and the log-sum-exp must keep their bits where exp over- or underflows.
+    for case, rows in enumerate(sizes + sizes):
         batch = _random_decisions(rng, _random_observations(rng, rows))
-        log_probs, grads = policy.log_prob_and_grad(batch)
-        assert np.array_equal(log_probs, policy.log_prob_batch(batch))
-        assert np.array_equal(grads, _separate_grad_pass(policy, batch))
+        theta = rng.normal(0.0, 2.0, POLICY_DIM)
+        if case >= len(sizes):
+            theta = theta * (800.0 / _max_abs_logit(theta, batch))
+        policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
+        with np.errstate(over="ignore"):
+            log_probs, grads = policy.log_prob_and_grad(batch)
+            assert np.array_equal(log_probs, policy.log_prob_batch(batch))
+            assert np.array_equal(log_probs, _two_sided_log_prob(policy, batch))
+            assert np.array_equal(grads, _separate_grad_pass(policy, batch))
 
 
 def test_log_prob_single_equals_batch_row() -> None:
