@@ -8,8 +8,8 @@ Subcommands:
 * ``judge-bench``    score slot matchers on the synthetic overlap benchmark
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
-Every reported number is written to CSV alongside the raw episode logs it
-was computed from, so reports can be recomputed offline.
+``eval`` writes every report CSV from the episode logs alone (``write_reports``,
+one turns x episodes table per call), so reports can be recomputed offline.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import DialogueEnv, EvidenceOracleAgent, rollout, write_episodes
+from .env import DialogueEnv, EpisodeRecord, EvidenceOracleAgent, rollout, write_episodes
 from .errors import CheckpointError, ConfigError, DialignError, ProtocolError, SchemaError
 from .metrics import (
+    AlignmentSummary,
     alignment_curve,
     alignment_matrix,
     longterm_profile_curve,
@@ -94,8 +95,9 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
-        known = set(PPOConfig.__dataclass_fields__)
-        unknown = set(payload) - known
+        if not isinstance(payload, dict):
+            raise ConfigError(f"--config must hold a JSON object, got {type(payload).__name__}")
+        unknown = set(payload) - set(PPOConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         overrides.update(payload)
@@ -253,6 +255,57 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     return [rollout(env, agent, scenario_id=sid) for (sid, env, _), agent in zip(episodes, agents)]
 
 
+def _turn_means(records: Sequence[EpisodeRecord]) -> list[list[float]]:
+    """Per turn, the mean profile, response and total reward and theoretical
+    max over episodes, as row means of one C-contiguous (turns, 4, episodes)
+    table: each is the pairwise sum that np.mean takes of that row alone."""
+    table = np.array([
+        [(t.profile_reward, t.response_reward, t.total_reward, t.theoretical_max) for t in r.turns]
+        for r in records
+    ])
+    return np.ascontiguousarray(table.transpose(1, 2, 0)).mean(axis=2).tolist()
+
+
+def write_reports(
+    records: Sequence[EpisodeRecord], out: Path, mode: str, matcher: SlotMatcher
+) -> AlignmentSummary:
+    """Write an eval call's report CSVs from its episode records alone, so each
+    can be rebuilt from ``episodes.jsonl``; returns the alignment summary."""
+    curve = alignment_curve(alignment_matrix(records))
+    horizon = len(curve)
+    summary = summarize_alignment(curve)
+    _write_csv(
+        out / "turncurve.csv",
+        ["turn", "alignment_level", "mean_profile_reward", "mean_response_reward",
+         "mean_total_reward", "theoretical_max"],
+        [[k, f"{level:.4f}", *(f"{mean:.6f}" for mean in row)]
+         for k, (level, row) in enumerate(zip(curve, _turn_means(records)), start=1)],
+    )
+    # Wide per-turn alignment row plus the headline summary numbers.
+    _write_csv(
+        out / "altable.csv",
+        [f"turn_{k}" for k in range(1, horizon + 1)] + ["avg", "n_ir", "n_r2"],
+        [[f"{v:.2f}" for v in curve]
+         + [f"{summary.average:.2f}", f"{summary.n_ir:.4f}", f"{summary.n_r2:.4f}"]],
+    )
+    _write_csv(
+        out / "summary.csv",
+        ["mode", "episodes", "avg_alignment", "n_ir", "n_r2",
+         "mean_total_reward", "mean_profile_reward", "mean_response_reward"],
+        [[mode, len(records), f"{summary.average:.4f}", f"{summary.n_ir:.6f}",
+          f"{summary.n_r2:.6f}", *(f"{mean:.6f}" for mean in _batch_reward_means(records))]],
+    )
+
+    if mode == "longterm":
+        checkpoints = [1] + list(range(10, horizon + 1, 10))
+        longterm = longterm_profile_curve(records, checkpoints, matcher)
+        rows = [[p.turn, f"{p.profile_score:.6f}", f"{p.theoretical_max:.6f}"]
+                for p in longterm.points]
+        _write_csv(out / "longterm.csv", ["turn", "profile_score", "theoretical_max"],
+                   rows + [["avg", f"{longterm.average:.6f}", ""]])
+    return summary
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario_list = load_scenarios(args.scenarios)
     matcher = SlotMatcher.parse(args.matcher)
@@ -260,71 +313,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_episodes(records, out / "episodes.jsonl")
-
-    horizon = len(records[0].turns)
-    matrix = alignment_matrix(records)
-    curve = alignment_curve(matrix)
-    summary = summarize_alignment(curve)
-
-    turn_rows = []
-    for k in range(1, horizon + 1):
-        profile_r = float(np.mean([r.turns[k - 1].profile_reward for r in records]))
-        response_r = float(np.mean([r.turns[k - 1].response_reward for r in records]))
-        total_r = float(np.mean([r.turns[k - 1].total_reward for r in records]))
-        ceiling = float(np.mean([r.turns[k - 1].theoretical_max for r in records]))
-        turn_rows.append(
-            [
-                k,
-                f"{curve[k - 1]:.4f}",
-                f"{profile_r:.6f}",
-                f"{response_r:.6f}",
-                f"{total_r:.6f}",
-                f"{ceiling:.6f}",
-            ]
-        )
-    _write_csv(
-        out / "turncurve.csv",
-        ["turn", "alignment_level", "mean_profile_reward", "mean_response_reward",
-         "mean_total_reward", "theoretical_max"],
-        turn_rows,
-    )
-
-    # Wide per-turn alignment row plus the headline summary numbers.
-    _write_csv(
-        out / "altable.csv",
-        [f"turn_{k}" for k in range(1, horizon + 1)] + ["avg", "n_ir", "n_r2"],
-        [
-            [f"{v:.2f}" for v in curve]
-            + [f"{summary.average:.2f}", f"{summary.n_ir:.4f}", f"{summary.n_r2:.4f}"]
-        ],
-    )
-    mean_total, mean_profile, mean_response = _batch_reward_means(records)
-    _write_csv(
-        out / "summary.csv",
-        ["mode", "episodes", "avg_alignment", "n_ir", "n_r2",
-         "mean_total_reward", "mean_profile_reward", "mean_response_reward"],
-        [[
-            args.mode,
-            len(records),
-            f"{summary.average:.4f}",
-            f"{summary.n_ir:.6f}",
-            f"{summary.n_r2:.6f}",
-            f"{mean_total:.6f}",
-            f"{mean_profile:.6f}",
-            f"{mean_response:.6f}",
-        ]],
-    )
-
-    if args.mode == "longterm":
-        checkpoints = [1] + list(range(10, horizon + 1, 10))
-        longterm = longterm_profile_curve(records, checkpoints, matcher)
-        rows = [
-            [p.turn, f"{p.profile_score:.6f}", f"{p.theoretical_max:.6f}"]
-            for p in longterm.points
-        ]
-        rows.append(["avg", f"{longterm.average:.6f}", ""])
-        _write_csv(out / "longterm.csv", ["turn", "profile_score", "theoretical_max"], rows)
-
+    summary = write_reports(records, out, args.mode, matcher)
     print(
         f"evaluated {len(records)} episodes ({args.mode}); "
         f"avg alignment {summary.average:.2f}, N-IR {summary.n_ir:.4f}, "

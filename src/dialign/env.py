@@ -172,13 +172,21 @@ GLOBAL_FEATURE_DIM = 2
 def observe(states: Sequence[DialogueState], schema: SlotSchema, horizon: int) -> Observation:
     """The observation stack of ``states``, one row per state."""
     names = tuple(schema.slots)
-    rows = []
-    for state in states:
-        seen = state.seen_values
-        topics = set(state.latest.topic_slots) if state.latest is not None else set()
-        rows.append([(1.0, float(slot in seen), float(slot in topics)) for slot in names])
-    slot_feats = np.array(rows).reshape(len(states), len(names), SLOT_FEATURE_DIM)
-    global_feats = np.array([(1.0, state.turn / float(horizon)) for state in states])
+    column = {slot: i for i, slot in enumerate(names)}
+    slot_feats = np.zeros((len(states), len(names), SLOT_FEATURE_DIM))
+    slot_feats[:, :, 0] = 1.0
+    # Schema slots only; consecutive states sharing a seen-values mapping share its flags.
+    starts = [t for t, state in enumerate(states)
+              if t == 0 or state.seen_values is not states[t - 1].seen_values]
+    for start, end in zip(starts, starts[1:] + [len(states)]):
+        seen = [column[s] for s in states[start].seen_values if s in column]
+        slot_feats[start:end, seen, 1] = 1.0
+    topics = [(t, column[s]) for t, state in enumerate(states) if state.latest is not None
+              for s in state.latest.topic_slots if s in column]
+    rows, cols = np.array(topics, dtype=np.intp).reshape(-1, 2).T
+    slot_feats[rows, cols, 2] = 1.0
+    global_feats = np.ones((len(states), GLOBAL_FEATURE_DIM))
+    global_feats[:, 1] = np.array([state.turn for state in states]) / float(horizon)
     return Observation(slot_feats=slot_feats, global_feats=global_feats, slot_names=names)
 
 

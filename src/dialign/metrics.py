@@ -29,29 +29,37 @@ from .profiles import Profile, SlotMatcher, precision_recall
 # --- alignment curves -------------------------------------------------------
 
 
+def _levels(columns: Sequence[Sequence[float]]) -> np.ndarray:
+    """100 x each row's mean (one turn's scores over episodes: the pairwise sum
+    np.mean takes of the row alone); the first score outside [0, 1] raises."""
+    table = np.array(columns, dtype=float)
+    bad = np.flatnonzero(~((table >= 0.0) & (table <= 1.0)))
+    if bad.size:
+        raise ValueError(f"alignment scores must lie in [0, 1], got {float(table.flat[bad[0]])}")
+    return 100.0 * table.mean(axis=1)
+
+
 def alignment_level(scores: Sequence[Sequence[float]], k: int) -> float:
     """AL(k): 100 x mean turn-k alignment over episodes (1-based k)."""
     if not scores:
         raise ValueError("alignment_level needs at least one episode")
     if k < 1:
         raise ValueError(f"turn index must be >= 1, got {k}")
-    column: list[float] = []
-    for i, episode in enumerate(scores):
-        if k > len(episode):
-            raise ValueError(f"episode {i} has only {len(episode)} turns, asked for {k}")
-        value = float(episode[k - 1])
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"alignment scores must lie in [0, 1], got {value}")
-        column.append(value)
-    return 100.0 * float(np.mean(column))
+    # Episodes before the first one too short for turn k are checked first.
+    short = next((i for i, episode in enumerate(scores) if k > len(episode)), len(scores))
+    if short:
+        level = _levels([[episode[k - 1] for episode in scores[:short]]])[0]
+    if short < len(scores):
+        raise ValueError(f"episode {short} has only {len(scores[short])} turns, asked for {k}")
+    return float(level)
 
 
 def alignment_curve(scores: Sequence[Sequence[float]]) -> list[float]:
-    """[AL(1), ..., AL(K)] with K the shortest episode's length."""
+    """[AL(1), ..., AL(K)] with K the shortest episode's length, in one table pass."""
     if not scores:
         raise ValueError("alignment_curve needs at least one episode")
-    limit = min(len(ep) for ep in scores)
-    return [alignment_level(scores, k) for k in range(1, limit + 1)]
+    columns = list(zip(*scores))  # turn-major, cut to the shortest episode
+    return _levels(columns).tolist() if columns else []
 
 
 def normalize_curve(values: Sequence[float]) -> list[float]:
@@ -208,33 +216,28 @@ def longterm_profile_curve(
         raise ValueError("longterm_profile_curve needs at least one episode")
     if not checkpoints:
         raise ValueError("need at least one checkpoint turn")
+    setups = [
+        (record, record.schema_object(), matcher or SlotMatcher.parse(record.matcher))
+        for record in records
+    ]
     points: list[LongtermPoint] = []
     for k in checkpoints:
         if k < 1:
             raise ValueError(f"checkpoint turns must be >= 1, got {k}")
         scores: list[float] = []
         ceilings: list[float] = []
-        for record in records:
+        for record, schema, m in setups:
             if k > len(record.turns):
                 raise ValueError(
                     f"checkpoint {k} beyond episode {record.scenario_id!r}"
                     f" with {len(record.turns)} turns"
                 )
             turn = record.turns[k - 1]
-            schema = record.schema_object()
             estimate = Profile(schema=schema, entries=dict(turn.estimate))
             truth = Profile(schema=schema, entries=record.effective_truth_at(k))
-            m = matcher or SlotMatcher.parse(record.matcher)
-            _, recall = precision_recall(estimate, truth, m)
-            scores.append(recall)
+            scores.append(precision_recall(estimate, truth, m)[1])
             ceilings.append(turn.theoretical_max)
-        points.append(
-            LongtermPoint(
-                turn=k,
-                profile_score=float(np.mean(scores)),
-                theoretical_max=float(np.mean(ceilings)),
-            )
-        )
+        points.append(LongtermPoint(k, float(np.mean(scores)), float(np.mean(ceilings))))
     average = float(np.mean([p.profile_score for p in points]))
     return LongtermCurve(points=tuple(points), average=average)
 

@@ -4,12 +4,15 @@ import csv
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dialign.cli
-from dialign.cli import main
+from dialign.cli import _turn_means, main, write_reports
 from dialign.env import read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
 from dialign.profiles import Profile, SlotMatcher, precision_recall
@@ -114,6 +117,21 @@ def test_mistyped_ppo_setting_exits_2_before_writing(
     err = capsys.readouterr().err
     name = next(iter(setting), "seed")
     assert err.count("\n") == 1 and name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", ["5", '"epochs"', "[1]", "null"])
+def test_config_that_is_not_a_json_object_exits_2_before_writing(
+    payload: str, scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    config = tmp_path / "ppo.json"
+    config.write_text(payload)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = ["train", "--scenarios", str(scenario_dir), "--out", str(out), "--config", str(config)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "JSON object" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -448,6 +466,59 @@ def test_eval_summary_is_recomputable_from_episodes(scenario_dir: Path, tmp_path
     for record in episodes:
         for turn, breakdown in zip(record.turns, replay_rewards(record, matcher)):
             assert breakdown.total == pytest.approx(turn.total_reward, abs=1e-9)
+
+
+_TURN_FIELDS = ("profile_reward", "response_reward", "total_reward", "theoretical_max")
+
+
+def _reference_turn_means(records) -> list[list[float]]:
+    """One np.mean per turn and column over that turn's values."""
+    return [
+        [float(np.mean([getattr(r.turns[k], name) for r in records])) for name in _TURN_FIELDS]
+        for k in range(len(records[0].turns))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n_episodes=st.integers(1, 200), horizon=st.integers(1, 60)
+)
+def test_turn_means_equal_one_np_mean_per_turn(seed: int, n_episodes: int, horizon: int) -> None:
+    # Values over many magnitudes and both signs, so a running sum in place of
+    # np.mean's pairwise one changes the last bits.
+    rng = np.random.default_rng(seed)
+    shape = (n_episodes, horizon, len(_TURN_FIELDS))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    records = [
+        SimpleNamespace(turns=[SimpleNamespace(**dict(zip(_TURN_FIELDS, row))) for row in turns])
+        for turns in values.tolist()
+    ]
+    got = _turn_means(records)
+    assert np.array(got).tobytes() == np.array(_reference_turn_means(records)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "agent_args, mode",
+    [(["--agent", "oracle", "--horizon", "30"], "longterm"), (["--agent", "policy"], "conflict")],
+)
+def test_every_report_is_rebuilt_byte_for_byte_from_episodes_jsonl(
+    agent_args: list[str], mode: str, scenario_dir: Path, trained_dir: Path, tmp_path: Path
+) -> None:
+    out, rebuilt = tmp_path / "eval", tmp_path / "rebuilt"
+    args = ["eval", "--scenarios", str(scenario_dir), "--out", str(out), "--mode", mode,
+            "--episodes", "2", "--seed", "5", *agent_args]
+    if "policy" in agent_args:
+        args += ["--checkpoint", str(trained_dir / "checkpoint.json")]
+    assert main(args) == 0
+    rebuilt.mkdir()
+    records = list(read_episodes(out / "episodes.jsonl"))
+    write_reports(records, rebuilt, mode, SlotMatcher.parse("exact"))
+    reports = sorted(path.name for path in out.glob("*.csv"))
+    expected = ["altable.csv", "summary.csv", "turncurve.csv"]
+    assert reports == sorted(expected + (["longterm.csv"] if mode == "longterm" else []))
+    assert sorted(path.name for path in rebuilt.iterdir()) == reports
+    for name in reports:
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_eval_rejects_mixed_horizons_exits_2(

@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from dialign.env import (
     UNKNOWN_VALUE,
     AgentAction,
     DialogueEnv,
+    DialogueState,
     EnvView,
     EpisodeRecord,
     EvidenceOracleAgent,
@@ -30,7 +32,7 @@ from dialign.errors import ConfigError, ProtocolError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall
 from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows
 from dialign.scenarios import default_conflict, generate_scenarios
-from dialign.user_sim import ConflictSpec, UserConfig, reveal_order
+from dialign.user_sim import ConflictSpec, UserConfig, UserUtterance, reveal_order
 
 _POOLS = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "dialign" / "data" / "value_pools.json").read_text()
@@ -207,6 +209,57 @@ def test_observation_tracks_seen_and_topic_flags() -> None:
     revealed_slot = next(iter(view.seen_values))
     idx = obs.slot_names.index(revealed_slot)
     assert seen_flags[idx] == 1.0
+
+
+def _reference_observe(states, schema: SlotSchema, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stack built from one (bias, seen, topic) tuple per state and slot."""
+    names = tuple(schema.slots)
+    rows = []
+    for state in states:
+        seen = state.seen_values
+        topics = set(state.latest.topic_slots) if state.latest is not None else set()
+        rows.append([(1.0, float(slot in seen), float(slot in topics)) for slot in names])
+    slot_feats = np.array(rows).reshape(len(states), len(names), 3)
+    global_feats = np.array([(1.0, state.turn / float(horizon)) for state in states])
+    return slot_feats, global_feats
+
+
+_NAMES = ("Age", "City", "Diet", "Hobby", "Job", "Pet", "Sport", "Music")
+
+
+@st.composite
+def _state_stacks(draw) -> tuple[list[DialogueState], SlotSchema, int]:
+    """A dialogue walked one user turn at a time from the state with no
+    utterance, with evidence and topics for slots in and outside the schema;
+    the stack lists its states in any order, repeats included."""
+    slots = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=6, unique=True))
+    schema = SlotSchema(name="s", slots=tuple(slots), open_schema=draw(st.booleans()))
+    names = st.sampled_from(_NAMES + ("Outside", "Other"))
+    walk = [DialogueState()]
+    for turn in range(1, draw(st.integers(0, 30)) + 1):
+        evidence = draw(st.lists(st.tuples(names, st.sampled_from(["a", "b"])), max_size=3))
+        topics = draw(st.lists(names, max_size=2, unique=True))
+        walk.append(walk[-1].with_user_turn(
+            UserUtterance(text=f"u{turn}", evidence=tuple(evidence), turn=turn,
+                          topic_slots=tuple(topics))
+        ))
+    order = draw(st.one_of(
+        st.just(list(range(len(walk)))),
+        st.lists(st.integers(0, len(walk) - 1), min_size=1, max_size=40),
+    ))
+    return [walk[i] for i in order], schema, draw(st.integers(1, 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_state_stacks())
+def test_observe_equals_the_tuple_list_construction(case) -> None:
+    states, schema, horizon = case
+    obs = observe(states, schema, horizon)
+    slot_feats, global_feats = _reference_observe(states, schema, horizon)
+    assert obs.slot_names == tuple(schema.slots)
+    for got, want in ((obs.slot_feats, slot_feats), (obs.global_feats, global_feats)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # --- conflict handling ----------------------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialign.env import DialogueEnv, EvidenceOracleAgent, rollout
 from dialign.metrics import (
@@ -52,6 +54,70 @@ def test_alignment_level_validates_inputs() -> None:
 def test_alignment_curve_uses_shortest_episode() -> None:
     scores = [[1, 1, 1, 1], [0, 1, 1]]
     assert alignment_curve(scores) == pytest.approx([50.0, 100.0, 100.0])
+
+
+def _reference_level(scores, k: int) -> float:
+    """AL(k) as one np.mean per turn over a validated Python column."""
+    if not scores:
+        raise ValueError("alignment_level needs at least one episode")
+    if k < 1:
+        raise ValueError(f"turn index must be >= 1, got {k}")
+    column: list[float] = []
+    for i, episode in enumerate(scores):
+        if k > len(episode):
+            raise ValueError(f"episode {i} has only {len(episode)} turns, asked for {k}")
+        value = float(episode[k - 1])
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"alignment scores must lie in [0, 1], got {value}")
+        column.append(value)
+    return 100.0 * float(np.mean(column))
+
+
+def _reference_curve(scores) -> list[float]:
+    if not scores:
+        raise ValueError("alignment_curve needs at least one episode")
+    limit = min(len(ep) for ep in scores)
+    return [_reference_level(scores, k) for k in range(1, limit + 1)]
+
+
+def _outcome(fn, *args) -> tuple:
+    """(result type, result bits) or (exception type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), np.asarray(value, dtype=float).tobytes()
+
+
+@st.composite
+def _score_sets(draw) -> list[list]:
+    """1-200 episodes of 1-60 turns (ragged ones may be empty), binary ints or
+    fractions, with up to three scores overwritten by out-of-range or NaN values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_episodes, horizon = draw(st.integers(1, 200)), draw(st.integers(1, 60))
+    ragged = draw(st.booleans())
+    lengths = rng.integers(0, horizon + 1, n_episodes) if ragged else [horizon] * n_episodes
+    binary = draw(st.booleans())
+    scores = [rng.integers(0, 2, n).tolist() if binary else rng.random(n).tolist() for n in lengths]
+    bad_values = st.sampled_from([1.5, -0.25, 1.0000000001, -1e-300, float("nan"), float("inf")])
+    overwrites = st.lists(st.tuples(st.integers(0), st.integers(0), bad_values), max_size=3)
+    for i, t, value in draw(overwrites):
+        episode = scores[i % n_episodes]
+        if episode:
+            episode[t % len(episode)] = value
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=_score_sets(), k=st.integers(-1, 62))
+@example(scores=[], k=1)
+@example(scores=[[1, 0], [], [0.5]], k=1)
+@example(scores=[[0.5, 2.0], [float("nan")]], k=2)
+def test_alignment_curve_and_level_equal_the_per_turn_loop(scores: list[list], k: int) -> None:
+    # Same bits (array_equal and more: the float64 bytes), or the same
+    # exception type and message, first bad score turn by turn then episode.
+    assert _outcome(alignment_curve, scores) == _outcome(_reference_curve, scores)
+    assert _outcome(alignment_level, scores, k) == _outcome(_reference_level, scores, k)
 
 
 # --- normalization ----------------------------------------------------------------
