@@ -210,6 +210,8 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:
         horizon_override = LONGTERM_DEFAULT_HORIZON

@@ -11,15 +11,16 @@ the next user turn until the horizon is reached.  Rewards are immediate:
 the turn-t action is scored against the truth in force at turn t.
 
 The scripted user never reads the agent's turns, so the user's side of an
-episode is known before it starts.  The environment replays the config's
-cached ``script`` through an ``EpisodeTable`` of every turn's agent view
-(dialogue state and the episode's observation stack) and judge context,
-built once per config; ``reset`` rewinds to turn 1, ``view`` returns the
-current row's view, and ``step`` scores the turn, returns its
+episode is known before it starts.  ``EpisodeTable.build`` walks the user
+(``initial_state``, ``first_utterance``, ``next_utterance``) once per config
+and keeps every turn's agent view, judge context, ground truth and reveal
+ceiling, and the episode's observation stack; the config caches it as
+``UserConfig.episode_table``.  ``reset`` rewinds to turn 1, ``view``
+returns the current row's view, and ``step`` scores the turn, returns its
 ``TurnRecord`` and moves one row down the table.  Observations exist only
 as stacks with a leading turn axis (``observe`` maps T dialogue states to
-one), and agents see the whole episode's stack, which lets a policy draw
-all of an episode's decisions in one batched call.
+one), and a policy reads the whole episode's stack from the table, which
+lets it draw all of an episode's decisions in one batched call.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -43,9 +44,9 @@ from .reward import (
     alignment_verdict,
     response_reward,
 )
-# next_utterance is only re-exported: bench/tests/test_bench.py checks that the
-# tracer patches it in this namespace.
-from .user_sim import UserConfig, UserUtterance, next_utterance  # noqa: F401
+from .user_sim import (
+    UserConfig, UserUtterance, first_utterance, initial_state, next_utterance, theoretical_max,
+)
 
 EPISODE_SCHEMA_VERSION = "dialign.episode.v1"
 
@@ -156,7 +157,6 @@ class Observation:
 
     slot_feats: np.ndarray  # (T, n_slots, 3)
     global_feats: np.ndarray  # (T, 2)
-    slot_names: tuple[str, ...]
 
     def flat(self) -> np.ndarray:
         """[global | slot features row by row], one row per turn: (T, dim)."""
@@ -187,7 +187,7 @@ def observe(states: Sequence[DialogueState], schema: SlotSchema, horizon: int) -
     slot_feats[rows, cols, 2] = 1.0
     global_feats = np.ones((len(states), GLOBAL_FEATURE_DIM))
     global_feats[:, 1] = np.array([state.turn for state in states]) / float(horizon)
-    return Observation(slot_feats=slot_feats, global_feats=global_feats, slot_names=names)
+    return Observation(slot_feats=slot_feats, global_feats=global_feats)
 
 
 def observation_dim(n_slots: int) -> int:
@@ -196,11 +196,9 @@ def observation_dim(n_slots: int) -> int:
 
 @dataclass(frozen=True)
 class EnvView:
-    """What an agent sees when asked to act: the dialogue state now, and the
-    observation stack of the whole episode (row ``turn - 1`` is now)."""
+    """What an agent sees when asked to act: the dialogue state now."""
 
     state: DialogueState
-    observations: Observation
     schema: SlotSchema
 
     @property
@@ -237,32 +235,54 @@ def score_turn(
 
 @dataclass(frozen=True)
 class EpisodeTable:
-    """Row t - 1 is what the agent sees and the judge reads for the agent
-    turn answering user turn t: the ``EnvView`` (which holds the dialogue
-    state) and the ``JudgeContext``; ``observations`` is the episode's stack.
+    """A config's whole episode, one row per user turn.  Row t - 1 is what
+    the agent turn answering user turn t sees and is scored against: the
+    ``EnvView`` (which holds the dialogue state), the ``JudgeContext``, the
+    ground truth in force (``truths``, one ``Profile`` shared by the turns
+    of each stretch between conflict swaps) and the reveal ceiling
+    (``ceilings``); ``observations`` is the episode's stack.
 
     Read it as ``UserConfig.episode_table``, which builds it once per config.
     """
 
     views: tuple[EnvView, ...]
     contexts: tuple[JudgeContext, ...]
+    truths: tuple[Profile, ...]
+    ceilings: tuple[float, ...]
     observations: Observation
 
     @classmethod
     def build(cls, config: UserConfig) -> "EpisodeTable":
-        states: list[DialogueState] = []
-        state = DialogueState()
-        for scripted in config.script:
-            state = state.with_user_turn(scripted.utterance)
-            states.append(state)
+        """Walk the user's side of turns 1..horizon once."""
         schema = config.profile.schema
+        user = initial_state(config)
+        state = DialogueState().with_user_turn(first_utterance(config))
+        states: list[DialogueState] = []
+        truths: list[Profile] = []
+        ceilings: list[float] = []
+        entries = truth = None
+        while True:
+            # User states share one entries dict until a conflict swaps values.
+            if user.active_entries is not entries:
+                entries = user.active_entries
+                truth = Profile(schema=schema, entries=dict(entries))
+            states.append(state)
+            truths.append(truth)
+            ceilings.append(theoretical_max(user, truth))
+            step = next_utterance(user, config)
+            if step is None:
+                break
+            utterance, user = step
+            state = state.with_user_turn(utterance)
         observations = observe(states, schema, config.horizon)
         # Every episode of the config shares these arrays; nothing may write to them.
         observations.slot_feats.flags.writeable = False
         observations.global_feats.flags.writeable = False
         return cls(
-            tuple(EnvView(state, observations, schema) for state in states),
+            tuple(EnvView(state, schema) for state in states),
             tuple(state.judge_context() for state in states),
+            tuple(truths),
+            tuple(ceilings),
             observations,
         )
 
@@ -282,7 +302,6 @@ class DialogueEnv:
                     f"matcher {self.matcher.label} matches the conflict replacement "
                     f"{value!r} for {slot!r} to the value it replaces, {old!r}"
                 )
-        self._script = config.script
         self._table = config.episode_table
         self._index: int | None = None
         self._done = False
@@ -319,11 +338,11 @@ class DialogueEnv:
         if self._done:
             raise ProtocolError("step() after the episode ended")
 
-        state = self._table.views[index].state
-        scripted = self._script[index]
+        table = self._table
+        state = table.views[index].state
         response, estimate = action.response, action.estimate
         scored = score_turn(
-            response, estimate, self._table.contexts[index], scripted.truth, self.matcher
+            response, estimate, table.contexts[index], table.truths[index], self.matcher
         )
         utterance = state.latest
         record = TurnRecord(
@@ -341,9 +360,9 @@ class DialogueEnv:
             criteria=scored.criteria,
             dimensions=scored.dimensions,
             aligned=scored.aligned,
-            theoretical_max=scripted.theoretical_max,
+            theoretical_max=table.ceilings[index],
         )
-        if index + 1 < len(self._script):
+        if index + 1 < len(table.views):
             self._index = index + 1
         else:
             self._done = True
@@ -455,11 +474,7 @@ def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> Epi
         schema_slots=tuple(env.schema.slots),
         open_schema=env.schema.open_schema,
         truth=dict(config.profile.entries),
-        conflict=(
-            {"turn": config.conflict.turn, "replace": dict(config.conflict.replace)}
-            if config.conflict
-            else None
-        ),
+        conflict=config.conflict.to_record() if config.conflict else None,
         horizon=config.horizon,
         style_seed=config.style_seed,
         matcher=env.matcher.label,

@@ -86,6 +86,19 @@ class SlotSchema:
     def allows(self, slot: str) -> bool:
         return self.open_schema or slot in self.slot_set
 
+    def to_record(self) -> dict:
+        return {"name": self.name, "slots": list(self.slots), "open": self.open_schema}
+
+    @classmethod
+    def from_record(cls, record: Mapping) -> "SlotSchema":
+        """The schema of a ``{"name", "slots", "open"}`` record; ``open``
+        defaults to closed."""
+        return cls(
+            name=record["name"],
+            slots=tuple(record["slots"]),
+            open_schema=bool(record.get("open", False)),
+        )
+
     @classmethod
     def aloe(cls) -> "SlotSchema":
         return cls(name="aloe", slots=ALOE_SLOTS)
@@ -122,26 +135,23 @@ class Profile:
         return len(self.entries)
 
     def to_record(self) -> dict:
-        return {"schema": self.schema.name, "entries": dict(self.entries)}
+        return {"schema": self.schema.to_record(), "entries": dict(self.entries)}
 
 
 def load_profile(record: Mapping) -> Profile:
     """Build a Profile from a parsed JSON record ``{"schema": ..., "entries": ...}``.
 
-    ``schema`` may be ``"aloe"`` (built in), any other name (treated as an
-    open schema inferred from the entry keys), or an inline ``{"name",
-    "slots", "open"}`` object.
+    ``schema`` may be an inline ``{"name", "slots", "open"}`` object, as
+    ``Profile.to_record`` writes it (``slots`` defaults to the entry keys),
+    ``"aloe"`` (built in), or any other name (treated as an open schema
+    inferred from the entry keys).
     """
     if "entries" not in record or "schema" not in record:
         raise ValueError("profile record needs 'schema' and 'entries' fields")
     entries = dict(record["entries"])
     spec = record["schema"]
     if isinstance(spec, Mapping):
-        schema = SlotSchema(
-            name=spec["name"],
-            slots=tuple(spec.get("slots", entries.keys())),
-            open_schema=bool(spec.get("open", False)),
-        )
+        schema = SlotSchema.from_record({"slots": entries.keys(), **spec})
     elif spec == "aloe":
         schema = SlotSchema.aloe()
     else:

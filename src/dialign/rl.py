@@ -416,7 +416,7 @@ def draw_decisions(
     """
     slot_feats = np.concatenate([stack.slot_feats for stack in stacks])
     global_feats = np.concatenate([stack.global_feats for stack in stacks])
-    obs = Observation(slot_feats, global_feats, stacks[0].slot_names)
+    obs = Observation(slot_feats, global_feats)
     if seeds is None:
         batch = policy.greedy(obs)
         return batch, policy.log_prob_batch(batch)
@@ -445,7 +445,7 @@ class PolicyAgent:
 
     def act(self, view: EnvView) -> AgentAction:
         row = view.turn - 1
-        names = view.observations.slot_names
+        names = view.schema.slots
         seen = view.seen_values
         entries = {
             slot: seen.get(slot, UNKNOWN_VALUE)
@@ -695,7 +695,7 @@ def config_fingerprint(
 ) -> str:
     payload = {
         **_resume_identity(cfg, weights, matcher_label),
-        "schema": {"name": schema.name, "slots": list(schema.slots), "open": schema.open_schema},
+        "schema": schema.to_record(),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -753,11 +753,7 @@ def save_checkpoint(
         "format": CHECKPOINT_FORMAT,
         "theta": policy.theta.tolist(),
         "phi": value_fn.phi.tolist(),
-        "schema": {
-            "name": schema.name,
-            "slots": list(schema.slots),
-            "open": schema.open_schema,
-        },
+        "schema": schema.to_record(),
         "step": step,
         "fingerprint": config_fingerprint(cfg, weights, schema, matcher_label),
         "ppo": asdict(cfg),
@@ -780,11 +776,7 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("theta", "phi", "schema", "step", "fingerprint"):
         if key not in payload:
             raise CheckpointError(f"checkpoint missing field {key!r}")
-    schema = SlotSchema(
-        name=payload["schema"]["name"],
-        slots=tuple(payload["schema"]["slots"]),
-        open_schema=bool(payload["schema"].get("open", False)),
-    )
+    schema = SlotSchema.from_record(payload["schema"])
     return Checkpoint(
         theta=np.asarray(payload["theta"], dtype=float),
         phi=np.asarray(payload["phi"], dtype=float),

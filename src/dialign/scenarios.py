@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, clearly_different
+from .profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, clearly_different, load_profile
 from .user_sim import ConflictSpec, UserConfig, reveal_order
 
 
@@ -25,6 +25,8 @@ def _load_pools() -> dict[str, dict[str, list[str]]]:
 
 
 _POOLS = _load_pools()
+# Every slot's value pool, aloe and extended slots together.
+_SLOT_VALUES = {**_POOLS["aloe"], **_POOLS["extended"]}
 
 DEFAULT_CONFLICT_TURN = 6
 
@@ -63,11 +65,7 @@ class Scenario:
             "id": self.scenario_id,
             "profile": self.profile.to_record(),
             "reveal_schedule": list(self.reveal_schedule) if self.reveal_schedule else None,
-            "conflict": (
-                {"turn": self.conflict.turn, "replace": dict(self.conflict.replace)}
-                if self.conflict
-                else None
-            ),
+            "conflict": self.conflict.to_record() if self.conflict else None,
             "horizon": self.horizon,
             "style_seed": self.style_seed,
         }
@@ -81,9 +79,7 @@ def _schema_for(extended: bool) -> SlotSchema:
 
 
 def generate_profile(rng: random.Random, schema: SlotSchema) -> Profile:
-    pools = dict(_POOLS["aloe"])
-    pools.update(_POOLS["extended"])
-    entries = {slot: rng.choice(pools[slot]) for slot in schema.slots}
+    entries = {slot: rng.choice(_SLOT_VALUES[slot]) for slot in schema.slots}
     return Profile(schema=schema, entries=entries)
 
 
@@ -103,9 +99,7 @@ def default_conflict(
     """
     target = reveal_order(profile, style_seed)[0]
     original = profile.entries[target]
-    pools = dict(_POOLS["aloe"])
-    pools.update(_POOLS["extended"])
-    candidates = clearly_different(target, original, pools.get(target, []), matcher)
+    candidates = clearly_different(target, original, _SLOT_VALUES.get(target, []), matcher)
     replacement = rng.choice(candidates) if candidates else f"changed {target.lower()}"
     return ConflictSpec(turn=turn, replace={target: replacement})
 
@@ -164,8 +158,6 @@ def load_scenario(path: str | Path) -> Scenario:
     for key in ("profile", "horizon", "style_seed"):
         if key not in payload:
             raise ConfigError(f"scenario file {path} missing field {key!r}")
-    from .profiles import load_profile
-
     profile = load_profile(payload["profile"])
     conflict = None
     if payload.get("conflict"):

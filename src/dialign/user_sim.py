@@ -19,11 +19,9 @@ When nothing is left to reveal the user restates an earlier preference
 (chit-chat); restatements carry a topic slot but no new evidence.
 
 The user never reads the agent's turns, so a config's whole side of the
-episode is fixed in advance: ``UserConfig.script`` walks ``initial_state``
-and ``next_utterance`` once, on first use, and keeps every turn's utterance,
-truth and reveal ceiling for the environment to replay.  The environment's
-own per-turn table, derived from the script, is kept with the config too
-(``UserConfig.episode_table``).
+episode is fixed in advance.  The environment walks ``initial_state`` and
+``next_utterance`` once per config, on first use, into its per-turn table,
+which the config keeps (``UserConfig.episode_table``).
 """
 
 from __future__ import annotations
@@ -67,6 +65,10 @@ class ConflictSpec:
             if not isinstance(value, str) or not value.strip():
                 raise ConfigError(f"conflict replacement for {slot!r} must be non-empty text")
 
+    def to_record(self) -> dict:
+        """The ``{"turn", "replace"}`` record written to scenario files and episode logs."""
+        return {"turn": self.turn, "replace": dict(self.replace)}
+
 
 @dataclass(frozen=True)
 class UserConfig:
@@ -79,8 +81,8 @@ class UserConfig:
     clearly different one: a kept value would be un-revealed while an
     agent still holds it, lifting recall above the reveal ceiling.
 
-    ``script`` and ``episode_table`` are computed on first use and kept, so
-    a config (its profile included) must not be mutated afterwards.
+    ``episode_table`` is computed on first use and kept, so a config (its
+    profile included) must not be mutated afterwards.
     """
 
     profile: Profile
@@ -123,28 +125,9 @@ class UserConfig:
         return self.reveal_schedule[index] if index < len(self.reveal_schedule) else 0
 
     @cached_property
-    def script(self) -> tuple[ScriptedTurn, ...]:
-        """The user's side of turns 1..horizon, built once by walking
-        ``initial_state`` and ``next_utterance``."""
-        state = initial_state(self)
-        utterance = first_utterance(self)
-        entries = truth = None
-        turns: list[ScriptedTurn] = []
-        while True:
-            # States share one entries dict until a conflict swaps values.
-            if state.active_entries is not entries:
-                entries = state.active_entries
-                truth = Profile(schema=self.profile.schema, entries=dict(entries))
-            turns.append(ScriptedTurn(utterance, truth, theoretical_max(state, truth)))
-            step = next_utterance(state, self)
-            if step is None:
-                return tuple(turns)
-            utterance, state = step
-
-    @cached_property
     def episode_table(self) -> EpisodeTable:
-        """The environment's per-turn agent views and judge contexts for
-        ``script``, kept with the config so every episode of it reuses them."""
+        """The environment's per-turn table of this config's episode, kept
+        with the config so every episode of it reuses it."""
         from .env import EpisodeTable  # env imports this module, so import late
 
         return EpisodeTable.build(self)
@@ -160,16 +143,6 @@ class UserUtterance:
     evidence: tuple[tuple[str, str], ...]
     turn: int
     topic_slots: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ScriptedTurn:
-    """One turn of the user's side: the utterance, the ground truth in force
-    when the agent answers it, and the reveal ceiling at that moment."""
-
-    utterance: UserUtterance
-    truth: Profile
-    theoretical_max: float
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,6 @@ def _probe_observation(rng: np.random.Generator, n_slots: int = 10) -> Observati
     return Observation(
         slot_feats=slot_feats[None],
         global_feats=np.array([[1.0, float(rng.integers(1, 11)) / 10.0]]),
-        slot_names=tuple(f"slot{i}" for i in range(n_slots)),
     )
 
 

@@ -329,7 +329,7 @@ def test_scenarios_whose_schemas_differ_exit_2_before_writing(
                  "--extended"]) == 0
     path = mixed / "scenario_0001.json"
     payload = json.loads(path.read_text())
-    del payload["profile"]["entries"][next(iter(payload["profile"]["entries"]))]
+    payload["profile"]["schema"]["slots"].pop()
     path.write_text(json.dumps(payload))
     run = tmp_path / "run"
     assert main(["train", "--scenarios", str(mixed / "scenario_0000.json"), "--out", str(run),
@@ -565,6 +565,21 @@ def test_eval_episode_count_below_one_exits_2(
     assert main(args + ["--agent", "oracle", "--episodes", episodes]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--episodes" in err
+
+
+@pytest.mark.parametrize("agent", ["oracle", "policy"])
+def test_eval_negative_seed_exits_2_before_writing(
+    agent: str, trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    out = tmp_path / "e"
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(scenario_dir), "--out", str(out), "--agent", agent,
+            "--checkpoint", str(trained_dir / "checkpoint.json"), "--seed", "-1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_policy_agent_uses_checkpoint(trained_dir: Path, scenario_dir: Path, tmp_path: Path) -> None:

@@ -27,7 +27,7 @@ from dialign.env import (
     rollout,
     write_episodes,
 )
-import dialign.user_sim
+import dialign.env
 from dialign.errors import ConfigError, ProtocolError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall
 from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows
@@ -123,18 +123,18 @@ def test_reward_is_computed_before_the_next_user_turn() -> None:
 
 def test_user_side_is_walked_once_per_config(monkeypatch: pytest.MonkeyPatch) -> None:
     walked: list[int] = []
-    original = dialign.user_sim.next_utterance
+    original = dialign.env.next_utterance
 
     def counting(state, config):
         walked.append(state.turn)
         return original(state, config)
 
-    monkeypatch.setattr(dialign.user_sim, "next_utterance", counting)
+    monkeypatch.setattr(dialign.env, "next_utterance", counting)
     env = _env(horizon=6, style_seed=1)
     first = rollout(env, EvidenceOracleAgent())
     # One call per turn; the call after turn 6 returns None at the horizon.
     assert walked == [1, 2, 3, 4, 5, 6]
-    # A second reset, and a second environment on the same config, replay the script.
+    # A second reset, and a second environment on the same config, replay its table.
     assert rollout(env, EvidenceOracleAgent()).to_json() == first.to_json()
     assert rollout(DialogueEnv(env.config), EvidenceOracleAgent()).to_json() == first.to_json()
     assert walked == [1, 2, 3, 4, 5, 6]
@@ -189,7 +189,7 @@ def test_observation_layout_and_dim() -> None:
     assert obs.slot_feats[0, :, 1:].sum() == 0.0
     assert obs.global_feats[0, 0] == 1.0
     assert obs.global_feats[0, 1] == pytest.approx(0.1)
-    stack = env.view().observations
+    stack = env.config.episode_table.observations
     assert stack.slot_feats.shape == (10, 10, 3)
     assert stack.flat().shape == (10, observation_dim(10))
     assert stack.flat()[0].tolist() == obs.flat()[0].tolist()
@@ -201,13 +201,13 @@ def test_observation_tracks_seen_and_topic_flags() -> None:
     agent = EvidenceOracleAgent()
     env.step(agent.act(env.view()))
     view = env.view()
-    obs = view.observations
+    obs = env.config.episode_table.observations
     seen_flags = obs.slot_feats[view.turn - 1, :, 1]
     topic_flags = obs.slot_feats[view.turn - 1, :, 2]
     assert seen_flags.sum() == 1.0
     assert topic_flags.sum() == 1.0
     revealed_slot = next(iter(view.seen_values))
-    idx = obs.slot_names.index(revealed_slot)
+    idx = env.schema.slots.index(revealed_slot)
     assert seen_flags[idx] == 1.0
 
 
@@ -256,7 +256,6 @@ def test_observe_equals_the_tuple_list_construction(case) -> None:
     states, schema, horizon = case
     obs = observe(states, schema, horizon)
     slot_feats, global_feats = _reference_observe(states, schema, horizon)
-    assert obs.slot_names == tuple(schema.slots)
     for got, want in ((obs.slot_feats, slot_feats), (obs.global_feats, global_feats)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -289,7 +288,7 @@ def test_effective_truth_switches_at_conflict_turn() -> None:
     truth_by_turn: dict[int, str] = {}
     while not env.done:
         view = env.view()
-        truth_by_turn[view.turn] = env.config.script[view.turn - 1].truth.entries[slot]
+        truth_by_turn[view.turn] = env.config.episode_table.truths[view.turn - 1].entries[slot]
         env.step(agent.act(view))
     assert truth_by_turn[5] == old
     assert truth_by_turn[6] == new

@@ -147,11 +147,17 @@ def test_profile_validation_equals_the_reference_loop(schema: SlotSchema, pairs:
 
 
 def test_load_profile_round_trips_record() -> None:
-    schema = SlotSchema.aloe()
-    profile = Profile(schema=schema, entries={"Age": "34", "Location": "coastal town"})
-    loaded = load_profile(profile.to_record())
-    assert loaded.entries == profile.entries
-    assert loaded.schema == schema
+    for schema in (
+        SlotSchema.aloe(),
+        SlotSchema("custom", ("Age", "Location", "Job"), open_schema=False),
+        # Open, with a slot the entries leave out.
+        SlotSchema("wide", ("Age", "Location", "Job"), open_schema=True),
+    ):
+        profile = Profile(schema=schema, entries={"Age": "34", "Location": "coastal town"})
+        loaded = load_profile(json.loads(json.dumps(profile.to_record())))
+        assert loaded.entries == profile.entries
+        assert loaded.schema == schema
+        assert SlotSchema.from_record(schema.to_record()) == schema
 
 
 # --- matchers ------------------------------------------------------------------

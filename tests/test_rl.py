@@ -40,9 +40,6 @@ from dialign.user_sim import first_utterance, initial_state, next_utterance
 _N_SLOTS = 10
 
 
-_NAMES = tuple(f"slot{i}" for i in range(_N_SLOTS))
-
-
 def _random_observations(rng: np.random.Generator, rows: int = 1) -> Observation:
     """A stack of ``rows`` random observations with 0/1 seen and topic flags."""
     slot_rows, global_rows = [], []
@@ -54,7 +51,7 @@ def _random_observations(rng: np.random.Generator, rows: int = 1) -> Observation
             slot_feats[rng.integers(0, _N_SLOTS), 2] = 1.0
         slot_rows.append(slot_feats)
         global_rows.append([1.0, float(rng.integers(1, 11)) / 10.0])
-    return Observation(np.stack(slot_rows), np.array(global_rows), _NAMES)
+    return Observation(np.stack(slot_rows), np.array(global_rows))
 
 
 def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBatch:
@@ -374,8 +371,8 @@ def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int)
     slot_feats = np.ones((horizon, _N_SLOTS, 3))
     slot_feats[:, :, 1:] = np.array(flags, dtype=float)
     global_feats = np.array([[1.0, (t + 1) / horizon] for t in range(horizon)])
-    stack = Observation(slot_feats, global_feats, _NAMES)
-    rows = [Observation(slot_feats[t : t + 1], global_feats[t : t + 1], _NAMES) for t in range(horizon)]
+    stack = Observation(slot_feats, global_feats)
+    rows = [Observation(slot_feats[t : t + 1], global_feats[t : t + 1]) for t in range(horizon)]
 
     uniforms = np.random.default_rng(seed).random((horizon, _N_SLOTS + 2))
     batched = _decisions(policy.sample(stack, uniforms))
@@ -583,7 +580,6 @@ def _toy_round(
     obs = Observation(
         np.concatenate([o.slot_feats for o in stacks]),
         np.concatenate([o.global_feats for o in stacks]),
-        _NAMES,
     )
     decisions = policy.sample(obs, np.concatenate(uniforms))
     features = obs.flat()

@@ -271,11 +271,11 @@ def test_conflict_at_turn_one_applies_before_any_reveal() -> None:
                 assert value == new
 
 
-# --- the cached script ----------------------------------------------------------------
+# --- the cached episode table --------------------------------------------------------
 
 
 @pytest.mark.parametrize("conflict_turn", [None, 1, 6])
-def test_cached_script_equals_a_fresh_walk(conflict_turn: int | None) -> None:
+def test_episode_table_equals_a_fresh_walk(conflict_turn: int | None) -> None:
     profile = _profile(rng_seed=5)
     conflict = None
     if conflict_turn is not None:
@@ -290,18 +290,24 @@ def test_cached_script_equals_a_fresh_walk(conflict_turn: int | None) -> None:
         utterances.append(step[0])
         states.append(step[1])
 
-    script = config.script
-    assert [turn.utterance for turn in script] == utterances
-    assert [turn.truth.entries for turn in script] == [s.active_entries for s in states]
-    assert [turn.theoretical_max for turn in script] == [
-        theoretical_max(s, s.active_entries) for s in states
-    ]
+    table = config.episode_table
+    assert len(table.views) == len(table.contexts) == len(states) == 10
+    assert [view.state.latest for view in table.views] == utterances
+    assert all(view.schema is profile.schema for view in table.views)
+    assert [truth.entries for truth in table.truths] == [s.active_entries for s in states]
+    assert all(truth.schema is profile.schema for truth in table.truths)
+    # One truth per stretch between swaps: the turns of a stretch share it.
+    assert len({id(truth) for truth in table.truths}) == len(
+        {id(s.active_entries) for s in states}
+    ) == (1 if conflict_turn in (None, 1) else 2)
+    assert list(table.ceilings) == [theoretical_max(s, s.active_entries) for s in states]
     if conflict_turn is not None:
         before = conflict_turn - 1
-        assert [turn.truth.entries[slot] for turn in script] == (
+        assert [truth.entries[slot] for truth in table.truths] == (
             [profile.entries[slot]] * before + [new] * (10 - before)
         )
-    assert config.script is script
+    assert table.observations.slot_feats.shape == (10, len(profile.schema.slots), 3)
+    assert config.episode_table is table
 
 
 # --- theoretical max ------------------------------------------------------------------
