@@ -30,7 +30,6 @@ from .metrics import (
     ConfusionMatrix,
     agreement_stats,
     alignment_curve,
-    alignment_level,
     fit_improvement,
     longterm_profile_curve,
     normalize_curve,

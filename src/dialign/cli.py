@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from dataclasses import asdict
@@ -78,15 +79,28 @@ def _parse_weights(text: str) -> tuple[float, float]:
         wp, wr = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"--weights expects numbers, got {text!r}") from exc
-    if wp < 0 or wr < 0:
-        raise ConfigError("reward weights must be non-negative")
+    if not (0 <= wp < math.inf and 0 <= wr < math.inf):
+        raise ConfigError(f"--weights must be finite and non-negative, got {text!r}")
     return wp, wr
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, 0 when not given; a negative seed would seed ``random``
+    like its absolute value, so it is refused."""
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Sequence[Sequence], append: bool = False
+) -> None:
+    """Write ``header`` and ``rows`` to a new CSV, or ``append`` the rows alone."""
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        if not append:
+            writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -122,7 +136,7 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
 def cmd_gen_scenarios(args: argparse.Namespace) -> int:
     scenarios = generate_scenarios(
         count=args.count,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed(args),
         horizon=args.horizon,
         conflict=args.conflict,
         extended=args.extended,
@@ -147,13 +161,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         checkpoint.check_resumable(cfg, weights, matcher, schema)
         policy, value_fn = checkpoint.policy(), checkpoint.value_fn()
         start_step = checkpoint.step
-    pairs = [(s.scenario_id, s.user_config()) for s in scenario_list]
-    for _, config in pairs:
-        DialogueEnv(config, matcher=matcher)  # refuses a conflict the matcher cannot see
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = train(
-        pairs,
+        [(s.scenario_id, s.user_config()) for s in scenario_list],
         cfg,
         weights=weights,
         matcher=matcher,
@@ -162,27 +171,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         start_step=start_step,
     )
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         out / "checkpoint.json", result.policy, result.value_fn, cfg, weights, schema,
         step=result.final_step, matcher=matcher,
     )
     curve_path = out / "curve.csv"
-    mode = "a" if (args.resume and curve_path.exists()) else "w"
-    with open(curve_path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(CURVE_COLUMNS)
-        for row in result.curve:
-            writer.writerow(
-                [
-                    row.step,
-                    f"{row.mean_total_reward:.6f}",
-                    f"{row.mean_profile_reward:.6f}",
-                    f"{row.mean_response_reward:.6f}",
-                    f"{row.clip_fraction:.6f}",
-                    f"{row.value_loss:.6f}",
-                ]
-            )
+    _write_csv(
+        curve_path,
+        CURVE_COLUMNS,
+        [[row.step, *(f"{getattr(row, name):.6f}" for name in CURVE_COLUMNS[1:])]
+         for row in result.curve],
+        append=bool(args.resume) and curve_path.exists(),
+    )
     with open(out / "run_config.json", "w") as fh:
         json.dump(
             {
@@ -209,9 +211,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    seed = _seed(args)
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:
         horizon_override = LONGTERM_DEFAULT_HORIZON
@@ -326,8 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_judge_bench(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = random.Random(seed)
+    rng = random.Random(_seed(args))
     schema = _schema_for(False)
     cases = []
     for index in range(args.count):

@@ -310,10 +310,6 @@ class DialogueEnv:
     def schema(self) -> SlotSchema:
         return self.config.profile.schema
 
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
-
     def reset(self) -> DialogueState:
         self._index = 0
         self._done = False

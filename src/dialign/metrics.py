@@ -1,10 +1,11 @@
 """Evaluation metrics for multi-turn personalization.
 
 Alignment level AL(k) is 100 times the mean binary alignment verdict at
-turn k over a set of episodes.  To compare how curves improve over turns,
-a curve is first normalized to [0, 1] using its global minimum and maximum
-(an all-equal curve maps to zeros), then an ordinary least squares line is
-fitted against turn indices 1..K:
+turn k over a set of episodes; AL(k) is ``alignment_curve(scores)[k - 1]``.
+To compare how curves improve over turns, a curve is first normalized to
+[0, 1] using its global minimum and maximum (an all-equal curve maps to
+zeros), then an ordinary least squares line is fitted against turn indices
+1..K:
 
     N-IR  = fitted slope (normalized improvement rate)
     N-R^2 = coefficient of determination of that fit (improvement stability)
@@ -29,37 +30,20 @@ from .profiles import Profile, SlotMatcher, precision_recall
 # --- alignment curves -------------------------------------------------------
 
 
-def _levels(columns: Sequence[Sequence[float]]) -> np.ndarray:
-    """100 x each row's mean (one turn's scores over episodes: the pairwise sum
-    np.mean takes of the row alone); the first score outside [0, 1] raises."""
+def alignment_curve(scores: Sequence[Sequence[float]]) -> list[float]:
+    """[AL(1), ..., AL(K)] with K the shortest episode's length: 100 x each row
+    mean of one turns x episodes table (the pairwise sum np.mean takes of the
+    row alone).  The first score outside [0, 1], turn by turn, raises."""
+    if not scores:
+        raise ValueError("alignment_curve needs at least one episode")
+    columns = list(zip(*scores))  # turn-major, cut to the shortest episode
+    if not columns:
+        return []
     table = np.array(columns, dtype=float)
     bad = np.flatnonzero(~((table >= 0.0) & (table <= 1.0)))
     if bad.size:
         raise ValueError(f"alignment scores must lie in [0, 1], got {float(table.flat[bad[0]])}")
-    return 100.0 * table.mean(axis=1)
-
-
-def alignment_level(scores: Sequence[Sequence[float]], k: int) -> float:
-    """AL(k): 100 x mean turn-k alignment over episodes (1-based k)."""
-    if not scores:
-        raise ValueError("alignment_level needs at least one episode")
-    if k < 1:
-        raise ValueError(f"turn index must be >= 1, got {k}")
-    # Episodes before the first one too short for turn k are checked first.
-    short = next((i for i, episode in enumerate(scores) if k > len(episode)), len(scores))
-    if short:
-        level = _levels([[episode[k - 1] for episode in scores[:short]]])[0]
-    if short < len(scores):
-        raise ValueError(f"episode {short} has only {len(scores[short])} turns, asked for {k}")
-    return float(level)
-
-
-def alignment_curve(scores: Sequence[Sequence[float]]) -> list[float]:
-    """[AL(1), ..., AL(K)] with K the shortest episode's length, in one table pass."""
-    if not scores:
-        raise ValueError("alignment_curve needs at least one episode")
-    columns = list(zip(*scores))  # turn-major, cut to the shortest episode
-    return _levels(columns).tolist() if columns else []
+    return (100.0 * table.mean(axis=1)).tolist()
 
 
 def normalize_curve(values: Sequence[float]) -> list[float]:
@@ -243,5 +227,5 @@ def longterm_profile_curve(
 
 
 def alignment_matrix(records: Sequence[EpisodeRecord]) -> list[list[int]]:
-    """Per-episode binary alignment verdicts, ready for alignment_level."""
+    """Per-episode binary alignment verdicts, ready for alignment_curve."""
     return [[int(t.aligned) for t in record.turns] for record in records]

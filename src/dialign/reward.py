@@ -27,6 +27,7 @@ reward and this response reward; both weights default to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -147,10 +148,10 @@ def response_reward(judgment: ResponseJudgment) -> int:
 def combined_reward(
     profile_r: float, response_r: float, weights: tuple[float, float] = (1.0, 1.0)
 ) -> float:
-    """Weighted sum w_p * profile + w_r * response; weights must be >= 0."""
+    """Weighted sum w_p * profile + w_r * response; weights must be finite and >= 0."""
     w_profile, w_response = weights
-    if w_profile < 0 or w_response < 0:
-        raise ValueError(f"reward weights must be non-negative, got {weights}")
+    if not (0 <= w_profile < math.inf and 0 <= w_response < math.inf):
+        raise ValueError(f"reward weights must be finite and non-negative, got {weights}")
     return w_profile * profile_r + w_response * response_r
 
 

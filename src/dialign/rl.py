@@ -306,12 +306,11 @@ class RoundBatch:
     """One training round's data, sampled under a frozen policy, row-stacked
     episode after episode; ``lengths`` gives each episode's turn count.
 
-    ``features`` holds the flattened observation of each row, the critic's
-    input, and ``values`` the critic's per-row prediction of it.
+    The decisions carry each row's observation; its flattened form is the
+    critic's input, and ``values`` the critic's per-row prediction of it.
     """
 
     decisions: DecisionBatch
-    features: np.ndarray
     log_probs_old: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
@@ -320,8 +319,7 @@ class RoundBatch:
     def __post_init__(self) -> None:
         n = len(self.decisions)
         if not (
-            self.features.shape[0] == n
-            and self.log_probs_old.shape == (n,)
+            self.log_probs_old.shape == (n,)
             and self.values.shape == (n,)
             and self.rewards.shape == (n,)
             and self.lengths.ndim == 1
@@ -487,7 +485,7 @@ def collect(
     decisions, log_probs = draw_decisions(policy, stacks, seeds)
     lengths = [len(stack.global_feats) for stack in stacks]
     rows = iter(episode_rows(lengths))
-    features, values, rewards = [], [], []
+    values, rewards = [], []
     records: list[EpisodeRecord] = []
     for scenario_id, config in scenarios:
         env = DialogueEnv(config, matcher=matcher)
@@ -499,11 +497,9 @@ def collect(
             record = rollout(env, agent, scenario_id=scenario_id)
             rewards.append(agent.finish(record, weights))
             records.append(record)
-            features.append(flat)
             values.append(predicted)
     batch = RoundBatch(
-        decisions, np.concatenate(features), log_probs, np.concatenate(values),
-        np.concatenate(rewards), np.array(lengths),
+        decisions, log_probs, np.concatenate(values), np.concatenate(rewards), np.array(lengths)
     )
     return batch, records
 
@@ -535,7 +531,8 @@ def update(
     gae = compute_gae(rewards, values, cfg.gamma, cfg.lam)[in_episode]
     returns = gae + batch.values
     advantages = normalize_advantages(gae)
-    logp_old, features, decisions = batch.log_probs_old, batch.features, batch.decisions
+    logp_old, decisions = batch.log_probs_old, batch.decisions
+    features = Observation(decisions.slot_feats, decisions.global_feats).flat()
     n = logp_old.size
 
     clip_fractions: list[float] = []
@@ -588,14 +585,7 @@ class CurveRow:
     value_loss: float
 
 
-CURVE_COLUMNS = (
-    "step",
-    "mean_total_reward",
-    "mean_profile_reward",
-    "mean_response_reward",
-    "clip_fraction",
-    "value_loss",
-)
+CURVE_COLUMNS = tuple(spec.name for spec in fields(CurveRow))
 
 
 @dataclass
@@ -777,9 +767,12 @@ def load_checkpoint(path) -> Checkpoint:
         if key not in payload:
             raise CheckpointError(f"checkpoint missing field {key!r}")
     schema = SlotSchema.from_record(payload["schema"])
+    params = {key: np.asarray(payload[key], dtype=float) for key in ("theta", "phi")}
+    for key, values in params.items():
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"checkpoint {path} holds a non-finite {key} value")
     return Checkpoint(
-        theta=np.asarray(payload["theta"], dtype=float),
-        phi=np.asarray(payload["phi"], dtype=float),
+        **params,
         schema=schema,
         step=int(payload["step"]),
         fingerprint=payload["fingerprint"],

@@ -113,6 +113,9 @@ def generate_scenarios(
 ) -> list[Scenario]:
     if count < 1:
         raise ConfigError("need at least one scenario")
+    if seed < 0:
+        # random.Random(-n) seeds like random.Random(n).
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if conflict and horizon < DEFAULT_CONFLICT_TURN + 1:
@@ -152,6 +155,13 @@ def save_scenarios(scenarios: list[Scenario], out_dir: str | Path) -> list[Path]
     return paths
 
 
+def _integer(path: str | Path, field: str, value: object) -> int:
+    """``value`` if it is a JSON integer (not a bool, a float or a string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"scenario file {path}: {field} must be an integer, got {value!r}")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
     with open(path) as fh:
         payload = json.load(fh)
@@ -159,20 +169,24 @@ def load_scenario(path: str | Path) -> Scenario:
         if key not in payload:
             raise ConfigError(f"scenario file {path} missing field {key!r}")
     profile = load_profile(payload["profile"])
+    style_seed = _integer(path, "style_seed", payload["style_seed"])
+    if style_seed < 0:
+        # A negative seed would share its reveal order with its absolute value.
+        raise ConfigError(f"scenario file {path}: style_seed must be >= 0, got {style_seed}")
     conflict = None
     if payload.get("conflict"):
         conflict = ConflictSpec(
-            turn=int(payload["conflict"]["turn"]),
+            turn=_integer(path, "conflict turn", payload["conflict"]["turn"]),
             replace=dict(payload["conflict"]["replace"]),
         )
     schedule = payload.get("reveal_schedule")
     return Scenario(
         scenario_id=str(payload.get("id", Path(path).stem)),
         profile=profile,
-        horizon=int(payload["horizon"]),
+        horizon=_integer(path, "horizon", payload["horizon"]),
         reveal_schedule=tuple(schedule) if schedule else None,
         conflict=conflict,
-        style_seed=int(payload["style_seed"]),
+        style_seed=style_seed,
     )
 
 

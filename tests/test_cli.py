@@ -205,6 +205,57 @@ def test_missing_scenario_path_exits_2(tmp_path: Path) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,inf"])
+def test_non_finite_weights_exit_2_before_writing(
+    weights: str, scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tmp_path / "run"
+    capsys.readouterr()
+    args = ["train", "--scenarios", str(scenario_dir), "--out", str(out), "--rounds", "1"]
+    assert main([*args, "--weights", weights]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--weights" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-scenarios", "judge-bench"])
+def test_negative_seed_exits_2_before_writing(
+    command: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # random.Random(-5) seeds like random.Random(5).
+    out = tmp_path / ("bench.csv" if command == "judge-bench" else "scenarios")
+    capsys.readouterr()
+    assert main([command, "--out", str(out), "--count", "4", "--seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("horizon", 10.9), ("horizon", "10"), ("horizon", True), ("style_seed", 2.5),
+     ("style_seed", -1), ("conflict turn", 6.0), ("conflict turn", False)],
+)
+def test_scenario_number_that_is_not_a_json_integer_exits_2(
+    field: str, value: object, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", "--conflict"]) == 0
+    path = scenarios / "scenario_0001.json"
+    payload = json.loads(path.read_text())
+    if field == "conflict turn":
+        payload["conflict"]["turn"] = value
+    else:
+        payload[field] = value
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "e"
+    capsys.readouterr()
+    assert main(["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and field in err
+    assert not out.exists()
+
+
 # --- gen-scenarios ----------------------------------------------------------------
 
 
@@ -301,6 +352,8 @@ def test_train_resume_appends_curve(scenario_dir: Path, tmp_path: Path) -> None:
     uninterrupted = load_checkpoint(straight / "checkpoint.json")
     assert np.array_equal(resumed.theta, uninterrupted.theta)
     assert np.array_equal(resumed.phi, uninterrupted.phi)
+    # One header and the same formatting as the uninterrupted run's curve.
+    assert (out / "curve.csv").read_bytes() == (straight / "curve.csv").read_bytes()
 
 
 def test_resume_with_other_schema_name_exits_2(
@@ -579,6 +632,29 @@ def test_eval_negative_seed_exits_2_before_writing(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["theta", "phi"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_non_finite_checkpoint_parameters_exit_2_before_writing(
+    command: str, key: str, trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    payload[key][1] = float("nan")
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    args = [command, "--scenarios", str(scenario_dir), "--out", str(out)]
+    if command == "eval":
+        args += ["--agent", "policy", "--checkpoint", str(checkpoint)]
+    else:
+        args += ["--rounds", "1", "--samples", "1", "--resume", str(checkpoint)]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"non-finite {key}" in err
     assert not out.exists()
 
 

@@ -180,7 +180,7 @@ def test_oracle_agent_earns_full_response_reward() -> None:
 def test_observation_layout_and_dim() -> None:
     env = _env(horizon=10)
     state = env.reset()
-    obs = observe([state], env.schema, env.horizon)
+    obs = observe([state], env.schema, env.config.horizon)
     assert obs.slot_feats.shape == (1, 10, 3)
     assert obs.global_feats.shape == (1, 2)
     assert obs.flat().shape == (1, observation_dim(10))

@@ -15,7 +15,6 @@ from dialign.metrics import (
     ConfusionMatrix,
     agreement_stats,
     alignment_curve,
-    alignment_level,
     alignment_matrix,
     fit_improvement,
     longterm_profile_curve,
@@ -34,21 +33,17 @@ _POOLS = json.loads(
 
 
 def test_alignment_level_hand_values() -> None:
+    # AL(k) is entry k - 1 of the curve.
     scores = [[1, 0, 1], [0, 0, 1], [1, 1, 1], [0, 1, 1]]
-    assert alignment_level(scores, 1) == pytest.approx(50.0)
-    assert alignment_level(scores, 2) == pytest.approx(50.0)
-    assert alignment_level(scores, 3) == pytest.approx(100.0)
+    assert alignment_curve(scores) == pytest.approx([50.0, 50.0, 100.0])
 
 
 def test_alignment_level_validates_inputs() -> None:
-    with pytest.raises(ValueError):
-        alignment_level([], 1)
-    with pytest.raises(ValueError):
-        alignment_level([[1.0]], 0)
-    with pytest.raises(ValueError):
-        alignment_level([[1.0]], 2)
-    with pytest.raises(ValueError):
-        alignment_level([[1.5]], 1)
+    with pytest.raises(ValueError, match="at least one episode"):
+        alignment_curve([])
+    for bad in (1.5, -0.25, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            alignment_curve([[1.0, 0.0], [0.0, bad]])
 
 
 def test_alignment_curve_uses_shortest_episode() -> None:
@@ -56,28 +51,20 @@ def test_alignment_curve_uses_shortest_episode() -> None:
     assert alignment_curve(scores) == pytest.approx([50.0, 100.0, 100.0])
 
 
-def _reference_level(scores, k: int) -> float:
-    """AL(k) as one np.mean per turn over a validated Python column."""
-    if not scores:
-        raise ValueError("alignment_level needs at least one episode")
-    if k < 1:
-        raise ValueError(f"turn index must be >= 1, got {k}")
-    column: list[float] = []
-    for i, episode in enumerate(scores):
-        if k > len(episode):
-            raise ValueError(f"episode {i} has only {len(episode)} turns, asked for {k}")
-        value = float(episode[k - 1])
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"alignment scores must lie in [0, 1], got {value}")
-        column.append(value)
-    return 100.0 * float(np.mean(column))
-
-
 def _reference_curve(scores) -> list[float]:
+    """[AL(1), ..., AL(K)] as one np.mean per turn over a validated Python column."""
     if not scores:
         raise ValueError("alignment_curve needs at least one episode")
-    limit = min(len(ep) for ep in scores)
-    return [_reference_level(scores, k) for k in range(1, limit + 1)]
+    curve = []
+    for k in range(min(len(ep) for ep in scores)):
+        column: list[float] = []
+        for episode in scores:
+            value = float(episode[k])
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"alignment scores must lie in [0, 1], got {value}")
+            column.append(value)
+        curve.append(100.0 * float(np.mean(column)))
+    return curve
 
 
 def _outcome(fn, *args) -> tuple:
@@ -109,15 +96,14 @@ def _score_sets(draw) -> list[list]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(scores=_score_sets(), k=st.integers(-1, 62))
-@example(scores=[], k=1)
-@example(scores=[[1, 0], [], [0.5]], k=1)
-@example(scores=[[0.5, 2.0], [float("nan")]], k=2)
-def test_alignment_curve_and_level_equal_the_per_turn_loop(scores: list[list], k: int) -> None:
+@given(scores=_score_sets())
+@example(scores=[])
+@example(scores=[[1, 0], [], [0.5]])
+@example(scores=[[0.5, 2.0], [float("nan")]])
+def test_alignment_curve_equals_the_per_turn_loop(scores: list[list]) -> None:
     # Same bits (array_equal and more: the float64 bytes), or the same
     # exception type and message, first bad score turn by turn then episode.
     assert _outcome(alignment_curve, scores) == _outcome(_reference_curve, scores)
-    assert _outcome(alignment_level, scores, k) == _outcome(_reference_level, scores, k)
 
 
 # --- normalization ----------------------------------------------------------------

@@ -217,6 +217,14 @@ def test_combined_reward_rejects_negative_weights() -> None:
         combined_reward(0.5, 1.0, weights=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "weights", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf")), (1.0, float("nan"))]
+)
+def test_combined_reward_rejects_non_finite_weights(weights: tuple[float, float]) -> None:
+    with pytest.raises(ValueError, match="finite"):
+        combined_reward(0.5, 1.0, weights=weights)
+
+
 # --- evaluation-time verdict ---------------------------------------------------------
 
 

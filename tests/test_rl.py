@@ -427,7 +427,6 @@ def test_round_draw_equals_per_episode_draws(
             assert np.array_equal(getattr(batch.decisions, name)[episode], getattr(expected, name))
         assert np.array_equal(batch.log_probs_old[episode], policy.log_prob_batch(expected))
         assert batch.values[episode].tolist() == [value_fn.predict(row) for row in stack.flat()]
-        assert np.array_equal(batch.features[episode], stack.flat())
         assert batch.rewards[episode].tolist() == [
             combined_reward(t.profile_reward, t.response_reward, weights) for t in record.turns
         ]
@@ -537,7 +536,6 @@ def test_round_batch_length_validation() -> None:
     decisions = _random_decisions(rng, obs)
     columns = dict(
         decisions=decisions,
-        features=obs.flat(),
         log_probs_old=np.zeros(3),
         values=np.zeros(3),
         rewards=np.zeros(3),
@@ -548,7 +546,6 @@ def test_round_batch_length_validation() -> None:
         ("log_probs_old", np.zeros(2)),
         ("values", np.zeros(4)),
         ("rewards", np.zeros((3, 1))),
-        ("features", obs.flat()[:2]),
         ("lengths", np.array([1, 1])),
         ("lengths", np.array([0, 3])),
         ("lengths", np.array([[1, 2]])),
@@ -582,15 +579,18 @@ def _toy_round(
         np.concatenate([o.global_feats for o in stacks]),
     )
     decisions = policy.sample(obs, np.concatenate(uniforms))
-    features = obs.flat()
     return RoundBatch(
         decisions=decisions,
-        features=features,
         log_probs_old=policy.log_prob_batch(decisions),
-        values=np.array([value_fn.predict(row) for row in features]),
+        values=np.array([value_fn.predict(row) for row in obs.flat()]),
         rewards=np.concatenate(rewards) if reward_fn is None else reward_fn(decisions) * 1.0,
         lengths=np.array(lengths),
     )
+
+
+def _critic_inputs(batch: RoundBatch) -> np.ndarray:
+    """The critic's input rows: each decision row's flattened observation."""
+    return Observation(batch.decisions.slot_feats, batch.decisions.global_feats).flat()
 
 
 def test_update_with_zero_variance_advantages_leaves_policy_unchanged() -> None:
@@ -633,7 +633,7 @@ def test_update_decreases_critic_loss_on_fixed_batch() -> None:
     returns = np.concatenate(
         [np.cumsum(batch.rewards[rows][::-1])[::-1] for rows in episode_rows(batch.lengths)]
     )
-    feats = batch.features
+    feats = _critic_inputs(batch)
     loss_before = float(np.mean((feats @ value_fn.phi - returns) ** 2))
     update(policy, value_fn, batch, PPOConfig(epochs=3, actor_lr=0.0, critic_lr=0.005))
     loss_after = float(np.mean((feats @ value_fn.phi - returns) ** 2))
@@ -654,7 +654,7 @@ def test_update_advantages_are_per_episode_gae_for_mixed_lengths() -> None:
         compute_gae(batch.rewards[rows], batch.values[rows], cfg.gamma, cfg.lam)
         for rows in episode_rows(batch.lengths)
     ])
-    expected = float(np.mean((batch.features @ value_fn.phi - (gae + batch.values)) ** 2))
+    expected = float(np.mean((_critic_inputs(batch) @ value_fn.phi - (gae + batch.values)) ** 2))
     assert update(policy, value_fn, batch, cfg).value_loss == expected
 
 

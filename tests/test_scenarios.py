@@ -108,6 +108,12 @@ def test_conflict_requires_room_to_recover() -> None:
         generate_scenarios(2, seed=0, horizon=6, conflict=True)
 
 
+def test_negative_seed_is_rejected() -> None:
+    # random.Random(-1) seeds like random.Random(1).
+    with pytest.raises(ConfigError, match="seed"):
+        generate_scenarios(2, seed=-1)
+
+
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_horizon_below_one_is_rejected(horizon: int) -> None:
     with pytest.raises(ConfigError, match="horizon"):
