@@ -40,8 +40,9 @@ from .errors import ConfigError, ProtocolError
 from .profiles import Profile, SlotMatcher, SlotSchema, clearly_different, profile_reward
 from .reward import (
     JudgeContext,
-    RuleJudge,
     alignment_verdict,
+    count_addressed,
+    judge_counts,
     response_reward,
 )
 from .user_sim import (
@@ -210,9 +211,6 @@ class EnvView:
         return self.state.seen_values
 
 
-_JUDGE = RuleJudge()
-
-
 def score_turn(
     response: ResponseRecord,
     estimate: Profile,
@@ -220,16 +218,16 @@ def score_turn(
     truth: Profile,
     matcher: SlotMatcher,
 ) -> RewardBreakdown:
-    """Judge one agent turn and score its estimate against the truth.
-
-    The one scoring path shared by the environment and offline replay.
-    """
-    judgment = _JUDGE.judge(response, estimate, context)
-    r_response = float(response_reward(judgment))
+    """Judge one agent turn from one count of its addressed pairs, and score
+    its estimate against the truth.  The one scoring path shared by the
+    environment and offline replay."""
+    counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
+    criteria, dimensions = judge_counts(counts, context, response.continues)
+    r_response = float(response_reward(criteria))
     r_profile = profile_reward(estimate, truth, matcher)
     return RewardBreakdown(
-        r_profile, r_response, r_profile + r_response, judgment.criteria(),
-        judgment.dimensions(), alignment_verdict(response, r_response, truth, matcher),
+        r_profile, r_response, r_profile + r_response, criteria, dimensions,
+        alignment_verdict(response, r_response, truth, matcher),
     )
 
 
@@ -335,28 +333,16 @@ class DialogueEnv:
             raise ProtocolError("step() after the episode ended")
 
         table = self._table
-        state = table.views[index].state
         response, estimate = action.response, action.estimate
         scored = score_turn(
             response, estimate, table.contexts[index], table.truths[index], self.matcher
         )
-        utterance = state.latest
+        utterance = table.views[index].state.latest
         record = TurnRecord(
-            turn=state.turn,
-            user_text=utterance.text,
-            evidence=utterance.evidence,
-            topic_slots=utterance.topic_slots,
-            response_text=response.text,
-            addressed=response.addressed_slots,
-            continues=response.continues,
-            estimate=dict(estimate.entries),
-            profile_reward=scored.profile,
-            response_reward=scored.response,
-            total_reward=scored.total,
-            criteria=scored.criteria,
-            dimensions=scored.dimensions,
-            aligned=scored.aligned,
-            theoretical_max=table.ceilings[index],
+            utterance.turn, utterance.text, utterance.evidence, utterance.topic_slots,
+            response.text, response.addressed_slots, response.continues, dict(estimate.entries),
+            scored.profile, scored.response, scored.total, scored.criteria, scored.dimensions,
+            scored.aligned, table.ceilings[index],
         )
         if index + 1 < len(table.views):
             self._index = index + 1

@@ -93,6 +93,9 @@ class SlotSchema:
     def from_record(cls, record: Mapping) -> "SlotSchema":
         """The schema of a ``{"name", "slots", "open"}`` record; ``open``
         defaults to closed."""
+        for key in ("name", "slots"):
+            if key not in record:
+                raise ValueError(f"schema record missing field {key!r}")
         return cls(
             name=record["name"],
             slots=tuple(record["slots"]),
@@ -190,14 +193,7 @@ class SlotMatcher:
             )
 
     def values_match(self, slot: str, a: str, b: str) -> bool:
-        na, nb = normalize_text(a), normalize_text(b)
-        if self.kind == "exact":
-            return na == nb and na != ""
-        ta, tb = token_set(a), token_set(b)
-        if not ta or not tb:
-            return False
-        jaccard = len(ta & tb) / len(ta | tb)
-        return jaccard >= self.threshold
+        return match_values(self.kind, self.threshold, a, b)
 
     @property
     def label(self) -> str:
@@ -217,6 +213,15 @@ class SlotMatcher:
             threshold = float(tail) if tail else 0.5
             return cls(kind="token", threshold=threshold)
         raise ConfigError(f"cannot parse matcher spec {text!r}")
+
+
+def match_values(kind: str, threshold: float, a: str, b: str) -> bool:
+    """The matching rule of a ``SlotMatcher`` of ``kind`` and ``threshold``."""
+    if kind == "exact":
+        na = normalize_text(a)
+        return na == normalize_text(b) and na != ""
+    ta, tb = token_set(a), token_set(b)
+    return bool(ta and tb) and len(ta & tb) / len(ta | tb) >= threshold
 
 
 _HALF_TOKEN_MATCHER = SlotMatcher(kind="token", threshold=0.5)
@@ -251,10 +256,11 @@ def overlap_count(estimate: Profile, truth: Profile, matcher: SlotMatcher) -> in
     Bounded by min(len(estimate), len(truth)) because both sides are mappings.
     """
     _check_same_family(estimate, truth)
+    kind, threshold, truth_values = matcher.kind, matcher.threshold, truth.entries
     count = 0
     for slot, value in estimate.entries.items():
-        other = truth.entries.get(slot)
-        if other is not None and matcher.values_match(slot, value, other):
+        other = truth_values.get(slot)
+        if other is not None and match_values(kind, threshold, value, other):
             count += 1
     return count
 
@@ -273,12 +279,13 @@ def precision_recall(
 
 def profile_reward(estimate: Profile, truth: Profile, matcher: SlotMatcher) -> float:
     """F1-style overlap reward 2|inter| / (|estimate| + |truth|), in [0, 1]."""
-    if len(truth) == 0:
+    n_estimate, n_truth = len(estimate.entries), len(truth.entries)
+    if n_truth == 0:
         raise ValueError("truth profile must be non-empty")
     overlap = overlap_count(estimate, truth, matcher)
-    if len(estimate) == 0:
+    if n_estimate == 0:
         return 0.0
-    return 2.0 * overlap / (len(estimate) + len(truth))
+    return 2.0 * overlap / (n_estimate + n_truth)
 
 
 # --- matcher benchmark -------------------------------------------------------

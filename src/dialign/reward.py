@@ -21,6 +21,11 @@ deterministic and reproducible offline:
 * informativeness requires at least one addressed slot once any profile
   evidence has been revealed.
 
+A turn is judged from counts: ``count_addressed`` validates and counts the
+addressed pairs in one pass, ``judge_counts`` turns the counts into the
+criteria and dimensions, and ``response_reward`` multiplies the criteria.
+``RuleJudge.judge`` and ``env.score_turn`` both go through these three.
+
 The total reward for a turn is the weighted sum of the profile overlap
 reward and this response reward; both weights default to 1.
 """
@@ -28,10 +33,10 @@ reward and this response reward; both weights default to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import dataclass, fields
+from typing import Mapping, Protocol
 
-from .profiles import Profile, SlotMatcher, normalize_text
+from .profiles import Profile, SlotMatcher, match_values, normalize_text
 
 
 class ResponseLike(Protocol):
@@ -62,21 +67,61 @@ class ResponseJudgment:
     persona_coherence: float
 
     def criteria(self) -> dict[str, int]:
-        return {
-            "naturalness": self.naturalness,
-            "relevance": self.relevance,
-            "logical_consistency": self.logical_consistency,
-            "engagement": self.engagement,
-            "informativeness": self.informativeness,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)[:5]}
 
     def dimensions(self) -> dict[str, float]:
-        return {
-            "preference_expression": self.preference_expression,
-            "style_consistency": self.style_consistency,
-            "goal_alignment": self.goal_alignment,
-            "persona_coherence": self.persona_coherence,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)[5:]}
+
+
+def count_addressed(
+    addressed: tuple[tuple[str, str], ...], topics: tuple[str, ...], believed: Mapping[str, str]
+) -> tuple[int, int, int, int]:
+    """One pass over a response's addressed pairs: validate each, and count
+    (all, on a latest topic, present in the estimate, agreeing with it)."""
+    on_topic = present = consistent = 0
+    for pair in addressed:
+        if len(pair) != 2:
+            raise ValueError(f"addressed entry must be a (slot, value) pair: {pair!r}")
+        slot, value = pair
+        if not isinstance(slot, str) or not slot.strip():
+            raise ValueError(f"addressed slot must be non-empty text: {slot!r}")
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"addressed value for {slot!r} must be non-empty text")
+        if slot in topics:
+            on_topic += 1
+        belief = believed.get(slot)
+        if belief is not None:
+            present += 1
+            if normalize_text(value) == normalize_text(belief):
+                consistent += 1
+    return len(addressed), on_topic, present, consistent
+
+
+def judge_counts(
+    counts: tuple[int, int, int, int], context: JudgeContext, continues: bool
+) -> tuple[dict[str, int], dict[str, float]]:
+    """The five criteria and four dimensions of a turn whose addressed pairs
+    ``count_addressed`` counted, in ``ResponseJudgment`` field order."""
+    n, on_topic, present, consistent = counts
+    relevance = int(on_topic > 0) if context.latest_topics else 1
+    if n:
+        pref_expr, coherence = consistent / n, present / n
+    else:
+        pref_expr = coherence = 0.0 if context.evidence_revealed else 1.0
+    criteria = {
+        "naturalness": 1,
+        "relevance": relevance,
+        "logical_consistency": int(consistent == n),
+        "engagement": int(bool(continues)),
+        "informativeness": 1 if not context.evidence_revealed else int(n >= 1),
+    }
+    dimensions = {
+        "preference_expression": pref_expr,
+        "style_consistency": 1.0,
+        "goal_alignment": float(relevance),
+        "persona_coherence": coherence,
+    }
+    return criteria, dimensions
 
 
 class RuleJudge:
@@ -85,60 +130,17 @@ class RuleJudge:
     def judge(
         self, response: ResponseLike, estimate: Profile, context: JudgeContext
     ) -> ResponseJudgment:
-        addressed = tuple(response.addressed_slots)
-        topics = context.latest_topics
-        believed_values = estimate.entries
-        # One pass validates each addressed pair and counts those on a topic
-        # of the latest utterance, present in the estimate, and agreeing with it.
-        on_topic = present = consistent = 0
-        for pair in addressed:
-            if len(pair) != 2:
-                raise ValueError(f"addressed entry must be a (slot, value) pair: {pair!r}")
-            slot, value = pair
-            if not isinstance(slot, str) or not slot.strip():
-                raise ValueError(f"addressed slot must be non-empty text: {slot!r}")
-            if not isinstance(value, str) or not value.strip():
-                raise ValueError(f"addressed value for {slot!r} must be non-empty text")
-            if slot in topics:
-                on_topic += 1
-            believed = believed_values.get(slot)
-            if believed is not None:
-                present += 1
-                if normalize_text(value) == normalize_text(believed):
-                    consistent += 1
-
-        n = len(addressed)
-        relevance = int(on_topic > 0) if topics else 1
-        informativeness = 1 if not context.evidence_revealed else int(n >= 1)
-        if n:
-            pref_expr = consistent / n
-            coherence = present / n
-        else:
-            pref_expr = coherence = 0.0 if context.evidence_revealed else 1.0
-
-        return ResponseJudgment(
-            naturalness=1,
-            relevance=relevance,
-            logical_consistency=int(consistent == n),
-            engagement=int(bool(response.continues)),
-            informativeness=informativeness,
-            preference_expression=pref_expr,
-            style_consistency=1.0,
-            goal_alignment=float(relevance),
-            persona_coherence=coherence,
+        counts = count_addressed(
+            tuple(response.addressed_slots), context.latest_topics, estimate.entries
         )
+        criteria, dimensions = judge_counts(counts, context, response.continues)
+        return ResponseJudgment(**criteria, **dimensions)
 
 
-def response_reward(judgment: ResponseJudgment) -> int:
+def response_reward(criteria: Mapping[str, int]) -> int:
     """Product of the five binary criteria: 1 only if all pass."""
     total = 1
-    for criterion in (
-        judgment.naturalness,
-        judgment.relevance,
-        judgment.logical_consistency,
-        judgment.engagement,
-        judgment.informativeness,
-    ):
+    for criterion in criteria.values():
         if criterion not in (0, 1):
             raise ValueError(f"criteria must be binary, got {criterion!r}")
         total *= criterion
@@ -173,8 +175,9 @@ def alignment_verdict(
     addressed = tuple(response.addressed_slots)
     if not addressed:
         return False
+    kind, threshold, entries = matcher.kind, matcher.threshold, truth.entries
     for slot, value in addressed:
-        actual = truth.entries.get(slot)
-        if actual is None or not matcher.values_match(slot, value, actual):
+        actual = entries.get(slot)
+        if actual is None or not match_values(kind, threshold, value, actual):
             return False
     return True

@@ -442,9 +442,10 @@ class PolicyAgent:
         self._engage = decisions.engage[rows].astype(bool).tolist()
 
     def act(self, view: EnvView) -> AgentAction:
-        row = view.turn - 1
+        state = view.state
+        row = state.latest.turn - 1
         names = view.schema.slots
-        seen = view.seen_values
+        seen = state.seen_values
         entries = {
             slot: seen.get(slot, UNKNOWN_VALUE)
             for slot, included in zip(names, self._include[row])
@@ -761,12 +762,23 @@ def load_checkpoint(path) -> Checkpoint:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} must hold a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {payload.get('format')!r}")
     for key in ("theta", "phi", "schema", "step", "fingerprint"):
         if key not in payload:
             raise CheckpointError(f"checkpoint missing field {key!r}")
-    schema = SlotSchema.from_record(payload["schema"])
+    try:
+        schema = SlotSchema.from_record(payload["schema"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: bad schema record: {exc}") from None
+    step, ppo = payload["step"], payload.get("ppo", {})
+    # A bool or float step would resume with another round's seeds.
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise CheckpointError(f"checkpoint {path}: step must be an integer >= 0, got {step!r}")
+    if not isinstance(ppo, dict):
+        raise CheckpointError(f"checkpoint {path}: ppo must be an object, got {ppo!r}")
     params = {key: np.asarray(payload[key], dtype=float) for key in ("theta", "phi")}
     for key, values in params.items():
         if not np.all(np.isfinite(values)):
@@ -774,9 +786,9 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         **params,
         schema=schema,
-        step=int(payload["step"]),
+        step=step,
         fingerprint=payload["fingerprint"],
-        ppo=dict(payload.get("ppo", {})),
+        ppo=ppo,
         weights=tuple(payload.get("weights", (1.0, 1.0))),  # type: ignore[arg-type]
         matcher=payload.get("matcher"),
     )

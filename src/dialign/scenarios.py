@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 from .profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, clearly_different, load_profile
 from .user_sim import ConflictSpec, UserConfig, reveal_order
 
@@ -162,29 +162,53 @@ def _integer(path: str | Path, field: str, value: object) -> int:
     return value
 
 
+def _conflict(path: str | Path, record: object) -> ConflictSpec | None:
+    """The conflict of a scenario file's ``conflict`` field; null means none."""
+    if record is None:
+        return None
+    where = f"scenario file {path}: conflict"
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be an object or null, got {record!r}")
+    for key in ("turn", "replace"):
+        if key not in record:
+            raise ConfigError(f"{where} missing field {key!r}")
+    turn, replace = _integer(path, "conflict turn", record["turn"]), record["replace"]
+    if not isinstance(replace, dict):
+        raise ConfigError(f"{where} replace must be an object, got {replace!r}")
+    try:
+        return ConflictSpec(turn=turn, replace=dict(replace))
+    except ConfigError as exc:
+        raise ConfigError(f"scenario file {path}: {exc}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"scenario file {path} must hold a JSON object")
     for key in ("profile", "horizon", "style_seed"):
         if key not in payload:
             raise ConfigError(f"scenario file {path} missing field {key!r}")
-    profile = load_profile(payload["profile"])
+    try:
+        profile = load_profile(payload["profile"])
+    except (TypeError, ValueError, SchemaError) as exc:
+        raise ConfigError(f"scenario file {path}: profile: {exc}") from None
     style_seed = _integer(path, "style_seed", payload["style_seed"])
     if style_seed < 0:
         # A negative seed would share its reveal order with its absolute value.
         raise ConfigError(f"scenario file {path}: style_seed must be >= 0, got {style_seed}")
-    conflict = None
-    if payload.get("conflict"):
-        conflict = ConflictSpec(
-            turn=_integer(path, "conflict turn", payload["conflict"]["turn"]),
-            replace=dict(payload["conflict"]["replace"]),
-        )
+    conflict = _conflict(path, payload.get("conflict"))
     schedule = payload.get("reveal_schedule")
+    if schedule is not None and not isinstance(schedule, list):
+        raise ConfigError(
+            f"scenario file {path}: reveal_schedule must be a list or null, got {schedule!r}"
+        )
     return Scenario(
         scenario_id=str(payload.get("id", Path(path).stem)),
         profile=profile,
         horizon=_integer(path, "horizon", payload["horizon"]),
-        reveal_schedule=tuple(schedule) if schedule else None,
+        reveal_schedule=tuple(_integer(path, "reveal_schedule entry", count)
+                              for count in schedule) if schedule else None,
         conflict=conflict,
         style_seed=style_seed,
     )

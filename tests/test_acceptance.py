@@ -158,7 +158,7 @@ def test_reward_functions_match_independent_oracles() -> None:
             goal_alignment=0.0,
             persona_coherence=0.0,
         )
-        if response_reward(judgment) != vec[0] * vec[1] * vec[2] * vec[3] * vec[4]:
+        if response_reward(judgment.criteria()) != vec[0] * vec[1] * vec[2] * vec[3] * vec[4]:
             product_mismatches += 1
 
     ok = f1_mismatches == 0 and product_mismatches == 0

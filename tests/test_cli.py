@@ -17,6 +17,7 @@ from dialign.env import read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
 from dialign.profiles import Profile, SlotMatcher, precision_recall
 from dialign.rl import load_checkpoint
+from dialign.scenarios import load_scenario
 
 
 def _read_csv(path: Path) -> list[dict]:
@@ -254,6 +255,70 @@ def test_scenario_number_that_is_not_a_json_integer_exits_2(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err and field in err
     assert not out.exists()
+
+
+def _drop_conflict_key(key: str):
+    def edit(payload: dict) -> None:
+        del payload["conflict"][key]
+    return edit
+
+
+def _set_conflict(value: object):
+    def edit(payload: dict) -> None:
+        payload["conflict"] = value
+    return edit
+
+
+def _set_replace(payload: dict) -> None:
+    payload["conflict"]["replace"] = "x"
+
+
+def _set_schedule(payload: dict) -> None:
+    payload["reveal_schedule"] = 5
+
+
+def _inline_schema_without_name(payload: dict) -> None:
+    payload["profile"]["schema"] = {"slots": list(payload["profile"]["entries"])}
+
+
+@pytest.mark.parametrize(
+    ("fields", "edit"),
+    [(("conflict", "turn"), _drop_conflict_key("turn")),
+     (("conflict", "replace"), _drop_conflict_key("replace")),
+     (("conflict",), _set_conflict([1])),
+     (("conflict", "replace"), _set_replace),
+     (("reveal_schedule",), _set_schedule),
+     (("schema", "name"), _inline_schema_without_name)],
+    ids=["no-turn", "no-replace", "list", "replace-text", "schedule-number", "schema-no-name"],
+)
+def test_malformed_scenario_field_exits_2(
+    fields: tuple[str, ...], edit, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", "--conflict"]) == 0
+    path = scenarios / "scenario_0001.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "e"
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+    assert all(field in err for field in fields)
+    assert not out.exists()
+
+
+def test_absent_or_null_conflict_means_no_conflict(tmp_path: Path) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "1", "--conflict"]) == 0
+    path = scenarios / "scenario_0000.json"
+    payload = json.loads(path.read_text())
+    for edit in (_set_conflict(None), lambda p: p.pop("conflict")):
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        assert load_scenario(path).conflict is None
 
 
 # --- gen-scenarios ----------------------------------------------------------------
@@ -655,6 +720,53 @@ def test_non_finite_checkpoint_parameters_exit_2_before_writing(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"non-finite {key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("step", 1.9), ("step", True), ("step", -3), ("ppo", [1]), ("schema", {"slots": ["Age"]})],
+    ids=["step-float", "step-bool", "step-negative", "ppo-list", "schema-no-name"],
+)
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_malformed_checkpoint_field_exits_2_before_writing(
+    command: str, key: str, value: object, trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    payload[key] = value
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    args = [command, "--scenarios", str(scenario_dir), "--out", str(out)]
+    if command == "eval":
+        args += ["--agent", "policy", "--checkpoint", str(checkpoint)]
+    else:
+        args += ["--rounds", "1", "--samples", "1", "--seed", "0", "--resume", str(checkpoint)]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(checkpoint) in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["scenario", "checkpoint"])
+def test_json_file_that_is_not_an_object_exits_2(
+    which: str, trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    scenarios, checkpoint = tmp_path / "scn", tmp_path / "checkpoint.json"
+    shutil.copytree(scenario_dir, scenarios)
+    shutil.copy(trained_dir / "checkpoint.json", checkpoint)
+    bad = checkpoint if which == "checkpoint" else sorted(scenarios.glob("*.json"))[0]
+    bad.write_text("5")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "policy",
+            "--checkpoint", str(checkpoint)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err and "JSON object" in err
     assert not out.exists()
 
 

@@ -246,11 +246,11 @@ def test_matchers_are_reflexive_on_nonempty_values(value: str) -> None:
 
 def test_overlap_count_matches_brute_force_on_1000_random_pairs() -> None:
     rng = random.Random(0xA10E)
-    matchers = [SlotMatcher(kind="exact"), SlotMatcher(kind="token", threshold=0.5)]
+    matchers = [SlotMatcher.parse(spec) for spec in ("exact", "token:0.5", "token:0.2", "token:1")]
     for i in range(1000):
         estimate = _random_profile(rng)
         truth = _random_profile(rng)
-        matcher = matchers[i % 2]
+        matcher = matchers[i % len(matchers)]
         assert overlap_count(estimate, truth, matcher) == _brute_force_overlap(
             estimate, truth, matcher
         )

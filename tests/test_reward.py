@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialign.env import score_turn
+from dialign.env import UNKNOWN_VALUE, score_turn
+from dialign.errors import SchemaError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema, normalize_text, profile_reward
 from dialign.reward import (
     JudgeContext,
@@ -61,15 +62,15 @@ def test_response_reward_is_product_over_all_32_criterion_vectors() -> None:
     for bits in itertools.product((0, 1), repeat=5):
         judgment = _judgment(**dict(zip(names, bits)))
         expected = bits[0] * bits[1] * bits[2] * bits[3] * bits[4]
-        assert response_reward(judgment) == expected
-        assert response_reward(judgment) == int(all(bits))
+        assert response_reward(judgment.criteria()) == expected
+        assert response_reward(judgment.criteria()) == int(all(bits))
 
 
 def test_response_reward_rejects_non_binary_criteria() -> None:
     with pytest.raises(ValueError):
-        response_reward(_judgment(relevance=2))
+        response_reward(_judgment(relevance=2).criteria())
     with pytest.raises(ValueError):
-        response_reward(_judgment(engagement=-1))
+        response_reward(_judgment(engagement=-1).criteria())
 
 
 # --- per-rule traces --------------------------------------------------------------
@@ -199,7 +200,7 @@ def test_graded_dimensions_are_logged_but_do_not_gate_reward() -> None:
         "persona_coherence",
     }
     # The graded values vary while the reward stays the binary product.
-    assert response_reward(verdict) == 0  # estimate mismatch zeroed consistency
+    assert response_reward(verdict.criteria()) == 0  # estimate mismatch zeroed consistency
 
 
 # --- aggregation ------------------------------------------------------------------
@@ -234,25 +235,40 @@ def test_alignment_verdict_needs_truth_agreement() -> None:
     right = FakeResponse(addressed_slots=(("Age", "34"),))
     wrong = FakeResponse(addressed_slots=(("Age", "40"),))
     passing = _judgment()
-    assert alignment_verdict(right, response_reward(passing), truth, matcher)
-    assert not alignment_verdict(wrong, response_reward(passing), truth, matcher)
+    assert alignment_verdict(right, response_reward(passing.criteria()), truth, matcher)
+    assert not alignment_verdict(wrong, response_reward(passing.criteria()), truth, matcher)
 
 
 def test_alignment_verdict_requires_personalization_and_passing_criteria() -> None:
     matcher = SlotMatcher(kind="exact")
     truth = _estimate(Age="34")
     empty = FakeResponse(addressed_slots=())
-    assert not alignment_verdict(empty, response_reward(_judgment()), truth, matcher)
+    assert not alignment_verdict(empty, response_reward(_judgment().criteria()), truth, matcher)
     right = FakeResponse(addressed_slots=(("Age", "34"),))
     failing = _judgment(engagement=0)
-    assert not alignment_verdict(right, response_reward(failing), truth, matcher)
+    assert not alignment_verdict(right, response_reward(failing.criteria()), truth, matcher)
 
 
 def test_alignment_verdict_rejects_slots_absent_from_truth() -> None:
     matcher = SlotMatcher(kind="exact")
     truth = _estimate(Age="34")
     response = FakeResponse(addressed_slots=(("Occupation", "nurse"),))
-    assert not alignment_verdict(response, response_reward(_judgment()), truth, matcher)
+    assert not alignment_verdict(response, response_reward(_judgment().criteria()), truth, matcher)
+
+
+def test_score_turn_raises_pair_then_empty_truth_then_schema_errors() -> None:
+    matcher = SlotMatcher(kind="exact")
+    context = JudgeContext(latest_topics=(), evidence_revealed=False)
+    estimate = _estimate(Age="34")
+    other = SlotSchema(name="other", slots=("Age",))
+    empty_other, other_truth = Profile(schema=other), Profile(schema=other, entries={"Age": "34"})
+    bad, good = FakeResponse(addressed_slots=(("Age", ""),)), FakeResponse(addressed_slots=())
+    with pytest.raises(ValueError, match="addressed value for 'Age' must be non-empty text"):
+        score_turn(bad, estimate, context, empty_other, matcher)
+    with pytest.raises(ValueError, match="truth profile must be non-empty"):
+        score_turn(good, estimate, context, empty_other, matcher)
+    with pytest.raises(SchemaError, match="schema mismatch: 'aloe' vs 'other'"):
+        score_turn(good, estimate, context, other_truth, matcher)
 
 
 # --- parity with the per-criterion reference ------------------------------------------
@@ -343,11 +359,16 @@ _PARITY_SLOTS = ("Age", "Occupation", "Location", "Interests")
 # "Nurse." and " nurse" equal "nurse" only after normalize_text; "" and "  " are blank.
 _PARITY_VALUES = ("nurse", "Nurse.", " nurse", "teacher", "34", "thirty four")
 _ADDRESSED_VALUES = _PARITY_VALUES + ("", "  ")
+# A policy fills a slot it has no evidence for with the unknown placeholder.
+_ESTIMATE_VALUES = _PARITY_VALUES + (UNKNOWN_VALUE,)
+_PARITY_MATCHERS = [
+    SlotMatcher.parse(spec) for spec in ("exact", "token:0.5", "token:0.2", "token:1")
+]
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    estimate=st.dictionaries(st.sampled_from(_PARITY_SLOTS), st.sampled_from(_PARITY_VALUES)),
+    estimate=st.dictionaries(st.sampled_from(_PARITY_SLOTS), st.sampled_from(_ESTIMATE_VALUES)),
     truth=st.dictionaries(
         st.sampled_from(_PARITY_SLOTS), st.sampled_from(_PARITY_VALUES), min_size=1
     ),
@@ -358,7 +379,7 @@ _ADDRESSED_VALUES = _PARITY_VALUES + ("", "  ")
     topics=st.lists(st.sampled_from(_PARITY_SLOTS), max_size=2, unique=True),
     revealed=st.booleans(),
     continues=st.booleans(),
-    matcher=st.sampled_from([SlotMatcher(kind="exact"), SlotMatcher(kind="token", threshold=0.5)]),
+    matcher=st.sampled_from(_PARITY_MATCHERS),
 )
 def test_judge_and_score_turn_equal_the_per_criterion_reference(
     estimate: dict, truth: dict, addressed: list, topics: list, revealed: bool,
