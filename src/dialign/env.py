@@ -217,14 +217,17 @@ def score_turn(
     context: JudgeContext,
     truth: Profile,
     matcher: SlotMatcher,
+    r_profile: float | None = None,
 ) -> RewardBreakdown:
     """Judge one agent turn from one count of its addressed pairs, and score
     its estimate against the truth.  The one scoring path shared by the
-    environment and offline replay."""
+    environment and offline replay.  A given ``r_profile`` is this estimate's
+    already computed ``profile_reward`` against this truth."""
     counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
     criteria, dimensions = judge_counts(counts, context, response.continues)
     r_response = float(response_reward(criteria))
-    r_profile = profile_reward(estimate, truth, matcher)
+    if r_profile is None:
+        r_profile = profile_reward(estimate, truth, matcher)
     return RewardBreakdown(
         r_profile, r_response, r_profile + r_response, criteria, dimensions,
         alignment_verdict(response, r_response, truth, matcher),
@@ -238,7 +241,8 @@ class EpisodeTable:
     ``EnvView`` (which holds the dialogue state), the ``JudgeContext``, the
     ground truth in force (``truths``, one ``Profile`` shared by the turns
     of each stretch between conflict swaps) and the reveal ceiling
-    (``ceilings``); ``observations`` is the episode's stack.
+    (``ceilings``, computed again only when the revealed slots or the truth
+    change); ``observations`` is the episode's stack.
 
     Read it as ``UserConfig.episode_table``, which builds it once per config.
     """
@@ -258,15 +262,20 @@ class EpisodeTable:
         states: list[DialogueState] = []
         truths: list[Profile] = []
         ceilings: list[float] = []
-        entries = truth = None
+        entries = truth = revealed = None
         while True:
-            # User states share one entries dict until a conflict swaps values.
+            # User states share one entries dict until a conflict swaps values,
+            # and one revealed tuple until a turn reveals a slot.
             if user.active_entries is not entries:
                 entries = user.active_entries
                 truth = Profile(schema=schema, entries=dict(entries))
+                revealed = None
+            if user.revealed is not revealed:
+                revealed = user.revealed
+                ceiling = theoretical_max(user, truth)
             states.append(state)
             truths.append(truth)
-            ceilings.append(theoretical_max(user, truth))
+            ceilings.append(ceiling)
             step = next_utterance(user, config)
             if step is None:
                 break
@@ -303,6 +312,7 @@ class DialogueEnv:
         self._table = config.episode_table
         self._index: int | None = None
         self._done = False
+        self._scored: tuple[Profile, Profile, float] | None = None
 
     @property
     def schema(self) -> SlotSchema:
@@ -311,6 +321,7 @@ class DialogueEnv:
     def reset(self) -> DialogueState:
         self._index = 0
         self._done = False
+        self._scored = None
         return self._table.views[0].state
 
     @property
@@ -327,16 +338,21 @@ class DialogueEnv:
 
     def step(self, action: AgentAction) -> TurnRecord:
         """Score ``action`` as the agent turn answering the current user turn,
-        advance to the next user turn, and return the turn's record."""
+        advance to the next user turn, and return the turn's record.
+        ``Profile``s are immutable, so an estimate and truth that are the
+        previous turn's objects keep that turn's profile reward."""
         index = self._current()
         if self._done:
             raise ProtocolError("step() after the episode ended")
 
         table = self._table
-        response, estimate = action.response, action.estimate
+        response, estimate, truth = action.response, action.estimate, table.truths[index]
+        last = self._scored
+        known = last[2] if last and last[0] is estimate and last[1] is truth else None
         scored = score_turn(
-            response, estimate, table.contexts[index], table.truths[index], self.matcher
+            response, estimate, table.contexts[index], truth, self.matcher, known
         )
+        self._scored = (estimate, truth, scored.profile)
         utterance = table.views[index].state.latest
         record = TurnRecord(
             utterance.turn, utterance.text, utterance.evidence, utterance.topic_slots,
@@ -430,11 +446,18 @@ class Agent(Protocol):
 
 class EvidenceOracleAgent:
     """Copies every piece of revealed evidence into its estimate and always
-    addresses a topic slot it has a value for.  Used as a reference policy."""
+    addresses a topic slot it has a value for.  Used as a reference policy.
+    Turns that reveal nothing share their seen-values mapping, and on them
+    the agent returns its previous estimate ``Profile`` again."""
+
+    _seen: Mapping[str, str] | None = None
+    _estimate: Profile | None = None
 
     def act(self, view: EnvView) -> AgentAction:
-        seen = view.seen_values
-        estimate = Profile(schema=view.schema, entries=dict(seen))
+        seen, estimate = view.seen_values, self._estimate
+        if seen is not self._seen or estimate.schema is not view.schema:
+            estimate = self._estimate = Profile(schema=view.schema, entries=dict(seen))
+            self._seen = seen
         addressed: list[tuple[str, str]] = []
         for topic in view.state.latest.topic_slots:
             if topic in seen:

@@ -216,11 +216,15 @@ class SlotMatcher:
 
 
 def match_values(kind: str, threshold: float, a: str, b: str) -> bool:
-    """The matching rule of a ``SlotMatcher`` of ``kind`` and ``threshold``."""
+    """The matching rule of a ``SlotMatcher`` of ``kind`` and ``threshold``;
+    reflexive (``a is b``) for non-empty normalized text, as 0 < threshold <= 1."""
     if kind == "exact":
         na = normalize_text(a)
-        return na == normalize_text(b) and na != ""
-    ta, tb = token_set(a), token_set(b)
+        return na != "" and (a is b or na == normalize_text(b))
+    ta = token_set(a)
+    if a is b:
+        return bool(ta)
+    tb = token_set(b)
     return bool(ta and tb) and len(ta & tb) / len(ta | tb) >= threshold
 
 

@@ -48,17 +48,22 @@ class Scenario:
         """Materialize the episode config, optionally overriding pieces.
 
         Overriding the horizon resets the reveal schedule to the default
-        one-per-turn so longer episodes keep revealing.
+        one-per-turn so longer episodes keep revealing.  A config the
+        overrides make invalid (say, a horizon that cuts off the conflict)
+        raises a ``ConfigError`` naming the scenario.
         """
         effective_horizon = horizon if horizon is not None else self.horizon
         schedule = self.reveal_schedule if horizon is None else None
-        return UserConfig(
-            profile=self.profile,
-            horizon=effective_horizon,
-            reveal_schedule=schedule,
-            conflict=conflict if conflict is not None else self.conflict,
-            style_seed=self.style_seed,
-        )
+        try:
+            return UserConfig(
+                profile=self.profile,
+                horizon=effective_horizon,
+                reveal_schedule=schedule,
+                conflict=conflict if conflict is not None else self.conflict,
+                style_seed=self.style_seed,
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {self.scenario_id}: {exc}") from None
 
     def to_payload(self) -> dict:
         return {
@@ -182,8 +187,13 @@ def _conflict(path: str | Path, record: object) -> ConflictSpec | None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """The scenario of one file.  Every error it raises names the file,
+    including the range checks of the file's own ``UserConfig``."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ConfigError(f"scenario file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"scenario file {path} must hold a JSON object")
     for key in ("profile", "horizon", "style_seed"):
@@ -203,7 +213,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(
             f"scenario file {path}: reveal_schedule must be a list or null, got {schedule!r}"
         )
-    return Scenario(
+    scenario = Scenario(
         scenario_id=str(payload.get("id", Path(path).stem)),
         profile=profile,
         horizon=_integer(path, "horizon", payload["horizon"]),
@@ -212,6 +222,11 @@ def load_scenario(path: str | Path) -> Scenario:
         conflict=conflict,
         style_seed=style_seed,
     )
+    try:
+        scenario.user_config()
+    except ConfigError as exc:
+        raise ConfigError(f"scenario file {path}: {exc}") from None
+    return scenario
 
 
 def load_scenarios(source: str | Path) -> list[Scenario]:

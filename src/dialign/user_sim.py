@@ -212,7 +212,10 @@ def _render_reveal(slot: str, value: str, rng: random.Random) -> str:
 def next_utterance(
     state: UserState, config: UserConfig
 ) -> tuple[UserUtterance, UserState] | None:
-    """Emit the next user turn, or None once the horizon is reached."""
+    """Emit the next user turn, or None once the horizon is reached.  A turn
+    that reveals nothing and fires no conflict passes on ``state``'s own
+    ``revealed`` and ``pending`` tuples, so an unchanged reveal state keeps
+    its identity."""
     if state.turn >= config.horizon:
         return None
     turn = state.turn + 1
@@ -231,8 +234,10 @@ def next_utterance(
         if slot not in excluded:
             draw.append(slot)
 
-    revealed = state.revealed + tuple(draw)
-    pending = tuple(s for s in state.pending if s not in draw)
+    revealed, pending = state.revealed, state.pending
+    if draw:
+        revealed += tuple(draw)
+        pending = tuple(s for s in pending if s not in draw)
     interim = UserState(
         turn=turn,
         revealed=revealed,
@@ -254,7 +259,7 @@ def next_utterance(
         sentences.extend(_render_reveal(slot, value, rng) for slot, value in evidence)
         topic = tuple(slot for slot, _ in evidence)
     elif interim.revealed:
-        slot = rng.choice(list(interim.revealed))
+        slot = rng.choice(interim.revealed)
         value = interim.active_entries[slot]
         sentences.append(rng.choice(_TEMPLATES["_restate"]).format(slot=slot.lower(), value=value))
         topic = (slot,)

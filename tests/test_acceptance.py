@@ -259,6 +259,7 @@ def _greedy_records(policy: CategoricalSlotPolicy, pairs) -> list:
     ]
 
 
+@pytest.mark.slow
 def test_training_improves_reward_and_produces_rising_alignment() -> None:
     started = time.monotonic()
     pairs = [(s.scenario_id, s.user_config()) for s in generate_scenarios(32, seed=7)]
@@ -299,6 +300,7 @@ def test_training_improves_reward_and_produces_rising_alignment() -> None:
 # --- 6. reward-weight ablation ordering ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_full_reward_beats_single_component_rewards_under_shared_scoring() -> None:
     pairs = [(s.scenario_id, s.user_config()) for s in generate_scenarios(32, seed=7)]
 

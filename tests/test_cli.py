@@ -310,6 +310,67 @@ def test_malformed_scenario_field_exits_2(
     assert not out.exists()
 
 
+def _set_conflict_turn(payload: dict) -> None:
+    payload["conflict"]["turn"] = 99
+
+
+def _negative_schedule_entry(payload: dict) -> None:
+    payload["reveal_schedule"][3] = -1
+
+
+def _schedule_past_horizon(payload: dict) -> None:
+    payload["reveal_schedule"] += [1]
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize(
+    ("message", "edit"),
+    [("conflict turn 99 outside [1, 10]", _set_conflict_turn),
+     ("reveal counts must be non-negative ints, got -1", _negative_schedule_entry),
+     ("reveal schedule longer than horizon", _schedule_past_horizon),
+     ("Expecting property name", None)],
+    ids=["conflict-turn", "negative-reveal", "long-schedule", "not-json"],
+)
+def test_out_of_range_or_unparsable_scenario_file_exits_2_naming_it(
+    command: str, message: str, edit, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", "--conflict"]) == 0
+    path = scenarios / "scenario_0001.json"
+    if edit is None:
+        path.write_text("{not json")
+    else:
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = {"eval": ["--agent", "oracle"], "train": ["--rounds", "1"]}[command]
+    assert main([command, "--scenarios", str(scenarios), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario file {path}: ")
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["standard", "conflict"])
+def test_eval_horizon_that_cuts_off_a_conflict_names_the_scenario(
+    mode: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    scenarios = tmp_path / "scn"
+    flags = ["--conflict"] if mode == "standard" else []
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", *flags]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle",
+            "--mode", mode, "--horizon", "5"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario scenario_0000: conflict turn 6 outside [1, 5]\n"
+    )
+    assert not out.exists()
+
+
 def test_absent_or_null_conflict_means_no_conflict(tmp_path: Path) -> None:
     scenarios = tmp_path / "scn"
     assert main(["gen-scenarios", "--out", str(scenarios), "--count", "1", "--conflict"]) == 0

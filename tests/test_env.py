@@ -17,6 +17,7 @@ from dialign.env import (
     DialogueState,
     EnvView,
     EpisodeRecord,
+    EpisodeTable,
     EvidenceOracleAgent,
     RewardBreakdown,
     make_response,
@@ -29,10 +30,15 @@ from dialign.env import (
 )
 import dialign.env
 from dialign.errors import ConfigError, ProtocolError
-from dialign.profiles import Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall
+from dialign.profiles import (
+    Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall, profile_reward,
+)
 from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows
 from dialign.scenarios import default_conflict, generate_scenarios
-from dialign.user_sim import ConflictSpec, UserConfig, UserUtterance, reveal_order
+from dialign.user_sim import (
+    ConflictSpec, UserConfig, UserUtterance, initial_state, next_utterance, reveal_order,
+    theoretical_max,
+)
 
 _POOLS = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "dialign" / "data" / "value_pools.json").read_text()
@@ -138,6 +144,136 @@ def test_user_side_is_walked_once_per_config(monkeypatch: pytest.MonkeyPatch) ->
     assert rollout(env, EvidenceOracleAgent()).to_json() == first.to_json()
     assert rollout(DialogueEnv(env.config), EvidenceOracleAgent()).to_json() == first.to_json()
     assert walked == [1, 2, 3, 4, 5, 6]
+
+
+# --- carried-forward turn state ------------------------------------------------------
+
+
+@given(
+    style_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    horizon=st.integers(min_value=1, max_value=16),
+    reveal_schedule=st.one_of(
+        st.none(), st.lists(st.integers(min_value=0, max_value=2), max_size=16)
+    ),
+    conflict_turn=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+    conflict_slot=st.sampled_from(["rank 0", "rank 3", "rank 9", "Pet"]),
+    open_schema=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_table_ceilings_and_truths_equal_a_plain_walk_of_the_user(
+    style_seed: int,
+    horizon: int,
+    reveal_schedule: list[int] | None,
+    conflict_turn: int | None,
+    conflict_slot: str,
+    open_schema: bool,
+) -> None:
+    profile = _profile(rng_seed=style_seed % 1000)
+    if open_schema:
+        schema = SlotSchema(name="open", slots=tuple(profile.entries), open_schema=True)
+        profile = Profile(schema=schema, entries=dict(profile.entries))
+    conflict = None
+    if conflict_turn is not None and (open_schema or conflict_slot != "Pet"):
+        # On an open schema, "Pet" is a slot the swap adds to the truth.
+        slot = conflict_slot
+        if slot.startswith("rank "):
+            slot = reveal_order(profile, style_seed)[int(slot[5:])]
+        old = profile.entries.get(slot, "")
+        new = clearly_different(slot, old, _POOLS.get(slot, ["a cat"]))[0]
+        conflict = ConflictSpec(turn=min(conflict_turn, horizon), replace={slot: new})
+    config = UserConfig(
+        profile=profile,
+        horizon=horizon,
+        reveal_schedule=None if reveal_schedule is None else tuple(reveal_schedule[:horizon]),
+        conflict=conflict,
+        style_seed=style_seed,
+    )
+    table = EpisodeTable.build(config)
+    user = initial_state(config)
+    ceilings, truths = [], []
+    while True:
+        ceilings.append(theoretical_max(user, user.active_entries))
+        truths.append(user.active_entries)
+        step = next_utterance(user, config)
+        if step is None:
+            break
+        user = step[1]
+    assert table.ceilings == tuple(ceilings)
+    assert [truth.entries for truth in table.truths] == truths
+
+
+class _RebuildingOracle:
+    """The evidence oracle as a fresh ``Profile`` every turn: the reference
+    for ``EvidenceOracleAgent``, which carries its estimate forward."""
+
+    def act(self, view: EnvView) -> AgentAction:
+        seen = view.seen_values
+        addressed = [(t, seen[t]) for t in view.state.latest.topic_slots if t in seen][:1]
+        if not addressed and seen:
+            slot = next(iter(seen))
+            addressed = [(slot, seen[slot])]
+        return AgentAction(
+            response=make_response(addressed, continues=True),
+            estimate=Profile(schema=view.schema, entries=dict(seen)),
+        )
+
+
+@pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])
+@pytest.mark.parametrize("conflict_turn", [None, 6, 150])
+@pytest.mark.parametrize("horizon", [2, 12, 300])
+def test_oracle_records_equal_those_of_an_oracle_rebuilding_its_estimate(
+    horizon: int, conflict_turn: int | None, matcher_spec: str
+) -> None:
+    matcher = SlotMatcher.parse(matcher_spec)
+    for scenario in generate_scenarios(2, seed=horizon):
+        conflict = None
+        if conflict_turn is not None:
+            # From turn 12 on nothing is left to reveal, so a swap there keeps
+            # the estimate object while the truth changes.
+            spec = default_conflict(scenario.profile, scenario.style_seed, random.Random(1),
+                                    matcher=matcher)
+            conflict = ConflictSpec(turn=min(conflict_turn, horizon), replace=spec.replace)
+        env = DialogueEnv(scenario.user_config(horizon=horizon, conflict=conflict), matcher)
+        expected = rollout(env, _RebuildingOracle(), scenario.scenario_id).to_json()
+        agent = EvidenceOracleAgent()
+        assert rollout(env, agent, scenario.scenario_id).to_json() == expected
+        # The same agent and environment replay the episode unchanged.
+        assert rollout(env, agent, scenario.scenario_id).to_json() == expected
+
+
+class _FixedEstimateAgent:
+    """Returns one ``Profile`` object on every turn."""
+
+    def __init__(self, estimate: Profile) -> None:
+        self.estimate = estimate
+
+    def act(self, view: EnvView) -> AgentAction:
+        return AgentAction(make_response([], continues=True), self.estimate)
+
+
+@pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])
+@pytest.mark.parametrize("conflict_turn", [1, 2, 6, 11, 12])
+def test_one_estimate_object_is_scored_against_the_truth_of_each_turn(
+    conflict_turn: int, matcher_spec: str
+) -> None:
+    profile, matcher = _profile(rng_seed=5), SlotMatcher.parse(matcher_spec)
+    slot = reveal_order(profile, 5)[0]
+    old = profile.entries[slot]
+    new = clearly_different(slot, old, _POOLS[slot], matcher)[0]
+    conflict = ConflictSpec(turn=conflict_turn, replace={slot: new})
+    env = DialogueEnv(
+        UserConfig(profile=profile, horizon=12, conflict=conflict, style_seed=5), matcher
+    )
+    schema = env.schema
+    estimates = [profile, Profile(schema=schema, entries={slot: new}),
+                 Profile(schema=schema, entries={slot: old, "Others": "unknown"})]
+    for estimate in estimates:
+        record = rollout(env, _FixedEstimateAgent(estimate))
+        rewards = [t.profile_reward for t in record.turns]
+        truths = [Profile(schema=schema, entries=record.effective_truth_at(t.turn))
+                  for t in record.turns]
+        assert rewards == [profile_reward(estimate, truth, matcher) for truth in truths]
+        assert len(set(rewards)) == 2 or conflict_turn == 1
 
 
 # --- reward bookkeeping ------------------------------------------------------------
@@ -267,8 +403,6 @@ def test_observe_equals_the_tuple_list_construction(case) -> None:
 def _conflict_env(style_seed: int = 3) -> tuple[DialogueEnv, str, str, str]:
     profile = _profile(rng_seed=style_seed)
     probe = UserConfig(profile=profile, horizon=10, style_seed=style_seed)
-    from dialign.user_sim import initial_state
-
     slot = initial_state(probe).pending[0]
     old = profile.entries[slot]
     new = next(v for v in _POOLS[slot] if v != old)

@@ -18,6 +18,7 @@ from dialign.profiles import (
     build_overlap_bench,
     eval_matcher,
     load_profile,
+    match_values,
     normalize_text,
     overlap_count,
     precision_recall,
@@ -239,6 +240,29 @@ def test_token_matcher_is_symmetric(a: str, b: str) -> None:
 def test_matchers_are_reflexive_on_nonempty_values(value: str) -> None:
     assert SlotMatcher(kind="exact").values_match("Others", value, value)
     assert SlotMatcher(kind="token", threshold=1.0).values_match("Others", value, value)
+
+
+_EDGE_TEXTS = ("", " ", "  \t\n ", "!?", "...,;", "-- ! --", "Red", "rED wine", "x",
+               "Straße", "STRASSE", "café au lait", "日本語", "é", "Ünïcödé  Ünïcödé")
+
+
+@given(
+    st.one_of(st.sampled_from(_EDGE_TEXTS), st.text(max_size=20)),
+    st.sampled_from([("exact", 0.5), ("token", 0.2), ("token", 0.5), ("token", 1.0)]),
+)
+@settings(max_examples=400, deadline=None)
+def test_match_of_a_value_with_itself_equals_the_match_with_an_equal_copy(
+    a: str, rule: tuple[str, float]
+) -> None:
+    kind, threshold = rule
+    b = (a + ".")[:-1]
+    assert b == a
+    if b is a:
+        # CPython keeps one copy of "" and of each one-character Latin-1
+        # string; a trailing space keeps the normalized text and token set.
+        b = a + " "
+    assert b is not a
+    assert match_values(kind, threshold, a, a) == match_values(kind, threshold, a, b)
 
 
 # --- overlap and rewards --------------------------------------------------------
