@@ -49,6 +49,7 @@ from .rl import (
     train,
 )
 from .scenarios import (
+    DEFAULT_CONFLICT_TURN,
     default_conflict,
     generate_profile,
     generate_scenarios,
@@ -241,6 +242,11 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     for index, scenario in enumerate(scenario_list):
         conflict = scenario.conflict
         if mode == "conflict" and conflict is None:
+            if horizon <= DEFAULT_CONFLICT_TURN:
+                raise ConfigError(
+                    f"--mode conflict swaps a value at turn {DEFAULT_CONFLICT_TURN} and needs "
+                    f"a horizon above {DEFAULT_CONFLICT_TURN} to recover, got {horizon}"
+                )
             conflict = default_conflict(
                 scenario.profile, scenario.style_seed, conflict_rng, matcher=matcher
             )
@@ -252,8 +258,9 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     else:
         stacks = [env.config.episode_table.observations for _, env, _ in episodes]
         decisions, _ = draw_decisions(checkpoint.policy(), stacks, [key for *_, key in episodes])
+        lists = decisions.as_lists()
         lengths = [len(stack.global_feats) for stack in stacks]
-        agents = [PolicyAgent(decisions, rows) for rows in episode_rows(lengths)]
+        agents = [PolicyAgent(lists, rows) for rows in episode_rows(lengths)]
     return [rollout(env, agent, scenario_id=sid) for (sid, env, _), agent in zip(episodes, agents)]
 
 

@@ -16,8 +16,10 @@ episode is known before it starts.  ``EpisodeTable.build`` walks the user
 and keeps every turn's agent view, judge context, ground truth and reveal
 ceiling, and the episode's observation stack; the config caches it as
 ``UserConfig.episode_table``.  ``reset`` rewinds to turn 1, ``view``
-returns the current row's view, and ``step`` scores the turn, returns its
-``TurnRecord`` and moves one row down the table.  Observations exist only
+returns the current row's view, and ``step`` scores the turn, fills its
+``TurnRecord`` straight from that one scoring pass (``score_turn`` wraps the
+same pass in a ``RewardBreakdown`` for replay) and moves one row down the
+table.  Observations exist only
 as stacks with a leading turn axis (``observe`` maps T dialogue states to
 one), and a policy reads the whole episode's stack from the table, which
 lets it draw all of an episode's decisions in one batched call.
@@ -59,7 +61,7 @@ _CONTINUATION = "What else should I know about you?"
 _ACK = "Noted, thanks for sharing."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseRecord:
     """Structured agent response: personalized claims plus surface text."""
 
@@ -82,10 +84,10 @@ def make_response(
         parts = [_ACK]
     if continues:
         parts.append(_CONTINUATION)
-    return ResponseRecord(addressed_slots=addressed, continues=continues, text=" ".join(parts))
+    return ResponseRecord(addressed, continues, " ".join(parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentAction:
     """One agent turn: the response and the full replacement estimate."""
 
@@ -93,7 +95,7 @@ class AgentAction:
     estimate: Profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardBreakdown:
     """A scored turn: its rewards and the judge's verdicts, as logged."""
 
@@ -211,6 +213,27 @@ class EnvView:
         return self.state.seen_values
 
 
+def _turn_scores(
+    response: ResponseRecord,
+    estimate: Profile,
+    context: JudgeContext,
+    truth: Profile,
+    matcher: SlotMatcher,
+    r_profile: float | None,
+) -> tuple[float, float, dict[str, int], dict[str, float], bool]:
+    """A turn's (profile reward, response reward, criteria, dimensions,
+    aligned), from one count of its addressed pairs."""
+    counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
+    criteria, dimensions = judge_counts(counts, context, response.continues)
+    r_response = float(response_reward(criteria))
+    if r_profile is None:
+        r_profile = profile_reward(estimate, truth, matcher)
+    return (
+        r_profile, r_response, criteria, dimensions,
+        alignment_verdict(response, r_response, truth, matcher),
+    )
+
+
 def score_turn(
     response: ResponseRecord,
     estimate: Profile,
@@ -221,16 +244,14 @@ def score_turn(
 ) -> RewardBreakdown:
     """Judge one agent turn from one count of its addressed pairs, and score
     its estimate against the truth.  The one scoring path shared by the
-    environment and offline replay.  A given ``r_profile`` is this estimate's
-    already computed ``profile_reward`` against this truth."""
-    counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
-    criteria, dimensions = judge_counts(counts, context, response.continues)
-    r_response = float(response_reward(criteria))
-    if r_profile is None:
-        r_profile = profile_reward(estimate, truth, matcher)
+    environment (which writes the same scores straight into its
+    ``TurnRecord``) and offline replay.  A given ``r_profile`` is this
+    estimate's already computed ``profile_reward`` against this truth."""
+    r_profile, r_response, criteria, dimensions, aligned = _turn_scores(
+        response, estimate, context, truth, matcher, r_profile
+    )
     return RewardBreakdown(
-        r_profile, r_response, r_profile + r_response, criteria, dimensions,
-        alignment_verdict(response, r_response, truth, matcher),
+        r_profile, r_response, r_profile + r_response, criteria, dimensions, aligned
     )
 
 
@@ -349,16 +370,16 @@ class DialogueEnv:
         response, estimate, truth = action.response, action.estimate, table.truths[index]
         last = self._scored
         known = last[2] if last and last[0] is estimate and last[1] is truth else None
-        scored = score_turn(
+        r_profile, r_response, criteria, dimensions, aligned = _turn_scores(
             response, estimate, table.contexts[index], truth, self.matcher, known
         )
-        self._scored = (estimate, truth, scored.profile)
+        self._scored = (estimate, truth, r_profile)
         utterance = table.views[index].state.latest
         record = TurnRecord(
             utterance.turn, utterance.text, utterance.evidence, utterance.topic_slots,
             response.text, response.addressed_slots, response.continues, dict(estimate.entries),
-            scored.profile, scored.response, scored.total, scored.criteria, scored.dimensions,
-            scored.aligned, table.ceilings[index],
+            r_profile, r_response, r_profile + r_response, criteria, dimensions, aligned,
+            table.ceilings[index],
         )
         if index + 1 < len(table.views):
             self._index = index + 1
@@ -466,7 +487,7 @@ class EvidenceOracleAgent:
         if not addressed and seen:
             slot = next(iter(seen))
             addressed = [(slot, seen[slot])]
-        return AgentAction(response=make_response(addressed, continues=True), estimate=estimate)
+        return AgentAction(make_response(addressed, continues=True), estimate)
 
 
 def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> EpisodeRecord:

@@ -14,8 +14,10 @@ observation stack and one row of uniforms per observation to a
 ``DecisionBatch``.  The scripted user ignores the agent, so every episode's
 observations are known before it starts, and decisions are drawn up front
 for a whole training round or eval call in one policy call
-(``draw_decisions``); ``PolicyAgent`` acts out its episode's rows.  A
-round stays one row-stacked ``RoundBatch`` from the draw to the update.
+(``draw_decisions``), whose decision columns become plain lists once per
+draw; each ``PolicyAgent`` acts out its episode's rows of those lists.  A
+round stays one row-stacked ``RoundBatch`` from the draw to the update, and
+its rewards are weighted in one pass over the round's turns.
 
 The update is clipped-surrogate PPO: for each collected round the sampling
 policy is frozen (its log-probabilities are stored in the round batch),
@@ -140,6 +142,10 @@ def _log_normalizer(logits: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(np.ascontiguousarray(logits.T), axis=0)
 
 
+# A DecisionBatch's (include, response choice, engage) columns as plain lists.
+DecisionLists = tuple[list[list[bool]], list[int], list[bool]]
+
+
 @dataclass(frozen=True)
 class DecisionBatch:
     """Observation rows and the decision taken at each, column by column.
@@ -158,6 +164,16 @@ class DecisionBatch:
 
     def __len__(self) -> int:
         return self.global_feats.shape[0]
+
+    def as_lists(self) -> DecisionLists:
+        """The decision columns (include, response choice, engage) as plain
+        lists, converted once: each agent turn reads one row, and numpy
+        scalars are slow to read."""
+        return (
+            self.include.astype(bool).tolist(),
+            self.response_choice.tolist(),
+            self.engage.astype(bool).tolist(),
+        )
 
 
 class CategoricalSlotPolicy:
@@ -428,6 +444,8 @@ def draw_decisions(
 class PolicyAgent:
     """Acts out its episode's rows of the decisions ``draw_decisions`` drew
     up front for a whole training round or eval call, as an environment Agent.
+    Every agent of a draw reads the same ``DecisionBatch.as_lists`` columns,
+    converted once per draw; ``rows`` are its episode's rows in them.
 
     Each turn translates its row into a concrete action: included slots take
     their latest evidence value (or the unknown placeholder when the policy
@@ -435,15 +453,13 @@ class PolicyAgent:
     when the estimate actually carries it.
     """
 
-    def __init__(self, decisions: DecisionBatch, rows: slice) -> None:
-        # Plain lists: each turn reads one row, and numpy scalars are slow to read.
-        self._include = decisions.include[rows].astype(bool).tolist()
-        self._choice = decisions.response_choice[rows].tolist()
-        self._engage = decisions.engage[rows].astype(bool).tolist()
+    def __init__(self, decisions: DecisionLists, rows: slice) -> None:
+        self._include, self._choice, self._engage = decisions
+        self._first = rows.start
 
     def act(self, view: EnvView) -> AgentAction:
         state = view.state
-        row = state.latest.turn - 1
+        row = self._first + state.latest.turn - 1
         names = view.schema.slots
         seen = state.seen_values
         entries = {
@@ -458,12 +474,12 @@ class PolicyAgent:
             slot = names[choice]
             if slot in entries:
                 addressed = [(slot, entries[slot])]
-        return AgentAction(
-            response=make_response(addressed, continues=self._engage[row]), estimate=estimate
-        )
+        return AgentAction(make_response(addressed, self._engage[row]), estimate)
 
     def finish(self, record: EpisodeRecord, weights: tuple[float, float]) -> np.ndarray:
-        """The played episode's rewards, weighted per turn."""
+        """The played episode's rewards, weighted per turn.  ``collect``
+        weights a whole round at once; nothing in ``src/`` calls this, and
+        it stays because ``bench/bench_trace.py`` traces it by name."""
         profile = np.array([t.profile_reward for t in record.turns])
         response = np.array([t.response_reward for t in record.turns])
         return combined_reward(profile, response, weights)
@@ -479,14 +495,17 @@ def collect(
     round_index: int,
 ) -> tuple[RoundBatch, list[EpisodeRecord]]:
     """Sample a round of episodes under the frozen current policy and critic:
-    one ``draw_decisions`` call for the round, each scenario valued once."""
+    one ``draw_decisions`` call for the round, converted to lists once, each
+    scenario valued once, and the round's rewards weighted in one
+    ``combined_reward`` call over its turns in episode order."""
     samples = range(cfg.samples_per_scenario)
     stacks = [config.episode_table.observations for _, config in scenarios for _ in samples]
     seeds = [[cfg.seed, round_index, idx, s] for idx in range(len(scenarios)) for s in samples]
     decisions, log_probs = draw_decisions(policy, stacks, seeds)
+    lists = decisions.as_lists()
     lengths = [len(stack.global_feats) for stack in stacks]
     rows = iter(episode_rows(lengths))
-    values, rewards = [], []
+    values = []
     records: list[EpisodeRecord] = []
     for scenario_id, config in scenarios:
         env = DialogueEnv(config, matcher=matcher)
@@ -494,14 +513,15 @@ def collect(
         # Per-row 1-D dot products: a matrix-vector product can round differently.
         predicted = np.array([value_fn.predict(row) for row in flat])
         for _ in samples:
-            agent = PolicyAgent(decisions, next(rows))
-            record = rollout(env, agent, scenario_id=scenario_id)
-            rewards.append(agent.finish(record, weights))
-            records.append(record)
+            records.append(rollout(env, PolicyAgent(lists, next(rows)), scenario_id))
             values.append(predicted)
-    batch = RoundBatch(
-        decisions, log_probs, np.concatenate(values), np.concatenate(rewards), np.array(lengths)
+    turns = [t for record in records for t in record.turns]
+    rewards = combined_reward(
+        np.array([t.profile_reward for t in turns]),
+        np.array([t.response_reward for t in turns]),
+        weights,
     )
+    batch = RoundBatch(decisions, log_probs, np.concatenate(values), rewards, np.array(lengths))
     return batch, records
 
 

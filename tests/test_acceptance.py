@@ -252,9 +252,10 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
 def _greedy_records(policy: CategoricalSlotPolicy, pairs) -> list:
     stacks = [ucfg.episode_table.observations for _, ucfg in pairs]
     decisions, _ = draw_decisions(policy, stacks)
+    lists = decisions.as_lists()
     rows = episode_rows([len(stack.global_feats) for stack in stacks])
     return [
-        rollout(DialogueEnv(ucfg, matcher=_EXACT), PolicyAgent(decisions, episode), sid)
+        rollout(DialogueEnv(ucfg, matcher=_EXACT), PolicyAgent(lists, episode), sid)
         for (sid, ucfg), episode in zip(pairs, rows)
     ]
 

@@ -357,9 +357,9 @@ def test_out_of_range_or_unparsable_scenario_file_exits_2_naming_it(
 def test_eval_horizon_that_cuts_off_a_conflict_names_the_scenario(
     mode: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
+    # The scenarios carry their own turn-6 conflict, so conflict mode injects nothing.
     scenarios = tmp_path / "scn"
-    flags = ["--conflict"] if mode == "standard" else []
-    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", *flags]) == 0
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", "--conflict"]) == 0
     out = tmp_path / "out"
     capsys.readouterr()
     args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle",
@@ -369,6 +369,57 @@ def test_eval_horizon_that_cuts_off_a_conflict_names_the_scenario(
         "error: scenario scenario_0000: conflict turn 6 outside [1, 5]\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("gen_horizon", "eval_flags", "horizon"),
+    [(10, ["--horizon", "5"], 5), (10, ["--horizon", "6"], 6), (6, [], 6)],
+    ids=["flag-5", "flag-6", "files-6"],
+)
+def test_eval_conflict_mode_refuses_a_horizon_with_no_turn_after_the_swap(
+    gen_horizon: int, eval_flags: list[str], horizon: int, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2",
+                 "--horizon", str(gen_horizon)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle",
+            "--mode", "conflict", *eval_flags]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: --mode conflict swaps a value at turn 6 and needs a horizon above 6 "
+        f"to recover, got {horizon}\n"
+    )
+    assert not out.exists()
+
+
+def test_eval_conflict_mode_injects_the_swap_at_horizon_7(tmp_path: Path) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2"]) == 0
+    out = tmp_path / "out"
+    assert main(["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle",
+                 "--mode", "conflict", "--horizon", "7"]) == 0
+    records = list(read_episodes(out / "episodes.jsonl"))
+    assert len(records) == 2
+    for record in records:
+        assert record.horizon == 7 and record.conflict["turn"] == 6
+        assert len(record.turns) == 7
+
+
+def test_eval_conflict_mode_runs_own_conflicts_inside_a_short_horizon(tmp_path: Path) -> None:
+    scenarios = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "2", "--conflict"]) == 0
+    for path in scenarios.glob("*.json"):
+        payload = json.loads(path.read_text())
+        payload["conflict"]["turn"] = 3
+        path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle",
+                 "--mode", "conflict", "--horizon", "5"]) == 0
+    records = list(read_episodes(out / "episodes.jsonl"))
+    assert [(r.horizon, r.conflict["turn"]) for r in records] == [(5, 3), (5, 3)]
 
 
 def test_absent_or_null_conflict_means_no_conflict(tmp_path: Path) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -26,10 +27,11 @@ from dialign.env import (
     read_episodes,
     replay_rewards,
     rollout,
+    score_turn,
     write_episodes,
 )
 import dialign.env
-from dialign.errors import ConfigError, ProtocolError
+from dialign.errors import ConfigError, ProtocolError, SchemaError
 from dialign.profiles import (
     Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall, profile_reward,
 )
@@ -488,6 +490,72 @@ class _RandomAgent:
         )
 
 
+class _SometimesRepeatingAgent(_RandomAgent):
+    """A random agent that now and then keeps its previous estimate object."""
+
+    _last: Profile | None = None
+
+    def act(self, view: EnvView) -> AgentAction:
+        action = super().act(view)
+        if self._last is not None and self.rng.random() < 0.3:
+            action = AgentAction(action.response, self._last)
+        self._last = action.estimate
+        return action
+
+
+@given(
+    scenario_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    agent_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    conflict_turn=st.integers(min_value=2, max_value=10),
+    matcher_spec=st.sampled_from(["exact", "token:0.5"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_step_records_the_scores_score_turn_gives(
+    scenario_seed: int, agent_seed: int, conflict_turn: int, matcher_spec: str
+) -> None:
+    matcher = SlotMatcher.parse(matcher_spec)
+    (scenario,) = generate_scenarios(1, seed=scenario_seed)
+    swap = default_conflict(scenario.profile, scenario.style_seed, random.Random(agent_seed),
+                            matcher=matcher)
+    config = scenario.user_config(conflict=ConflictSpec(turn=conflict_turn, replace=swap.replace))
+    env, agent = DialogueEnv(config, matcher), _SometimesRepeatingAgent(agent_seed)
+    table = config.episode_table
+    assert table.truths[conflict_turn - 1] is not table.truths[conflict_turn - 2]
+    env.reset()
+    while not env.done:
+        index = env.view().turn - 1
+        action = agent.act(env.view())
+        record = env.step(action)
+        scored = score_turn(action.response, action.estimate, table.contexts[index],
+                            table.truths[index], matcher)
+        assert (record.profile_reward, record.response_reward, record.total_reward,
+                record.criteria, record.dimensions, record.aligned) == (
+            scored.profile, scored.response, scored.total, scored.criteria, scored.dimensions,
+            scored.aligned,
+        )
+
+
+def test_step_raises_pair_then_empty_truth_then_schema_errors() -> None:
+    env = _env()
+    other = SlotSchema(name="other", slots=("Age",))
+    estimate = Profile(schema=env.schema, entries={"Age": "34"})
+    bad, good = make_response([("Age", " ")], True), make_response([], True)
+    table = env._table
+    env._table = dataclasses.replace(table, truths=(Profile(schema=other),) * len(table.truths))
+    for response, error, message in (
+        (bad, ValueError, "addressed value for 'Age' must be non-empty text"),
+        (good, ValueError, "truth profile must be non-empty"),
+    ):
+        env.reset()
+        with pytest.raises(error, match=message):
+            env.step(AgentAction(response, estimate))
+    other_truth = Profile(schema=other, entries={"Age": "34"})
+    env._table = dataclasses.replace(table, truths=(other_truth,) * len(table.truths))
+    env.reset()
+    with pytest.raises(SchemaError, match="schema mismatch: 'aloe' vs 'other'"):
+        env.step(AgentAction(good, estimate))
+
+
 @given(
     style_seed=st.integers(min_value=0, max_value=2**31 - 1),
     agent_seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -564,7 +632,8 @@ def _episode_agents(kind: str, env: DialogueEnv, seed: int) -> list:
     ))
     seeds = [[seed, k] for k in range(4)]
     decisions, _ = draw_decisions(policy, [stack] * len(seeds), seeds)
-    return [PolicyAgent(decisions, rows) for rows in episode_rows([len(stack.global_feats)] * 4)]
+    lists = decisions.as_lists()
+    return [PolicyAgent(lists, rows) for rows in episode_rows([len(stack.global_feats)] * 4)]
 
 
 @pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])

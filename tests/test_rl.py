@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialign.env import DialogueState, Observation, observation_dim, observe
+from dialign.env import DialogueEnv, DialogueState, Observation, observation_dim, observe, rollout
 from dialign.errors import CheckpointError, ConfigError
 from dialign.profiles import SlotMatcher, SlotSchema
 from dialign.reward import combined_reward
@@ -19,6 +19,7 @@ from dialign.rl import (
     DecisionBatch,
     LinearValue,
     PPOConfig,
+    PolicyAgent,
     RoundBatch,
     collect,
     compute_gae,
@@ -528,6 +529,57 @@ def test_episode_table_observations_are_read_only_and_survive_collection() -> No
     assert pairs[0][1].episode_table.observations is observations
     assert observations.slot_feats.tolist() == before[0].tolist()
     assert observations.global_feats.tolist() == before[1].tolist()
+
+
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=5),
+    scenario_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    decision_seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_agents_reading_one_conversion_equal_agents_converting_their_own_rows(
+    lengths: list[int], scenario_seed: int, decision_seed: int
+) -> None:
+    configs = [
+        (s.scenario_id, s.user_config())
+        for h in lengths for s in generate_scenarios(1, seed=scenario_seed + h, horizon=h)
+    ]
+    stacks = [config.episode_table.observations for _, config in configs]
+    obs = Observation(np.concatenate([o.slot_feats for o in stacks]),
+                      np.concatenate([o.global_feats for o in stacks]))
+    decisions = _random_decisions(np.random.default_rng(decision_seed), obs)
+    matcher = SlotMatcher(kind="exact")
+    lists = decisions.as_lists()
+    for (sid, config), rows in zip(configs, episode_rows(lengths)):
+        own = (decisions.include[rows].astype(bool).tolist(),
+               decisions.response_choice[rows].tolist(),
+               decisions.engage[rows].astype(bool).tolist())
+        env = DialogueEnv(config, matcher=matcher)
+        expected = rollout(env, PolicyAgent(own, slice(0, rows.stop - rows.start)), sid)
+        assert rollout(env, PolicyAgent(lists, rows), sid) == expected
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0), (2.5, 0.5)])
+def test_round_rewards_are_each_episodes_weighted_rewards_in_order(
+    weights: tuple[float, float]
+) -> None:
+    pairs = _scenario_pairs(3, seed=21)
+    cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=5)
+    theta = np.random.default_rng(71).normal(size=POLICY_DIM)
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
+    value_fn = LinearValue(dim=observation_dim(_N_SLOTS))
+    batch, records = collect(pairs, policy, value_fn, cfg, weights, SlotMatcher(kind="exact"), 2)
+    assert [r.scenario_id for r in records] == [sid for sid, _ in pairs for _ in range(2)]
+    assert batch.lengths.tolist() == [len(r.turns) for r in records]
+    expected = np.concatenate([
+        combined_reward(np.array([t.profile_reward for t in r.turns]),
+                        np.array([t.response_reward for t in r.turns]), weights)
+        for r in records
+    ])
+    assert np.array_equal(batch.rewards, expected)
+    # Both reward columns vary, so a swap of the weights or columns would show.
+    assert len({t.profile_reward for r in records for t in r.turns}) > 2
+    assert len({t.response_reward for r in records for t in r.turns}) == 2
 
 
 def test_round_batch_length_validation() -> None:
