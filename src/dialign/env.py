@@ -19,7 +19,9 @@ ceiling, and the episode's observation stack; the config caches it as
 returns the current row's view, and ``step`` scores the turn, fills its
 ``TurnRecord`` straight from that one scoring pass (``score_turn`` wraps the
 same pass in a ``RewardBreakdown`` for replay) and moves one row down the
-table.  Observations exist only
+table.  The table also keeps, per matcher, a ``profiles.MatchTable`` for each
+truth, so ``step`` matches each (slot, value) pair an agent submits against
+a truth once per config, not once per turn.  Observations exist only
 as stacks with a leading turn axis (``observe`` maps T dialogue states to
 one), and a policy reads the whole episode's stack from the table, which
 lets it draw all of an episode's decisions in one batched call.
@@ -39,7 +41,9 @@ from typing import Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .profiles import Profile, SlotMatcher, SlotSchema, clearly_different, profile_reward
+from .profiles import (
+    MatchTable, Profile, SlotMatcher, SlotSchema, clearly_different, profile_reward,
+)
 from .reward import (
     JudgeContext,
     alignment_verdict,
@@ -59,6 +63,8 @@ UNKNOWN_VALUE = "(unknown)"
 
 _CONTINUATION = "What else should I know about you?"
 _ACK = "Noted, thanks for sharing."
+# The text of a response that addresses nothing, indexed by bool(continues).
+_NO_ADDRESS_TEXTS = (_ACK, f"{_ACK} {_CONTINUATION}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,13 +81,12 @@ def make_response(
 ) -> ResponseRecord:
     """Render a response record from structured parts; text is deterministic."""
     addressed = tuple(addressed)
-    if addressed:
-        parts = [
-            f"Since your {slot.lower()} is {value}, I'll take that into account."
-            for slot, value in addressed
-        ]
-    else:
-        parts = [_ACK]
+    if not addressed:
+        return ResponseRecord(addressed, continues, _NO_ADDRESS_TEXTS[bool(continues)])
+    parts = [
+        f"Since your {slot.lower()} is {value}, I'll take that into account."
+        for slot, value in addressed
+    ]
     if continues:
         parts.append(_CONTINUATION)
     return ResponseRecord(addressed, continues, " ".join(parts))
@@ -178,16 +183,22 @@ def observe(states: Sequence[DialogueState], schema: SlotSchema, horizon: int) -
     column = {slot: i for i, slot in enumerate(names)}
     slot_feats = np.zeros((len(states), len(names), SLOT_FEATURE_DIM))
     slot_feats[:, :, 0] = 1.0
-    # Schema slots only; consecutive states sharing a seen-values mapping share its flags.
+    # Schema slots only; consecutive states sharing a seen-values mapping share
+    # its flags, so each run of them gets one row, repeated over the run.
     starts = [t for t, state in enumerate(states)
               if t == 0 or state.seen_values is not states[t - 1].seen_values]
-    for start, end in zip(starts, starts[1:] + [len(states)]):
-        seen = [column[s] for s in states[start].seen_values if s in column]
-        slot_feats[start:end, seen, 1] = 1.0
-    topics = [(t, column[s]) for t, state in enumerate(states) if state.latest is not None
+    seen = [(run, column[s]) for run, t in enumerate(starts)
+            for s in states[t].seen_values if s in column]
+    rows, cols = np.array(seen, dtype=np.intp).reshape(-1, 2).T
+    flags = np.zeros((len(starts), len(names)))
+    flags[rows, cols] = 1.0
+    slot_feats[:, :, 1] = np.repeat(flags, np.diff(starts + [len(states)]), axis=0)
+    # Topic flags by their offsets in the flattened stack.
+    width = len(names) * SLOT_FEATURE_DIM
+    topics = [t * width + column[s] * SLOT_FEATURE_DIM + 2
+              for t, state in enumerate(states) if state.latest is not None
               for s in state.latest.topic_slots if s in column]
-    rows, cols = np.array(topics, dtype=np.intp).reshape(-1, 2).T
-    slot_feats[rows, cols, 2] = 1.0
+    slot_feats.reshape(-1)[topics] = 1.0
     global_feats = np.ones((len(states), GLOBAL_FEATURE_DIM))
     global_feats[:, 1] = np.array([state.turn for state in states]) / float(horizon)
     return Observation(slot_feats=slot_feats, global_feats=global_feats)
@@ -220,14 +231,16 @@ def _turn_scores(
     truth: Profile,
     matcher: SlotMatcher,
     r_profile: float | None,
+    matches: MatchTable | None = None,
 ) -> tuple[float, float, dict[str, int], dict[str, float], bool]:
     """A turn's (profile reward, response reward, criteria, dimensions,
-    aligned), from one count of its addressed pairs."""
+    aligned), from one count of its addressed pairs; ``matches`` is the
+    ``MatchTable`` of ``truth`` and ``matcher`` when the caller keeps one."""
     counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
     criteria, dimensions = judge_counts(counts, context, response.continues)
     r_response = float(response_reward(criteria))
     if r_profile is None:
-        r_profile = profile_reward(estimate, truth, matcher)
+        r_profile = profile_reward(estimate, truth, matcher, matches)
     return (
         r_profile, r_response, criteria, dimensions,
         alignment_verdict(response, r_response, truth, matcher),
@@ -263,7 +276,9 @@ class EpisodeTable:
     ground truth in force (``truths``, one ``Profile`` shared by the turns
     of each stretch between conflict swaps) and the reveal ceiling
     (``ceilings``, computed again only when the revealed slots or the truth
-    change); ``observations`` is the episode's stack.
+    change); ``observations`` is the episode's stack.  ``match_tables``
+    keeps, per matcher, the ``MatchTable`` of each truth, which ``step``
+    scores estimates through.
 
     Read it as ``UserConfig.episode_table``, which builds it once per config.
     """
@@ -273,6 +288,20 @@ class EpisodeTable:
     truths: tuple[Profile, ...]
     ceilings: tuple[float, ...]
     observations: Observation
+    _matches: dict[SlotMatcher, tuple[MatchTable, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def match_tables(self, matcher: SlotMatcher) -> tuple[MatchTable, ...]:
+        """One ``MatchTable`` per row, of the row's truth under ``matcher``;
+        rows that share a truth share its table.  Made on first use per
+        matcher and kept, so every episode of the config fills the same ones."""
+        tables = self._matches.get(matcher)
+        if tables is None:
+            distinct = {id(truth): truth for truth in self.truths}
+            made = {key: MatchTable(truth, matcher) for key, truth in distinct.items()}
+            tables = self._matches[matcher] = tuple(made[id(t)] for t in self.truths)
+        return tables
 
     @classmethod
     def build(cls, config: UserConfig) -> "EpisodeTable":
@@ -331,6 +360,7 @@ class DialogueEnv:
                     f"{value!r} for {slot!r} to the value it replaces, {old!r}"
                 )
         self._table = config.episode_table
+        self._matches = self._table.match_tables(self.matcher)
         self._index: int | None = None
         self._done = False
         self._scored: tuple[Profile, Profile, float] | None = None
@@ -361,7 +391,8 @@ class DialogueEnv:
         """Score ``action`` as the agent turn answering the current user turn,
         advance to the next user turn, and return the turn's record.
         ``Profile``s are immutable, so an estimate and truth that are the
-        previous turn's objects keep that turn's profile reward."""
+        previous turn's objects keep that turn's profile reward; any other
+        estimate is scored through the row's ``MatchTable``."""
         index = self._current()
         if self._done:
             raise ProtocolError("step() after the episode ended")
@@ -369,9 +400,12 @@ class DialogueEnv:
         table = self._table
         response, estimate, truth = action.response, action.estimate, table.truths[index]
         last = self._scored
-        known = last[2] if last and last[0] is estimate and last[1] is truth else None
+        if last and last[0] is estimate and last[1] is truth:
+            known, matches = last[2], None
+        else:
+            known, matches = None, self._matches[index]
         r_profile, r_response, criteria, dimensions, aligned = _turn_scores(
-            response, estimate, table.contexts[index], truth, self.matcher, known
+            response, estimate, table.contexts[index], truth, self.matcher, known, matches
         )
         self._scored = (estimate, truth, r_profile)
         utterance = table.views[index].state.latest
@@ -410,6 +444,11 @@ class TurnRecord:
     theoretical_max: float
 
 
+# ``json.dumps``'s encoder without its cycle check: records hold no cycles,
+# so the text is the same.
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 @dataclass
 class EpisodeRecord:
     """Self-contained episode log; enough to recompute every reward offline."""
@@ -430,7 +469,7 @@ class EpisodeRecord:
         # One JSON key per dataclass field, in field order; tuples become lists.
         payload = {"schema_version": self.schema_version, **vars(self)}
         payload["turns"] = [vars(t) for t in self.turns]
-        return json.dumps(payload)
+        return _ENCODER.encode(payload)
 
     @classmethod
     def from_json(cls, line: str) -> "EpisodeRecord":
@@ -542,7 +581,8 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
 def write_episodes(records: list[EpisodeRecord], path) -> None:
     with open(path, "w") as fh:
         for record in records:
-            fh.write(record.to_json() + "\n")
+            fh.write(record.to_json())
+            fh.write("\n")
 
 
 def read_episodes(path) -> Iterator[EpisodeRecord]:

@@ -7,7 +7,8 @@ truth P is the F1-style overlap score
     R_profile = 2 * |P-hat ∩ P| / (|P-hat| + |P|)
 
 where the intersection is counted slot-by-slot under a configurable value
-matcher.  An empty estimate scores 0 by convention.
+matcher.  An empty estimate scores 0 by convention.  ``match_values`` is the
+one matching rule; a ``MatchTable`` remembers its verdicts for one truth.
 
 The module also ships a small synthetic benchmark for matchers: rewrite a
 profile by paraphrasing ``a`` entries and altering ``b`` entries, then check
@@ -119,11 +120,19 @@ class Profile:
     entries: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        schema = self.schema
+        schema, entries = self.schema, self.entries
         # A closed schema's slots are all well-formed, so entries whose slots
-        # it contains need only their values checked.
-        slots_ok = not schema.open_schema and self.entries.keys() <= schema.slot_set
-        for slot, value in self.entries.items():
+        # it contains need only their values checked: at once when every
+        # value is non-blank text, else by the loop below, which names the
+        # first bad one.
+        slots_ok = not schema.open_schema and entries.keys() <= schema.slot_set
+        if slots_ok:
+            try:
+                if all(map(str.strip, entries.values())):
+                    return
+            except TypeError:
+                pass
+        for slot, value in entries.items():
             if not slots_ok:
                 if not isinstance(slot, str) or not slot.strip():
                     raise ValueError(f"bad slot name: {slot!r}")
@@ -254,12 +263,38 @@ def _check_same_family(estimate: Profile, truth: Profile) -> None:
         )
 
 
-def overlap_count(estimate: Profile, truth: Profile, matcher: SlotMatcher) -> int:
+class MatchTable(dict):
+    """(slot, value) -> whether the pair matches ``truth`` under ``matcher``,
+    filled through ``match_values`` on first lookup; it grows by the
+    distinct pairs looked up."""
+
+    __slots__ = ("_truth", "_kind", "_threshold")
+
+    def __init__(self, truth: Profile, matcher: SlotMatcher) -> None:
+        super().__init__()
+        self._truth = truth.entries
+        self._kind, self._threshold = matcher.kind, matcher.threshold
+
+    def __missing__(self, pair: tuple[str, str]) -> bool:
+        slot, value = pair
+        other = self._truth.get(slot)
+        hit = self[pair] = other is not None and match_values(
+            self._kind, self._threshold, value, other
+        )
+        return hit
+
+
+def overlap_count(
+    estimate: Profile, truth: Profile, matcher: SlotMatcher, matches: MatchTable | None = None
+) -> int:
     """Number of estimate entries whose slot exists in truth with a matching value.
 
     Bounded by min(len(estimate), len(truth)) because both sides are mappings.
+    ``matches``, when given, is the ``MatchTable`` of this truth and matcher.
     """
     _check_same_family(estimate, truth)
+    if matches is not None:
+        return sum(map(matches.__getitem__, estimate.entries.items()))
     kind, threshold, truth_values = matcher.kind, matcher.threshold, truth.entries
     count = 0
     for slot, value in estimate.entries.items():
@@ -281,12 +316,15 @@ def precision_recall(
     return precision, recall
 
 
-def profile_reward(estimate: Profile, truth: Profile, matcher: SlotMatcher) -> float:
-    """F1-style overlap reward 2|inter| / (|estimate| + |truth|), in [0, 1]."""
+def profile_reward(
+    estimate: Profile, truth: Profile, matcher: SlotMatcher, matches: MatchTable | None = None
+) -> float:
+    """F1-style overlap reward 2|inter| / (|estimate| + |truth|), in [0, 1];
+    ``matches`` as for ``overlap_count``."""
     n_estimate, n_truth = len(estimate.entries), len(truth.entries)
     if n_truth == 0:
         raise ValueError("truth profile must be non-empty")
-    overlap = overlap_count(estimate, truth, matcher)
+    overlap = overlap_count(estimate, truth, matcher, matches)
     if n_estimate == 0:
         return 0.0
     return 2.0 * overlap / (n_estimate + n_truth)

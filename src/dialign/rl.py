@@ -39,6 +39,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -462,19 +463,17 @@ class PolicyAgent:
         row = self._first + state.latest.turn - 1
         names = view.schema.slots
         seen = state.seen_values
-        entries = {
-            slot: seen.get(slot, UNKNOWN_VALUE)
-            for slot, included in zip(names, self._include[row])
-            if included
-        }
-        estimate = Profile(schema=view.schema, entries=entries)
-        addressed: list[tuple[str, str]] = []
+        included = compress(names, self._include[row])
+        entries = {slot: seen.get(slot, UNKNOWN_VALUE) for slot in included}
+        addressed: tuple[tuple[str, str], ...] = ()
         choice = self._choice[row]
         if choice < len(names):
             slot = names[choice]
             if slot in entries:
-                addressed = [(slot, entries[slot])]
-        return AgentAction(make_response(addressed, self._engage[row]), estimate)
+                addressed = ((slot, entries[slot]),)
+        return AgentAction(
+            make_response(addressed, self._engage[row]), Profile(view.schema, entries)
+        )
 
     def finish(self, record: EpisodeRecord, weights: tuple[float, float]) -> np.ndarray:
         """The played episode's rewards, weighted per turn.  ``collect``
@@ -799,16 +798,36 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"checkpoint {path}: step must be an integer >= 0, got {step!r}")
     if not isinstance(ppo, dict):
         raise CheckpointError(f"checkpoint {path}: ppo must be an object, got {ppo!r}")
-    params = {key: np.asarray(payload[key], dtype=float) for key in ("theta", "phi")}
-    for key, values in params.items():
-        if not np.all(np.isfinite(values)):
+    params = {}
+    for key in ("theta", "phi"):
+        values = payload[key]
+        if not isinstance(values, list) or not all(map(_is_number, values)):
+            raise CheckpointError(
+                f"checkpoint {path}: {key} must be a flat list of numbers, got {values!r}"
+            )
+        params[key] = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(params[key])):
             raise CheckpointError(f"checkpoint {path} holds a non-finite {key} value")
+    weights = payload.get("weights", [1.0, 1.0])
+    if not (
+        isinstance(weights, list) and len(weights) == 2
+        and all(_is_number(w) and 0 <= w < math.inf for w in weights)
+    ):
+        raise CheckpointError(
+            f"checkpoint {path}: weights must be a list of two finite non-negative numbers, "
+            f"got {weights!r}"
+        )
     return Checkpoint(
         **params,
         schema=schema,
         step=step,
         fingerprint=payload["fingerprint"],
         ppo=ppo,
-        weights=tuple(payload.get("weights", (1.0, 1.0))),  # type: ignore[arg-type]
+        weights=tuple(weights),  # type: ignore[arg-type]
         matcher=payload.get("matcher"),
     )
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -535,6 +535,91 @@ def test_step_records_the_scores_score_turn_gives(
         )
 
 
+def _value_variants(value: str) -> list[str]:
+    """Case, whitespace, punctuation and token variants of a value."""
+    tokens = value.split()
+    return [value, value.upper(), f"  {value}\t", f"{value}.", " ".join(reversed(tokens)),
+            tokens[0], f"{value} indeed", f"{tokens[-1]} {value}"]
+
+
+@given(
+    scenario_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    agent_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    conflict_turn=st.integers(min_value=2, max_value=10),
+    specs=st.lists(st.sampled_from(["exact", "token:0.5", "token:0.2"]), min_size=2, max_size=2,
+                   unique=True),
+    texts=st.lists(st.text(min_size=1, max_size=12).filter(str.strip), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_step_profile_reward_equals_profile_reward_without_the_match_tables(
+    scenario_seed: int, agent_seed: int, conflict_turn: int, specs: list[str], texts: list[str]
+) -> None:
+    """Two environments of different matchers step through one config, so
+    they share its ``EpisodeTable``; every estimate scores as a plain
+    ``profile_reward`` against the row's truth, across a conflict swap."""
+    matchers = [SlotMatcher.parse(spec) for spec in specs]
+    (scenario,) = generate_scenarios(1, seed=scenario_seed)
+    # The loosest matcher's swap is clearly different under every matcher.
+    swap = default_conflict(scenario.profile, scenario.style_seed, random.Random(agent_seed),
+                            matcher=SlotMatcher(kind="token", threshold=0.2))
+    config = scenario.user_config(conflict=ConflictSpec(turn=conflict_turn, replace=swap.replace))
+    table = config.episode_table
+    envs = [DialogueEnv(config, matcher) for matcher in matchers]
+    rng = random.Random(agent_seed)
+    slots = config.profile.schema.slots
+    truth_values = [*config.profile.entries.items(), *swap.replace.items()]
+    pools = {slot: [UNKNOWN_VALUE, *texts] for slot in slots}
+    for slot, value in truth_values:
+        pools[slot] += _value_variants(value)
+    last: Profile | None = None
+    for env in envs:
+        env.reset()
+    while not envs[0].done:
+        view = envs[0].view()
+        truth = table.truths[view.turn - 1]
+        for env in rng.sample(envs, len(envs)):
+            if last is not None and rng.random() < 0.2:
+                estimate = last
+            else:
+                seen = view.seen_values
+                entries = {slot: rng.choice(pools[slot] + [seen[slot]] if slot in seen
+                                            else pools[slot])
+                           for slot in slots if rng.random() < 0.7}
+                estimate = Profile(view.schema, entries)
+            record = env.step(AgentAction(make_response([], True), estimate))
+            assert record.profile_reward == profile_reward(estimate, truth, env.matcher)
+            last = estimate
+
+
+def test_match_tables_are_kept_per_matcher_and_shared_per_truth() -> None:
+    env, *_ = _conflict_env()
+    table = env.config.episode_table
+    exact = table.match_tables(SlotMatcher(kind="exact"))
+    token = table.match_tables(SlotMatcher(kind="token", threshold=0.5))
+    assert exact is table.match_tables(SlotMatcher(kind="exact")) and exact is env._matches
+    assert all(a is not b for a, b in zip(exact, token))
+    assert [a is b for a, b in zip(exact, exact[1:])] == [
+        t is u for t, u in zip(table.truths, table.truths[1:])]
+
+
+def test_policy_match_tables_hold_only_seen_values_and_the_placeholder() -> None:
+    """The size bound of the match tables: a policy agent only submits its
+    seen values and the placeholder."""
+    scenario = generate_scenarios(1, seed=5)[0]
+    config = scenario.user_config(horizon=12)
+    env = DialogueEnv(config, SlotMatcher(kind="exact"))
+    stacks = [config.episode_table.observations] * 4
+    decisions, _ = draw_decisions(CategoricalSlotPolicy(10), stacks, [[5, e] for e in range(4)])
+    lists = decisions.as_lists()
+    for rows in episode_rows([len(stack.global_feats) for stack in stacks]):
+        rollout(env, PolicyAgent(lists, rows))
+    seen = {(slot, value) for view in config.episode_table.views
+            for slot, value in view.seen_values.items()}
+    allowed = seen | {(slot, UNKNOWN_VALUE) for slot in config.profile.schema.slots}
+    for matches in env._matches:
+        assert matches and set(matches) <= allowed
+
+
 def test_step_raises_pair_then_empty_truth_then_schema_errors() -> None:
     env = _env()
     other = SlotSchema(name="other", slots=("Age",))
@@ -761,6 +846,27 @@ def test_env_refuses_a_conflict_its_matcher_matches_to_the_old_value() -> None:
         DialogueEnv(config, matcher=SlotMatcher.parse("token:0.2"))
 
 
+def test_written_episodes_equal_json_dumps_of_each_record(tmp_path: Path) -> None:
+    env, slot, _, _ = _conflict_env()
+    records = [rollout(env, EvidenceOracleAgent(), scenario_id=f"é-{i}") for i in range(2)]
+    record = records[0]
+    record.truth[slot] = "naïve 東京 “quoted”"
+    shared = record.turns[0].criteria
+    for turn in record.turns[1:4]:
+        turn.criteria = shared
+        turn.user_text = "café — ☕"
+    assert record.conflict is not None
+    path = tmp_path / "episodes.jsonl"
+    write_episodes(records, path)
+    expected = ""
+    for r in records:
+        payload = {"schema_version": r.schema_version, **vars(r)}
+        payload["turns"] = [vars(t) for t in r.turns]
+        expected += json.dumps(payload) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert [r.to_json() for r in records] == expected.splitlines()
+
+
 def test_episode_json_round_trip(tmp_path: Path) -> None:
     env = _env(horizon=5, style_seed=2)
     record = rollout(env, EvidenceOracleAgent(), scenario_id="rt")
@@ -779,6 +885,26 @@ def test_effective_truth_at_honours_conflict(tmp_path: Path) -> None:
     assert record.effective_truth_at(6)[slot] == new
     assert record.conflict is not None
     assert record.conflict["turn"] == 6
+
+
+def _rendered_text(addressed, continues) -> str:
+    """The response text, rendered part by part."""
+    parts = [f"Since your {slot.lower()} is {value}, I'll take that into account."
+             for slot, value in addressed] or ["Noted, thanks for sharing."]
+    if continues:
+        parts.append("What else should I know about you?")
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("continues", [True, False, 1, 0, 2, "yes", "", None])
+@pytest.mark.parametrize("addressed", [[], (), [("Age", "34")], (("Age", "34"), ("Pets", "a cat"))])
+def test_make_response_renders_its_text_and_keeps_continues_as_passed(
+    addressed, continues
+) -> None:
+    response = make_response(addressed, continues)
+    assert response.text == _rendered_text(addressed, continues)
+    assert response.continues is continues
+    assert response.addressed_slots == tuple(addressed)
 
 
 def test_make_response_text_mentions_addressed_values() -> None:
