@@ -8,7 +8,8 @@ truth P is the F1-style overlap score
 
 where the intersection is counted slot-by-slot under a configurable value
 matcher.  An empty estimate scores 0 by convention.  ``match_values`` is the
-one matching rule; a ``MatchTable`` remembers its verdicts for one truth.
+one matching rule; a ``MatchTable`` remembers its verdicts for one truth and
+matcher, and every overlap count reads one.
 
 The module also ships a small synthetic benchmark for matchers: rewrite a
 profile by paraphrasing ``a`` entries and altering ``b`` entries, then check
@@ -268,19 +269,16 @@ class MatchTable(dict):
     filled through ``match_values`` on first lookup; it grows by the
     distinct pairs looked up."""
 
-    __slots__ = ("_truth", "_kind", "_threshold")
+    __slots__ = ("truth", "matcher")
 
     def __init__(self, truth: Profile, matcher: SlotMatcher) -> None:
         super().__init__()
-        self._truth = truth.entries
-        self._kind, self._threshold = matcher.kind, matcher.threshold
+        self.truth, self.matcher = truth, matcher
 
     def __missing__(self, pair: tuple[str, str]) -> bool:
         slot, value = pair
-        other = self._truth.get(slot)
-        hit = self[pair] = other is not None and match_values(
-            self._kind, self._threshold, value, other
-        )
+        other = self.truth.entries.get(slot)
+        hit = self[pair] = other is not None and self.matcher.values_match(slot, value, other)
         return hit
 
 
@@ -290,18 +288,17 @@ def overlap_count(
     """Number of estimate entries whose slot exists in truth with a matching value.
 
     Bounded by min(len(estimate), len(truth)) because both sides are mappings.
-    ``matches``, when given, is the ``MatchTable`` of this truth and matcher.
+    ``matches``, when given, must be a ``MatchTable`` of this very ``truth``
+    object and of ``matcher``; without it, a fresh one is used.
     """
     _check_same_family(estimate, truth)
-    if matches is not None:
-        return sum(map(matches.__getitem__, estimate.entries.items()))
-    kind, threshold, truth_values = matcher.kind, matcher.threshold, truth.entries
-    count = 0
-    for slot, value in estimate.entries.items():
-        other = truth_values.get(slot)
-        if other is not None and match_values(kind, threshold, value, other):
-            count += 1
-    return count
+    if matches is None:
+        matches = MatchTable(truth, matcher)
+    elif matches.truth is not truth or (
+        matches.matcher is not matcher and matches.matcher != matcher
+    ):
+        raise ValueError("matches is not the MatchTable of this truth and matcher")
+    return sum(map(matches.__getitem__, estimate.entries.items()))
 
 
 def precision_recall(

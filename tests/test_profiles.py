@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dialign.errors import ConfigError, SchemaError
 from dialign.profiles import (
     ALOE_SLOTS,
+    MatchTable,
     OverlapBenchCase,
     Profile,
     SlotMatcher,
@@ -322,6 +323,26 @@ def test_overlap_count_rejects_mismatched_schemas() -> None:
     b = Profile(schema=other, entries={"Age": "34"})
     with pytest.raises(SchemaError):
         overlap_count(a, b, SlotMatcher(kind="exact"))
+
+
+def test_a_kept_match_table_counts_as_a_fresh_one_and_fits_one_truth_and_matcher() -> None:
+    rng = random.Random(0x7AB)
+    truth = _random_profile(rng)
+    exact, token = SlotMatcher(kind="exact"), SlotMatcher(kind="token", threshold=0.5)
+    matches = MatchTable(truth, exact)
+    for _ in range(200):
+        estimate = _random_profile(rng)
+        kept = overlap_count(estimate, truth, exact, matches)
+        assert kept == overlap_count(estimate, truth, exact)
+    assert set(matches) and all(matches[pair] is hit for pair, hit in matches.items())
+    estimate = Profile(schema=truth.schema, entries=dict(truth.entries))
+    assert profile_reward(estimate, truth, SlotMatcher(kind="exact"), matches) == 1.0
+    twin = Profile(schema=truth.schema, entries=dict(truth.entries))
+    for args in ((estimate, twin, exact, matches), (estimate, truth, token, matches)):
+        with pytest.raises(ValueError, match="not the MatchTable of this truth and matcher"):
+            overlap_count(*args)
+        with pytest.raises(ValueError, match="not the MatchTable of this truth and matcher"):
+            profile_reward(*args)
 
 
 def test_precision_recall_hand_values() -> None:
