@@ -216,10 +216,6 @@ class EnvView:
     schema: SlotSchema
 
     @property
-    def turn(self) -> int:
-        return self.state.turn
-
-    @property
     def seen_values(self) -> Mapping[str, str]:
         return self.state.seen_values
 

@@ -4,15 +4,24 @@ The policy factors an agent turn into independent heads sharing per-slot
 features: a Bernoulli inclusion decision per schema slot (does the estimate
 carry this slot), one categorical choice over slots-plus-none for which slot
 the response addresses, and a Bernoulli engagement flag.  All heads are
-linear in the observation features, log-probabilities and their gradients
-are computed analytically, and a central finite-difference helper over a
-``DecisionBatch`` (one gradient row per batch row) is provided so tests
-can cross-check the closed form.
+linear in the observation features, and log-probabilities and their
+gradients are computed analytically.
 
-Observations and decisions exist only as stacks: sampling maps an
-observation stack and one row of uniforms per observation to a
-``DecisionBatch``.  The scripted user ignores the agent, so every episode's
-observations are known before it starts, and decisions are drawn up front
+A slot's features are [1, seen, topic] with 0/1 flags, so they take four
+values, coded 2 * seen + topic (``slot_codes``; any other slot row raises
+``ValueError``).  The include head's logit, probability and log-pmf, and
+the response head's slot logits, are computed once per code and read by
+index.  Observations and decisions exist only as stacks (``ObservationRows``),
+which know the distinct rows among their rows: a stack object passed more
+than once is one set of distinct rows.  The response logits, their
+normalizer and probabilities, and the engage logit, are computed once per
+distinct row and gathered per row; the terms a decision enters, the
+gradient rows and the critic's products stay per row.  Every result has
+the bits of evaluating each row on its own.
+
+Sampling maps an observation stack and one row of uniforms per observation
+to a ``DecisionBatch``.  The scripted user ignores the agent, so every
+episode's observations are known before it starts, and decisions are drawn up front
 for a whole training round or eval call in one policy call
 (``draw_decisions``), whose decision columns become plain lists once per
 draw; each ``PolicyAgent`` acts out its episode's rows of those lists.  A
@@ -50,6 +59,7 @@ from .env import (
     EnvView,
     EpisodeRecord,
     Observation,
+    SLOT_FEATURE_DIM,
     UNKNOWN_VALUE,
     make_response,
     observation_dim,
@@ -124,14 +134,11 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _log_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    # log sigma(z) = -log(1 + exp(-z)), stable for large |z|
-    return -np.logaddexp(0.0, -z)
-
-
-def _bernoulli_log_pmf(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log P(y) of y in {0, 1} under logit z: log sigma(z) or log sigma(-z)."""
-    return _log_sigmoid(np.where(y == 1, z, -z))
+def _outcome_log_pmf(z: np.ndarray) -> np.ndarray:
+    """log P(y) of a Bernoulli head under logits z, for y = 0 and y = 1 along
+    a new last axis: log sigma(-z) and log sigma(z), each as
+    -log(1 + exp(-(+-z))), stable for large |z|."""
+    return -np.logaddexp(0.0, np.stack([z, -z], axis=-1))
 
 
 def _log_normalizer(logits: np.ndarray) -> np.ndarray:
@@ -141,6 +148,84 @@ def _log_normalizer(logits: np.ndarray) -> np.ndarray:
     fold as a reduction along each row, as K - 1 vector steps over all rows.
     """
     return np.logaddexp.reduce(np.ascontiguousarray(logits.T), axis=0)
+
+
+# Row c is the slot feature row [1, seen, topic] whose code 2 * seen + topic is c.
+SLOT_CODE_FEATS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+
+
+def slot_codes(slot_feats: np.ndarray) -> np.ndarray:
+    """Each slot row's code 2 * seen + topic, the row of ``SLOT_CODE_FEATS``
+    it equals.  ValueError unless every row is [1, seen, topic] with 0/1 flags."""
+    nonzero = slot_feats != 0.0
+    if not (
+        slot_feats.shape[-1] == SLOT_FEATURE_DIM
+        and np.array_equal(slot_feats, nonzero)
+        and nonzero[..., 0].all()
+    ):
+        raise ValueError("every slot feature row must be [1, seen, topic] with 0/1 flags")
+    flags = nonzero.view(np.uint8)
+    return 2 * flags[..., 1] + flags[..., 2]
+
+
+@dataclass(frozen=True)
+class ObservationRows:
+    """A stack of N observation rows and the M distinct rows among them.
+
+    ``slot_feats`` and ``global_feats`` hold every row, in the layout the
+    gradient rows and the critic read, and ``codes`` every row's slot codes.
+    Row i is distinct row ``distinct[i]``, whose slot codes and global
+    features are ``distinct_codes`` and ``distinct_global``.  The policy
+    computes each term that no decision enters once per slot code or per
+    distinct row, and gathers it per row.
+    """
+
+    slot_feats: np.ndarray  # (N, n_slots, SLOT_FEATURE_DIM)
+    global_feats: np.ndarray  # (N, GLOBAL_FEATURE_DIM)
+    codes: np.ndarray  # (N, n_slots) uint8 in [0, 4)
+    distinct: np.ndarray  # (N,) ints in [0, M)
+    distinct_codes: np.ndarray  # (M, n_slots)
+    distinct_global: np.ndarray  # (M, GLOBAL_FEATURE_DIM)
+
+    def __len__(self) -> int:
+        return len(self.distinct)
+
+    @classmethod
+    def stack(cls, stacks: Sequence[Observation]) -> ObservationRows:
+        """The rows of ``stacks`` in order.  Each stack object is one set of
+        distinct rows, however often it is passed: ``collect`` passes each
+        config's stack once per sample."""
+        first: dict[int, int] = {}  # id of a stack -> its first distinct row
+        unique: list[Observation] = []
+        shifts, lengths = [], []
+        n_distinct = n_rows = 0
+        for stack in stacks:
+            length = len(stack.global_feats)
+            if id(stack) not in first:
+                first[id(stack)] = n_distinct
+                unique.append(stack)
+                n_distinct += length
+            shifts.append(first[id(stack)] - n_rows)
+            lengths.append(length)
+            n_rows += length
+        if n_distinct == 1 < n_rows:
+            # numpy multiplies one row by the engage weights through its fused
+            # multiply-add dot path and several rows through gemv, so a lone
+            # distinct row would round its engage logit unlike the rows it
+            # stands for: here every row is a distinct row.
+            unique, shifts = list(stacks), [0] * len(stacks)
+        distinct_slot = np.concatenate([stack.slot_feats for stack in unique])
+        distinct_global = np.concatenate([stack.global_feats for stack in unique])
+        distinct_codes = slot_codes(distinct_slot)
+        distinct = np.arange(n_rows) + np.repeat(shifts, lengths)
+        return cls(
+            slot_feats=distinct_slot[distinct],
+            global_feats=distinct_global[distinct],
+            codes=distinct_codes[distinct],
+            distinct=distinct,
+            distinct_codes=distinct_codes,
+            distinct_global=distinct_global,
+        )
 
 
 # A DecisionBatch's (include, response choice, engage) columns as plain lists.
@@ -157,14 +242,21 @@ class DecisionBatch:
     under unchanged parameters reproduces the stored values bit for bit.
     """
 
-    slot_feats: np.ndarray  # (N, n_slots, SLOT_FEATURE_DIM)
-    global_feats: np.ndarray  # (N, GLOBAL_FEATURE_DIM)
+    observations: ObservationRows
     include: np.ndarray  # (N, n_slots) in {0, 1}
     response_choice: np.ndarray  # (N,) ints in [0, n_slots]
     engage: np.ndarray  # (N,) in {0, 1}
 
     def __len__(self) -> int:
-        return self.global_feats.shape[0]
+        return len(self.observations)
+
+    @property
+    def slot_feats(self) -> np.ndarray:
+        return self.observations.slot_feats
+
+    @property
+    def global_feats(self) -> np.ndarray:
+        return self.observations.global_feats
 
     def as_lists(self) -> DecisionLists:
         """The decision columns (include, response choice, engage) as plain
@@ -175,6 +267,27 @@ class DecisionBatch:
             self.response_choice.tolist(),
             self.engage.astype(bool).tolist(),
         )
+
+
+@dataclass(frozen=True)
+class _HeadTerms:
+    """Every term of the heads that no decision enters, at one theta: the
+    include head's per slot code, the response and engage heads' per
+    distinct observation row."""
+
+    include_logit: np.ndarray  # (4,)
+    include_prob: np.ndarray  # (4,)
+    include_log_pmf: np.ndarray  # (4, 2), for y = 0 and y = 1
+    logits: np.ndarray  # (M, n_slots + 1)
+    log_norm: np.ndarray  # (M,)
+    probs: np.ndarray  # (M, n_slots + 1)
+    engage_logit: np.ndarray  # (M,)
+    engage_prob: np.ndarray  # (M,)
+    engage_log_pmf: np.ndarray  # (M, 2), for y = 0 and y = 1
+
+
+def _observation_rows(obs: Observation | ObservationRows) -> ObservationRows:
+    return obs if isinstance(obs, ObservationRows) else ObservationRows.stack([obs])
 
 
 class CategoricalSlotPolicy:
@@ -191,20 +304,27 @@ class CategoricalSlotPolicy:
             raise ConfigError(f"theta must have shape ({POLICY_DIM},), got {theta.shape}")
         self.theta = theta.copy()
 
-    # -- head distributions ----------------------------------------------
+    def _terms(self, rows: ObservationRows) -> _HeadTerms:
+        theta = self.theta
+        include_logit = SLOT_CODE_FEATS @ theta[_W_INC]
+        logits = np.empty((len(rows.distinct_codes), rows.codes.shape[1] + 1))
+        logits[:, :-1] = (SLOT_CODE_FEATS @ theta[_W_RESP])[rows.distinct_codes]
+        logits[:, -1] = theta[_B_NONE]
+        log_norm = _log_normalizer(logits)
+        engage_logit = rows.distinct_global @ theta[_W_ENG]
+        return _HeadTerms(
+            include_logit=include_logit,
+            include_prob=_sigmoid(include_logit),
+            include_log_pmf=_outcome_log_pmf(include_logit),
+            logits=logits,
+            log_norm=log_norm,
+            probs=np.exp(logits - log_norm[:, None]),
+            engage_logit=engage_logit,
+            engage_prob=_sigmoid(engage_logit),
+            engage_log_pmf=_outcome_log_pmf(engage_logit),
+        )
 
-    def _include_logits(self, slot_feats: np.ndarray) -> np.ndarray:
-        return slot_feats @ self.theta[_W_INC]
-
-    def _response_logits(self, slot_feats: np.ndarray) -> np.ndarray:
-        slot_logits = slot_feats @ self.theta[_W_RESP]
-        none_col = np.full(slot_logits.shape[:-1] + (1,), self.theta[_B_NONE])
-        return np.concatenate([slot_logits, none_col], axis=-1)
-
-    def _engage_logit(self, global_feats: np.ndarray) -> np.ndarray:
-        return global_feats @ self.theta[_W_ENG]
-
-    def sample(self, obs: Observation, uniforms: np.ndarray) -> DecisionBatch:
+    def sample(self, obs: Observation | ObservationRows, uniforms: np.ndarray) -> DecisionBatch:
         """Draw one decision per row of an observation stack from that row of
         ``uniforms``; log-probabilities come from ``log_prob_batch``.
 
@@ -212,42 +332,42 @@ class CategoricalSlotPolicy:
         draw, then the engagement draw, so one ``rng.random((T, n_slots + 2))``
         draw consumes the generator exactly as T per-row draws would.
         """
-        slot_feats, global_feats = obs.slot_feats, obs.global_feats
-        n = slot_feats.shape[1]
-        if uniforms.shape != (len(global_feats), n + 2):
-            raise ValueError(f"need ({len(global_feats)}, {n + 2}) uniforms, got {uniforms.shape}")
-        include = uniforms[:, :n] < _sigmoid(self._include_logits(slot_feats))
-        logits = self._response_logits(slot_feats)
-        probs = np.exp(logits - _log_normalizer(logits)[:, None])
+        rows = _observation_rows(obs)
+        return self._sample(rows, uniforms, self._terms(rows))
+
+    def _sample(
+        self, rows: ObservationRows, uniforms: np.ndarray, terms: _HeadTerms
+    ) -> DecisionBatch:
+        n, at = rows.codes.shape[1], rows.distinct
+        if uniforms.shape != (len(rows), n + 2):
+            raise ValueError(f"need ({len(rows)}, {n + 2}) uniforms, got {uniforms.shape}")
+        include = uniforms[:, :n] < terms.include_prob[rows.codes]
         # Inverse-CDF draw: the first index whose cumulative mass reaches the
         # scaled uniform, capped at the "address nothing" column.
-        target = uniforms[:, n] * probs.sum(axis=-1)
-        choice = np.minimum(np.sum(np.cumsum(probs, axis=-1) < target[:, None], axis=-1), n)
-        engage = uniforms[:, n + 1] < _sigmoid(self._engage_logit(global_feats))
-        return DecisionBatch(
-            slot_feats=slot_feats,
-            global_feats=global_feats,
-            include=include.astype(float),
-            response_choice=choice,
-            engage=engage.astype(float),
-        )
+        target = uniforms[:, n] * terms.probs.sum(axis=-1)[at]
+        below = np.cumsum(terms.probs, axis=-1)[at] < target[:, None]
+        choice = np.minimum(np.sum(below, axis=-1), n)
+        engage = uniforms[:, n + 1] < terms.engage_prob[at]
+        return DecisionBatch(rows, include.astype(float), choice, engage.astype(float))
 
     def sample_with_log_prob(
-        self, obs: Observation, uniforms: np.ndarray
+        self, obs: Observation | ObservationRows, uniforms: np.ndarray
     ) -> tuple[DecisionBatch, np.ndarray]:
         """``sample``, with the batch's ``log_prob_batch`` values."""
-        batch = self.sample(obs, uniforms)
-        return batch, self.log_prob_batch(batch)
+        rows = _observation_rows(obs)
+        terms = self._terms(rows)
+        batch = self._sample(rows, uniforms, terms)
+        return batch, self._log_prob_and_grad(batch, terms, with_grad=False)[0]
 
-    def greedy(self, obs: Observation) -> DecisionBatch:
+    def greedy(self, obs: Observation | ObservationRows) -> DecisionBatch:
         """The most likely decision of each head, per row of an observation stack."""
-        slot_feats, global_feats = obs.slot_feats, obs.global_feats
+        rows = _observation_rows(obs)
+        terms = self._terms(rows)
         return DecisionBatch(
-            slot_feats=slot_feats,
-            global_feats=global_feats,
-            include=(self._include_logits(slot_feats) > 0.0).astype(float),
-            response_choice=np.argmax(self._response_logits(slot_feats), axis=-1),
-            engage=(self._engage_logit(global_feats) > 0.0).astype(float),
+            rows,
+            include=(terms.include_logit > 0.0)[rows.codes].astype(float),
+            response_choice=np.argmax(terms.logits, axis=-1)[rows.distinct],
+            engage=(terms.engage_logit > 0.0)[rows.distinct].astype(float),
         )
 
     def log_prob_batch(self, batch: DecisionBatch) -> np.ndarray:
@@ -257,44 +377,30 @@ class CategoricalSlotPolicy:
         self, batch: DecisionBatch, with_grad: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Per-row log pi and, ``with_grad``, the analytic d log pi / d theta,
-        shape (N, POLICY_DIM), from one evaluation of each head's logits."""
-        z_inc = self._include_logits(batch.slot_feats)  # (N, n)
-        lp = np.sum(_bernoulli_log_pmf(batch.include, z_inc), axis=-1)
-        logits = self._response_logits(batch.slot_feats)  # (N, n+1)
-        log_norm = _log_normalizer(logits)
-        rows = np.arange(len(batch))
-        lp = lp + logits[rows, batch.response_choice] - log_norm
-        z_eng = self._engage_logit(batch.global_feats)
-        lp = lp + _bernoulli_log_pmf(batch.engage, z_eng)
+        shape (N, POLICY_DIM), from one evaluation of each head's terms."""
+        return self._log_prob_and_grad(batch, self._terms(batch.observations), with_grad)
+
+    def _log_prob_and_grad(
+        self, batch: DecisionBatch, terms: _HeadTerms, with_grad: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        rows = batch.observations
+        at = rows.distinct
+        # The include head's (code, outcome) table, read at 2 * code + y.
+        lp = np.sum(terms.include_log_pmf.ravel()[2 * rows.codes + (batch.include == 1)], axis=-1)
+        lp = lp + terms.logits[at, batch.response_choice] - terms.log_norm[at]
+        lp = lp + terms.engage_log_pmf[at, (batch.engage == 1).view(np.uint8)]
         if not with_grad:
             return lp, None
         grads = np.zeros((len(batch), POLICY_DIM))
-        p_inc = _sigmoid(z_inc)  # (N, n_slots)
-        grads[:, _W_INC] = np.einsum("ns,nsk->nk", batch.include - p_inc, batch.slot_feats)
-        probs = np.exp(logits - log_norm[:, None])
-        indicator = np.zeros_like(probs)
-        indicator[rows, batch.response_choice] = 1.0
-        diff = indicator - probs
-        grads[:, _W_RESP] = np.einsum("ns,nsk->nk", diff[:, :-1], batch.slot_feats)
+        p_inc = terms.include_prob[rows.codes]  # (N, n_slots)
+        grads[:, _W_INC] = np.einsum("ns,nsk->nk", batch.include - p_inc, rows.slot_feats)
+        indicator = np.zeros((len(batch), terms.probs.shape[1]))
+        indicator[np.arange(len(batch)), batch.response_choice] = 1.0
+        diff = indicator - terms.probs[at]
+        grads[:, _W_RESP] = np.einsum("ns,nsk->nk", diff[:, :-1], rows.slot_feats)
         grads[:, _B_NONE] = diff[:, -1]
-        grads[:, _W_ENG] = (batch.engage - _sigmoid(z_eng))[:, None] * batch.global_feats
+        grads[:, _W_ENG] = (batch.engage - terms.engage_prob[at])[:, None] * rows.global_feats
         return lp, grads
-
-
-def numerical_log_prob_grad(
-    policy: CategoricalSlotPolicy, batch: DecisionBatch, eps: float = 1e-5
-) -> np.ndarray:
-    """Central-difference d log pi / d theta per batch row, shape (N, POLICY_DIM),
-    for cross-checking ``log_prob_and_grad``."""
-    base = policy.theta
-    grad = np.zeros((len(batch), base.size))
-    for i in range(base.size):
-        step = np.zeros_like(base)
-        step[i] = eps
-        hi = CategoricalSlotPolicy(policy.n_slots, base + step).log_prob_batch(batch)
-        lo = CategoricalSlotPolicy(policy.n_slots, base - step).log_prob_batch(batch)
-        grad[:, i] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 class LinearValue:
@@ -429,17 +535,15 @@ def draw_decisions(
     ``default_rng(seeds[i])``, so its rows are exactly those ``sample``
     makes from that block alone.  ``seeds=None`` takes greedy decisions.
     """
-    slot_feats = np.concatenate([stack.slot_feats for stack in stacks])
-    global_feats = np.concatenate([stack.global_feats for stack in stacks])
-    obs = Observation(slot_feats, global_feats)
+    rows = ObservationRows.stack(stacks)
     if seeds is None:
-        batch = policy.greedy(obs)
+        batch = policy.greedy(rows)
         return batch, policy.log_prob_batch(batch)
     uniforms = np.concatenate(
         [np.random.default_rng(seed).random((len(stack.global_feats), policy.n_slots + 2))
          for stack, seed in zip(stacks, seeds, strict=True)]
     )
-    return policy.sample_with_log_prob(obs, uniforms)
+    return policy.sample_with_log_prob(rows, uniforms)
 
 
 class PolicyAgent:
@@ -799,11 +903,16 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(ppo, dict):
         raise CheckpointError(f"checkpoint {path}: ppo must be an object, got {ppo!r}")
     params = {}
-    for key in ("theta", "phi"):
+    sizes = {"theta": POLICY_DIM, "phi": observation_dim(len(schema.slots))}
+    for key, size in sizes.items():
         values = payload[key]
         if not isinstance(values, list) or not all(map(_is_number, values)):
             raise CheckpointError(
                 f"checkpoint {path}: {key} must be a flat list of numbers, got {values!r}"
+            )
+        if len(values) != size:
+            raise CheckpointError(
+                f"checkpoint {path}: {key} must hold {size} numbers, got {len(values)}"
             )
         params[key] = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(params[key])):
@@ -817,6 +926,11 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint {path}: weights must be a list of two finite non-negative numbers, "
             f"got {weights!r}"
         )
+    for key in ("fingerprint", "matcher"):
+        if key in payload and not isinstance(payload[key], str):
+            raise CheckpointError(
+                f"checkpoint {path}: {key} must be a string, got {payload[key]!r}"
+            )
     return Checkpoint(
         **params,
         schema=schema,

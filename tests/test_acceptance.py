@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -45,16 +46,18 @@ from dialign.rl import (
     CategoricalSlotPolicy,
     DecisionBatch,
     LinearValue,
+    ObservationRows,
     PolicyAgent,
     PPOConfig,
+    TrainResult,
     collect,
     draw_decisions,
     episode_rows,
-    numerical_log_prob_grad,
     policy_ratio,
     train,
 )
 from dialign.scenarios import generate_scenarios
+from test_rl import numerical_log_prob_grad
 
 _EXACT = SlotMatcher(kind="exact")
 
@@ -197,8 +200,7 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
         )
         obs = _probe_observation(rng)
         batch = DecisionBatch(
-            slot_feats=obs.slot_feats,
-            global_feats=obs.global_feats,
+            ObservationRows.stack([obs]),
             include=rng.integers(0, 2, size=10)[None].astype(float),
             response_choice=np.array([rng.integers(0, 11)]),
             engage=np.array([float(rng.integers(0, 2))]),
@@ -260,20 +262,58 @@ def _greedy_records(policy: CategoricalSlotPolicy, pairs) -> list:
     ]
 
 
-@pytest.mark.slow
-def test_training_improves_reward_and_produces_rising_alignment() -> None:
+_TRAIN_SETTINGS = dict(samples_per_scenario=2, actor_lr=0.1, critic_lr=0.01)
+
+
+@dataclass(frozen=True)
+class _FullRewardRun:
+    """One seed's (1, 1)-weighted training: the 60-round result the ablation
+    compares, and the 150-round result the learning test checks, which
+    continues the same run from round 60."""
+
+    at_60: TrainResult
+    at_150: TrainResult
+
+
+@pytest.fixture(scope="module")
+def full_reward_runs() -> tuple[list, list[_FullRewardRun], float]:
+    """The scenario pairs, five seeds' (1, 1) runs, and the seconds they took.
+
+    Round seeds depend only on ``cfg.seed`` and the step, so 60 rounds
+    followed by 90 more with ``start_step=60`` are the 150-round run.  The
+    60-round parameters are copied, because ``update`` changes the policy
+    and critic in place as the run continues."""
     started = time.monotonic()
     pairs = [(s.scenario_id, s.user_config()) for s in generate_scenarios(32, seed=7)]
-    cfg_template = dict(
-        total_rounds=150, samples_per_scenario=2, actor_lr=0.1, critic_lr=0.01
-    )
-    gradient_updates = cfg_template["total_rounds"] * PPOConfig().epochs
+    runs = []
+    for seed in range(5):
+        cfg = PPOConfig(seed=seed, total_rounds=60, **_TRAIN_SETTINGS)
+        first = train(pairs, cfg=cfg, weights=(1.0, 1.0), matcher=_EXACT)
+        at_60 = TrainResult(
+            policy=CategoricalSlotPolicy(first.policy.n_slots, first.policy.theta),
+            value_fn=LinearValue(first.value_fn.phi.size, first.value_fn.phi),
+            curve=first.curve,
+            final_step=first.final_step,
+        )
+        rest = train(
+            pairs, cfg=replace(cfg, total_rounds=90), weights=(1.0, 1.0), matcher=_EXACT,
+            policy=first.policy, value_fn=first.value_fn, start_step=60,
+        )
+        at_150 = replace(rest, curve=first.curve + rest.curve)
+        runs.append(_FullRewardRun(at_60=at_60, at_150=at_150))
+    return pairs, runs, time.monotonic() - started
+
+
+@pytest.mark.slow
+def test_training_improves_reward_and_produces_rising_alignment(full_reward_runs) -> None:
+    started = time.monotonic()
+    pairs, runs, training_seconds = full_reward_runs
+    gradient_updates = runs[0].at_150.final_step * PPOConfig().epochs
 
     improvements: list[float] = []
     slopes: list[float] = []
-    for seed in range(5):
-        cfg = PPOConfig(seed=seed, **cfg_template)
-        result = train(pairs, cfg=cfg, weights=(1.0, 1.0), matcher=_EXACT)
+    for run in runs:
+        result = run.at_150
         first = result.curve[0].mean_total_reward
         last = result.curve[-1].mean_total_reward
         improvements.append(last / first)
@@ -281,7 +321,8 @@ def test_training_improves_reward_and_produces_rising_alignment() -> None:
         curve = alignment_curve(alignment_matrix(records))
         slopes.append(summarize_alignment(curve).n_ir)
 
-    elapsed = time.monotonic() - started
+    # The shared runs' training time counts towards this test's budget.
+    elapsed = training_seconds + time.monotonic() - started
     mean_improvement = float(np.mean(improvements))
     ok = (
         mean_improvement >= 1.5
@@ -302,32 +343,37 @@ def test_training_improves_reward_and_produces_rising_alignment() -> None:
 
 
 @pytest.mark.slow
-def test_full_reward_beats_single_component_rewards_under_shared_scoring() -> None:
-    pairs = [(s.scenario_id, s.user_config()) for s in generate_scenarios(32, seed=7)]
+def test_full_reward_beats_single_component_rewards_under_shared_scoring(
+    full_reward_runs,
+) -> None:
+    pairs, runs, _ = full_reward_runs
 
-    def mean_total(weights: tuple[float, float]) -> float:
+    def trained(weights: tuple[float, float]) -> list[CategoricalSlotPolicy]:
+        return [
+            train(
+                pairs,
+                cfg=PPOConfig(seed=seed, total_rounds=60, **_TRAIN_SETTINGS),
+                weights=weights,
+                matcher=_EXACT,
+            ).policy
+            for seed in range(5)
+        ]
+
+    def mean_total(policies: list[CategoricalSlotPolicy]) -> float:
         per_seed = []
-        for seed in range(5):
-            cfg = PPOConfig(
-                total_rounds=60,
-                samples_per_scenario=2,
-                seed=seed,
-                actor_lr=0.1,
-                critic_lr=0.01,
-            )
-            result = train(pairs, cfg=cfg, weights=weights, matcher=_EXACT)
+        for policy in policies:
             # Rescore every configuration under the full (1, 1) objective.
             totals = []
-            for record in _greedy_records(result.policy, pairs):
+            for record in _greedy_records(policy, pairs):
                 totals.append(
                     sum(t.profile_reward + t.response_reward for t in record.turns)
                 )
             per_seed.append(float(np.mean(totals)))
         return float(np.mean(per_seed))
 
-    both = mean_total((1.0, 1.0))
-    profile_only = mean_total((1.0, 0.0))
-    response_only = mean_total((0.0, 1.0))
+    both = mean_total([run.at_60.policy for run in runs])
+    profile_only = mean_total(trained((1.0, 0.0)))
+    response_only = mean_total(trained((0.0, 1.0)))
     ok = both >= profile_only and both >= response_only
     _report(
         "reward-weight ablation",

@@ -839,10 +839,12 @@ def test_non_finite_checkpoint_parameters_exit_2_before_writing(
     ("key", "value"),
     [("step", 1.9), ("step", True), ("step", -3), ("ppo", [1]), ("schema", {"slots": ["Age"]}),
      ("weights", None), ("weights", 2), ("weights", [1, 1, 1]), ("weights", [-1, 1]),
-     ("weights", [True, 1]), ("theta", "abc"), ("theta", [[0.5]] * 9), ("phi", [[0.0]] * 32)],
+     ("weights", [True, 1]), ("theta", "abc"), ("theta", [[0.5]] * 9), ("phi", [[0.0]] * 32),
+     ("theta", [0.5] * 8), ("phi", [0.0] * 5), ("fingerprint", 5), ("matcher", 3)],
     ids=["step-float", "step-bool", "step-negative", "ppo-list", "schema-no-name",
          "weights-null", "weights-number", "weights-three", "weights-negative", "weights-bool",
-         "theta-string", "theta-nested", "phi-nested"],
+         "theta-string", "theta-nested", "phi-nested", "theta-short", "phi-short",
+         "fingerprint-number", "matcher-number"],
 )
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_malformed_checkpoint_field_exits_2_before_writing(

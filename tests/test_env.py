@@ -340,8 +340,8 @@ def test_observation_tracks_seen_and_topic_flags() -> None:
     env.step(agent.act(env.view()))
     view = env.view()
     obs = env.config.episode_table.observations
-    seen_flags = obs.slot_feats[view.turn - 1, :, 1]
-    topic_flags = obs.slot_feats[view.turn - 1, :, 2]
+    seen_flags = obs.slot_feats[view.state.turn - 1, :, 1]
+    topic_flags = obs.slot_feats[view.state.turn - 1, :, 2]
     assert seen_flags.sum() == 1.0
     assert topic_flags.sum() == 1.0
     revealed_slot = next(iter(view.seen_values))
@@ -424,7 +424,7 @@ def test_effective_truth_switches_at_conflict_turn() -> None:
     truth_by_turn: dict[int, str] = {}
     while not env.done:
         view = env.view()
-        truth_by_turn[view.turn] = env.config.episode_table.truths[view.turn - 1].entries[slot]
+        truth_by_turn[view.state.turn] = env.config.episode_table.truths[view.state.turn - 1].entries[slot]
         env.step(agent.act(view))
     assert truth_by_turn[5] == old
     assert truth_by_turn[6] == new
@@ -523,7 +523,7 @@ def test_step_records_the_scores_score_turn_gives(
     assert table.truths[conflict_turn - 1] is not table.truths[conflict_turn - 2]
     env.reset()
     while not env.done:
-        index = env.view().turn - 1
+        index = env.view().state.turn - 1
         action = agent.act(env.view())
         record = env.step(action)
         scored = score_turn(action.response, action.estimate, table.contexts[index],
@@ -576,7 +576,7 @@ def test_step_profile_reward_equals_profile_reward_without_the_match_tables(
         env.reset()
     while not envs[0].done:
         view = envs[0].view()
-        truth = table.truths[view.turn - 1]
+        truth = table.truths[view.state.turn - 1]
         for env in rng.sample(envs, len(envs)):
             if last is not None and rng.random() < 0.2:
                 estimate = last

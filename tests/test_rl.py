@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialign.env import DialogueEnv, DialogueState, Observation, observation_dim, observe, rollout
@@ -18,6 +18,7 @@ from dialign.rl import (
     CategoricalSlotPolicy,
     DecisionBatch,
     LinearValue,
+    ObservationRows,
     PPOConfig,
     PolicyAgent,
     RoundBatch,
@@ -28,10 +29,10 @@ from dialign.rl import (
     episode_rows,
     load_checkpoint,
     normalize_advantages,
-    numerical_log_prob_grad,
     policy_ratio,
     ppo_surrogate,
     save_checkpoint,
+    slot_codes,
     train,
     update,
 )
@@ -59,8 +60,7 @@ def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBat
     """Uniformly random decisions, one per row of ``obs``."""
     rows = len(obs.global_feats)
     return DecisionBatch(
-        slot_feats=obs.slot_feats,
-        global_feats=obs.global_feats,
+        ObservationRows.stack([obs]),
         include=rng.integers(0, 2, size=(rows, _N_SLOTS)).astype(float),
         response_choice=rng.integers(0, _N_SLOTS + 1, size=rows),
         engage=rng.integers(0, 2, size=rows).astype(float),
@@ -69,7 +69,29 @@ def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBat
 
 def _row(batch: DecisionBatch, t: int) -> DecisionBatch:
     """Row ``t`` of the batch as a one-row batch."""
-    return DecisionBatch(**{f.name: getattr(batch, f.name)[t : t + 1] for f in fields(batch)})
+    one = slice(t, t + 1)
+    return DecisionBatch(
+        ObservationRows.stack([Observation(batch.slot_feats[one], batch.global_feats[one])]),
+        include=batch.include[one],
+        response_choice=batch.response_choice[one],
+        engage=batch.engage[one],
+    )
+
+
+def numerical_log_prob_grad(
+    policy: CategoricalSlotPolicy, batch: DecisionBatch, eps: float = 1e-5
+) -> np.ndarray:
+    """Central-difference d log pi / d theta per batch row, shape (N, POLICY_DIM),
+    for cross-checking ``log_prob_and_grad``."""
+    base = policy.theta
+    grad = np.zeros((len(batch), base.size))
+    for i in range(base.size):
+        step = np.zeros_like(base)
+        step[i] = eps
+        hi = CategoricalSlotPolicy(policy.n_slots, base + step).log_prob_batch(batch)
+        lo = CategoricalSlotPolicy(policy.n_slots, base - step).log_prob_batch(batch)
+        grad[:, i] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def _decisions(batch: DecisionBatch) -> list[tuple[tuple[int, ...], int, bool]]:
@@ -457,6 +479,165 @@ def test_greedy_decision_maximizes_each_head() -> None:
     others.append(replace(greedy, engage=1.0 - greedy.engage))
     for other in others:
         assert float(policy.log_prob_batch(other)[0]) <= base + 1e-12
+
+
+# --- slot-code tables and shared observation rows ----------------------------------------
+
+
+def _per_row_terms(theta: np.ndarray, slot_feats: np.ndarray, global_feats: np.ndarray):
+    """Every head's terms row by row, as the policy computed them before it
+    kept slot-code tables and shared rows: (include logits, response logits,
+    the left-fold log-normalizer, response probabilities, engage logits)."""
+    z_inc = slot_feats @ theta[0:3]
+    slot_logits = slot_feats @ theta[3:6]
+    logits = np.concatenate([slot_logits, np.full((len(global_feats), 1), theta[6])], axis=-1)
+    log_norm = np.logaddexp.reduce(np.ascontiguousarray(logits.T), axis=0)
+    probs = np.exp(logits - log_norm[:, None])
+    return z_inc, logits, log_norm, probs, global_feats @ theta[7:9]
+
+
+def _per_row_log_prob_and_grad(theta, slot_feats, global_feats, include, choice, engage):
+    def log_pmf(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return -np.logaddexp(0.0, -np.where(y == 1, z, -z))
+
+    z_inc, logits, log_norm, probs, z_eng = _per_row_terms(theta, slot_feats, global_feats)
+    rows = np.arange(len(global_feats))
+    lp = np.sum(log_pmf(include, z_inc), axis=-1)
+    lp = lp + logits[rows, choice] - log_norm
+    lp = lp + log_pmf(engage, z_eng)
+    grads = np.zeros((len(rows), POLICY_DIM))
+    grads[:, 0:3] = np.einsum("ns,nsk->nk", include - 1.0 / (1.0 + np.exp(-z_inc)), slot_feats)
+    indicator = np.zeros_like(probs)
+    indicator[rows, choice] = 1.0
+    diff = indicator - probs
+    grads[:, 3:6] = np.einsum("ns,nsk->nk", diff[:, :-1], slot_feats)
+    grads[:, 6] = diff[:, -1]
+    grads[:, 7:9] = (engage - 1.0 / (1.0 + np.exp(-z_eng)))[:, None] * global_feats
+    return lp, grads
+
+
+def _per_row_sample(theta, slot_feats, global_feats, uniforms):
+    z_inc, _, _, probs, z_eng = _per_row_terms(theta, slot_feats, global_feats)
+    n = slot_feats.shape[1]
+    include = uniforms[:, :n] < 1.0 / (1.0 + np.exp(-z_inc))
+    target = uniforms[:, n] * probs.sum(axis=-1)
+    choice = np.minimum(np.sum(np.cumsum(probs, axis=-1) < target[:, None], axis=-1), n)
+    engage = uniforms[:, n + 1] < 1.0 / (1.0 + np.exp(-z_eng))
+    return include.astype(float), choice, engage.astype(float)
+
+
+def _per_row_greedy(theta, slot_feats, global_feats):
+    z_inc, logits, _, _, z_eng = _per_row_terms(theta, slot_feats, global_feats)
+    return (z_inc > 0.0).astype(float), np.argmax(logits, axis=-1), (z_eng > 0.0).astype(float)
+
+
+_THETA = st.lists(
+    st.one_of(st.floats(-4.0, 4.0), st.floats(-1e3, 1e3), st.floats(-1e16, 1e16)),
+    min_size=POLICY_DIM,
+    max_size=POLICY_DIM,
+)
+
+
+@given(
+    theta=_THETA,
+    horizons=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+    samples=st.integers(min_value=1, max_value=4),
+    copies=st.lists(st.booleans(), min_size=12, max_size=12),
+    source=st.sampled_from(["closed schema", "open schema", "random rows"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(theta=[0.3, -1.7, 2.9, 0.1, 0.2, 0.3, 0.4, 1.1, -3.3], horizons=[1], samples=2,
+         copies=[False] * 12, source="random rows", seed=1)
+@settings(max_examples=60, deadline=None)
+def test_tables_and_shared_rows_equal_the_per_row_formulas(
+    theta: list[float], horizons: list[int], samples: int, copies: list[bool],
+    source: str, seed: int,
+) -> None:
+    """Stacks passed as the same object share their rows; equal stacks that
+    are other objects do not.  Either way every log-probability, gradient
+    row and decision keeps the bits of the per-row formulas."""
+    theta_arr = np.array(theta)
+    if source == "random rows":
+        rng = np.random.default_rng(seed)
+        tables = [_random_observations(rng, rows=h) for h in horizons]
+    else:
+        scenario_list = generate_scenarios(
+            len(horizons), seed=seed % 997, extended=source == "open schema"
+        )
+        tables = [s.user_config(horizon=h).episode_table.observations
+                  for s, h in zip(scenario_list, horizons)]
+    n_slots = tables[0].slot_feats.shape[1]
+    # Sample k of a scenario is its stack itself, or an equal copy of it.
+    stacks = [Observation(t.slot_feats.copy(), t.global_feats.copy())
+              if copies[(i * samples + k) % len(copies)] else t
+              for i, t in enumerate(tables) for k in range(samples)]
+    slot_feats = np.concatenate([s.slot_feats for s in stacks])
+    global_feats = np.concatenate([s.global_feats for s in stacks])
+    seeds = [[seed, e] for e in range(len(stacks))]
+    uniforms = np.concatenate([np.random.default_rng(key).random((len(s.global_feats), n_slots + 2))
+                               for s, key in zip(stacks, seeds)])
+    policy = CategoricalSlotPolicy(n_slots=n_slots, theta=theta_arr)
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        sampled, log_probs = draw_decisions(policy, stacks, seeds)
+        greedy, greedy_log_probs = draw_decisions(policy, stacks)
+        expected = _per_row_sample(theta_arr, slot_feats, global_feats, uniforms)
+        for drawn, columns, lp in ((sampled, expected, log_probs),
+                                   (greedy, _per_row_greedy(theta_arr, slot_feats, global_feats),
+                                    greedy_log_probs)):
+            assert all(np.array_equal(got, want) for got, want in
+                       zip((drawn.include, drawn.response_choice, drawn.engage), columns))
+            reference_lp, _ = _per_row_log_prob_and_grad(theta_arr, slot_feats, global_feats,
+                                                         *columns)
+            assert np.array_equal(lp, reference_lp)
+        # Random decisions on the shared rows reach every (code, outcome) pair.
+        decisions = DecisionBatch(
+            sampled.observations,
+            include=rng.integers(0, 2, size=(len(global_feats), n_slots)).astype(float),
+            response_choice=rng.integers(0, n_slots + 1, size=len(global_feats)),
+            engage=rng.integers(0, 2, size=len(global_feats)).astype(float),
+        )
+        for batch in (sampled, decisions):
+            reference = _per_row_log_prob_and_grad(
+                theta_arr, slot_feats, global_feats,
+                batch.include, batch.response_choice, batch.engage,
+            )
+            log_prob, grads = policy.log_prob_and_grad(batch)
+            assert np.array_equal(log_prob, reference[0])
+            assert np.array_equal(grads, reference[1])
+            assert np.array_equal(policy.log_prob_batch(batch), reference[0])
+
+
+def test_shared_rows_are_grouped_by_stack_object() -> None:
+    a, b = (_random_observations(np.random.default_rng(k), rows=3) for k in range(2))
+    rows = ObservationRows.stack([a, b, a, Observation(a.slot_feats.copy(), a.global_feats)])
+    assert rows.distinct.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 6, 7, 8]
+    assert len(rows.distinct_codes) == len(rows.distinct_global) == 9
+    assert np.array_equal(rows.slot_feats[6:9], a.slot_feats)
+    # One distinct row standing for several is evaluated as those rows.
+    one = Observation(a.slot_feats[:1], a.global_feats[:1])
+    assert ObservationRows.stack([one, one]).distinct.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.0, 2.0], [1.0, -1.0, 0.0],
+     [1.0, float("nan"), 0.0], [1.0, 0.0, float("inf")]],
+    ids=["bias-0", "bias-2", "seen-half", "topic-2", "seen-negative", "seen-nan", "topic-inf"],
+)
+def test_slot_rows_outside_the_code_table_raise(row: list[float]) -> None:
+    rng = np.random.default_rng(3)
+    obs = _random_observations(rng, rows=4)
+    obs.slot_feats[2, 5] = row
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
+    with pytest.raises(ValueError, match="slot feature row"):
+        policy.greedy(obs)
+    with pytest.raises(ValueError, match="slot feature row"):
+        draw_decisions(policy, [obs, obs], [[0], [1]])
+    with pytest.raises(ValueError, match="slot feature row"):
+        slot_codes(obs.slot_feats)
+    with pytest.raises(ValueError, match="slot feature row"):
+        slot_codes(np.ones((2, _N_SLOTS, 4)))
 
 
 # --- collection invariants -------------------------------------------------------------
