@@ -487,33 +487,15 @@ def test_greedy_decision_maximizes_each_head() -> None:
 def _per_row_terms(theta: np.ndarray, slot_feats: np.ndarray, global_feats: np.ndarray):
     """Every head's terms row by row, as the policy computed them before it
     kept slot-code tables and shared rows: (include logits, response logits,
-    the left-fold log-normalizer, response probabilities, engage logits)."""
+    the left-fold log-normalizer, response probabilities, engage logits).
+    ``_two_sided_log_prob`` and ``_separate_grad_pass`` are the per-row
+    log-probabilities and gradient rows."""
     z_inc = slot_feats @ theta[0:3]
     slot_logits = slot_feats @ theta[3:6]
     logits = np.concatenate([slot_logits, np.full((len(global_feats), 1), theta[6])], axis=-1)
     log_norm = np.logaddexp.reduce(np.ascontiguousarray(logits.T), axis=0)
     probs = np.exp(logits - log_norm[:, None])
     return z_inc, logits, log_norm, probs, global_feats @ theta[7:9]
-
-
-def _per_row_log_prob_and_grad(theta, slot_feats, global_feats, include, choice, engage):
-    def log_pmf(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return -np.logaddexp(0.0, -np.where(y == 1, z, -z))
-
-    z_inc, logits, log_norm, probs, z_eng = _per_row_terms(theta, slot_feats, global_feats)
-    rows = np.arange(len(global_feats))
-    lp = np.sum(log_pmf(include, z_inc), axis=-1)
-    lp = lp + logits[rows, choice] - log_norm
-    lp = lp + log_pmf(engage, z_eng)
-    grads = np.zeros((len(rows), POLICY_DIM))
-    grads[:, 0:3] = np.einsum("ns,nsk->nk", include - 1.0 / (1.0 + np.exp(-z_inc)), slot_feats)
-    indicator = np.zeros_like(probs)
-    indicator[rows, choice] = 1.0
-    diff = indicator - probs
-    grads[:, 3:6] = np.einsum("ns,nsk->nk", diff[:, :-1], slot_feats)
-    grads[:, 6] = diff[:, -1]
-    grads[:, 7:9] = (engage - 1.0 / (1.0 + np.exp(-z_eng)))[:, None] * global_feats
-    return lp, grads
 
 
 def _per_row_sample(theta, slot_feats, global_feats, uniforms):
@@ -581,15 +563,15 @@ def test_tables_and_shared_rows_equal_the_per_row_formulas(
     with np.errstate(over="ignore"):
         sampled, log_probs = draw_decisions(policy, stacks, seeds)
         greedy, greedy_log_probs = draw_decisions(policy, stacks)
+        assert np.array_equal(sampled.slot_feats, slot_feats)
+        assert np.array_equal(sampled.global_feats, global_feats)
         expected = _per_row_sample(theta_arr, slot_feats, global_feats, uniforms)
         for drawn, columns, lp in ((sampled, expected, log_probs),
                                    (greedy, _per_row_greedy(theta_arr, slot_feats, global_feats),
                                     greedy_log_probs)):
             assert all(np.array_equal(got, want) for got, want in
                        zip((drawn.include, drawn.response_choice, drawn.engage), columns))
-            reference_lp, _ = _per_row_log_prob_and_grad(theta_arr, slot_feats, global_feats,
-                                                         *columns)
-            assert np.array_equal(lp, reference_lp)
+            assert np.array_equal(lp, _two_sided_log_prob(policy, drawn))
         # Random decisions on the shared rows reach every (code, outcome) pair.
         decisions = DecisionBatch(
             sampled.observations,
@@ -598,14 +580,10 @@ def test_tables_and_shared_rows_equal_the_per_row_formulas(
             engage=rng.integers(0, 2, size=len(global_feats)).astype(float),
         )
         for batch in (sampled, decisions):
-            reference = _per_row_log_prob_and_grad(
-                theta_arr, slot_feats, global_feats,
-                batch.include, batch.response_choice, batch.engage,
-            )
             log_prob, grads = policy.log_prob_and_grad(batch)
-            assert np.array_equal(log_prob, reference[0])
-            assert np.array_equal(grads, reference[1])
-            assert np.array_equal(policy.log_prob_batch(batch), reference[0])
+            assert np.array_equal(log_prob, _two_sided_log_prob(policy, batch))
+            assert np.array_equal(grads, _separate_grad_pass(policy, batch))
+            assert np.array_equal(policy.log_prob_batch(batch), log_prob)
 
 
 def test_shared_rows_are_grouped_by_stack_object() -> None:
