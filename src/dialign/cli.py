@@ -85,6 +85,13 @@ def _parse_weights(text: str) -> tuple[float, float]:
     return wp, wr
 
 
+def _matcher(spec: str) -> SlotMatcher:
+    try:
+        return SlotMatcher.parse(spec)
+    except ConfigError as exc:
+        raise ConfigError(f"--matcher {spec!r}: {exc}") from exc
+
+
 def _seed(args: argparse.Namespace) -> int:
     """``--seed``, 0 when not given; a negative seed would seed ``random``
     like its absolute value, so it is refused."""
@@ -109,7 +116,10 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
     overrides: dict = {}
     if args.config:
         with open(args.config) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"--config {args.config} is not JSON text: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"--config must hold a JSON object, got {type(payload).__name__}")
         unknown = set(payload) - set(PPOConfig.__dataclass_fields__)
@@ -150,7 +160,7 @@ def cmd_gen_scenarios(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     scenario_list = load_scenarios(args.scenarios)
     weights = _parse_weights(args.weights)
-    matcher = SlotMatcher.parse(args.matcher)
+    matcher = _matcher(args.matcher)
     cfg = _load_ppo_config(args)
     checkpoint = load_checkpoint(args.resume) if args.resume else None
     schema = checkpoint.schema if checkpoint is not None else scenario_list[0].profile.schema
@@ -317,7 +327,7 @@ def write_reports(
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario_list = load_scenarios(args.scenarios)
-    matcher = SlotMatcher.parse(args.matcher)
+    matcher = _matcher(args.matcher)
     records = _eval_records(args, scenario_list, matcher, args.mode)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -339,10 +349,10 @@ def cmd_judge_bench(args: argparse.Namespace) -> int:
     for index in range(args.count):
         profile = generate_profile(rng, schema)
         if args.ab:
-            parts = args.ab.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"--ab expects 'a,b', got {args.ab!r}")
-            a, b = int(parts[0]), int(parts[1])
+            try:
+                a, b = map(int, args.ab.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"--ab expects two integers 'a,b', got {args.ab!r}") from exc
         else:
             a = rng.randint(1, len(profile) - 1)
             b = rng.randint(0, len(profile) - a)
@@ -353,7 +363,7 @@ def cmd_judge_bench(args: argparse.Namespace) -> int:
     matcher_specs = args.matcher or ["exact", "token:0.5"]
     rows = []
     for spec in matcher_specs:
-        matcher = SlotMatcher.parse(spec)
+        matcher = _matcher(spec)
         stats = eval_matcher(cases, matcher)
         rows.append(
             [

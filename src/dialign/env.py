@@ -16,12 +16,14 @@ episode is known before it starts.  ``EpisodeTable.build`` walks the user
 and keeps every turn's agent view, judge context, ground truth and reveal
 ceiling, and the episode's observation stack; the config caches it as
 ``UserConfig.episode_table``.  ``reset`` rewinds to turn 1, ``view``
-returns the current row's view, and ``step`` scores the turn, fills its
-``TurnRecord`` straight from that one scoring pass (``score_turn`` wraps the
-same pass in a ``RewardBreakdown`` for replay) and moves one row down the
-table.  The table also keeps, per matcher, a ``profiles.MatchTable`` for each
-truth, so ``step`` matches each (slot, value) pair an agent submits against
-a truth once per config, not once per turn.  Observations exist only
+returns the current row's view, and ``step`` scores the turn with
+``_turn_scores`` (which ``replay_rewards`` also calls), fills its
+``TurnRecord`` and moves one row down the table.  Per config, the table
+keeps a ``profiles.MatchTable`` per matcher and truth, and the responses
+agents render through ``EnvView.respond``; ``_turn_scores`` keeps each
+judge verdict by its inputs.  So each (slot, value) pair is matched, and
+each response rendered, once per config, and each verdict once per
+process, not once per turn.  Observations exist only
 as stacks with a leading turn axis (``observe`` maps T dialogue states to
 one), and a policy reads the whole episode's stack from the table, which
 lets it draw all of an episode's decisions in one batched call.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Mapping, Protocol, Sequence
 
@@ -63,8 +66,6 @@ UNKNOWN_VALUE = "(unknown)"
 
 _CONTINUATION = "What else should I know about you?"
 _ACK = "Noted, thanks for sharing."
-# The text of a response that addresses nothing, indexed by bool(continues).
-_NO_ADDRESS_TEXTS = (_ACK, f"{_ACK} {_CONTINUATION}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,12 +82,8 @@ def make_response(
 ) -> ResponseRecord:
     """Render a response record from structured parts; text is deterministic."""
     addressed = tuple(addressed)
-    if not addressed:
-        return ResponseRecord(addressed, continues, _NO_ADDRESS_TEXTS[bool(continues)])
-    parts = [
-        f"Since your {slot.lower()} is {value}, I'll take that into account."
-        for slot, value in addressed
-    ]
+    parts = [f"Since your {slot.lower()} is {value}, I'll take that into account."
+             for slot, value in addressed] or [_ACK]
     if continues:
         parts.append(_CONTINUATION)
     return ResponseRecord(addressed, continues, " ".join(parts))
@@ -214,10 +211,34 @@ class EnvView:
 
     state: DialogueState
     schema: SlotSchema
+    responses: dict[tuple, ResponseRecord] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def seen_values(self) -> Mapping[str, str]:
         return self.state.seen_values
+
+    def respond(self, addressed: tuple[tuple[str, str], ...], continues: bool) -> ResponseRecord:
+        """``make_response(addressed, continues)``, kept per config in
+        ``EpisodeTable.responses``, by ``continues``'s type too: 1 is not True."""
+        key = (addressed, type(continues), continues)
+        response = self.responses.get(key)
+        if response is None:
+            response = self.responses[key] = make_response(addressed, continues)
+        return response
+
+
+# (criteria, dimensions, response reward), keyed by all that ``judge_counts`` reads.
+_VERDICTS: dict[tuple, tuple[dict[str, int], dict[str, float], float]] = {}
+
+
+def _verdict(counts: tuple[int, ...], context: JudgeContext, continues: bool) -> tuple:
+    """``judge_counts`` and ``response_reward`` once per key; keepers copy the dicts."""
+    key = (counts, bool(context.latest_topics), bool(context.evidence_revealed), bool(continues))
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        criteria, dimensions = judge_counts(counts, context, continues)
+        verdict = _VERDICTS[key] = (criteria, dimensions, float(response_reward(criteria)))
+    return verdict
 
 
 def _turn_scores(
@@ -226,41 +247,21 @@ def _turn_scores(
     context: JudgeContext,
     truth: Profile,
     matcher: SlotMatcher,
-    r_profile: float | None,
+    r_profile: float | None = None,
     matches: MatchTable | None = None,
 ) -> tuple[float, float, dict[str, int], dict[str, float], bool]:
     """A turn's (profile reward, response reward, criteria, dimensions,
-    aligned), from one count of its addressed pairs; ``matches`` is the
-    ``MatchTable`` of ``truth`` and ``matcher`` when the caller keeps one."""
+    aligned), from one count of its addressed pairs; the one scoring path of
+    ``step`` and ``replay_rewards``, and the dicts are the caller's own.  A
+    given ``r_profile`` is this estimate's ``profile_reward`` against this
+    truth; ``matches`` is the ``MatchTable`` of ``truth`` and ``matcher``."""
     counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
-    criteria, dimensions = judge_counts(counts, context, response.continues)
-    r_response = float(response_reward(criteria))
+    criteria, dimensions, r_response = _verdict(counts, context, response.continues)
     if r_profile is None:
         r_profile = profile_reward(estimate, truth, matcher, matches)
     return (
-        r_profile, r_response, criteria, dimensions,
+        r_profile, r_response, dict(criteria), dict(dimensions),
         alignment_verdict(response, r_response, truth, matcher),
-    )
-
-
-def score_turn(
-    response: ResponseRecord,
-    estimate: Profile,
-    context: JudgeContext,
-    truth: Profile,
-    matcher: SlotMatcher,
-    r_profile: float | None = None,
-) -> RewardBreakdown:
-    """Judge one agent turn from one count of its addressed pairs, and score
-    its estimate against the truth.  The one scoring path shared by the
-    environment (which writes the same scores straight into its
-    ``TurnRecord``) and offline replay.  A given ``r_profile`` is this
-    estimate's already computed ``profile_reward`` against this truth."""
-    r_profile, r_response, criteria, dimensions, aligned = _turn_scores(
-        response, estimate, context, truth, matcher, r_profile
-    )
-    return RewardBreakdown(
-        r_profile, r_response, r_profile + r_response, criteria, dimensions, aligned
     )
 
 
@@ -274,7 +275,7 @@ class EpisodeTable:
     (``ceilings``, computed again only when the revealed slots or the truth
     change); ``observations`` is the episode's stack.  ``match_tables``
     keeps, per matcher, the ``MatchTable`` of each truth, which ``step``
-    scores estimates through.
+    scores estimates through; ``responses`` holds what ``EnvView.respond`` renders.
 
     Read it as ``UserConfig.episode_table``, which builds it once per config.
     """
@@ -284,6 +285,7 @@ class EpisodeTable:
     truths: tuple[Profile, ...]
     ceilings: tuple[float, ...]
     observations: Observation
+    responses: dict[tuple, ResponseRecord] = field(repr=False, compare=False)
     _matches: dict[SlotMatcher, tuple[MatchTable, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -331,12 +333,14 @@ class EpisodeTable:
         # Every episode of the config shares these arrays; nothing may write to them.
         observations.slot_feats.flags.writeable = False
         observations.global_feats.flags.writeable = False
+        responses: dict[tuple, ResponseRecord] = {}
         return cls(
-            tuple(EnvView(state, schema) for state in states),
+            tuple(EnvView(state, schema, responses) for state in states),
             tuple(state.judge_context() for state in states),
             tuple(truths),
             tuple(ceilings),
             observations,
+            responses,
         )
 
 
@@ -501,10 +505,10 @@ class Agent(Protocol):
 
 
 class EvidenceOracleAgent:
-    """Copies every piece of revealed evidence into its estimate and always
-    addresses a topic slot it has a value for.  Used as a reference policy.
-    Turns that reveal nothing share their seen-values mapping, and on them
-    the agent returns its previous estimate ``Profile`` again."""
+    """A reference policy: copies every piece of revealed evidence into its
+    estimate and addresses the first topic slot it has a value for, else
+    its first seen slot.  Turns that reveal nothing share their seen-values
+    mapping, and on them it returns its previous estimate ``Profile`` again."""
 
     _seen: Mapping[str, str] | None = None
     _estimate: Profile | None = None
@@ -514,15 +518,12 @@ class EvidenceOracleAgent:
         if seen is not self._seen or estimate.schema is not view.schema:
             estimate = self._estimate = Profile(schema=view.schema, entries=dict(seen))
             self._seen = seen
-        addressed: list[tuple[str, str]] = []
-        for topic in view.state.latest.topic_slots:
-            if topic in seen:
-                addressed = [(topic, seen[topic])]
+        addressed: tuple[tuple[str, str], ...] = ()
+        for slot in chain(view.state.latest.topic_slots, seen):
+            if slot in seen:
+                addressed = ((slot, seen[slot]),)
                 break
-        if not addressed and seen:
-            slot = next(iter(seen))
-            addressed = [(slot, seen[slot])]
-        return AgentAction(make_response(addressed, continues=True), estimate)
+        return AgentAction(view.respond(addressed, True), estimate)
 
 
 def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> EpisodeRecord:
@@ -557,20 +558,15 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
     breakdowns: list[RewardBreakdown] = []
     state = DialogueState()
     for t in record.turns:
-        state = state.with_user_turn(
-            UserUtterance(
-                text=t.user_text, evidence=t.evidence, turn=t.turn, topic_slots=t.topic_slots
-            )
-        )
-        breakdowns.append(score_turn(
-            ResponseRecord(
-                addressed_slots=t.addressed, continues=t.continues, text=t.response_text
-            ),
+        state = state.with_user_turn(UserUtterance(t.user_text, t.evidence, t.turn, t.topic_slots))
+        r_profile, r_response, *verdicts = _turn_scores(
+            ResponseRecord(t.addressed, t.continues, t.response_text),
             Profile(schema=schema, entries=dict(t.estimate)),
             state.judge_context(),
             Profile(schema=schema, entries=record.effective_truth_at(t.turn)),
             matcher,
-        ))
+        )
+        breakdowns.append(RewardBreakdown(r_profile, r_response, r_profile + r_response, *verdicts))
     return breakdowns
 
 

@@ -220,8 +220,10 @@ class SlotMatcher:
                 raise ConfigError("exact matcher takes no threshold")
             return cls(kind="exact")
         if head == "token":
-            threshold = float(tail) if tail else 0.5
-            return cls(kind="token", threshold=threshold)
+            try:
+                return cls(kind="token", threshold=float(tail) if tail else 0.5)
+            except ValueError:
+                raise ConfigError(f"token threshold must be a number, got {tail!r}") from None
         raise ConfigError(f"cannot parse matcher spec {text!r}")
 
 

@@ -24,7 +24,7 @@ deterministic and reproducible offline:
 A turn is judged from counts: ``count_addressed`` validates and counts the
 addressed pairs in one pass, ``judge_counts`` turns the counts into the
 criteria and dimensions, and ``response_reward`` multiplies the criteria.
-``RuleJudge.judge`` and ``env.score_turn`` both go through these three.
+``RuleJudge.judge`` and ``env._turn_scores`` both go through these three.
 
 The total reward for a turn is the weighted sum of the profile overlap
 reward and this response reward; both weights default to 1.

@@ -61,7 +61,6 @@ from .env import (
     Observation,
     SLOT_FEATURE_DIM,
     UNKNOWN_VALUE,
-    make_response,
     observation_dim,
     rollout,
 )
@@ -414,12 +413,6 @@ class LinearValue:
             raise ConfigError(f"phi must have shape ({dim},), got {phi.shape}")
         self.phi = phi.copy()
 
-    def predict(self, flat_obs: np.ndarray) -> float:
-        return float(flat_obs @ self.phi)
-
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.phi
-
 
 # --- round batches and GAE -------------------------------------------------------
 
@@ -576,7 +569,7 @@ class PolicyAgent:
             if slot in entries:
                 addressed = ((slot, entries[slot]),)
         return AgentAction(
-            make_response(addressed, self._engage[row]), Profile(view.schema, entries)
+            view.respond(addressed, self._engage[row]), Profile(view.schema, entries)
         )
 
     def finish(self, record: EpisodeRecord, weights: tuple[float, float]) -> np.ndarray:
@@ -598,8 +591,8 @@ def collect(
     round_index: int,
 ) -> tuple[RoundBatch, list[EpisodeRecord]]:
     """Sample a round of episodes under the frozen current policy and critic:
-    one ``draw_decisions`` call for the round, converted to lists once, each
-    scenario valued once, and the round's rewards weighted in one
+    one ``draw_decisions`` call for the round, converted to lists once, the
+    round's rows valued in one product, and its rewards weighted in one
     ``combined_reward`` call over its turns in episode order."""
     samples = range(cfg.samples_per_scenario)
     stacks = [config.episode_table.observations for _, config in scenarios for _ in samples]
@@ -608,23 +601,22 @@ def collect(
     lists = decisions.as_lists()
     lengths = [len(stack.global_feats) for stack in stacks]
     rows = iter(episode_rows(lengths))
-    values = []
     records: list[EpisodeRecord] = []
     for scenario_id, config in scenarios:
         env = DialogueEnv(config, matcher=matcher)
-        flat = config.episode_table.observations.flat()
-        # Per-row 1-D dot products: a matrix-vector product can round differently.
-        predicted = np.array([value_fn.predict(row) for row in flat])
         for _ in samples:
             records.append(rollout(env, PolicyAgent(lists, next(rows)), scenario_id))
-            values.append(predicted)
+    # A stack of (1, dim) @ (dim,) products runs each row through the 1-D dot
+    # that ``row @ phi`` uses; a matrix-vector product can round differently.
+    flat = Observation(decisions.slot_feats, decisions.global_feats).flat()
+    values = np.matmul(flat[:, None, :], value_fn.phi)[:, 0]
     turns = [t for record in records for t in record.turns]
     rewards = combined_reward(
         np.array([t.profile_reward for t in turns]),
         np.array([t.response_reward for t in turns]),
         weights,
     )
-    batch = RoundBatch(decisions, log_probs, np.concatenate(values), rewards, np.array(lengths))
+    batch = RoundBatch(decisions, log_probs, values, rewards, np.array(lengths))
     return batch, records
 
 
@@ -679,13 +671,13 @@ def update(
             )
         policy.theta = policy.theta + cfg.actor_lr * grad
 
-        predictions = value_fn.predict_batch(features)
+        predictions = features @ value_fn.phi
         value_grad = 2.0 / n * (features.T @ (predictions - returns))
         if not np.all(np.isfinite(value_grad)):
             raise FloatingPointError("non-finite critic gradient; aborting update")
         value_fn.phi = value_fn.phi - cfg.critic_lr * value_grad
 
-    final_value_loss = float(np.mean((value_fn.predict_batch(features) - returns) ** 2))
+    final_value_loss = float(np.mean((features @ value_fn.phi - returns) ** 2))
     return UpdateStats(
         clip_fraction=float(np.mean(clip_fractions)),
         value_loss=final_value_loss,

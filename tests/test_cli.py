@@ -121,36 +121,63 @@ def test_mistyped_ppo_setting_exits_2_before_writing(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("payload", ["5", '"epochs"', "[1]", "null"])
+@pytest.mark.parametrize("payload", ["5", '"epochs"', "[1]", "null", "", "epochs: 2", "\xff"])
 def test_config_that_is_not_a_json_object_exits_2_before_writing(
     payload: str, scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     config = tmp_path / "ppo.json"
-    config.write_text(payload)
+    config.write_bytes(payload.encode("latin-1"))
     out = tmp_path / "out"
     capsys.readouterr()
     args = ["train", "--scenarios", str(scenario_dir), "--out", str(out), "--config", str(config)]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "JSON object" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "--config" in err and "Traceback" not in err
+    # Text that is no JSON at all is named with its file.
+    is_json = payload in ("5", '"epochs"', "[1]", "null")
+    assert ("JSON object" in err) if is_json else (f"--config {config} is not JSON text" in err)
     assert not out.exists()
 
 
-def test_bad_matcher_spec_exits_2(scenario_dir: Path, tmp_path: Path) -> None:
-    code = main(
-        [
-            "train",
-            "--scenarios",
-            str(scenario_dir),
-            "--out",
-            str(tmp_path / "x"),
-            "--matcher",
-            "bogus:9",
-            "--rounds",
-            "1",
-        ]
-    )
-    assert code == 2
+def test_bad_matcher_spec_exits_2(
+    scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    for spec in ("bogus:9", "token:abc", "exact:0.5", "token:2"):
+        capsys.readouterr()
+        code = main(
+            [
+                "train",
+                "--scenarios",
+                str(scenario_dir),
+                "--out",
+                str(tmp_path / "x"),
+                "--matcher",
+                spec,
+                "--rounds",
+                "1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--matcher {spec!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--ab", "1,x"], ["--ab", "1,2,3"], ["--ab", "1"], ["--matcher", "token:abc"],
+     ["--matcher", "bogus"]],
+    ids=" ".join,
+)
+def test_bad_judge_bench_flag_exits_2_naming_it(
+    flags: list[str], tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert main(["judge-bench", "--count", "4", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flags[0] in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_matcher_threshold_its_label_cannot_keep_exits_2(

@@ -27,7 +27,6 @@ from dialign.env import (
     read_episodes,
     replay_rewards,
     rollout,
-    score_turn,
     write_episodes,
 )
 import dialign.env
@@ -35,6 +34,7 @@ from dialign.errors import ConfigError, ProtocolError, SchemaError
 from dialign.profiles import (
     Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall, profile_reward,
 )
+from dialign.reward import JudgeContext, judge_counts, response_reward
 from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows
 from dialign.scenarios import default_conflict, generate_scenarios
 from dialign.user_sim import (
@@ -510,7 +510,7 @@ class _SometimesRepeatingAgent(_RandomAgent):
     matcher_spec=st.sampled_from(["exact", "token:0.5"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_step_records_the_scores_score_turn_gives(
+def test_step_records_the_scores_turn_scores_gives(
     scenario_seed: int, agent_seed: int, conflict_turn: int, matcher_spec: str
 ) -> None:
     matcher = SlotMatcher.parse(matcher_spec)
@@ -526,12 +526,12 @@ def test_step_records_the_scores_score_turn_gives(
         index = env.view().state.turn - 1
         action = agent.act(env.view())
         record = env.step(action)
-        scored = score_turn(action.response, action.estimate, table.contexts[index],
-                            table.truths[index], matcher)
+        profile, response, criteria, dimensions, aligned = dialign.env._turn_scores(
+            action.response, action.estimate, table.contexts[index], table.truths[index], matcher
+        )
         assert (record.profile_reward, record.response_reward, record.total_reward,
                 record.criteria, record.dimensions, record.aligned) == (
-            scored.profile, scored.response, scored.total, scored.criteria, scored.dimensions,
-            scored.aligned,
+            profile, response, profile + response, criteria, dimensions, aligned,
         )
 
 
@@ -915,3 +915,143 @@ def test_make_response_text_mentions_addressed_values() -> None:
     closing = make_response([], continues=False)
     assert closing.text
     assert not closing.continues
+
+
+# --- judge verdicts and rendered responses, kept per distinct input -------------------
+
+
+_TRUTHY = st.one_of(
+    st.booleans(), st.integers(-2, 2), st.sampled_from(["", "yes", None, 0.0, np.nan, (), (0,)])
+)
+
+
+@given(
+    verdicts=st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 2)] * 4),
+            st.lists(st.sampled_from(["Age", "Pets", "Location"]), max_size=2),
+            _TRUTHY,
+            _TRUTHY,
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_kept_verdicts_equal_judge_counts_and_response_reward(verdicts) -> None:
+    # Small counts so that keys repeat within one example and across examples.
+    for counts, topics, revealed, continues in verdicts:
+        context = JudgeContext(latest_topics=tuple(topics), evidence_revealed=revealed)
+        criteria, dimensions, reward = dialign.env._verdict(counts, context, continues)
+        expected_criteria, expected_dimensions = judge_counts(counts, context, continues)
+        assert _typed_items(criteria) == _typed_items(expected_criteria)
+        assert _typed_items(dimensions) == _typed_items(expected_dimensions)
+        expected_reward = float(response_reward(expected_criteria))
+        assert type(reward) is float and reward == expected_reward
+
+
+def _typed_items(mapping: dict) -> list:
+    """Keys in order, each value with its type, so 1 and 1.0 count as different."""
+    return [(key, type(value), value) for key, value in mapping.items()]
+
+
+def _kind_episodes(kind: str, matcher_spec: str, conflict: bool) -> tuple[list, list]:
+    """Every episode of ``kind`` agents over three scenarios, and their tables."""
+    matcher = SlotMatcher.parse(matcher_spec)
+    rng = random.Random(41)
+    records, tables = [], []
+    for scenario in generate_scenarios(3, seed=41):
+        swap = default_conflict(scenario.profile, scenario.style_seed, rng, matcher=matcher)
+        env = DialogueEnv(scenario.user_config(conflict=swap if conflict else None), matcher)
+        tables.append(env.config.episode_table)
+        for agent in _episode_agents(kind, env, scenario.style_seed):
+            records.append(rollout(env, agent, scenario_id=scenario.scenario_id))
+    return records, tables
+
+
+@pytest.mark.parametrize("kind", ["oracle", "random", "policy"])
+def test_every_turn_record_owns_its_criteria_and_dimensions(kind: str) -> None:
+    records, _ = _kind_episodes(kind, "exact", conflict=True)
+    turns = [t for record in records for t in record.turns]
+    kept = [d for verdict in dialign.env._VERDICTS.values() for d in verdict[:2]]
+    for name in ("criteria", "dimensions"):
+        owned = [getattr(t, name) for t in turns]
+        assert len({id(d) for d in owned}) == len(turns)
+        assert not any(d is k for d in owned for k in kept)
+    # Replayed breakdowns own theirs too.
+    replayed = [b for record in records for b in replay_rewards(record)]
+    assert len({id(b.criteria) for b in replayed} | {id(t.criteria) for t in turns}) == 2 * len(turns)
+
+
+@pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])
+@pytest.mark.parametrize("kind", ["oracle", "policy"])
+def test_kept_responses_equal_fresh_ones_in_episodes_and_replay(
+    kind: str, matcher_spec: str, tmp_path: Path
+) -> None:
+    records, tables = _kind_episodes(kind, matcher_spec, conflict=True)
+    for table in tables:
+        assert table.responses and all(view.responses is table.responses for view in table.views)
+        for (addressed, continues_type, continues), response in table.responses.items():
+            assert type(response.continues) is continues_type
+            assert response == make_response(addressed, continues)
+    path = tmp_path / "episodes.jsonl"
+    write_episodes(records, path)
+    for record, read in zip(records, read_episodes(path), strict=True):
+        for turn in [*record.turns, *read.turns]:
+            fresh = make_response(turn.addressed, turn.continues)
+            assert (turn.response_text, turn.addressed, turn.continues) == (
+                fresh.text, fresh.addressed_slots, fresh.continues
+            )
+        assert replay_rewards(read) == replay_rewards(record) == _logged(record)
+
+
+def test_respond_keeps_one_record_per_addressed_pair_and_continues_type() -> None:
+    (scenario,) = generate_scenarios(1, seed=5)
+    table = scenario.user_config().episode_table
+    first, later = table.views[0], table.views[-1]
+    for addressed in ((), (("Age", "34"),)):
+        kept = first.respond(addressed, True)
+        assert later.respond(addressed, True) is kept
+        for continues in (1, np.True_, 1.0, "yes"):
+            response = first.respond(addressed, continues)
+            assert response is not kept and response.continues is continues
+            assert response == make_response(addressed, continues)
+            assert later.respond(addressed, continues) is response
+        assert first.respond(addressed, False) == make_response(addressed, False)
+        assert first.respond(addressed, 0).continues == 0
+        assert type(first.respond(addressed, 0).continues) is int
+
+
+def _matcher_records(kind: str, configs: dict, matchers: list[str], interleave: bool) -> dict:
+    """Each matcher's episodes of ``kind`` agents over its configs, two per config."""
+    envs = {spec: [DialogueEnv(config, SlotMatcher.parse(spec)) for config in configs[spec]]
+            for spec in matchers}
+    agents = {spec: [_episode_agents(kind, env, 3)[:2] for env in envs[spec]]
+              for spec in matchers}
+    records: dict = {spec: [] for spec in matchers}
+    order = [(spec, i, k) for i in range(len(configs[matchers[0]])) for k in range(2)
+             for spec in matchers]
+    if not interleave:
+        order.sort(key=lambda item: matchers.index(item[0]))
+    for spec, i, k in order:
+        records[spec].append(rollout(envs[spec][i], agents[spec][i][k]).to_json())
+    return records
+
+
+@pytest.mark.parametrize("kind", ["random", "policy"])
+def test_envs_of_two_matchers_sharing_a_table_record_what_separate_runs_do(kind: str) -> None:
+    matchers = ["exact", "token:0.2"]
+    rng, loose = random.Random(13), SlotMatcher.parse("token:0.2")
+    scenarios = [(s, default_conflict(s.profile, s.style_seed, rng, matcher=loose))
+                 for s in generate_scenarios(3, seed=13)]
+    shared = [s.user_config(conflict=swap) for s, swap in scenarios]
+    together = _matcher_records(kind, {spec: shared for spec in matchers}, matchers, True)
+    rewards = {spec: [t["profile_reward"] for line in lines for t in json.loads(line)["turns"]]
+               for spec, lines in together.items()}
+    # The two matchers score some random-agent turns differently, so a table
+    # mixed up between them would show; policy agents submit only seen values
+    # and the placeholder, which the two score alike.
+    assert (rewards["exact"] != rewards["token:0.2"]) == (kind == "random")
+    for spec in matchers:
+        alone = [s.user_config(conflict=swap) for s, swap in scenarios]
+        assert _matcher_records(kind, {spec: alone}, [spec], False)[spec] == together[spec]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialign.env import UNKNOWN_VALUE, score_turn
+from dialign.env import UNKNOWN_VALUE, _turn_scores
 from dialign.errors import SchemaError
 from dialign.profiles import Profile, SlotMatcher, SlotSchema, normalize_text, profile_reward
 from dialign.reward import (
@@ -256,7 +256,7 @@ def test_alignment_verdict_rejects_slots_absent_from_truth() -> None:
     assert not alignment_verdict(response, response_reward(_judgment().criteria()), truth, matcher)
 
 
-def test_score_turn_raises_pair_then_empty_truth_then_schema_errors() -> None:
+def test_turn_scores_raises_pair_then_empty_truth_then_schema_errors() -> None:
     matcher = SlotMatcher(kind="exact")
     context = JudgeContext(latest_topics=(), evidence_revealed=False)
     estimate = _estimate(Age="34")
@@ -264,11 +264,11 @@ def test_score_turn_raises_pair_then_empty_truth_then_schema_errors() -> None:
     empty_other, other_truth = Profile(schema=other), Profile(schema=other, entries={"Age": "34"})
     bad, good = FakeResponse(addressed_slots=(("Age", ""),)), FakeResponse(addressed_slots=())
     with pytest.raises(ValueError, match="addressed value for 'Age' must be non-empty text"):
-        score_turn(bad, estimate, context, empty_other, matcher)
+        _turn_scores(bad, estimate, context, empty_other, matcher)
     with pytest.raises(ValueError, match="truth profile must be non-empty"):
-        score_turn(good, estimate, context, empty_other, matcher)
+        _turn_scores(good, estimate, context, empty_other, matcher)
     with pytest.raises(SchemaError, match="schema mismatch: 'aloe' vs 'other'"):
-        score_turn(good, estimate, context, other_truth, matcher)
+        _turn_scores(good, estimate, context, other_truth, matcher)
 
 
 # --- parity with the per-criterion reference ------------------------------------------
@@ -320,7 +320,7 @@ def _reference_score(
     response: FakeResponse, estimate: Profile, context: JudgeContext, truth: Profile,
     matcher: SlotMatcher,
 ) -> tuple:
-    """score_turn's fields, the reward read from the criteria dict and recomputed
+    """_turn_scores's fields with the total after the two rewards, the reward read from the criteria dict and recomputed
     for the alignment verdict."""
     judgment = _reference_judgment(response, estimate, context)
 
@@ -381,7 +381,7 @@ _PARITY_MATCHERS = [
     continues=st.booleans(),
     matcher=st.sampled_from(_PARITY_MATCHERS),
 )
-def test_judge_and_score_turn_equal_the_per_criterion_reference(
+def test_judge_and_turn_scores_equal_the_per_criterion_reference(
     estimate: dict, truth: dict, addressed: list, topics: list, revealed: bool,
     continues: bool, matcher: SlotMatcher,
 ) -> None:
@@ -396,10 +396,11 @@ def test_judge_and_score_turn_equal_the_per_criterion_reference(
         return
     assert _typed(astuple(judged[1])) == _typed(astuple(reference[1]))
 
-    scored = score_turn(response, est, context, tru, matcher)
+    profile, reward, criteria, dimensions, aligned = _turn_scores(
+        response, est, context, tru, matcher
+    )
     expected = _reference_score(response, est, context, tru, matcher)
-    actual = (scored.profile, scored.response, scored.total, scored.criteria,
-              scored.dimensions, scored.aligned)
+    actual = (profile, reward, profile + reward, criteria, dimensions, aligned)
     assert _typed(actual[:3]) == _typed(expected[:3])
     assert actual[3:] == expected[3:]
     assert _typed(actual[3].values()) == _typed(expected[3].values())

@@ -449,7 +449,7 @@ def test_round_draw_equals_per_episode_draws(
         for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
             assert np.array_equal(getattr(batch.decisions, name)[episode], getattr(expected, name))
         assert np.array_equal(batch.log_probs_old[episode], policy.log_prob_batch(expected))
-        assert batch.values[episode].tolist() == [value_fn.predict(row) for row in stack.flat()]
+        assert batch.values[episode].tolist() == [float(row @ value_fn.phi) for row in stack.flat()]
         assert batch.rewards[episode].tolist() == [
             combined_reward(t.profile_reward, t.response_reward, weights) for t in record.turns
         ]
@@ -646,6 +646,30 @@ def test_collection_is_deterministic_given_seed_and_round() -> None:
     assert run() == run()
 
 
+@given(
+    horizons=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    exponent=st.integers(-300, 300),
+    phi_seed=st.integers(0, 2**32 - 1),
+)
+@example(horizons=[10, 10], exponent=0, phi_seed=3)
+@settings(max_examples=40, deadline=None)
+def test_stored_values_equal_each_row_times_phi_at_any_scale(
+    horizons: list[int], exponent: int, phi_seed: int
+) -> None:
+    # One stacked product over the round; each row must keep the bits of
+    # its own 1-D dot, which a matrix-vector product does not.
+    pairs = [(s.scenario_id, s.user_config())
+             for k, horizon in enumerate(horizons)
+             for s in generate_scenarios(1, seed=k, horizon=horizon)]
+    dim = observation_dim(_N_SLOTS)
+    phi = np.random.default_rng(phi_seed).normal(size=dim) * 10.0**exponent
+    cfg = PPOConfig(total_rounds=1, samples_per_scenario=1)
+    batch, _ = collect(pairs, CategoricalSlotPolicy(n_slots=_N_SLOTS), LinearValue(dim, phi),
+                       cfg, (1.0, 1.0), SlotMatcher(kind="exact"), 0)
+    flat = np.concatenate([config.episode_table.observations.flat() for _, config in pairs])
+    assert np.array_equal(batch.values, [float(row @ phi) for row in flat])
+
+
 def test_stored_values_are_per_row_predictions() -> None:
     pairs = _scenario_pairs(3, seed=8)
     cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=4)
@@ -659,11 +683,11 @@ def test_stored_values_are_per_row_predictions() -> None:
         schema, horizon = config.profile.schema, config.horizon
         state = DialogueState().with_user_turn(first_utterance(config))
         user = initial_state(config)
-        expected = [value_fn.predict(observe([state], schema, horizon).flat()[0])]
+        expected = [float(observe([state], schema, horizon).flat()[0] @ value_fn.phi)]
         while (step := next_utterance(user, config)) is not None:
             utterance, user = step
             state = state.with_user_turn(utterance)
-            expected.append(value_fn.predict(observe([state], schema, horizon).flat()[0]))
+            expected.append(float(observe([state], schema, horizon).flat()[0] @ value_fn.phi))
         for episode in rows[2 * index : 2 * index + 2]:
             assert batch.values[episode].tolist() == expected
 
@@ -793,7 +817,7 @@ def _toy_round(
     return RoundBatch(
         decisions=decisions,
         log_probs_old=policy.log_prob_batch(decisions),
-        values=np.array([value_fn.predict(row) for row in obs.flat()]),
+        values=np.array([float(row @ value_fn.phi) for row in obs.flat()]),
         rewards=np.concatenate(rewards) if reward_fn is None else reward_fn(decisions) * 1.0,
         lengths=np.array(lengths),
     )
