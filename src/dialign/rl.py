@@ -21,12 +21,12 @@ the bits of evaluating each row on its own.
 
 Sampling maps an observation stack and one row of uniforms per observation
 to a ``DecisionBatch``.  The scripted user ignores the agent, so every
-episode's observations are known before it starts, and decisions are drawn up front
-for a whole training round or eval call in one policy call
+episode's observations are known before it starts, and decisions are drawn
+up front for a whole training round or eval call in one policy call
 (``draw_decisions``), whose decision columns become plain lists once per
 draw; each ``PolicyAgent`` acts out its episode's rows of those lists.  A
-round stays one row-stacked ``RoundBatch`` from the draw to the update, and
-its rewards are weighted in one pass over the round's turns.
+round stays one row-stacked ``RoundBatch`` from the draw to the update; one
+stacked product of 1-D dots values its rows, and one pass weights its rewards.
 
 The update is clipped-surrogate PPO: for each collected round the sampling
 policy is frozen (its log-probabilities are stored in the round batch),

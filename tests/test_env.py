@@ -925,6 +925,11 @@ _TRUTHY = st.one_of(
 )
 
 
+def _typed_items(mapping: dict) -> list:
+    """Keys in order, each value with its type, so 1 and 1.0 count as different."""
+    return [(key, type(value), value) for key, value in mapping.items()]
+
+
 @given(
     verdicts=st.lists(
         st.tuples(
@@ -948,11 +953,6 @@ def test_kept_verdicts_equal_judge_counts_and_response_reward(verdicts) -> None:
         assert _typed_items(dimensions) == _typed_items(expected_dimensions)
         expected_reward = float(response_reward(expected_criteria))
         assert type(reward) is float and reward == expected_reward
-
-
-def _typed_items(mapping: dict) -> list:
-    """Keys in order, each value with its type, so 1 and 1.0 count as different."""
-    return [(key, type(value), value) for key, value in mapping.items()]
 
 
 def _kind_episodes(kind: str, matcher_spec: str, conflict: bool) -> tuple[list, list]:
