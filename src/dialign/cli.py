@@ -101,6 +101,14 @@ def _seed(args: argparse.Namespace) -> int:
     return seed
 
 
+def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse a count flag below 1 with one line naming it."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+
+
 def _write_csv(
     path: Path, header: Sequence[str], rows: Sequence[Sequence], append: bool = False
 ) -> None:
@@ -113,6 +121,7 @@ def _write_csv(
 
 
 def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
+    _at_least_one(args, "rounds", "epochs", "samples")
     overrides: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -121,7 +130,9 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
             except ValueError as exc:
                 raise ConfigError(f"--config {args.config} is not JSON text: {exc}") from exc
         if not isinstance(payload, dict):
-            raise ConfigError(f"--config must hold a JSON object, got {type(payload).__name__}")
+            raise ConfigError(
+                f"--config {args.config} must hold a JSON object, got {type(payload).__name__}"
+            )
         unknown = set(payload) - set(PPOConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -137,7 +148,7 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
         if value is not None:
             overrides[field] = value
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        overrides["seed"] = _seed(args)
     return PPOConfig(**overrides)
 
 
@@ -145,6 +156,7 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
 
 
 def cmd_gen_scenarios(args: argparse.Namespace) -> int:
+    _at_least_one(args, "count", "horizon")
     scenarios = generate_scenarios(
         count=args.count,
         seed=_seed(args),
@@ -343,6 +355,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_judge_bench(args: argparse.Namespace) -> int:
+    _at_least_one(args, "count")
     rng = random.Random(_seed(args))
     schema = _schema_for(False)
     cases = []

@@ -24,7 +24,9 @@ to a ``DecisionBatch``.  The scripted user ignores the agent, so every
 episode's observations are known before it starts, and decisions are drawn
 up front for a whole training round or eval call in one policy call
 (``draw_decisions``), whose decision columns become plain lists once per
-draw; each ``PolicyAgent`` acts out its episode's rows of those lists.  A
+draw; each ``PolicyAgent`` acts out its episode's rows of those lists.
+Each episode's uniforms are those of ``default_rng(seed)``, computed for
+all of a draw's seeds in one ``pcg64_states`` pass (``episode_uniforms``).  A
 round stays one row-stacked ``RoundBatch`` from the draw to the update; one
 stacked product of 1-D dots values its rows, and one pass weights its rewards.
 
@@ -47,8 +49,9 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, fields
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +80,14 @@ _W_RESP = slice(3, 6)
 _B_NONE = 6
 _W_ENG = slice(7, 9)
 POLICY_DIM = 9
+
+# NumPy's SeedSequence hash constants, (INIT_A, MULT_A) for mixing the pool
+# and (INIT_B, MULT_B) for generate_state, and PCG64's 128-bit LCG
+# multiplier (O'Neill, "PCG", HMC-CS-2014-0905).
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -516,6 +527,78 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 # --- acting in the environment -------------------------------------------------
 
 
+def _hashmix(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """``SeedSequence``'s hashmix of each column of uint32 ``values`` in turn,
+    from the running hash constant ``const``; also the constant after."""
+    consts = list(accumulate(range(values.shape[1]), lambda c, _: c * mult & 0xFFFFFFFF,
+                             initial=const))
+    table = np.array(consts, np.uint32)
+    values = (values ^ table[:-1]) * table[1:]
+    return values ^ values >> 16, consts[-1]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of uint32 pool words ``x`` with hashed words ``y``."""
+    result = x * 0xCA01F9DD - y * 0x4973F715
+    return result ^ result >> 16
+
+
+def pcg64_states(seeds: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` of ``np.random.PCG64(seed)`` for every seed, in one
+    pass: ``SeedSequence``'s pool mixing and ``generate_state(4, np.uint64)``
+    as uint32 array arithmetic over the seeds of each entropy word count,
+    then PCG64's seeding step on Python ints.  A seed is a sequence of
+    non-negative integers of any size, each read as its little-endian 32-bit
+    words; as in NumPy, a negative element raises ``ValueError`` and a
+    non-integer one ``TypeError``."""
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
+    for i, seed in enumerate(seeds):
+        words = []
+        for element in seed:
+            if (n := operator.index(element)) < 0:
+                raise ValueError(f"seed elements must be non-negative, got {n}")
+            words.append(n & 0xFFFFFFFF)
+            while n := n >> 32:
+                words.append(n & 0xFFFFFFFF)
+        groups.setdefault(len(words), []).append((i, words))
+    states = [(0, 0)] * len(seeds)
+    for n_words, members in groups.items():
+        entropy = np.array([words for _, words in members], np.uint32)
+        entropy = entropy.reshape(len(members), n_words)
+        pool = np.zeros((len(members), 4), np.uint32)
+        pool[:, :n_words] = entropy[:, :4]
+        pool, const = _hashmix(pool, *_HASH_A)
+        for src in range(4):  # each pool word into the other three
+            dst = [d for d in range(4) if d != src]
+            hashed, const = _hashmix(pool[:, [src] * 3], const, _HASH_A[1])
+            pool[:, dst] = _mix(pool[:, dst], hashed)
+        for src in range(4, n_words):  # each further entropy word into all four
+            hashed, const = _hashmix(entropy[:, [src] * 4], const, _HASH_A[1])
+            pool = _mix(pool, hashed)
+        words64 = _hashmix(np.tile(pool, 2), *_HASH_B)[0].astype("<u4").view("<u8")
+        for (i, _), (s_hi, s_lo, i_hi, i_lo) in zip(members, words64.tolist()):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            states[i] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return states
+
+
+def episode_uniforms(
+    seeds: Sequence[Sequence[int]], lengths: Sequence[int], width: int
+) -> np.ndarray:
+    """Every episode's uniforms, row-stacked: episode i's rows are the
+    ``(lengths[i], width)`` block that ``default_rng(seeds[i]).random``
+    gives.  One generator, set to each ``pcg64_states`` state in turn,
+    fills its episode's rows of one array."""
+    uniforms = np.empty((sum(lengths), width))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for (state, inc), episode in zip(pcg64_states(seeds), episode_rows(lengths), strict=True):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.random(out=uniforms[episode])
+    return uniforms
+
+
 def draw_decisions(
     policy: CategoricalSlotPolicy,
     stacks: Sequence[Observation],
@@ -524,19 +607,17 @@ def draw_decisions(
     """Every episode's decisions and log-probabilities, row-stacked in the
     order of ``stacks``, from one policy call.
 
-    Episode i's uniforms are one ``(T_i, n_slots + 2)`` draw from
-    ``default_rng(seeds[i])``, so its rows are exactly those ``sample``
-    makes from that block alone.  ``seeds=None`` takes greedy decisions.
+    Episode i's uniforms are the ``(T_i, n_slots + 2)`` block that
+    ``default_rng(seeds[i]).random`` gives (``episode_uniforms``), so its
+    rows are exactly those ``sample`` makes from that block alone.
+    ``seeds=None`` takes greedy decisions.
     """
     rows = ObservationRows.stack(stacks)
     if seeds is None:
         batch = policy.greedy(rows)
         return batch, policy.log_prob_batch(batch)
-    uniforms = np.concatenate(
-        [np.random.default_rng(seed).random((len(stack.global_feats), policy.n_slots + 2))
-         for stack, seed in zip(stacks, seeds, strict=True)]
-    )
-    return policy.sample_with_log_prob(rows, uniforms)
+    lengths = [len(stack.global_feats) for stack in stacks]
+    return policy.sample_with_log_prob(rows, episode_uniforms(seeds, lengths, policy.n_slots + 2))
 
 
 class PolicyAgent:

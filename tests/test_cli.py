@@ -102,6 +102,10 @@ def test_config_file_with_unknown_key_exits_2(
         ({"critic_lr": float("inf")}, []),
         ({"ratio_clamp": True}, []),
         ({}, ["--seed", "-1"]),
+        ({}, ["--rounds", "0"]),
+        ({}, ["--epochs", "0"]),
+        ({}, ["--samples", "0"]),
+        ({}, ["--samples", "-2"]),
     ],
     ids=lambda case: json.dumps(case) if isinstance(case, dict) else " ".join(case),
 )
@@ -116,7 +120,7 @@ def test_mistyped_ppo_setting_exits_2_before_writing(
     args = ["train", "--scenarios", str(scenario_dir), "--out", str(out), "--config", str(config)]
     assert main(args + flags) == 2
     err = capsys.readouterr().err
-    name = next(iter(setting), "seed")
+    name = next(iter(setting), None) or flags[0]
     assert err.count("\n") == 1 and name in err and "Traceback" not in err
     assert not out.exists()
 
@@ -133,9 +137,10 @@ def test_config_that_is_not_a_json_object_exits_2_before_writing(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--config" in err and "Traceback" not in err
-    # Text that is no JSON at all is named with its file.
+    # Both text that is no JSON at all and JSON that is no object name the file.
     is_json = payload in ("5", '"epochs"', "[1]", "null")
-    assert ("JSON object" in err) if is_json else (f"--config {config} is not JSON text" in err)
+    expected = "must hold a JSON object" if is_json else "is not JSON text"
+    assert f"--config {config} {expected}" in err
     assert not out.exists()
 
 
@@ -166,7 +171,7 @@ def test_bad_matcher_spec_exits_2(
 @pytest.mark.parametrize(
     "flags",
     [["--ab", "1,x"], ["--ab", "1,2,3"], ["--ab", "1"], ["--matcher", "token:abc"],
-     ["--matcher", "bogus"]],
+     ["--matcher", "bogus"], ["--count", "0"], ["--count", "-2"]],
     ids=" ".join,
 )
 def test_bad_judge_bench_flag_exits_2_naming_it(
@@ -243,6 +248,20 @@ def test_non_finite_weights_exit_2_before_writing(
     assert main([*args, "--weights", weights]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--weights" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--count", "0"], ["--count", "-2"], ["--horizon", "0"]], ids=" ".join
+)
+def test_bad_gen_scenarios_flag_exits_2_naming_it(
+    flags: list[str], tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tmp_path / "scenarios"
+    capsys.readouterr()
+    assert main(["gen-scenarios", "--out", str(out), "--count", "4", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flags[0] in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -27,8 +27,10 @@ from dialign.rl import (
     draw_decisions,
     config_fingerprint,
     episode_rows,
+    episode_uniforms,
     load_checkpoint,
     normalize_advantages,
+    pcg64_states,
     policy_ratio,
     ppo_surrogate,
     save_checkpoint,
@@ -420,7 +422,7 @@ def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int)
     ),
     horizons=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
     samples=st.integers(min_value=1, max_value=3),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    seed=st.integers(min_value=0, max_value=2**70),
     round_index=st.integers(min_value=0, max_value=10_000),
     weights=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
 )
@@ -461,6 +463,54 @@ def test_round_draw_equals_per_episode_draws(
         expected = policy.greedy(stack)
         assert _decisions(decisions)[episode] == _decisions(expected)
         assert np.array_equal(log_probs[episode], policy.log_prob_batch(expected))
+
+
+_SEED_ELEMENT = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]),
+    st.integers(0, 9).map(lambda k: 2**64 + k),
+    st.integers(0, 2**130),
+)
+
+
+@given(
+    episodes=st.lists(
+        st.tuples(st.lists(_SEED_ELEMENT, min_size=1, max_size=6), st.integers(0, 12)),
+        min_size=1, max_size=8,
+    )
+)
+@example(episodes=[([0], 3), ([2**32 - 1, 2**32], 1), ([2**64, 0, 0, 0, 2**130, 1], 10)])
+@settings(max_examples=60, deadline=None)
+def test_one_pass_seeding_equals_numpy_per_seed(episodes: list[tuple[list[int], int]]) -> None:
+    """Every seed's state is ``PCG64(seed)``'s and its uniforms are
+    ``default_rng(seed)``'s, with seeds of several entropy word counts in one call."""
+    seeds = [seed for seed, _ in episodes]
+    lengths = [length for _, length in episodes]
+    expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
+    assert pcg64_states(seeds) == [(state["state"], state["inc"]) for state in expected]
+    uniforms = episode_uniforms(seeds, lengths, _N_SLOTS + 2)
+    assert len(uniforms) == sum(lengths)
+    for seed, length, rows in zip(seeds, lengths, episode_rows(lengths)):
+        reference = np.random.default_rng(seed).random((length, _N_SLOTS + 2))
+        assert np.array_equal(uniforms[rows], reference)
+
+
+@pytest.mark.parametrize(
+    "element, error",
+    [(-1, ValueError), (-(2**70), ValueError), (1.0, TypeError), (np.float64(2.0), TypeError),
+     ("7", TypeError)],
+    ids=["-1", "-2**70", "1.0", "np.float64", "str"],
+)
+def test_seed_element_that_is_negative_or_not_an_integer_raises(element, error) -> None:
+    stack = _random_observations(np.random.default_rng(5), rows=2)
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS)
+    for seeds in ([[3, element]], [[3], [element, 4]]):
+        with pytest.raises(error):
+            pcg64_states(seeds)
+        with pytest.raises(error):
+            draw_decisions(policy, [stack] * len(seeds), seeds)
+    if not isinstance(element, str):  # NumPy refuses the others the same way
+        with pytest.raises(error):
+            np.random.default_rng([3, element])
 
 
 def test_greedy_decision_maximizes_each_head() -> None:
