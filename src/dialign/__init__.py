@@ -58,11 +58,10 @@ from .rl import (
     CategoricalSlotPolicy,
     LinearValue,
     PPOConfig,
-    PolicyAgent,
     RoundBatch,
     compute_gae,
-    draw_decisions,
     load_checkpoint,
+    play,
     policy_ratio,
     ppo_surrogate,
     save_checkpoint,

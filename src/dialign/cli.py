@@ -35,16 +35,14 @@ from .metrics import (
     longterm_profile_curve,
     summarize_alignment,
 )
-from .profiles import SlotMatcher, build_overlap_bench, eval_matcher
+from .profiles import SlotMatcher, SlotSchema, build_overlap_bench, eval_matcher
 from .rl import (
     CURVE_COLUMNS,
     PPOConfig,
-    PolicyAgent,
-    _batch_reward_means,
     check_schema,
-    draw_decisions,
-    episode_rows,
     load_checkpoint,
+    play,
+    reward_means,
     save_checkpoint,
     train,
 )
@@ -55,7 +53,7 @@ from .scenarios import (
     generate_scenarios,
     load_scenarios,
     save_scenarios,
-    _schema_for,
+    scenario_files,
 )
 from .user_sim import ConflictSpec
 
@@ -101,12 +99,13 @@ def _seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
-    """Refuse a count flag below 1 with one line naming it."""
+def _at_least(args: argparse.Namespace, low: int, *flags: str) -> None:
+    """Refuse a numeric flag below ``low`` or not finite with one line naming it."""
     for flag in flags:
         value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+        if value is not None and not low <= value < math.inf:
+            name = flag.replace("_", "-")
+            raise ConfigError(f"--{name} must be finite and >= {low}, got {value}")
 
 
 def _write_csv(
@@ -121,7 +120,8 @@ def _write_csv(
 
 
 def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
-    _at_least_one(args, "rounds", "epochs", "samples")
+    _at_least(args, 1, "rounds", "epochs", "samples")
+    _at_least(args, 0, "actor_lr", "critic_lr")
     overrides: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -135,7 +135,7 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
             )
         unknown = set(payload) - set(PPOConfig.__dataclass_fields__)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"--config {args.config}: unknown keys {sorted(unknown)}")
         overrides.update(payload)
     for field, flag in (
         ("total_rounds", "rounds"),
@@ -149,14 +149,17 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
             overrides[field] = value
     if args.seed is not None:
         overrides["seed"] = _seed(args)
-    return PPOConfig(**overrides)
+    try:
+        return PPOConfig(**overrides)
+    except ConfigError as exc:  # every flag is checked above, so a file field is at fault
+        raise ConfigError(f"--config {args.config}: {exc}") from None
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
 def cmd_gen_scenarios(args: argparse.Namespace) -> int:
-    _at_least_one(args, "count", "horizon")
+    _at_least(args, 1, "count", "horizon")
     scenarios = generate_scenarios(
         count=args.count,
         seed=_seed(args),
@@ -232,8 +235,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+    _at_least(args, 1, "episodes")
     seed = _seed(args)
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:
@@ -247,19 +249,19 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
             )
         horizon = horizons[0]
     if horizon < 2:
-        raise ConfigError(
-            f"eval needs a horizon of at least 2 turns to fit the alignment trend, got {horizon}"
-        )
+        # Without --horizon every file holds this horizon, so the first names it.
+        where = ("--horizon" if horizon_override is not None
+                 else f"scenario file {scenario_files(args.scenarios)[0]}: horizon")
+        raise ConfigError(f"{where} must be >= 2 to fit the alignment trend, got {horizon}")
 
-    if args.agent == "oracle":
-        checkpoint = None
-    else:
+    checkpoint = None
+    if args.agent == "policy":
         if not args.checkpoint:
             raise ConfigError("eval with --agent policy needs --checkpoint")
         checkpoint = load_checkpoint(args.checkpoint)
         check_schema(((s.scenario_id, s.profile.schema) for s in scenario_list), checkpoint.schema)
 
-    episodes = []  # (scenario id, environment, policy seed)
+    episodes, seeds = [], []  # (scenario id, environment) and its policy seed
     conflict_rng = random.Random(seed)
     for index, scenario in enumerate(scenario_list):
         conflict = scenario.conflict
@@ -274,16 +276,11 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
             )
         config = scenario.user_config(horizon=horizon_override, conflict=conflict)
         env = DialogueEnv(config, matcher=matcher)
-        episodes += [(scenario.scenario_id, env, [seed, index, e]) for e in range(args.episodes)]
+        episodes += [(scenario.scenario_id, env)] * args.episodes
+        seeds += [[seed, index, e] for e in range(args.episodes)]
     if checkpoint is None:
-        agents = [EvidenceOracleAgent() for _ in episodes]
-    else:
-        stacks = [env.config.episode_table.observations for _, env, _ in episodes]
-        decisions, _ = draw_decisions(checkpoint.policy(), stacks, [key for *_, key in episodes])
-        lists = decisions.as_lists()
-        lengths = [len(stack.global_feats) for stack in stacks]
-        agents = [PolicyAgent(lists, rows) for rows in episode_rows(lengths)]
-    return [rollout(env, agent, scenario_id=sid) for (sid, env, _), agent in zip(episodes, agents)]
+        return [rollout(env, EvidenceOracleAgent(), scenario_id=sid) for sid, env in episodes]
+    return play(checkpoint.policy(), episodes, seeds)[2]
 
 
 def _turn_means(records: Sequence[EpisodeRecord]) -> list[list[float]]:
@@ -324,7 +321,7 @@ def write_reports(
         ["mode", "episodes", "avg_alignment", "n_ir", "n_r2",
          "mean_total_reward", "mean_profile_reward", "mean_response_reward"],
         [[mode, len(records), f"{summary.average:.4f}", f"{summary.n_ir:.6f}",
-          f"{summary.n_r2:.6f}", *(f"{mean:.6f}" for mean in _batch_reward_means(records))]],
+          f"{summary.n_r2:.6f}", *(f"{mean:.6f}" for mean in reward_means(records))]],
     )
 
     if mode == "longterm":
@@ -355,9 +352,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_judge_bench(args: argparse.Namespace) -> int:
-    _at_least_one(args, "count")
+    _at_least(args, 1, "count")
     rng = random.Random(_seed(args))
-    schema = _schema_for(False)
+    schema = SlotSchema.aloe()
     cases = []
     for index in range(args.count):
         profile = generate_profile(rng, schema)

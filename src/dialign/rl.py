@@ -17,14 +17,14 @@ than once is one set of distinct rows.  The response logits, their
 normalizer and probabilities, and the engage logit, are computed once per
 distinct row and gathered per row; the terms a decision enters, the
 gradient rows and the critic's products stay per row.  Every result has
-the bits of evaluating each row on its own.
+the bits of evaluating each row on its own, in a one-row stack too.
 
 Sampling maps an observation stack and one row of uniforms per observation
 to a ``DecisionBatch``.  The scripted user ignores the agent, so every
-episode's observations are known before it starts, and decisions are drawn
-up front for a whole training round or eval call in one policy call
-(``draw_decisions``), whose decision columns become plain lists once per
-draw; each ``PolicyAgent`` acts out its episode's rows of those lists.
+episode's observations are known before it starts, and ``play`` draws a
+whole training round's or eval call's decisions up front in one policy call
+(``draw_decisions``), converts them to plain lists once, and has one
+``PolicyAgent`` per episode act out its rows.
 Each episode's uniforms are those of ``default_rng(seed)``, computed for
 all of a draw's seeds in one ``pcg64_states`` pass (``episode_uniforms``).  A
 round stays one row-stacked ``RoundBatch`` from the draw to the update; one
@@ -128,16 +128,14 @@ class PPOConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-        # Zero is allowed so one head can be frozen for ablations.
-        if self.actor_lr < 0 or self.critic_lr < 0:
-            raise ConfigError("learning rates must be non-negative")
-        if self.epochs < 1 or self.samples_per_scenario < 1 or self.total_rounds < 1:
-            raise ConfigError("epochs, samples_per_scenario, total_rounds must be >= 1")
+            raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if self.ratio_clamp <= 0:
-            raise ConfigError("ratio_clamp must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"ratio_clamp must be positive, got {self.ratio_clamp}")
+        # A zero learning rate freezes its head, for ablations.
+        for name, low in (("actor_lr", 0), ("critic_lr", 0), ("epochs", 1),
+                          ("samples_per_scenario", 1), ("total_rounds", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -218,12 +216,6 @@ class ObservationRows:
             shifts.append(first[id(stack)] - n_rows)
             lengths.append(length)
             n_rows += length
-        if n_distinct == 1 < n_rows:
-            # numpy multiplies one row by the engage weights through its fused
-            # multiply-add dot path and several rows through gemv, so a lone
-            # distinct row would round its engage logit unlike the rows it
-            # stands for: here every row is a distinct row.
-            unique, shifts = list(stacks), [0] * len(stacks)
         distinct_slot = np.concatenate([stack.slot_feats for stack in unique])
         distinct_global = np.concatenate([stack.global_feats for stack in unique])
         distinct_codes = slot_codes(distinct_slot)
@@ -321,7 +313,9 @@ class CategoricalSlotPolicy:
         logits[:, :-1] = (SLOT_CODE_FEATS @ theta[_W_RESP])[rows.distinct_codes]
         logits[:, -1] = theta[_B_NONE]
         log_norm = _log_normalizer(logits)
-        engage_logit = rows.distinct_global @ theta[_W_ENG]
+        # Elementwise: numpy's dot of a lone row can fuse what gemv rounds twice.
+        g, w = rows.distinct_global, theta[_W_ENG]
+        engage_logit = g[:, 0] * w[0] + g[:, 1] * w[1]
         return _HeadTerms(
             include_logit=include_logit,
             include_prob=_sigmoid(include_logit),
@@ -334,20 +328,18 @@ class CategoricalSlotPolicy:
             engage_log_pmf=_outcome_log_pmf(engage_logit),
         )
 
-    def sample(self, obs: Observation | ObservationRows, uniforms: np.ndarray) -> DecisionBatch:
+    def sample_with_log_prob(
+        self, obs: Observation | ObservationRows, uniforms: np.ndarray
+    ) -> tuple[DecisionBatch, np.ndarray]:
         """Draw one decision per row of an observation stack from that row of
-        ``uniforms``; log-probabilities come from ``log_prob_batch``.
+        ``uniforms``, with the batch's ``log_prob_batch`` values.
 
         Row t's uniforms are ``n_slots`` inclusion draws, then the response
         draw, then the engagement draw, so one ``rng.random((T, n_slots + 2))``
         draw consumes the generator exactly as T per-row draws would.
         """
         rows = _observation_rows(obs)
-        return self._sample(rows, uniforms, self._terms(rows))
-
-    def _sample(
-        self, rows: ObservationRows, uniforms: np.ndarray, terms: _HeadTerms
-    ) -> DecisionBatch:
+        terms = self._terms(rows)
         n, at = rows.codes.shape[1], rows.distinct
         if uniforms.shape != (len(rows), n + 2):
             raise ValueError(f"need ({len(rows)}, {n + 2}) uniforms, got {uniforms.shape}")
@@ -358,15 +350,7 @@ class CategoricalSlotPolicy:
         below = np.cumsum(terms.probs, axis=-1)[at] < target[:, None]
         choice = np.minimum(np.sum(below, axis=-1), n)
         engage = uniforms[:, n + 1] < terms.engage_prob[at]
-        return DecisionBatch(rows, include.astype(float), choice, engage.astype(float))
-
-    def sample_with_log_prob(
-        self, obs: Observation | ObservationRows, uniforms: np.ndarray
-    ) -> tuple[DecisionBatch, np.ndarray]:
-        """``sample``, with the batch's ``log_prob_batch`` values."""
-        rows = _observation_rows(obs)
-        terms = self._terms(rows)
-        batch = self._sample(rows, uniforms, terms)
+        batch = DecisionBatch(rows, include.astype(float), choice, engage.astype(float))
         return batch, self._log_prob_and_grad(batch, terms, with_grad=False)[0]
 
     def greedy(self, obs: Observation | ObservationRows) -> DecisionBatch:
@@ -609,7 +593,7 @@ def draw_decisions(
 
     Episode i's uniforms are the ``(T_i, n_slots + 2)`` block that
     ``default_rng(seeds[i]).random`` gives (``episode_uniforms``), so its
-    rows are exactly those ``sample`` makes from that block alone.
+    rows are exactly those ``sample_with_log_prob`` draws from that block.
     ``seeds=None`` takes greedy decisions.
     """
     rows = ObservationRows.stack(stacks)
@@ -621,9 +605,9 @@ def draw_decisions(
 
 
 class PolicyAgent:
-    """Acts out its episode's rows of the decisions ``draw_decisions`` drew
-    up front for a whole training round or eval call, as an environment Agent.
-    Every agent of a draw reads the same ``DecisionBatch.as_lists`` columns,
+    """Acts out its episode's rows of the decisions ``play`` drew up front for
+    a whole training round or eval call, as an environment Agent.  Every
+    agent of a draw reads the same ``DecisionBatch.as_lists`` columns,
     converted once per draw; ``rows`` are its episode's rows in them.
 
     Each turn translates its row into a concrete action: included slots take
@@ -662,6 +646,21 @@ class PolicyAgent:
         return combined_reward(profile, response, weights)
 
 
+def play(
+    policy: CategoricalSlotPolicy, episodes: Sequence[tuple[str, DialogueEnv]],
+    seeds: Sequence[Sequence[int]] | None = None,
+) -> tuple[DecisionBatch, np.ndarray, list[EpisodeRecord]]:
+    """Play each (scenario id, environment) episode: one ``draw_decisions``
+    call (``seeds`` as there) for all their decisions, converted to lists once,
+    and one ``PolicyAgent`` per episode acting out its rows in ``rollout``."""
+    stacks = [env.config.episode_table.observations for _, env in episodes]
+    decisions, log_probs = draw_decisions(policy, stacks, seeds)
+    lists = decisions.as_lists()
+    rows = episode_rows([len(stack.global_feats) for stack in stacks])
+    records = [rollout(env, PolicyAgent(lists, r), sid) for (sid, env), r in zip(episodes, rows)]
+    return decisions, log_probs, records
+
+
 def collect(
     scenarios: Sequence[tuple[str, UserConfig]],
     policy: CategoricalSlotPolicy,
@@ -672,21 +671,13 @@ def collect(
     round_index: int,
 ) -> tuple[RoundBatch, list[EpisodeRecord]]:
     """Sample a round of episodes under the frozen current policy and critic:
-    one ``draw_decisions`` call for the round, converted to lists once, the
-    round's rows valued in one product, and its rewards weighted in one
-    ``combined_reward`` call over its turns in episode order."""
+    one ``play`` call for the round, whose samples of a scenario share its
+    environment, the round's rows valued in one product, and its rewards
+    weighted in one ``combined_reward`` call over its turns in episode order."""
     samples = range(cfg.samples_per_scenario)
-    stacks = [config.episode_table.observations for _, config in scenarios for _ in samples]
+    envs = [(sid, DialogueEnv(config, matcher=matcher)) for sid, config in scenarios]
     seeds = [[cfg.seed, round_index, idx, s] for idx in range(len(scenarios)) for s in samples]
-    decisions, log_probs = draw_decisions(policy, stacks, seeds)
-    lists = decisions.as_lists()
-    lengths = [len(stack.global_feats) for stack in stacks]
-    rows = iter(episode_rows(lengths))
-    records: list[EpisodeRecord] = []
-    for scenario_id, config in scenarios:
-        env = DialogueEnv(config, matcher=matcher)
-        for _ in samples:
-            records.append(rollout(env, PolicyAgent(lists, next(rows)), scenario_id))
+    decisions, log_probs, records = play(policy, [env for env in envs for _ in samples], seeds)
     # A stack of (1, dim) @ (dim,) products runs each row through the 1-D dot
     # that ``row @ phi`` uses; a matrix-vector product can round differently.
     flat = Observation(decisions.slot_feats, decisions.global_feats).flat()
@@ -697,8 +688,8 @@ def collect(
         np.array([t.response_reward for t in turns]),
         weights,
     )
-    batch = RoundBatch(decisions, log_probs, values, rewards, np.array(lengths))
-    return batch, records
+    lengths = np.array([len(record.turns) for record in records])
+    return RoundBatch(decisions, log_probs, values, rewards, lengths), records
 
 
 # --- the PPO update -------------------------------------------------------------
@@ -793,7 +784,8 @@ class TrainResult:
     final_step: int
 
 
-def _batch_reward_means(records: Sequence[EpisodeRecord]) -> tuple[float, float, float]:
+def reward_means(records: Sequence[EpisodeRecord]) -> tuple[float, float, float]:
+    """Mean over episodes of the summed total, profile and response rewards."""
     totals = [sum(t.total_reward for t in r.turns) for r in records]
     profiles = [sum(t.profile_reward for t in r.turns) for r in records]
     responses = [sum(t.response_reward for t in r.turns) for r in records]
@@ -845,7 +837,7 @@ def train(
         batch, records = collect(
             scenarios, policy, value_fn, cfg, weights, matcher, round_index=step
         )
-        mean_total, mean_profile, mean_response = _batch_reward_means(records)
+        mean_total, mean_profile, mean_response = reward_means(records)
         stats = update(policy, value_fn, batch, cfg)
         curve.append(
             CurveRow(

@@ -229,14 +229,19 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def load_scenarios(source: str | Path) -> list[Scenario]:
-    """Load every scenario JSON from a directory (or a single file)."""
+def scenario_files(source: str | Path) -> list[Path]:
+    """A directory's scenario JSON files in name order, or the single file."""
     path = Path(source)
     if path.is_dir():
         files = sorted(path.glob("*.json"))
         if not files:
             raise ConfigError(f"no scenario files in {path}")
-        return [load_scenario(f) for f in files]
+        return files
     if path.is_file():
-        return [load_scenario(path)]
+        return [path]
     raise FileNotFoundError(f"scenario source {path} does not exist")
+
+
+def load_scenarios(source: str | Path) -> list[Scenario]:
+    """Load every scenario JSON from a directory (or a single file)."""
+    return [load_scenario(path) for path in scenario_files(source)]

@@ -47,12 +47,10 @@ from dialign.rl import (
     DecisionBatch,
     LinearValue,
     ObservationRows,
-    PolicyAgent,
     PPOConfig,
     TrainResult,
     collect,
-    draw_decisions,
-    episode_rows,
+    play,
     policy_ratio,
     train,
 )
@@ -252,14 +250,7 @@ def test_policy_gradient_gae_and_ratio_numerics() -> None:
 
 
 def _greedy_records(policy: CategoricalSlotPolicy, pairs) -> list:
-    stacks = [ucfg.episode_table.observations for _, ucfg in pairs]
-    decisions, _ = draw_decisions(policy, stacks)
-    lists = decisions.as_lists()
-    rows = episode_rows([len(stack.global_feats) for stack in stacks])
-    return [
-        rollout(DialogueEnv(ucfg, matcher=_EXACT), PolicyAgent(lists, episode), sid)
-        for (sid, ucfg), episode in zip(pairs, rows)
-    ]
+    return play(policy, [(sid, DialogueEnv(ucfg, matcher=_EXACT)) for sid, ucfg in pairs])[2]
 
 
 _TRAIN_SETTINGS = dict(samples_per_scenario=2, actor_lr=0.1, critic_lr=0.01)

@@ -82,7 +82,7 @@ def test_config_file_with_unknown_key_exits_2(
     args = ["train", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "t")]
     assert main(args + ["--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "rollouts_per_update" in err
+    assert err.count("\n") == 1 and f"--config {config}: " in err and "rollouts_per_update" in err
     assert not (tmp_path / "t").exists()
 
 
@@ -101,11 +101,19 @@ def test_config_file_with_unknown_key_exits_2(
         ({"actor_lr": float("nan")}, []),
         ({"critic_lr": float("inf")}, []),
         ({"ratio_clamp": True}, []),
+        ({"actor_lr": -1}, []),
+        ({"critic_lr": -0.5}, []),
+        ({"lam": 1.5}, []),
+        ({"epochs": 0}, []),
         ({}, ["--seed", "-1"]),
         ({}, ["--rounds", "0"]),
         ({}, ["--epochs", "0"]),
         ({}, ["--samples", "0"]),
         ({}, ["--samples", "-2"]),
+        ({}, ["--actor-lr", "-1"]),
+        ({}, ["--actor-lr", "inf"]),
+        ({}, ["--critic-lr", "nan"]),
+        ({}, ["--critic-lr", "-0.01"]),
     ],
     ids=lambda case: json.dumps(case) if isinstance(case, dict) else " ".join(case),
 )
@@ -120,7 +128,8 @@ def test_mistyped_ppo_setting_exits_2_before_writing(
     args = ["train", "--scenarios", str(scenario_dir), "--out", str(out), "--config", str(config)]
     assert main(args + flags) == 2
     err = capsys.readouterr().err
-    name = next(iter(setting), None) or flags[0]
+    # A bad config setting names the file and the field; a bad flag names the flag.
+    name = f"--config {config}: {next(iter(setting))}" if setting else flags[0]
     assert err.count("\n") == 1 and name in err and "Traceback" not in err
     assert not out.exists()
 
@@ -822,13 +831,19 @@ def test_eval_on_horizon_one_exits_2_and_writes_nothing(
     assert main(
         ["gen-scenarios", "--out", str(scenarios), "--count", "1", "--seed", "4", "--horizon", "1"]
     ) == 0
-    for extra in ([], ["--mode", "longterm", "--horizon", "1"]):
+    # The horizon of the files names a file and the field; a --horizon names the flag.
+    for extra, name in (
+        ([], f"scenario file {scenarios / 'scenario_0000.json'}: horizon"),
+        (["--mode", "longterm", "--horizon", "1"], "--horizon"),
+        (["--horizon", "1"], "--horizon"),
+        (["--horizon", "-3"], "--horizon"),
+    ):
         out = tmp_path / "e"
         capsys.readouterr()
         args = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--agent", "oracle"]
         assert main(args + extra) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "horizon" in err
+        assert err.count("\n") == 1 and name in err
         assert not out.exists()
 
 

@@ -35,7 +35,9 @@ from dialign.profiles import (
     Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall, profile_reward,
 )
 from dialign.reward import JudgeContext, judge_counts, response_reward
-from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows
+from dialign.rl import (
+    POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows, play,
+)
 from dialign.scenarios import default_conflict, generate_scenarios
 from dialign.user_sim import (
     ConflictSpec, UserConfig, UserUtterance, initial_state, next_utterance, reveal_order,
@@ -608,11 +610,7 @@ def test_policy_match_tables_hold_only_seen_values_and_the_placeholder() -> None
     scenario = generate_scenarios(1, seed=5)[0]
     config = scenario.user_config(horizon=12)
     env = DialogueEnv(config, SlotMatcher(kind="exact"))
-    stacks = [config.episode_table.observations] * 4
-    decisions, _ = draw_decisions(CategoricalSlotPolicy(10), stacks, [[5, e] for e in range(4)])
-    lists = decisions.as_lists()
-    for rows in episode_rows([len(stack.global_feats) for stack in stacks]):
-        rollout(env, PolicyAgent(lists, rows))
+    play(CategoricalSlotPolicy(10), [("episode", env)] * 4, [[5, e] for e in range(4)])
     seen = {(slot, value) for view in config.episode_table.views
             for slot, value in view.seen_values.items()}
     allowed = seen | {(slot, UNKNOWN_VALUE) for slot in config.profile.schema.slots}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from dialign.rl import (
     load_checkpoint,
     normalize_advantages,
     pcg64_states,
+    play,
     policy_ratio,
     ppo_surrogate,
     save_checkpoint,
@@ -38,7 +40,7 @@ from dialign.rl import (
     train,
     update,
 )
-from dialign.scenarios import generate_scenarios
+from dialign.scenarios import default_conflict, generate_scenarios
 from dialign.user_sim import first_utterance, initial_state, next_utterance
 
 _N_SLOTS = 10
@@ -122,6 +124,11 @@ def test_ppo_config_validation() -> None:
         PPOConfig(epochs=0)
     with pytest.raises(ConfigError):
         PPOConfig(samples_per_scenario=0)
+    # Each range error names its field.
+    for field, value in (("lam", -0.1), ("actor_lr", -1.0), ("critic_lr", -1e-3),
+                         ("total_rounds", 0), ("ratio_clamp", 0.0), ("seed", -1)):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            PPOConfig(**{field: value})
 
 
 # --- GAE ----------------------------------------------------------------------------
@@ -350,6 +357,34 @@ def test_log_prob_single_equals_batch_row() -> None:
         assert numeric[t].tolist() == numerical_log_prob_grad(policy, _row(batch, t))[0].tolist()
 
 
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), rows=st.integers(2, 8))
+@example(seed=4, rows=6)
+@settings(max_examples=80, deadline=None)
+def test_one_row_stack_has_the_bits_of_its_row_in_a_stack(seed: int, rows: int) -> None:
+    """A lone row's decisions, log-probability and gradient row are bit for
+    bit those of the same row inside a larger stack, sampled or greedy."""
+    rng = np.random.default_rng(seed)
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=3.0 * rng.normal(size=POLICY_DIM))
+    stack = _random_observations(rng, rows=rows)
+    uniforms = rng.random((rows, _N_SLOTS + 2))
+    sampled, log_probs = policy.sample_with_log_prob(stack, uniforms)
+    greedy = policy.greedy(stack)
+    for batch in (sampled, greedy):
+        log_prob, grads = policy.log_prob_and_grad(batch)
+        for t in range(rows):
+            one = _row(batch, t)
+            alone_log_prob, alone_grads = policy.log_prob_and_grad(one)
+            assert np.array_equal(alone_log_prob, log_prob[t : t + 1])
+            assert np.array_equal(alone_grads, grads[t : t + 1])
+    for t in range(rows):
+        one = Observation(stack.slot_feats[t : t + 1], stack.global_feats[t : t + 1])
+        drawn, drawn_log_prob = policy.sample_with_log_prob(one, uniforms[t : t + 1])
+        assert np.array_equal(drawn_log_prob, log_probs[t : t + 1])
+        for alone, batch in ((drawn, sampled), (policy.greedy(one), greedy)):
+            for name in ("include", "response_choice", "engage"):
+                assert np.array_equal(getattr(alone, name), getattr(batch, name)[t : t + 1])
+
+
 def test_sample_with_log_prob_agrees_with_log_prob() -> None:
     rng = np.random.default_rng(37)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
@@ -400,10 +435,11 @@ def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int)
     rows = [Observation(slot_feats[t : t + 1], global_feats[t : t + 1]) for t in range(horizon)]
 
     uniforms = np.random.default_rng(seed).random((horizon, _N_SLOTS + 2))
-    batched = _decisions(policy.sample(stack, uniforms))
+    batched = _decisions(policy.sample_with_log_prob(stack, uniforms)[0])
     single_rng = np.random.default_rng(seed)
     assert batched == [
-        _decisions(policy.sample(o, single_rng.random((1, _N_SLOTS + 2))))[0] for o in rows
+        _decisions(policy.sample_with_log_prob(o, single_rng.random((1, _N_SLOTS + 2)))[0])[0]
+        for o in rows
     ]
     reference_rng = np.random.default_rng(seed)
     assert batched == [
@@ -447,7 +483,9 @@ def test_round_draw_equals_per_episode_draws(
         stack = pairs[idx][1].episode_table.observations
         # The per-episode draw: sample on the episode's own uniform block.
         rng = np.random.default_rng([seed, round_index, idx, sample])
-        expected = policy.sample(stack, rng.random((len(stack.global_feats), _N_SLOTS + 2)))
+        expected = policy.sample_with_log_prob(
+            stack, rng.random((len(stack.global_feats), _N_SLOTS + 2))
+        )[0]
         for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
             assert np.array_equal(getattr(batch.decisions, name)[episode], getattr(expected, name))
         assert np.array_equal(batch.log_probs_old[episode], policy.log_prob_batch(expected))
@@ -642,9 +680,22 @@ def test_shared_rows_are_grouped_by_stack_object() -> None:
     assert rows.distinct.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 6, 7, 8]
     assert len(rows.distinct_codes) == len(rows.distinct_global) == 9
     assert np.array_equal(rows.slot_feats[6:9], a.slot_feats)
-    # One distinct row standing for several is evaluated as those rows.
+    # One distinct row standing for several gives each of them the bits of
+    # that row on its own.
     one = Observation(a.slot_feats[:1], a.global_feats[:1])
-    assert ObservationRows.stack([one, one]).distinct.tolist() == [0, 1]
+    theta = 3.0 * np.random.default_rng(4).normal(size=POLICY_DIM)
+    policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
+    uniforms = np.random.default_rng(5).random((1, _N_SLOTS + 2))
+    alone, alone_log_prob = policy.sample_with_log_prob(one, uniforms)
+    both, both_log_prob = policy.sample_with_log_prob(
+        ObservationRows.stack([one, one]), np.concatenate([uniforms, uniforms]))
+    assert np.array_equal(both_log_prob, np.concatenate([alone_log_prob] * 2))
+    for name in ("include", "response_choice", "engage"):
+        assert np.array_equal(getattr(both, name), np.concatenate([getattr(alone, name)] * 2))
+    for name in ("slot_feats", "global_feats"):
+        assert np.array_equal(getattr(both, name), np.concatenate([getattr(one, name)] * 2))
+    grads, alone_grads = policy.log_prob_and_grad(both)[1], policy.log_prob_and_grad(alone)[1]
+    assert np.array_equal(grads, np.concatenate([alone_grads] * 2))
 
 
 @pytest.mark.parametrize(
@@ -765,6 +816,55 @@ def test_episode_table_observations_are_read_only_and_survive_collection() -> No
 
 
 @given(
+    theta=st.lists(
+        st.floats(min_value=-4.0, max_value=4.0), min_size=POLICY_DIM, max_size=POLICY_DIM
+    ),
+    horizons=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+    samples=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(["closed", "conflict", "open schema"]),
+    matcher_spec=st.sampled_from(["exact", "token:0.5"]),
+    sampled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_play_equals_one_draw_and_per_episode_rollouts(
+    theta: list[float], horizons: list[int], samples: int, kind: str, matcher_spec: str,
+    sampled: bool, seed: int,
+) -> None:
+    """``play`` draws what ``draw_decisions`` draws, and records what each
+    episode's agent, holding only its own rows, plays in its environment."""
+    matcher = SlotMatcher.parse(matcher_spec)
+    conflict_rng = random.Random(seed)
+    scenario_list = generate_scenarios(len(horizons), seed=seed % 997,
+                                       extended=kind == "open schema")
+    episodes = []
+    for scenario, horizon in zip(scenario_list, horizons):
+        conflict = None
+        if kind == "conflict":
+            horizon = max(horizon, 7)  # room to recover after the turn-6 swap
+            conflict = default_conflict(
+                scenario.profile, scenario.style_seed, conflict_rng, matcher=matcher)
+        config = scenario.user_config(horizon=horizon, conflict=conflict)
+        episodes += [(scenario.scenario_id, DialogueEnv(config, matcher=matcher))] * samples
+    seeds = [[seed, e] for e in range(len(episodes))] if sampled else None
+    policy = CategoricalSlotPolicy(len(scenario_list[0].profile.schema.slots), np.array(theta))
+
+    decisions, log_probs, records = play(policy, episodes, seeds)
+    stacks = [env.config.episode_table.observations for _, env in episodes]
+    expected, expected_log_probs = draw_decisions(policy, stacks, seeds)
+    for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
+        assert np.array_equal(getattr(decisions, name), getattr(expected, name))
+    assert np.array_equal(log_probs, expected_log_probs)
+    lengths = [len(stack.global_feats) for stack in stacks]
+    assert len(records) == len(episodes)
+    for (sid, env), rows, record in zip(episodes, episode_rows(lengths), records):
+        own = (expected.include[rows].astype(bool).tolist(),
+               expected.response_choice[rows].tolist(),
+               expected.engage[rows].astype(bool).tolist())
+        assert record == rollout(env, PolicyAgent(own, slice(0, rows.stop - rows.start)), sid)
+
+
+@given(
     lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=5),
     scenario_seed=st.integers(min_value=0, max_value=2**31 - 1),
     decision_seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -863,7 +963,7 @@ def _toy_round(
         np.concatenate([o.slot_feats for o in stacks]),
         np.concatenate([o.global_feats for o in stacks]),
     )
-    decisions = policy.sample(obs, np.concatenate(uniforms))
+    decisions = policy.sample_with_log_prob(obs, np.concatenate(uniforms))[0]
     return RoundBatch(
         decisions=decisions,
         log_probs_old=policy.log_prob_batch(decisions),
