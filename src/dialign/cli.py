@@ -8,8 +8,10 @@ Subcommands:
 * ``judge-bench``    score slot matchers on the synthetic overlap benchmark
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
-``eval`` writes every report CSV from the episode logs alone (``write_reports``,
-one turns x episodes table per call), so reports can be recomputed offline.
+``main`` checks each numeric flag against its ``FLAG_FIELDS`` row before a
+command runs.  ``eval`` writes every report CSV from the episode logs alone
+(``write_reports``, one turns x episodes table per call), so reports can be
+recomputed offline.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import random
 import sys
 from dataclasses import asdict
@@ -27,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .env import DialogueEnv, EpisodeRecord, EvidenceOracleAgent, rollout, write_episodes
-from .errors import CheckpointError, ConfigError, DialignError, ProtocolError, SchemaError
+from .errors import (CheckpointError, ConfigError, DialignError, Field, ProtocolError,
+                     SchemaError, read_fields, read_object)
 from .metrics import (
     AlignmentSummary,
     alignment_curve,
@@ -37,7 +39,9 @@ from .metrics import (
 )
 from .profiles import SlotMatcher, SlotSchema, build_overlap_bench, eval_matcher
 from .rl import (
+    CHECKPOINT_FIELDS,
     CURVE_COLUMNS,
+    PPO_FIELDS,
     PPOConfig,
     check_schema,
     load_checkpoint,
@@ -48,6 +52,7 @@ from .rl import (
 )
 from .scenarios import (
     DEFAULT_CONFLICT_TURN,
+    GENERATE_FIELDS,
     default_conflict,
     generate_profile,
     generate_scenarios,
@@ -70,19 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_weights(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--weights expects 'wp,wr', got {text!r}")
-    try:
-        wp, wr = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"--weights expects numbers, got {text!r}") from exc
-    if not (0 <= wp < math.inf and 0 <= wr < math.inf):
-        raise ConfigError(f"--weights must be finite and non-negative, got {text!r}")
-    return wp, wr
-
-
 def _matcher(spec: str) -> SlotMatcher:
     try:
         return SlotMatcher.parse(spec)
@@ -90,22 +82,34 @@ def _matcher(spec: str) -> SlotMatcher:
         raise ConfigError(f"--matcher {spec!r}: {exc}") from exc
 
 
-def _seed(args: argparse.Namespace) -> int:
-    """``--seed``, 0 when not given; a negative seed would seed ``random``
-    like its absolute value, so it is refused."""
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    return seed
+# Each PPO flag and the PPOConfig field it sets.
+_PPO_FLAGS = {"--seed": "seed", "--rounds": "total_rounds", "--epochs": "epochs",
+              "--samples": "samples_per_scenario", "--actor-lr": "actor_lr",
+              "--critic-lr": "critic_lr"}
+# Every numeric flag's row; ``main`` checks the given ones before any command runs.
+FLAG_FIELDS = {
+    "--count": GENERATE_FIELDS["count"],
+    "--horizon": GENERATE_FIELDS["horizon"],
+    "--episodes": Field("integer", low=1),
+    "--weights": CHECKPOINT_FIELDS["weights"],
+    "--ab": Field("integers", low=0, size=2),
+    **{flag: PPO_FIELDS[name] for flag, name in _PPO_FLAGS.items()},
+}
 
 
-def _at_least(args: argparse.Namespace, low: int, *flags: str) -> None:
-    """Refuse a numeric flag below ``low`` or not finite with one line naming it."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and not low <= value < math.inf:
-            name = flag.replace("_", "-")
-            raise ConfigError(f"--{name} must be finite and >= {low}, got {value}")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Check each given flag against its ``FLAG_FIELDS`` row, once ``--weights``
+    and ``--ab`` are read as their comma-separated numbers."""
+    for flag, number in (("weights", float), ("ab", int)):
+        text = getattr(args, flag, None)
+        if text is not None:
+            try:
+                setattr(args, flag, [number(part) for part in text.split(",")])
+            except ValueError:
+                raise ConfigError(f"--{flag} takes comma-separated numbers, got {text!r}") from None
+    values = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in FLAG_FIELDS}
+    given = {flag: value for flag, value in values.items() if value is not None}
+    read_fields("", given, {flag: FLAG_FIELDS[flag] for flag in given}, ConfigError)
 
 
 def _write_csv(
@@ -120,49 +124,21 @@ def _write_csv(
 
 
 def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
-    _at_least(args, 1, "rounds", "epochs", "samples")
-    _at_least(args, 0, "actor_lr", "critic_lr")
-    overrides: dict = {}
+    settings = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"--config {args.config} is not JSON text: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                f"--config {args.config} must hold a JSON object, got {type(payload).__name__}"
-            )
-        unknown = set(payload) - set(PPOConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"--config {args.config}: unknown keys {sorted(unknown)}")
-        overrides.update(payload)
-    for field, flag in (
-        ("total_rounds", "rounds"),
-        ("epochs", "epochs"),
-        ("samples_per_scenario", "samples"),
-        ("actor_lr", "actor_lr"),
-        ("critic_lr", "critic_lr"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if args.seed is not None:
-        overrides["seed"] = _seed(args)
-    try:
-        return PPOConfig(**overrides)
-    except ConfigError as exc:  # every flag is checked above, so a file field is at fault
-        raise ConfigError(f"--config {args.config}: {exc}") from None
+        payload = read_object(args.config, "--config", ConfigError)
+        settings = read_fields(f"--config {args.config}: ", payload, PPO_FIELDS, ConfigError)
+    flags = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _PPO_FLAGS.items()}
+    return PPOConfig(**{**settings, **{name: v for name, v in flags.items() if v is not None}})
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
 def cmd_gen_scenarios(args: argparse.Namespace) -> int:
-    _at_least(args, 1, "count", "horizon")
     scenarios = generate_scenarios(
         count=args.count,
-        seed=_seed(args),
+        seed=args.seed,
         horizon=args.horizon,
         conflict=args.conflict,
         extended=args.extended,
@@ -174,7 +150,7 @@ def cmd_gen_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     scenario_list = load_scenarios(args.scenarios)
-    weights = _parse_weights(args.weights)
+    weights = tuple(args.weights)
     matcher = _matcher(args.matcher)
     cfg = _load_ppo_config(args)
     checkpoint = load_checkpoint(args.resume) if args.resume else None
@@ -235,8 +211,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
-    _at_least(args, 1, "episodes")
-    seed = _seed(args)
     horizon_override = args.horizon
     if mode == "longterm" and horizon_override is None:
         horizon_override = LONGTERM_DEFAULT_HORIZON
@@ -262,7 +236,7 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         check_schema(((s.scenario_id, s.profile.schema) for s in scenario_list), checkpoint.schema)
 
     episodes, seeds = [], []  # (scenario id, environment) and its policy seed
-    conflict_rng = random.Random(seed)
+    conflict_rng = random.Random(args.seed)
     for index, scenario in enumerate(scenario_list):
         conflict = scenario.conflict
         if mode == "conflict" and conflict is None:
@@ -277,7 +251,7 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
         config = scenario.user_config(horizon=horizon_override, conflict=conflict)
         env = DialogueEnv(config, matcher=matcher)
         episodes += [(scenario.scenario_id, env)] * args.episodes
-        seeds += [[seed, index, e] for e in range(args.episodes)]
+        seeds += [[args.seed, index, e] for e in range(args.episodes)]
     if checkpoint is None:
         return [rollout(env, EvidenceOracleAgent(), scenario_id=sid) for sid, env in episodes]
     return play(checkpoint.policy(), episodes, seeds)[2]
@@ -352,17 +326,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_judge_bench(args: argparse.Namespace) -> int:
-    _at_least(args, 1, "count")
-    rng = random.Random(_seed(args))
+    rng = random.Random(args.seed)
     schema = SlotSchema.aloe()
     cases = []
     for index in range(args.count):
         profile = generate_profile(rng, schema)
         if args.ab:
-            try:
-                a, b = map(int, args.ab.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"--ab expects two integers 'a,b', got {args.ab!r}") from exc
+            a, b = args.ab
         else:
             a = rng.randint(1, len(profile) - 1)
             b = rng.randint(0, len(profile) - a)
@@ -407,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-scenarios", help="write synthetic scenario files")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--count", type=int, default=32)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--horizon", type=int, default=10)
     gen.add_argument("--conflict", action="store_true", help="inject default turn-6 swaps")
     gen.add_argument("--extended", action="store_true", help="open-schema profiles")
@@ -434,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint")
     ev.add_argument("--agent", choices=["policy", "oracle"], default="policy")
     ev.add_argument("--mode", choices=["standard", "conflict", "longterm"], default="standard")
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--matcher", default="exact")
     ev.add_argument("--horizon", type=int, default=None)
     ev.add_argument("--episodes", type=int, default=1, help="episodes per scenario")
@@ -442,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     jb = sub.add_parser("judge-bench", help="score matchers on the overlap benchmark")
     jb.add_argument("--count", type=int, default=300)
-    jb.add_argument("--seed", type=int, default=None)
+    jb.add_argument("--seed", type=int, default=0)
     jb.add_argument("--matcher", action="append", help="repeatable matcher spec")
     jb.add_argument("--ab", help="fixed 'a,b' rewrite split (default: random per case)")
     jb.add_argument("--no-paraphrase", action="store_true",
@@ -459,11 +429,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flags(args)
         return args.func(args)
-    except (ConfigError, SchemaError, CheckpointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, SchemaError, CheckpointError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DialignError, ProtocolError, OSError, FloatingPointError) as exc:

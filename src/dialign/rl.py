@@ -41,14 +41,13 @@ actor ascends
 
 with the ratio's exponent clamped for overflow safety.  No KL penalty is
 applied.  The critic is a linear value function regressed on GAE returns.
+Checkpoint files are read through ``CHECKPOINT_FIELDS``, PPO settings ``PPO_FIELDS``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import operator
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate, compress
@@ -67,7 +66,7 @@ from .env import (
     observation_dim,
     rollout,
 )
-from .errors import CheckpointError, ConfigError, SchemaError
+from .errors import CheckpointError, ConfigError, Field, SchemaError, read_fields, read_object
 from .profiles import Profile, SlotMatcher, SlotSchema
 from .reward import combined_reward
 from .user_sim import UserConfig
@@ -112,30 +111,24 @@ class PPOConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.type == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
-            elif (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(f"{spec.name} must be a finite number, got {value!r}")
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
-        if self.ratio_clamp <= 0:
-            raise ConfigError(f"ratio_clamp must be positive, got {self.ratio_clamp}")
-        # A zero learning rate freezes its head, for ablations.
-        for name, low in (("actor_lr", 0), ("critic_lr", 0), ("epochs", 1),
-                          ("samples_per_scenario", 1), ("total_rounds", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        read_fields("", vars(self), PPO_FIELDS, ConfigError)
+
+
+# Every PPO setting's row.  ``PPOConfig``, a ``--config`` file, a
+# checkpoint's ``ppo`` and the PPO flags all read it.
+PPO_FIELDS = {
+    "clip_eps": Field("number", low=0, high=1, strict=True, default=PPOConfig.clip_eps),
+    "gamma": Field("number", low=0, high=1, default=PPOConfig.gamma),
+    "lam": Field("number", low=0, high=1, default=PPOConfig.lam),
+    # A zero learning rate freezes its head, for ablations.
+    "actor_lr": Field("number", low=0, default=PPOConfig.actor_lr),
+    "critic_lr": Field("number", low=0, default=PPOConfig.critic_lr),
+    "epochs": Field("integer", low=1, default=PPOConfig.epochs),
+    "samples_per_scenario": Field("integer", low=1, default=PPOConfig.samples_per_scenario),
+    "total_rounds": Field("integer", low=1, default=PPOConfig.total_rounds),
+    "ratio_clamp": Field("number", low=0, strict=True, default=PPOConfig.ratio_clamp),
+    "seed": Field("integer", low=0, default=PPOConfig.seed),
+}
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -944,69 +937,38 @@ def save_checkpoint(
         fh.write("\n")
 
 
+# A checkpoint file's fields; its ``ppo`` object's are ``PPO_FIELDS``.
+CHECKPOINT_FIELDS = {
+    "format": Field("text", choices=(CHECKPOINT_FORMAT,)),
+    "theta": Field("numbers", size=POLICY_DIM),
+    "phi": Field("numbers"),  # as long as its schema's observation
+    "schema": Field("object"),
+    "step": Field("integer", low=0),  # a float step would resume with other seeds
+    "fingerprint": Field("text"),
+    "ppo": Field("object", default={}),
+    "weights": Field("numbers", low=0, size=2, default=(1.0, 1.0)),
+    "matcher": Field("text", default=None),
+}
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint in file ``path``, read through ``CHECKPOINT_FIELDS``."""
+    where = f"checkpoint {path}: "
+    payload = read_object(path, "checkpoint", CheckpointError)
+    record = read_fields(where, payload, CHECKPOINT_FIELDS, CheckpointError)
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"checkpoint {path} must hold a JSON object")
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unsupported checkpoint format {payload.get('format')!r}")
-    for key in ("theta", "phi", "schema", "step", "fingerprint"):
-        if key not in payload:
-            raise CheckpointError(f"checkpoint missing field {key!r}")
-    try:
-        schema = SlotSchema.from_record(payload["schema"])
+        schema = SlotSchema.from_record(record["schema"])
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path}: bad schema record: {exc}") from None
-    step, ppo = payload["step"], payload.get("ppo", {})
-    # A bool or float step would resume with another round's seeds.
-    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-        raise CheckpointError(f"checkpoint {path}: step must be an integer >= 0, got {step!r}")
-    if not isinstance(ppo, dict):
-        raise CheckpointError(f"checkpoint {path}: ppo must be an object, got {ppo!r}")
-    params = {}
-    sizes = {"theta": POLICY_DIM, "phi": observation_dim(len(schema.slots))}
-    for key, size in sizes.items():
-        values = payload[key]
-        if not isinstance(values, list) or not all(map(_is_number, values)):
-            raise CheckpointError(
-                f"checkpoint {path}: {key} must be a flat list of numbers, got {values!r}"
-            )
-        if len(values) != size:
-            raise CheckpointError(
-                f"checkpoint {path}: {key} must hold {size} numbers, got {len(values)}"
-            )
-        params[key] = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(params[key])):
-            raise CheckpointError(f"checkpoint {path} holds a non-finite {key} value")
-    weights = payload.get("weights", [1.0, 1.0])
-    if not (
-        isinstance(weights, list) and len(weights) == 2
-        and all(_is_number(w) and 0 <= w < math.inf for w in weights)
-    ):
-        raise CheckpointError(
-            f"checkpoint {path}: weights must be a list of two finite non-negative numbers, "
-            f"got {weights!r}"
-        )
-    for key in ("fingerprint", "matcher"):
-        if key in payload and not isinstance(payload[key], str):
-            raise CheckpointError(
-                f"checkpoint {path}: {key} must be a string, got {payload[key]!r}"
-            )
+        raise CheckpointError(f"{where}schema: {exc}") from None
+    phi = Field("numbers", size=observation_dim(len(schema.slots)))  # the row for this schema
+    read_fields(where, {"phi": record["phi"]}, {"phi": phi}, CheckpointError)
     return Checkpoint(
-        **params,
+        theta=np.asarray(record["theta"], dtype=float),
+        phi=np.asarray(record["phi"], dtype=float),
         schema=schema,
-        step=step,
-        fingerprint=payload["fingerprint"],
-        ppo=ppo,
-        weights=tuple(weights),  # type: ignore[arg-type]
-        matcher=payload.get("matcher"),
+        step=record["step"],
+        fingerprint=record["fingerprint"],
+        ppo=read_fields(f"{where}ppo ", record["ppo"], PPO_FIELDS, CheckpointError),
+        weights=tuple(record["weights"]),  # type: ignore[arg-type]
+        matcher=record["matcher"],
     )
-
-
-def _is_number(value: object) -> bool:
-    """A JSON number: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -3,7 +3,8 @@
 A scenario bundles everything an episode needs on the user side: the ground
 truth profile, the per-turn reveal schedule, an optional conflict, the
 horizon, and the style seed controlling utterance variation.  Scenarios are
-stored one JSON file each so runs can be reproduced and shared.
+stored one JSON file each, read through ``SCENARIO_FIELDS``, so runs can be
+reproduced and shared.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, Field, SchemaError, read_fields, read_object
 from .profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, clearly_different, load_profile
 from .user_sim import ConflictSpec, UserConfig, reveal_order
 
@@ -109,6 +110,21 @@ def default_conflict(
     return ConflictSpec(turn=turn, replace={target: replacement})
 
 
+# A scenario file's fields; the ``conflict`` object's are ``CONFLICT_FIELDS``.
+SCENARIO_FIELDS = {
+    "id": Field("text", default=None),  # absent: the file's stem
+    "profile": Field("object"),
+    "horizon": Field("integer", low=1),
+    "style_seed": Field("integer", low=0),  # -n would share the reveal order of n
+    "reveal_schedule": Field("integers", low=0, default=None, nullable=True),
+    "conflict": Field("object", default=None, nullable=True),
+}
+CONFLICT_FIELDS = {"turn": Field("integer", low=1), "replace": Field("object")}
+# generate_scenarios' count, seed and horizon, which ``gen-scenarios`` takes as flags.
+GENERATE_FIELDS = {"count": Field("integer", low=1), "seed": SCENARIO_FIELDS["style_seed"],
+                   "horizon": SCENARIO_FIELDS["horizon"]}
+
+
 def generate_scenarios(
     count: int,
     seed: int,
@@ -116,13 +132,7 @@ def generate_scenarios(
     conflict: bool = False,
     extended: bool = False,
 ) -> list[Scenario]:
-    if count < 1:
-        raise ConfigError("need at least one scenario")
-    if seed < 0:
-        # random.Random(-n) seeds like random.Random(n).
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    read_fields("", dict(count=count, seed=seed, horizon=horizon), GENERATE_FIELDS, ConfigError)
     if conflict and horizon < DEFAULT_CONFLICT_TURN + 1:
         raise ConfigError(
             f"conflict scenarios need horizon > {DEFAULT_CONFLICT_TURN} to recover"
@@ -160,72 +170,31 @@ def save_scenarios(scenarios: list[Scenario], out_dir: str | Path) -> list[Path]
     return paths
 
 
-def _integer(path: str | Path, field: str, value: object) -> int:
-    """``value`` if it is a JSON integer (not a bool, a float or a string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"scenario file {path}: {field} must be an integer, got {value!r}")
-    return value
-
-
-def _conflict(path: str | Path, record: object) -> ConflictSpec | None:
-    """The conflict of a scenario file's ``conflict`` field; null means none."""
-    if record is None:
-        return None
-    where = f"scenario file {path}: conflict"
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where} must be an object or null, got {record!r}")
-    for key in ("turn", "replace"):
-        if key not in record:
-            raise ConfigError(f"{where} missing field {key!r}")
-    turn, replace = _integer(path, "conflict turn", record["turn"]), record["replace"]
-    if not isinstance(replace, dict):
-        raise ConfigError(f"{where} replace must be an object, got {replace!r}")
-    try:
-        return ConflictSpec(turn=turn, replace=dict(replace))
-    except ConfigError as exc:
-        raise ConfigError(f"scenario file {path}: {exc}") from None
-
-
 def load_scenario(path: str | Path) -> Scenario:
-    """The scenario of one file.  Every error it raises names the file,
-    including the range checks of the file's own ``UserConfig``."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise ConfigError(f"scenario file {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"scenario file {path} must hold a JSON object")
-    for key in ("profile", "horizon", "style_seed"):
-        if key not in payload:
-            raise ConfigError(f"scenario file {path} missing field {key!r}")
+    """The scenario of one file, read through ``SCENARIO_FIELDS``; every error
+    names the file, the range checks of the file's own ``UserConfig`` too."""
+    where = f"scenario file {path}: "
+    payload = read_object(path, "scenario file", ConfigError)
+    record = read_fields(where, payload, SCENARIO_FIELDS, ConfigError)
+    conflict, schedule = record["conflict"], record["reveal_schedule"]
+    if conflict is not None:
+        conflict = read_fields(f"{where}conflict ", conflict, CONFLICT_FIELDS, ConfigError)
     try:
-        profile = load_profile(payload["profile"])
+        profile = load_profile(record["profile"])
     except (TypeError, ValueError, SchemaError) as exc:
-        raise ConfigError(f"scenario file {path}: profile: {exc}") from None
-    style_seed = _integer(path, "style_seed", payload["style_seed"])
-    if style_seed < 0:
-        # A negative seed would share its reveal order with its absolute value.
-        raise ConfigError(f"scenario file {path}: style_seed must be >= 0, got {style_seed}")
-    conflict = _conflict(path, payload.get("conflict"))
-    schedule = payload.get("reveal_schedule")
-    if schedule is not None and not isinstance(schedule, list):
-        raise ConfigError(
-            f"scenario file {path}: reveal_schedule must be a list or null, got {schedule!r}"
-        )
-    scenario = Scenario(
-        scenario_id=str(payload.get("id", Path(path).stem)),
-        profile=profile,
-        horizon=_integer(path, "horizon", payload["horizon"]),
-        reveal_schedule=tuple(_integer(path, "reveal_schedule entry", count)
-                              for count in schedule) if schedule else None,
-        conflict=conflict,
-        style_seed=style_seed,
-    )
+        raise ConfigError(f"{where}profile: {exc}") from None
     try:
+        scenario = Scenario(
+            scenario_id=record["id"] or Path(path).stem,
+            profile=profile,
+            horizon=record["horizon"],
+            reveal_schedule=tuple(schedule) if schedule else None,
+            conflict=ConflictSpec(**conflict) if conflict else None,
+            style_seed=record["style_seed"],
+        )
         scenario.user_config()
     except ConfigError as exc:
-        raise ConfigError(f"scenario file {path}: {exc}") from None
+        raise ConfigError(f"{where}{exc}") from None
     return scenario
 
 

@@ -148,8 +148,8 @@ def test_config_that_is_not_a_json_object_exits_2_before_writing(
     assert err.count("\n") == 1 and "--config" in err and "Traceback" not in err
     # Both text that is no JSON at all and JSON that is no object name the file.
     is_json = payload in ("5", '"epochs"', "[1]", "null")
-    expected = "must hold a JSON object" if is_json else "is not JSON text"
-    assert f"--config {config} {expected}" in err
+    expected = "must hold a JSON object" if is_json else "not a JSON text file"
+    assert f"--config {config}: {expected}" in err
     assert not out.exists()
 
 
@@ -381,7 +381,8 @@ def _schedule_past_horizon(payload: dict) -> None:
 @pytest.mark.parametrize(
     ("message", "edit"),
     [("conflict turn 99 outside [1, 10]", _set_conflict_turn),
-     ("reveal counts must be non-negative ints, got -1", _negative_schedule_entry),
+     ("reveal_schedule must be a list of integers or null with entries >= 0, got [1, 1, 1, -1",
+      _negative_schedule_entry),
      ("reveal schedule longer than horizon", _schedule_past_horizon),
      ("Expecting property name", None)],
     ids=["conflict-turn", "negative-reveal", "long-schedule", "not-json"],
@@ -892,7 +893,7 @@ def test_non_finite_checkpoint_parameters_exit_2_before_writing(
     capsys.readouterr()
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"non-finite {key}" in err
+    assert err.count("\n") == 1 and f"{key} must be a list of finite numbers" in err
     assert not out.exists()
 
 
@@ -901,11 +902,12 @@ def test_non_finite_checkpoint_parameters_exit_2_before_writing(
     [("step", 1.9), ("step", True), ("step", -3), ("ppo", [1]), ("schema", {"slots": ["Age"]}),
      ("weights", None), ("weights", 2), ("weights", [1, 1, 1]), ("weights", [-1, 1]),
      ("weights", [True, 1]), ("theta", "abc"), ("theta", [[0.5]] * 9), ("phi", [[0.0]] * 32),
-     ("theta", [0.5] * 8), ("phi", [0.0] * 5), ("fingerprint", 5), ("matcher", 3)],
+     ("theta", [0.5] * 8), ("phi", [0.0] * 5), ("fingerprint", 5), ("matcher", 3),
+     ("ppo", {"epochs": "x"})],
     ids=["step-float", "step-bool", "step-negative", "ppo-list", "schema-no-name",
          "weights-null", "weights-number", "weights-three", "weights-negative", "weights-bool",
          "theta-string", "theta-nested", "phi-nested", "theta-short", "phi-short",
-         "fingerprint-number", "matcher-number"],
+         "fingerprint-number", "matcher-number", "ppo-epochs-text"],
 )
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_malformed_checkpoint_field_exits_2_before_writing(

@@ -34,3 +34,30 @@ def test_no_dialign_module_imports_a_private_name_from_another() -> None:
     found = [entry for path in sorted(PACKAGE.glob("*.py"))
              for entry in _private_imports(path.read_text(), path.name)]
     assert found == []
+
+
+def _bool_checks(source: str, name: str) -> list[str]:
+    """Each ``isinstance(x, bool)`` call in module ``name`` (``bool`` alone or
+    in a tuple), as ``name:line``."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:2]
+            if kinds and isinstance(kinds[0], ast.Tuple):
+                kinds = kinds[0].elts
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_checker_finds_bool_checks_alone_and_in_tuples() -> None:
+    source = "isinstance(a, bool)\nisinstance(b, (int, bool))\nisinstance(c, int)\n"
+    assert _bool_checks(source, "m.py") == ["m.py:1", "m.py:2"]
+
+
+def test_only_errors_tells_a_json_bool_from_a_number() -> None:
+    """``errors.KINDS`` is the one place that refuses a JSON ``true`` where a
+    number belongs; every other module reads its inputs through it."""
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+             for entry in _bool_checks(path.read_text(), path.name)]
+    assert found == []
