@@ -328,6 +328,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_judge_bench(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     schema = SlotSchema.aloe()
+    if args.ab and sum(args.ab) > len(schema.slots):
+        raise ConfigError(f"--ab {args.ab[0]},{args.ab[1]}: a+b={sum(args.ab)} exceeds the "
+                          f"profile size {len(schema.slots)}")
     cases = []
     for index in range(args.count):
         profile = generate_profile(rng, schema)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Mapping, Protocol, Sequence
@@ -151,58 +152,63 @@ class DialogueState:
         )
 
 
+# Row c is the slot feature row [bias, seen, topic] that code c = 2 * seen + topic stands for.
+SLOT_CODE_FEATS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+GLOBAL_FEATURE_DIM = 2
+
+
 @dataclass(frozen=True)
 class Observation:
-    """Fixed-length feature views of T DialogueStates for linear policies,
-    stacked along a leading turn axis.
+    """T DialogueStates as fixed-length features for linear policies, stacked
+    along a leading turn axis.  A slot's whole observation is its code
+    2 * seen + topic (its evidence has been seen; the latest utterance is
+    about it), whose features are its ``SLOT_CODE_FEATS`` row.
+    Global: [bias, turn fraction of horizon]."""
 
-    Per slot: [bias, evidence seen, topic of the latest utterance].
-    Global: [bias, turn fraction of horizon].
-    """
+    codes: np.ndarray  # (T, n_slots) uint8 in [0, 4)
+    global_feats: np.ndarray  # (T, GLOBAL_FEATURE_DIM)
 
-    slot_feats: np.ndarray  # (T, n_slots, 3)
-    global_feats: np.ndarray  # (T, 2)
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def slot_feats(self) -> np.ndarray:
+        """(T, n_slots, 3): each code's ``SLOT_CODE_FEATS`` row, gathered once, read-only."""
+        feats = np.take(SLOT_CODE_FEATS, self.codes, axis=0)
+        feats.flags.writeable = False
+        return feats
 
     def flat(self) -> np.ndarray:
         """[global | slot features row by row], one row per turn: (T, dim)."""
-        return np.concatenate(
-            [self.global_feats, self.slot_feats.reshape(len(self.global_feats), -1)], axis=1
-        )
-
-
-SLOT_FEATURE_DIM = 3
-GLOBAL_FEATURE_DIM = 2
+        return np.concatenate([self.global_feats, self.slot_feats.reshape(len(self), -1)], axis=1)
 
 
 def observe(states: Sequence[DialogueState], schema: SlotSchema, horizon: int) -> Observation:
     """The observation stack of ``states``, one row per state."""
     names = tuple(schema.slots)
     column = {slot: i for i, slot in enumerate(names)}
-    slot_feats = np.zeros((len(states), len(names), SLOT_FEATURE_DIM))
-    slot_feats[:, :, 0] = 1.0
     # Schema slots only; consecutive states sharing a seen-values mapping share
-    # its flags, so each run of them gets one row, repeated over the run.
+    # its seen bits, so each run of them gets one row, repeated over the run.
     starts = [t for t, state in enumerate(states)
               if t == 0 or state.seen_values is not states[t - 1].seen_values]
     seen = [(run, column[s]) for run, t in enumerate(starts)
             for s in states[t].seen_values if s in column]
     rows, cols = np.array(seen, dtype=np.intp).reshape(-1, 2).T
-    flags = np.zeros((len(starts), len(names)))
-    flags[rows, cols] = 1.0
-    slot_feats[:, :, 1] = np.repeat(flags, np.diff(starts + [len(states)]), axis=0)
-    # Topic flags by their offsets in the flattened stack.
-    width = len(names) * SLOT_FEATURE_DIM
-    topics = [t * width + column[s] * SLOT_FEATURE_DIM + 2
+    seen_bits = np.zeros((len(starts), len(names)), np.uint8)
+    seen_bits[rows, cols] = 2
+    codes = np.repeat(seen_bits, np.diff(starts + [len(states)]), axis=0)
+    # Topic bits by their offsets in the flattened stack.
+    topics = [t * len(names) + column[s]
               for t, state in enumerate(states) if state.latest is not None
               for s in state.latest.topic_slots if s in column]
-    slot_feats.reshape(-1)[topics] = 1.0
+    codes.reshape(-1)[topics] |= 1
     global_feats = np.ones((len(states), GLOBAL_FEATURE_DIM))
     global_feats[:, 1] = np.array([state.turn for state in states]) / float(horizon)
-    return Observation(slot_feats=slot_feats, global_feats=global_feats)
+    return Observation(codes=codes, global_feats=global_feats)
 
 
 def observation_dim(n_slots: int) -> int:
-    return GLOBAL_FEATURE_DIM + n_slots * SLOT_FEATURE_DIM
+    return GLOBAL_FEATURE_DIM + n_slots * SLOT_CODE_FEATS.shape[1]
 
 
 @dataclass(frozen=True)
@@ -331,7 +337,7 @@ class EpisodeTable:
             state = state.with_user_turn(utterance)
         observations = observe(states, schema, config.horizon)
         # Every episode of the config shares these arrays; nothing may write to them.
-        observations.slot_feats.flags.writeable = False
+        observations.codes.flags.writeable = False
         observations.global_feats.flags.writeable = False
         responses: dict[tuple, ResponseRecord] = {}
         return cls(

@@ -23,7 +23,7 @@ import random
 import re
 import string
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -332,6 +332,7 @@ def profile_reward(
 # --- matcher benchmark -------------------------------------------------------
 
 
+@cache  # read on first use, not at import, and kept
 def _load_rewrite_tables() -> dict:
     with resources.files("dialign.data").joinpath("paraphrase.json").open() as fh:
         return json.load(fh)

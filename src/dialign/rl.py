@@ -7,17 +7,19 @@ the response addresses, and a Bernoulli engagement flag.  All heads are
 linear in the observation features, and log-probabilities and their
 gradients are computed analytically.
 
-A slot's features are [1, seen, topic] with 0/1 flags, so they take four
-values, coded 2 * seen + topic (``slot_codes``; any other slot row raises
-``ValueError``).  The include head's logit, probability and log-pmf, and
-the response head's slot logits, are computed once per code and read by
-index.  Observations and decisions exist only as stacks (``ObservationRows``),
-which know the distinct rows among their rows: a stack object passed more
-than once is one set of distinct rows.  The response logits, their
-normalizer and probabilities, and the engage logit, are computed once per
-distinct row and gathered per row; the terms a decision enters, the
-gradient rows and the critic's products stay per row.  Every result has
-the bits of evaluating each row on its own, in a one-row stack too.
+An observation holds each slot as its code 2 * seen + topic
+(``env.Observation.codes``), the row of ``env.SLOT_CODE_FEATS`` that is
+its features [1, seen, topic].  The include head's logit, probability and
+log-pmf, and the response head's slot logits, are computed once per code
+and read by index, so a code outside [0, 4) raises ``IndexError``.
+Observations and decisions exist only as stacks (``ObservationRows``, an
+``Observation`` that also knows the distinct rows among its rows): a stack
+object passed more than once is one set of distinct rows.  The response
+logits, their normalizer and probabilities, and the engage logit, are
+computed once per distinct row and gathered per row; the terms a decision
+enters, the gradient rows and the critic's products stay per row.  Every
+result has the bits of evaluating each row on its own, in a one-row stack
+too.
 
 Sampling maps an observation stack and one row of uniforms per observation
 to a ``DecisionBatch``.  The scripted user ignores the agent, so every
@@ -61,7 +63,7 @@ from .env import (
     EnvView,
     EpisodeRecord,
     Observation,
-    SLOT_FEATURE_DIM,
+    SLOT_CODE_FEATS,
     UNKNOWN_VALUE,
     observation_dim,
     rollout,
@@ -151,45 +153,20 @@ def _log_normalizer(logits: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(np.ascontiguousarray(logits.T), axis=0)
 
 
-# Row c is the slot feature row [1, seen, topic] whose code 2 * seen + topic is c.
-SLOT_CODE_FEATS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-
-
-def slot_codes(slot_feats: np.ndarray) -> np.ndarray:
-    """Each slot row's code 2 * seen + topic, the row of ``SLOT_CODE_FEATS``
-    it equals.  ValueError unless every row is [1, seen, topic] with 0/1 flags."""
-    nonzero = slot_feats != 0.0
-    if not (
-        slot_feats.shape[-1] == SLOT_FEATURE_DIM
-        and np.array_equal(slot_feats, nonzero)
-        and nonzero[..., 0].all()
-    ):
-        raise ValueError("every slot feature row must be [1, seen, topic] with 0/1 flags")
-    flags = nonzero.view(np.uint8)
-    return 2 * flags[..., 1] + flags[..., 2]
-
-
 @dataclass(frozen=True)
-class ObservationRows:
+class ObservationRows(Observation):
     """A stack of N observation rows and the M distinct rows among them.
 
-    ``slot_feats`` and ``global_feats`` hold every row, in the layout the
-    gradient rows and the critic read, and ``codes`` every row's slot codes.
     Row i is distinct row ``distinct[i]``, whose slot codes and global
     features are ``distinct_codes`` and ``distinct_global``.  The policy
     computes each term that no decision enters once per slot code or per
-    distinct row, and gathers it per row.
+    distinct row, and gathers it per row; the gradient rows and the critic
+    read every row's ``slot_feats`` and ``global_feats``.
     """
 
-    slot_feats: np.ndarray  # (N, n_slots, SLOT_FEATURE_DIM)
-    global_feats: np.ndarray  # (N, GLOBAL_FEATURE_DIM)
-    codes: np.ndarray  # (N, n_slots) uint8 in [0, 4)
     distinct: np.ndarray  # (N,) ints in [0, M)
     distinct_codes: np.ndarray  # (M, n_slots)
     distinct_global: np.ndarray  # (M, GLOBAL_FEATURE_DIM)
-
-    def __len__(self) -> int:
-        return len(self.distinct)
 
     @classmethod
     def stack(cls, stacks: Sequence[Observation]) -> ObservationRows:
@@ -201,7 +178,7 @@ class ObservationRows:
         shifts, lengths = [], []
         n_distinct = n_rows = 0
         for stack in stacks:
-            length = len(stack.global_feats)
+            length = len(stack)
             if id(stack) not in first:
                 first[id(stack)] = n_distinct
                 unique.append(stack)
@@ -209,14 +186,12 @@ class ObservationRows:
             shifts.append(first[id(stack)] - n_rows)
             lengths.append(length)
             n_rows += length
-        distinct_slot = np.concatenate([stack.slot_feats for stack in unique])
+        distinct_codes = np.concatenate([stack.codes for stack in unique])
         distinct_global = np.concatenate([stack.global_feats for stack in unique])
-        distinct_codes = slot_codes(distinct_slot)
         distinct = np.arange(n_rows) + np.repeat(shifts, lengths)
         return cls(
-            slot_feats=distinct_slot[distinct],
-            global_feats=distinct_global[distinct],
             codes=distinct_codes[distinct],
+            global_feats=distinct_global[distinct],
             distinct=distinct,
             distinct_codes=distinct_codes,
             distinct_global=distinct_global,
@@ -244,14 +219,6 @@ class DecisionBatch:
 
     def __len__(self) -> int:
         return len(self.observations)
-
-    @property
-    def slot_feats(self) -> np.ndarray:
-        return self.observations.slot_feats
-
-    @property
-    def global_feats(self) -> np.ndarray:
-        return self.observations.global_feats
 
     def as_lists(self) -> DecisionLists:
         """The decision columns (include, response choice, engage) as plain
@@ -281,7 +248,7 @@ class _HeadTerms:
     engage_log_pmf: np.ndarray  # (M, 2), for y = 0 and y = 1
 
 
-def _observation_rows(obs: Observation | ObservationRows) -> ObservationRows:
+def _observation_rows(obs: Observation) -> ObservationRows:
     return obs if isinstance(obs, ObservationRows) else ObservationRows.stack([obs])
 
 
@@ -322,7 +289,7 @@ class CategoricalSlotPolicy:
         )
 
     def sample_with_log_prob(
-        self, obs: Observation | ObservationRows, uniforms: np.ndarray
+        self, obs: Observation, uniforms: np.ndarray
     ) -> tuple[DecisionBatch, np.ndarray]:
         """Draw one decision per row of an observation stack from that row of
         ``uniforms``, with the batch's ``log_prob_batch`` values.
@@ -346,7 +313,7 @@ class CategoricalSlotPolicy:
         batch = DecisionBatch(rows, include.astype(float), choice, engage.astype(float))
         return batch, self._log_prob_and_grad(batch, terms, with_grad=False)[0]
 
-    def greedy(self, obs: Observation | ObservationRows) -> DecisionBatch:
+    def greedy(self, obs: Observation) -> DecisionBatch:
         """The most likely decision of each head, per row of an observation stack."""
         rows = _observation_rows(obs)
         terms = self._terms(rows)
@@ -593,7 +560,7 @@ def draw_decisions(
     if seeds is None:
         batch = policy.greedy(rows)
         return batch, policy.log_prob_batch(batch)
-    lengths = [len(stack.global_feats) for stack in stacks]
+    lengths = [len(stack) for stack in stacks]
     return policy.sample_with_log_prob(rows, episode_uniforms(seeds, lengths, policy.n_slots + 2))
 
 
@@ -649,7 +616,7 @@ def play(
     stacks = [env.config.episode_table.observations for _, env in episodes]
     decisions, log_probs = draw_decisions(policy, stacks, seeds)
     lists = decisions.as_lists()
-    rows = episode_rows([len(stack.global_feats) for stack in stacks])
+    rows = episode_rows([len(stack) for stack in stacks])
     records = [rollout(env, PolicyAgent(lists, r), sid) for (sid, env), r in zip(episodes, rows)]
     return decisions, log_probs, records
 
@@ -673,7 +640,7 @@ def collect(
     decisions, log_probs, records = play(policy, [env for env in envs for _ in samples], seeds)
     # A stack of (1, dim) @ (dim,) products runs each row through the 1-D dot
     # that ``row @ phi`` uses; a matrix-vector product can round differently.
-    flat = Observation(decisions.slot_feats, decisions.global_feats).flat()
+    flat = decisions.observations.flat()
     values = np.matmul(flat[:, None, :], value_fn.phi)[:, 0]
     turns = [t for record in records for t in record.turns]
     rewards = combined_reward(
@@ -713,7 +680,7 @@ def update(
     returns = gae + batch.values
     advantages = normalize_advantages(gae)
     logp_old, decisions = batch.log_probs_old, batch.decisions
-    features = Observation(decisions.slot_feats, decisions.global_feats).flat()
+    features = decisions.observations.flat()
     n = logp_old.size
 
     clip_fractions: list[float] = []

@@ -70,7 +70,7 @@ class Scenario:
         return {
             "id": self.scenario_id,
             "profile": self.profile.to_record(),
-            "reveal_schedule": list(self.reveal_schedule) if self.reveal_schedule else None,
+            "reveal_schedule": None if self.reveal_schedule is None else list(self.reveal_schedule),
             "conflict": self.conflict.to_record() if self.conflict else None,
             "horizon": self.horizon,
             "style_seed": self.style_seed,
@@ -188,7 +188,7 @@ def load_scenario(path: str | Path) -> Scenario:
             scenario_id=record["id"] or Path(path).stem,
             profile=profile,
             horizon=record["horizon"],
-            reveal_schedule=tuple(schedule) if schedule else None,
+            reveal_schedule=None if schedule is None else tuple(schedule),
             conflict=ConflictSpec(**conflict) if conflict else None,
             style_seed=record["style_seed"],
         )

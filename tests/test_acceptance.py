@@ -176,13 +176,11 @@ def test_reward_functions_match_independent_oracles() -> None:
 
 def _probe_observation(rng: np.random.Generator, n_slots: int = 10) -> Observation:
     """A random observation, as a stack of one."""
-    slot_feats = np.ones((n_slots, 3))
-    slot_feats[:, 1] = rng.integers(0, 2, size=n_slots)
-    slot_feats[:, 2] = 0.0
+    codes = 2 * rng.integers(0, 2, size=n_slots)
     if rng.random() < 0.8:
-        slot_feats[rng.integers(0, n_slots), 2] = 1.0
+        codes[rng.integers(0, n_slots)] += 1
     return Observation(
-        slot_feats=slot_feats[None],
+        codes=codes[None].astype(np.uint8),
         global_feats=np.array([[1.0, float(rng.integers(1, 11)) / 10.0]]),
     )
 

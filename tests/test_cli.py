@@ -179,8 +179,8 @@ def test_bad_matcher_spec_exits_2(
 
 @pytest.mark.parametrize(
     "flags",
-    [["--ab", "1,x"], ["--ab", "1,2,3"], ["--ab", "1"], ["--matcher", "token:abc"],
-     ["--matcher", "bogus"], ["--count", "0"], ["--count", "-2"]],
+    [["--ab", "1,x"], ["--ab", "1,2,3"], ["--ab", "1"], ["--ab", "9,9"],
+     ["--matcher", "token:abc"], ["--matcher", "bogus"], ["--count", "0"], ["--count", "-2"]],
     ids=" ".join,
 )
 def test_bad_judge_bench_flag_exits_2_naming_it(
@@ -192,6 +192,20 @@ def test_bad_judge_bench_flag_exits_2_naming_it(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flags[0] in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_judge_bench_ab_above_the_profile_size_is_refused_before_any_case(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    def built(*args, **kwargs):
+        raise AssertionError("a case was built")
+
+    monkeypatch.setattr(dialign.cli, "build_overlap_bench", built)
+    capsys.readouterr()
+    assert main(["judge-bench", "--count", "3", "--ab", "9,9"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --ab 9,9: a+b=18 exceeds the profile size 10\n"
+    )
 
 
 def test_matcher_threshold_its_label_cannot_keep_exits_2(

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from dialign.env import (
     EPISODE_SCHEMA_VERSION,
+    GLOBAL_FEATURE_DIM,
+    SLOT_CODE_FEATS,
     UNKNOWN_VALUE,
     AgentAction,
     DialogueEnv,
@@ -35,9 +37,7 @@ from dialign.profiles import (
     Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall, profile_reward,
 )
 from dialign.reward import JudgeContext, judge_counts, response_reward
-from dialign.rl import (
-    POLICY_DIM, CategoricalSlotPolicy, PolicyAgent, draw_decisions, episode_rows, play,
-)
+from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, play
 from dialign.scenarios import default_conflict, generate_scenarios
 from dialign.user_sim import (
     ConflictSpec, UserConfig, UserUtterance, initial_state, next_utterance, reveal_order,
@@ -401,6 +401,49 @@ def test_observe_equals_the_tuple_list_construction(case) -> None:
         assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def _observed_configs(draw) -> UserConfig:
+    """A generated scenario's config, with or without a conflict swap, under
+    its closed or open schema or under an open schema that keeps only some
+    of the profile's slots, so evidence and topics also fall outside it."""
+    horizon = draw(st.integers(1, 24))
+    (scenario,) = generate_scenarios(1, seed=draw(st.integers(0, 2**16)), horizon=horizon,
+                                     extended=draw(st.booleans()))
+    profile = scenario.profile
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.sampled_from(profile.schema.slots), min_size=1, unique=True))
+        profile = Profile(SlotSchema("part", tuple(kept), open_schema=True), dict(profile.entries))
+    conflict = None
+    if draw(st.booleans()):
+        turn = draw(st.integers(1, horizon))
+        conflict = default_conflict(profile, scenario.style_seed, random.Random(0), turn=turn)
+    return UserConfig(profile, horizon, conflict=conflict, style_seed=scenario.style_seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=_observed_configs())
+def test_observe_writes_each_slots_code_and_its_feature_row(config: UserConfig) -> None:
+    """Each slot's code is 2 * seen + topic, from the state with no utterance
+    and the opening turn (which has no topic) to the last turn, and its
+    features, in ``slot_feats`` and ``flat``, are its ``SLOT_CODE_FEATS`` row."""
+    table = config.episode_table
+    states = [DialogueState(), *(view.state for view in table.views)]
+    assert not states[1].latest.topic_slots
+    schema = config.profile.schema
+    expected = [
+        [2 * (slot in state.seen_values)
+         + (state.latest is not None and slot in state.latest.topic_slots)
+         for slot in schema.slots]
+        for state in states
+    ]
+    obs = observe(states, schema, config.horizon)
+    assert obs.codes.dtype == np.uint8 and obs.codes.tolist() == expected
+    assert table.observations.codes.tolist() == expected[1:]
+    rows = np.array([[SLOT_CODE_FEATS[code] for code in codes] for codes in expected])
+    assert obs.slot_feats.tobytes() == rows.tobytes()
+    assert obs.flat()[:, GLOBAL_FEATURE_DIM:].tobytes() == rows.reshape(len(states), -1).tobytes()
+
+
 # --- conflict handling ----------------------------------------------------------------
 
 
@@ -704,19 +747,18 @@ def _logged(record: EpisodeRecord) -> list[RewardBreakdown]:
     ]
 
 
-def _episode_agents(kind: str, env: DialogueEnv, seed: int) -> list:
+def _episode_records(
+    kind: str, env: DialogueEnv, seed: int, scenario_id: str = "episode", count: int = 4
+) -> list[EpisodeRecord]:
+    """``count`` episodes of ``kind`` agents in ``env``; the oracle plays one."""
     if kind == "oracle":
-        return [EvidenceOracleAgent()]
+        return [rollout(env, EvidenceOracleAgent(), scenario_id)]
     if kind == "random":
-        return [_RandomAgent(seed + k) for k in range(4)]
-    stack = env.config.episode_table.observations
+        return [rollout(env, _RandomAgent(seed + k), scenario_id) for k in range(count)]
     policy = CategoricalSlotPolicy(len(env.schema.slots), random.Random(seed).choices(
         [-2.0, -0.5, 0.0, 0.5, 2.0], k=POLICY_DIM
     ))
-    seeds = [[seed, k] for k in range(4)]
-    decisions, _ = draw_decisions(policy, [stack] * len(seeds), seeds)
-    lists = decisions.as_lists()
-    return [PolicyAgent(lists, rows) for rows in episode_rows([len(stack.global_feats)] * 4)]
+    return play(policy, [(scenario_id, env)] * count, [[seed, k] for k in range(count)])[2]
 
 
 @pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])
@@ -732,8 +774,7 @@ def test_replay_reproduces_every_logged_turn_and_catches_tampering(
         if with_conflict:
             conflict = default_conflict(scenario.profile, scenario.style_seed, rng, matcher=matcher)
         env = DialogueEnv(scenario.user_config(conflict=conflict), matcher=matcher)
-        for agent in _episode_agents(kind, env, scenario.style_seed):
-            record = rollout(env, agent, scenario_id=scenario.scenario_id)
+        for record in _episode_records(kind, env, scenario.style_seed, scenario.scenario_id):
             assert replay_rewards(record) == _logged(record)
             line = record.to_json()
             assert replay_rewards(EpisodeRecord.from_json(line)) == _logged(record)
@@ -962,8 +1003,7 @@ def _kind_episodes(kind: str, matcher_spec: str, conflict: bool) -> tuple[list, 
         swap = default_conflict(scenario.profile, scenario.style_seed, rng, matcher=matcher)
         env = DialogueEnv(scenario.user_config(conflict=swap if conflict else None), matcher)
         tables.append(env.config.episode_table)
-        for agent in _episode_agents(kind, env, scenario.style_seed):
-            records.append(rollout(env, agent, scenario_id=scenario.scenario_id))
+        records += _episode_records(kind, env, scenario.style_seed, scenario.scenario_id)
     return records, tables
 
 
@@ -1021,18 +1061,16 @@ def test_respond_keeps_one_record_per_addressed_pair_and_continues_type() -> Non
 
 
 def _matcher_records(kind: str, configs: dict, matchers: list[str], interleave: bool) -> dict:
-    """Each matcher's episodes of ``kind`` agents over its configs, two per config."""
+    """Each matcher's episodes of ``kind`` agents over its configs, two per
+    config, config after config; ``interleave`` alternates the matchers per config."""
     envs = {spec: [DialogueEnv(config, SlotMatcher.parse(spec)) for config in configs[spec]]
             for spec in matchers}
-    agents = {spec: [_episode_agents(kind, env, 3)[:2] for env in envs[spec]]
-              for spec in matchers}
     records: dict = {spec: [] for spec in matchers}
-    order = [(spec, i, k) for i in range(len(configs[matchers[0]])) for k in range(2)
-             for spec in matchers]
+    order = [(spec, i) for i in range(len(configs[matchers[0]])) for spec in matchers]
     if not interleave:
         order.sort(key=lambda item: matchers.index(item[0]))
-    for spec, i, k in order:
-        records[spec].append(rollout(envs[spec][i], agents[spec][i][k]).to_json())
+    for spec, i in order:
+        records[spec] += [r.to_json() for r in _episode_records(kind, envs[spec][i], 3, count=2)]
     return records
 
 

@@ -36,7 +36,6 @@ from dialign.rl import (
     policy_ratio,
     ppo_surrogate,
     save_checkpoint,
-    slot_codes,
     train,
     update,
 )
@@ -47,22 +46,29 @@ _N_SLOTS = 10
 
 
 def _random_observations(rng: np.random.Generator, rows: int = 1) -> Observation:
-    """A stack of ``rows`` random observations with 0/1 seen and topic flags."""
-    slot_rows, global_rows = [], []
+    """A stack of ``rows`` random observations with random seen bits and at
+    most one topic slot per row."""
+    code_rows, global_rows = [], []
     for _ in range(rows):
-        slot_feats = np.ones((_N_SLOTS, 3))
-        slot_feats[:, 1] = rng.integers(0, 2, size=_N_SLOTS)
-        slot_feats[:, 2] = 0.0
+        codes = 2 * rng.integers(0, 2, size=_N_SLOTS)
         if rng.random() < 0.8:
-            slot_feats[rng.integers(0, _N_SLOTS), 2] = 1.0
-        slot_rows.append(slot_feats)
+            codes[rng.integers(0, _N_SLOTS)] += 1
+        code_rows.append(codes)
         global_rows.append([1.0, float(rng.integers(1, 11)) / 10.0])
-    return Observation(np.stack(slot_rows), np.array(global_rows))
+    return Observation(np.array(code_rows, np.uint8), np.array(global_rows))
+
+
+def _columns(batch: DecisionBatch) -> dict[str, np.ndarray]:
+    """A batch's observation and decision columns by name."""
+    obs = batch.observations
+    return {"codes": obs.codes, "slot_feats": obs.slot_feats, "global_feats": obs.global_feats,
+            "include": batch.include, "response_choice": batch.response_choice,
+            "engage": batch.engage}
 
 
 def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBatch:
     """Uniformly random decisions, one per row of ``obs``."""
-    rows = len(obs.global_feats)
+    rows = len(obs)
     return DecisionBatch(
         ObservationRows.stack([obs]),
         include=rng.integers(0, 2, size=(rows, _N_SLOTS)).astype(float),
@@ -73,9 +79,9 @@ def _random_decisions(rng: np.random.Generator, obs: Observation) -> DecisionBat
 
 def _row(batch: DecisionBatch, t: int) -> DecisionBatch:
     """Row ``t`` of the batch as a one-row batch."""
-    one = slice(t, t + 1)
+    one, obs = slice(t, t + 1), batch.observations
     return DecisionBatch(
-        ObservationRows.stack([Observation(batch.slot_feats[one], batch.global_feats[one])]),
+        ObservationRows.stack([Observation(obs.codes[one], obs.global_feats[one])]),
         include=batch.include[one],
         response_choice=batch.response_choice[one],
         engage=batch.engage[one],
@@ -281,47 +287,48 @@ def test_analytic_gradient_matches_finite_differences_on_100_probes() -> None:
 def _separate_grad_pass(policy: CategoricalSlotPolicy, batch: DecisionBatch) -> np.ndarray:
     """The per-row d log pi / d theta as a pass of its own, computing each
     head's logits and the log-normaliser afresh."""
-    theta, n = policy.theta, len(batch)
+    theta, n, obs = policy.theta, len(batch), batch.observations
     grads = np.zeros((n, POLICY_DIM))
-    p_inc = 1.0 / (1.0 + np.exp(-(batch.slot_feats @ theta[0:3])))
-    grads[:, 0:3] = np.einsum("ns,nsk->nk", batch.include - p_inc, batch.slot_feats)
-    slot_logits = batch.slot_feats @ theta[3:6]
+    p_inc = 1.0 / (1.0 + np.exp(-(obs.slot_feats @ theta[0:3])))
+    grads[:, 0:3] = np.einsum("ns,nsk->nk", batch.include - p_inc, obs.slot_feats)
+    slot_logits = obs.slot_feats @ theta[3:6]
     logits = np.concatenate([slot_logits, np.full((n, 1), theta[6])], axis=-1)
     probs = np.exp(logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True))
     indicator = np.zeros_like(probs)
     indicator[np.arange(n), batch.response_choice] = 1.0
     diff = indicator - probs
-    grads[:, 3:6] = np.einsum("ns,nsk->nk", diff[:, :-1], batch.slot_feats)
+    grads[:, 3:6] = np.einsum("ns,nsk->nk", diff[:, :-1], obs.slot_feats)
     grads[:, 6] = diff[:, -1]
-    p_eng = 1.0 / (1.0 + np.exp(-(batch.global_feats @ theta[7:9])))
-    grads[:, 7:9] = (batch.engage - p_eng)[:, None] * batch.global_feats
+    p_eng = 1.0 / (1.0 + np.exp(-(obs.global_feats @ theta[7:9])))
+    grads[:, 7:9] = (batch.engage - p_eng)[:, None] * obs.global_feats
     return grads
 
 
 def _two_sided_log_prob(policy: CategoricalSlotPolicy, batch: DecisionBatch) -> np.ndarray:
     """The per-row log pi with each Bernoulli head as y*log(sigma(z)) +
     (1-y)*log(sigma(-z)) and the softmax normaliser reduced along each row."""
-    theta, n = policy.theta, len(batch)
+    theta, n, obs = policy.theta, len(batch), batch.observations
 
     def log_sigmoid(z: np.ndarray) -> np.ndarray:
         return -np.logaddexp(0.0, -z)
 
-    z_inc = batch.slot_feats @ theta[0:3]
+    z_inc = obs.slot_feats @ theta[0:3]
     lp = np.sum(
         batch.include * log_sigmoid(z_inc) + (1.0 - batch.include) * log_sigmoid(-z_inc),
         axis=-1,
     )
-    slot_logits = batch.slot_feats @ theta[3:6]
+    slot_logits = obs.slot_feats @ theta[3:6]
     logits = np.concatenate([slot_logits, np.full((n, 1), theta[6])], axis=-1)
     log_norm = np.logaddexp.reduce(logits, axis=-1)
     lp = lp + logits[np.arange(n), batch.response_choice] - log_norm
-    z_eng = batch.global_feats @ theta[7:9]
+    z_eng = obs.global_feats @ theta[7:9]
     return lp + batch.engage * log_sigmoid(z_eng) + (1.0 - batch.engage) * log_sigmoid(-z_eng)
 
 
 def _max_abs_logit(theta: np.ndarray, batch: DecisionBatch) -> float:
-    heads = (batch.slot_feats @ theta[0:3], batch.slot_feats @ theta[3:6],
-             theta[6:7], batch.global_feats @ theta[7:9])
+    obs = batch.observations
+    heads = (obs.slot_feats @ theta[0:3], obs.slot_feats @ theta[3:6],
+             theta[6:7], obs.global_feats @ theta[7:9])
     return max(float(np.abs(z).max()) for z in heads)
 
 
@@ -377,7 +384,7 @@ def test_one_row_stack_has_the_bits_of_its_row_in_a_stack(seed: int, rows: int) 
             assert np.array_equal(alone_log_prob, log_prob[t : t + 1])
             assert np.array_equal(alone_grads, grads[t : t + 1])
     for t in range(rows):
-        one = Observation(stack.slot_feats[t : t + 1], stack.global_feats[t : t + 1])
+        one = Observation(stack.codes[t : t + 1], stack.global_feats[t : t + 1])
         drawn, drawn_log_prob = policy.sample_with_log_prob(one, uniforms[t : t + 1])
         assert np.array_equal(drawn_log_prob, log_probs[t : t + 1])
         for alone, batch in ((drawn, sampled), (policy.greedy(one), greedy)):
@@ -430,9 +437,10 @@ def test_batched_draw_equals_per_row_draws(theta: list[float], flags, seed: int)
     horizon = len(flags)
     slot_feats = np.ones((horizon, _N_SLOTS, 3))
     slot_feats[:, :, 1:] = np.array(flags, dtype=float)
+    codes = np.array([[2 * seen + topic for seen, topic in row] for row in flags], np.uint8)
     global_feats = np.array([[1.0, (t + 1) / horizon] for t in range(horizon)])
-    stack = Observation(slot_feats, global_feats)
-    rows = [Observation(slot_feats[t : t + 1], global_feats[t : t + 1]) for t in range(horizon)]
+    stack = Observation(codes, global_feats)
+    rows = [Observation(codes[t : t + 1], global_feats[t : t + 1]) for t in range(horizon)]
 
     uniforms = np.random.default_rng(seed).random((horizon, _N_SLOTS + 2))
     batched = _decisions(policy.sample_with_log_prob(stack, uniforms)[0])
@@ -486,8 +494,8 @@ def test_round_draw_equals_per_episode_draws(
         expected = policy.sample_with_log_prob(
             stack, rng.random((len(stack.global_feats), _N_SLOTS + 2))
         )[0]
-        for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
-            assert np.array_equal(getattr(batch.decisions, name)[episode], getattr(expected, name))
+        for name, column in _columns(batch.decisions).items():
+            assert np.array_equal(column[episode], _columns(expected)[name])
         assert np.array_equal(batch.log_probs_old[episode], policy.log_prob_batch(expected))
         assert batch.values[episode].tolist() == [float(row @ value_fn.phi) for row in stack.flat()]
         assert batch.rewards[episode].tolist() == [
@@ -638,7 +646,7 @@ def test_tables_and_shared_rows_equal_the_per_row_formulas(
                   for s, h in zip(scenario_list, horizons)]
     n_slots = tables[0].slot_feats.shape[1]
     # Sample k of a scenario is its stack itself, or an equal copy of it.
-    stacks = [Observation(t.slot_feats.copy(), t.global_feats.copy())
+    stacks = [Observation(t.codes.copy(), t.global_feats.copy())
               if copies[(i * samples + k) % len(copies)] else t
               for i, t in enumerate(tables) for k in range(samples)]
     slot_feats = np.concatenate([s.slot_feats for s in stacks])
@@ -651,8 +659,8 @@ def test_tables_and_shared_rows_equal_the_per_row_formulas(
     with np.errstate(over="ignore"):
         sampled, log_probs = draw_decisions(policy, stacks, seeds)
         greedy, greedy_log_probs = draw_decisions(policy, stacks)
-        assert np.array_equal(sampled.slot_feats, slot_feats)
-        assert np.array_equal(sampled.global_feats, global_feats)
+        assert np.array_equal(sampled.observations.slot_feats, slot_feats)
+        assert np.array_equal(sampled.observations.global_feats, global_feats)
         expected = _per_row_sample(theta_arr, slot_feats, global_feats, uniforms)
         for drawn, columns, lp in ((sampled, expected, log_probs),
                                    (greedy, _per_row_greedy(theta_arr, slot_feats, global_feats),
@@ -676,13 +684,13 @@ def test_tables_and_shared_rows_equal_the_per_row_formulas(
 
 def test_shared_rows_are_grouped_by_stack_object() -> None:
     a, b = (_random_observations(np.random.default_rng(k), rows=3) for k in range(2))
-    rows = ObservationRows.stack([a, b, a, Observation(a.slot_feats.copy(), a.global_feats)])
+    rows = ObservationRows.stack([a, b, a, Observation(a.codes.copy(), a.global_feats)])
     assert rows.distinct.tolist() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 6, 7, 8]
     assert len(rows.distinct_codes) == len(rows.distinct_global) == 9
     assert np.array_equal(rows.slot_feats[6:9], a.slot_feats)
     # One distinct row standing for several gives each of them the bits of
     # that row on its own.
-    one = Observation(a.slot_feats[:1], a.global_feats[:1])
+    one = Observation(a.codes[:1], a.global_feats[:1])
     theta = 3.0 * np.random.default_rng(4).normal(size=POLICY_DIM)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
     uniforms = np.random.default_rng(5).random((1, _N_SLOTS + 2))
@@ -692,31 +700,26 @@ def test_shared_rows_are_grouped_by_stack_object() -> None:
     assert np.array_equal(both_log_prob, np.concatenate([alone_log_prob] * 2))
     for name in ("include", "response_choice", "engage"):
         assert np.array_equal(getattr(both, name), np.concatenate([getattr(alone, name)] * 2))
-    for name in ("slot_feats", "global_feats"):
-        assert np.array_equal(getattr(both, name), np.concatenate([getattr(one, name)] * 2))
+    for name in ("codes", "slot_feats", "global_feats"):
+        assert np.array_equal(getattr(both.observations, name),
+                              np.concatenate([getattr(one, name)] * 2))
     grads, alone_grads = policy.log_prob_and_grad(both)[1], policy.log_prob_and_grad(alone)[1]
     assert np.array_equal(grads, np.concatenate([alone_grads] * 2))
 
 
-@pytest.mark.parametrize(
-    "row",
-    [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.0, 2.0], [1.0, -1.0, 0.0],
-     [1.0, float("nan"), 0.0], [1.0, 0.0, float("inf")]],
-    ids=["bias-0", "bias-2", "seen-half", "topic-2", "seen-negative", "seen-nan", "topic-inf"],
-)
-def test_slot_rows_outside_the_code_table_raise(row: list[float]) -> None:
+@pytest.mark.parametrize("code", [4, 255])
+def test_codes_outside_the_code_table_raise(code: int) -> None:
+    """A slot code with no ``SLOT_CODE_FEATS`` row is refused, not read as another row."""
     rng = np.random.default_rng(3)
-    obs = _random_observations(rng, rows=4)
-    obs.slot_feats[2, 5] = row
+    random_obs = _random_observations(rng, rows=4)
+    codes = random_obs.codes.copy()
+    codes[2, 5] = code
+    obs = Observation(codes, random_obs.global_feats)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=rng.normal(size=POLICY_DIM))
-    with pytest.raises(ValueError, match="slot feature row"):
+    with pytest.raises(IndexError):
         policy.greedy(obs)
-    with pytest.raises(ValueError, match="slot feature row"):
+    with pytest.raises(IndexError):
         draw_decisions(policy, [obs, obs], [[0], [1]])
-    with pytest.raises(ValueError, match="slot feature row"):
-        slot_codes(obs.slot_feats)
-    with pytest.raises(ValueError, match="slot feature row"):
-        slot_codes(np.ones((2, _N_SLOTS, 4)))
 
 
 # --- collection invariants -------------------------------------------------------------
@@ -797,10 +800,11 @@ def test_episode_table_observations_are_read_only_and_survive_collection() -> No
     # Every episode of a config shares its table's observation arrays.
     pairs = _scenario_pairs(2, seed=14)
     observations = pairs[0][1].episode_table.observations
-    before = [observations.slot_feats.copy(), observations.global_feats.copy()]
-    for array in (observations.slot_feats, observations.global_feats):
+    arrays = (observations.codes, observations.slot_feats, observations.global_feats)
+    before = [array.copy() for array in arrays]
+    for array in arrays:
         with pytest.raises(ValueError):
-            array[0] = 7.0
+            array[0] = 7
     cfg = PPOConfig(total_rounds=1, samples_per_scenario=2, seed=3)
     theta = np.random.default_rng(67).normal(size=POLICY_DIM)
     policy = CategoricalSlotPolicy(n_slots=_N_SLOTS, theta=theta)
@@ -811,8 +815,7 @@ def test_episode_table_observations_are_read_only_and_survive_collection() -> No
         )
         update(policy, value_fn, batch, cfg)
     assert pairs[0][1].episode_table.observations is observations
-    assert observations.slot_feats.tolist() == before[0].tolist()
-    assert observations.global_feats.tolist() == before[1].tolist()
+    assert [array.tolist() for array in arrays] == [array.tolist() for array in before]
 
 
 @given(
@@ -852,8 +855,8 @@ def test_play_equals_one_draw_and_per_episode_rollouts(
     decisions, log_probs, records = play(policy, episodes, seeds)
     stacks = [env.config.episode_table.observations for _, env in episodes]
     expected, expected_log_probs = draw_decisions(policy, stacks, seeds)
-    for name in ("slot_feats", "global_feats", "include", "response_choice", "engage"):
-        assert np.array_equal(getattr(decisions, name), getattr(expected, name))
+    for name, column in _columns(decisions).items():
+        assert np.array_equal(column, _columns(expected)[name])
     assert np.array_equal(log_probs, expected_log_probs)
     lengths = [len(stack.global_feats) for stack in stacks]
     assert len(records) == len(episodes)
@@ -878,7 +881,7 @@ def test_agents_reading_one_conversion_equal_agents_converting_their_own_rows(
         for h in lengths for s in generate_scenarios(1, seed=scenario_seed + h, horizon=h)
     ]
     stacks = [config.episode_table.observations for _, config in configs]
-    obs = Observation(np.concatenate([o.slot_feats for o in stacks]),
+    obs = Observation(np.concatenate([o.codes for o in stacks]),
                       np.concatenate([o.global_feats for o in stacks]))
     decisions = _random_decisions(np.random.default_rng(decision_seed), obs)
     matcher = SlotMatcher(kind="exact")
@@ -960,7 +963,7 @@ def _toy_round(
         if reward_fn is None:
             rewards.append(rng.uniform(0.0, 2.0, size=length))
     obs = Observation(
-        np.concatenate([o.slot_feats for o in stacks]),
+        np.concatenate([o.codes for o in stacks]),
         np.concatenate([o.global_feats for o in stacks]),
     )
     decisions = policy.sample_with_log_prob(obs, np.concatenate(uniforms))[0]
@@ -975,7 +978,7 @@ def _toy_round(
 
 def _critic_inputs(batch: RoundBatch) -> np.ndarray:
     """The critic's input rows: each decision row's flattened observation."""
-    return Observation(batch.decisions.slot_feats, batch.decisions.global_feats).flat()
+    return batch.decisions.observations.flat()
 
 
 def test_update_with_zero_variance_advantages_leaves_policy_unchanged() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -138,6 +139,20 @@ def test_save_and_load_round_trip(tmp_path: Path) -> None:
     assert [s.to_payload() for s in loaded] == [s.to_payload() for s in scenarios]
     one = load_scenario(paths[0])
     assert one.to_payload() == scenarios[0].to_payload()
+
+
+@pytest.mark.parametrize("schedule, reveals", [((), 0), (None, 1)], ids=["empty", "none"])
+def test_an_empty_reveal_schedule_stays_explicit_through_save_and_load(
+    schedule: tuple[int, ...] | None, reveals: int, tmp_path: Path
+) -> None:
+    """``[]`` is an explicit schedule, under which turns past its end reveal
+    nothing; ``null`` is one reveal per turn."""
+    scenario = dataclasses.replace(generate_scenarios(1, seed=19)[0], reveal_schedule=schedule)
+    (path,) = save_scenarios([scenario], tmp_path)
+    loaded = load_scenario(path)
+    assert loaded.reveal_schedule == schedule
+    assert loaded.to_payload() == scenario.to_payload()
+    assert loaded.user_config().reveal_count(3) == reveals
 
 
 def test_load_scenarios_rejects_empty_directory(tmp_path: Path) -> None:
