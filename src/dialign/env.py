@@ -15,7 +15,10 @@ episode is known before it starts.  ``EpisodeTable.build`` walks the user
 (``initial_state``, ``first_utterance``, ``next_utterance``) once per config
 and keeps every turn's agent view, judge context, ground truth and reveal
 ceiling, and the episode's observation stack; the config caches it as
-``UserConfig.episode_table``.  ``reset`` rewinds to turn 1, ``view``
+``UserConfig.episode_table``.  A turn's own objects are its utterance, its
+dialogue state and its view; what only a reveal or a conflict swap changes
+(the seen-values mapping, the truth, the ceiling, the judge context) is
+shared with the turns before it.  ``reset`` rewinds to turn 1, ``view``
 returns the current row's view, and ``step`` scores the turn with
 ``_turn_scores`` (which ``replay_rewards`` also calls), fills its
 ``TurnRecord`` and moves one row down the table.  Per config, the table
@@ -144,13 +147,6 @@ class DialogueState:
             evidence_revealed=self.evidence_revealed or bool(utterance.evidence),
         )
 
-    def judge_context(self) -> JudgeContext:
-        """What the judge sees for the agent turn answering the latest user turn."""
-        return JudgeContext(
-            latest_topics=self.latest.topic_slots,
-            evidence_revealed=self.evidence_revealed,
-        )
-
 
 # Row c is the slot feature row [bias, seen, topic] that code c = 2 * seen + topic stands for.
 SLOT_CODE_FEATS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
@@ -275,9 +271,10 @@ def _turn_scores(
 class EpisodeTable:
     """A config's whole episode, one row per user turn.  Row t - 1 is what
     the agent turn answering user turn t sees and is scored against: the
-    ``EnvView`` (which holds the dialogue state), the ``JudgeContext``, the
-    ground truth in force (``truths``, one ``Profile`` shared by the turns
-    of each stretch between conflict swaps) and the reveal ceiling
+    ``EnvView`` (which holds the dialogue state), the ``JudgeContext`` (one
+    shared by the turns with the same latest topics and evidence-revealed
+    flag), the ground truth in force (``truths``, one ``Profile`` shared by
+    the turns of each stretch between conflict swaps) and the reveal ceiling
     (``ceilings``, computed again only when the revealed slots or the truth
     change); ``observations`` is the episode's stack.  ``match_tables``
     keeps, per matcher, the ``MatchTable`` of each truth, which ``step``
@@ -340,9 +337,12 @@ class EpisodeTable:
         observations.codes.flags.writeable = False
         observations.global_feats.flags.writeable = False
         responses: dict[tuple, ResponseRecord] = {}
+        # One frozen JudgeContext per distinct (latest topics, evidence revealed).
+        keys = [(state.latest.topic_slots, state.evidence_revealed) for state in states]
+        contexts = {key: JudgeContext(*key) for key in dict.fromkeys(keys)}
         return cls(
             tuple(EnvView(state, schema, responses) for state in states),
-            tuple(state.judge_context() for state in states),
+            tuple(map(contexts.__getitem__, keys)),
             tuple(truths),
             tuple(ceilings),
             observations,
@@ -514,22 +514,25 @@ class EvidenceOracleAgent:
     """A reference policy: copies every piece of revealed evidence into its
     estimate and addresses the first topic slot it has a value for, else
     its first seen slot.  Turns that reveal nothing share their seen-values
-    mapping, and on them it returns its previous estimate ``Profile`` again."""
+    mapping, and while it holds, the action built for a turn's topic slots
+    (one estimate ``Profile`` for all of them) is returned again."""
 
     _seen: Mapping[str, str] | None = None
-    _estimate: Profile | None = None
+    _estimate: Profile
+    _actions: dict[tuple[str, ...], AgentAction]
 
     def act(self, view: EnvView) -> AgentAction:
-        seen, estimate = view.seen_values, self._estimate
-        if seen is not self._seen or estimate.schema is not view.schema:
-            estimate = self._estimate = Profile(schema=view.schema, entries=dict(seen))
-            self._seen = seen
-        addressed: tuple[tuple[str, str], ...] = ()
-        for slot in chain(view.state.latest.topic_slots, seen):
-            if slot in seen:
-                addressed = ((slot, seen[slot]),)
-                break
-        return AgentAction(view.respond(addressed, True), estimate)
+        seen, topics = view.seen_values, view.state.latest.topic_slots
+        if seen is not self._seen or self._estimate.schema is not view.schema:
+            self._seen, self._actions = seen, {}
+            self._estimate = Profile(schema=view.schema, entries=dict(seen))
+        action = self._actions.get(topics)
+        if action is None:
+            slot = next((slot for slot in chain(topics, seen) if slot in seen), None)
+            addressed = () if slot is None else ((slot, seen[slot]),)
+            action = self._actions[topics] = AgentAction(view.respond(addressed, True),
+                                                         self._estimate)
+        return action
 
 
 def rollout(env: DialogueEnv, agent: Agent, scenario_id: str = "episode") -> EpisodeRecord:
@@ -568,7 +571,7 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
         r_profile, r_response, *verdicts = _turn_scores(
             ResponseRecord(t.addressed, t.continues, t.response_text),
             Profile(schema=schema, entries=dict(t.estimate)),
-            state.judge_context(),
+            JudgeContext(state.latest.topic_slots, state.evidence_revealed),
             Profile(schema=schema, entries=record.effective_truth_at(t.turn)),
             matcher,
         )

@@ -46,14 +46,21 @@ def _is_number(value: object) -> bool:
     return real and abs(value) <= sys.float_info.max  # finite, and a float can hold it
 
 
+def _is_text(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
 # Each JSON kind's words and test.  A list kind's range bounds its entries.
 KINDS = {
     "integer": ("an integer", _is_integer),
     "number": ("a finite number", _is_number),
-    "text": ("non-empty text", lambda v: isinstance(v, str) and v != ""),
+    "text": ("non-empty text", _is_text),
     "object": ("an object", lambda v: isinstance(v, dict)),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
+    "text or object": ("non-empty text or an object", lambda v: isinstance(v, dict) or _is_text(v)),
     "integers": ("a list of integers", lambda v: type(v) is list and all(map(_is_integer, v))),
     "numbers": ("a list of finite numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+    "texts": ("a list of non-empty text", lambda v: type(v) is list and all(map(_is_text, v))),
 }
 REQUIRED = object()  # the default of a field that must be present
 
@@ -90,11 +97,13 @@ class Field:
         if (not KINDS[self.kind][1](value) or self.choices and value not in self.choices
                 or self.size is not None and len(value) != self.size):  # type: ignore[arg-type]
             return False
-        if self.low == -math.inf:  # unbounded: every field with a high bound has a low one
-            return True
         low, high = self.low, self.high
-        inside = (lambda x: low < x < high) if self.strict else (lambda x: low <= x <= high)
-        return all(map(inside, value)) if isinstance(value, list) else inside(value)
+        if low == -math.inf:  # unbounded: every field with a high bound has a low one
+            return True
+        values = value if isinstance(value, list) else (value,)
+        if self.strict:
+            return all(low < x < high for x in values)
+        return all(low <= x <= high for x in values)
 
 
 def read_fields(
@@ -105,13 +114,15 @@ def read_fields(
     unknown = payload.keys() - table.keys()
     if unknown:
         raise error(f"{where}unknown keys {sorted(unknown)}")
+    read = {}
     for name, row in table.items():
-        if name not in payload and row.default is REQUIRED:
+        value = read[name] = payload.get(name, row.default)
+        if value is REQUIRED:
             raise error(f"{where}missing field {name!r}")
-        if name in payload and not row.accepts(payload[name]):
+        if name in payload and not row.accepts(value):
             words = " ".join(filter(None, row.words()))
-            raise error(f"{where}{name} must be {words}, got {payload[name]!r}")
-    return {name: payload.get(name, row.default) for name, row in table.items()}
+            raise error(f"{where}{name} must be {words}, got {value!r}")
+    return read
 
 
 def read_object(path: str | Path, label: str, error: type[Exception]) -> dict:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EpisodeRecord
-from .profiles import Profile, SlotMatcher, precision_recall
+from .profiles import MatchTable, Profile, SlotMatcher
 
 
 # --- alignment curves -------------------------------------------------------
@@ -194,7 +194,9 @@ def longterm_profile_curve(
     ground truth: the fraction of true attributes recovered.  Recall is the
     right scale to compare with the reveal ceiling, because any estimate
     built only from revealed evidence can recover at most the revealed
-    fraction.  The ``average`` aggregates the score over checkpoints.
+    fraction.  The ``average`` aggregates the score over checkpoints.  Hits
+    are counted as ``precision_recall`` counts them, through one ``MatchTable``
+    per record and truth in force (the truth changes only at a conflict swap).
     """
     if not records:
         raise ValueError("longterm_profile_curve needs at least one episode")
@@ -204,6 +206,7 @@ def longterm_profile_curve(
         (record, record.schema_object(), matcher or SlotMatcher.parse(record.matcher))
         for record in records
     ]
+    tables: dict[tuple, MatchTable] = {}  # per record, one for each truth in force
     points: list[LongtermPoint] = []
     for k in checkpoints:
         if k < 1:
@@ -217,9 +220,11 @@ def longterm_profile_curve(
                     f" with {len(record.turns)} turns"
                 )
             turn = record.turns[k - 1]
-            estimate = Profile(schema=schema, entries=dict(turn.estimate))
-            truth = Profile(schema=schema, entries=record.effective_truth_at(k))
-            scores.append(precision_recall(estimate, truth, m)[1])
+            truth = record.effective_truth_at(k)
+            key = (id(record), *truth.items())
+            if key not in tables:
+                tables[key] = MatchTable(Profile(schema=schema, entries=truth), m)
+            scores.append(sum(map(tables[key].__getitem__, turn.estimate.items())) / len(truth))
             ceilings.append(turn.theoretical_max)
         points.append(LongtermPoint(k, float(np.mean(scores)), float(np.mean(ceilings))))
     average = float(np.mean([p.profile_score for p in points]))

@@ -27,7 +27,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, Field, SchemaError, read_fields
 
 # The ten closed-schema slots used by the standard scenarios.
 ALOE_SLOTS: tuple[str, ...] = (
@@ -92,17 +92,13 @@ class SlotSchema:
         return {"name": self.name, "slots": list(self.slots), "open": self.open_schema}
 
     @classmethod
-    def from_record(cls, record: Mapping) -> "SlotSchema":
-        """The schema of a ``{"name", "slots", "open"}`` record; ``open``
-        defaults to closed."""
-        for key in ("name", "slots"):
-            if key not in record:
-                raise ValueError(f"schema record missing field {key!r}")
-        return cls(
-            name=record["name"],
-            slots=tuple(record["slots"]),
-            open_schema=bool(record.get("open", False)),
-        )
+    def from_record(
+        cls, record: Mapping, where: str = "", error: type[Exception] = ValueError
+    ) -> "SlotSchema":
+        """The schema of a ``{"name", "slots", "open"}`` record, read through
+        ``SCHEMA_FIELDS``; a field it refuses raises ``error`` after ``where``."""
+        fields = read_fields(where, record, SCHEMA_FIELDS, error)
+        return cls(name=fields["name"], slots=tuple(fields["slots"]), open_schema=fields["open"])
 
     @classmethod
     def aloe(cls) -> "SlotSchema":
@@ -142,7 +138,7 @@ class Profile:
                         f"slot {slot!r} not allowed by closed schema {schema.name!r}"
                     )
             if not isinstance(value, str) or not value.strip():
-                raise ValueError(f"empty value for slot {slot!r}")
+                raise ValueError(f"value for slot {slot!r} must be non-empty text, got {value!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -151,24 +147,30 @@ class Profile:
         return {"schema": self.schema.to_record(), "entries": dict(self.entries)}
 
 
-def load_profile(record: Mapping) -> Profile:
-    """Build a Profile from a parsed JSON record ``{"schema": ..., "entries": ...}``.
+# A profile record's fields, and those of a schema record (an inline profile
+# ``schema``, or a checkpoint's).
+PROFILE_FIELDS = {"schema": Field("text or object"), "entries": Field("object")}
+SCHEMA_FIELDS = {"name": Field("text"), "slots": Field("texts"),
+                 "open": Field("boolean", default=False)}
+
+
+def load_profile(record: Mapping, where: str = "", error: type[Exception] = ValueError) -> Profile:
+    """Build a Profile from a parsed JSON record ``{"schema": ..., "entries": ...}``,
+    read through ``PROFILE_FIELDS``; a field it refuses raises ``error`` after ``where``.
 
     ``schema`` may be an inline ``{"name", "slots", "open"}`` object, as
     ``Profile.to_record`` writes it (``slots`` defaults to the entry keys),
     ``"aloe"`` (built in), or any other name (treated as an open schema
     inferred from the entry keys).
     """
-    if "entries" not in record or "schema" not in record:
-        raise ValueError("profile record needs 'schema' and 'entries' fields")
-    entries = dict(record["entries"])
-    spec = record["schema"]
-    if isinstance(spec, Mapping):
-        schema = SlotSchema.from_record({"slots": entries.keys(), **spec})
+    fields = read_fields(where, record, PROFILE_FIELDS, error)
+    entries, spec = dict(fields["entries"]), fields["schema"]
+    if isinstance(spec, dict):
+        schema = SlotSchema.from_record({"slots": list(entries), **spec}, f"{where}schema ", error)
     elif spec == "aloe":
         schema = SlotSchema.aloe()
     else:
-        schema = SlotSchema(name=str(spec), slots=tuple(entries.keys()), open_schema=True)
+        schema = SlotSchema(name=spec, slots=tuple(entries), open_schema=True)
     return Profile(schema=schema, entries=entries)
 
 

@@ -924,8 +924,8 @@ def load_checkpoint(path) -> Checkpoint:
     payload = read_object(path, "checkpoint", CheckpointError)
     record = read_fields(where, payload, CHECKPOINT_FIELDS, CheckpointError)
     try:
-        schema = SlotSchema.from_record(record["schema"])
-    except (TypeError, ValueError) as exc:
+        schema = SlotSchema.from_record(record["schema"], f"{where}schema ", CheckpointError)
+    except ValueError as exc:
         raise CheckpointError(f"{where}schema: {exc}") from None
     phi = Field("numbers", size=observation_dim(len(schema.slots)))  # the row for this schema
     read_fields(where, {"phi": record["phi"]}, {"phi": phi}, CheckpointError)

@@ -180,8 +180,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if conflict is not None:
         conflict = read_fields(f"{where}conflict ", conflict, CONFLICT_FIELDS, ConfigError)
     try:
-        profile = load_profile(record["profile"])
-    except (TypeError, ValueError, SchemaError) as exc:
+        profile = load_profile(record["profile"], f"{where}profile ", ConfigError)
+    except (ValueError, SchemaError) as exc:
         raise ConfigError(f"{where}profile: {exc}") from None
     try:
         scenario = Scenario(

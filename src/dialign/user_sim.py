@@ -21,7 +21,10 @@ When nothing is left to reveal the user restates an earlier preference
 The user never reads the agent's turns, so a config's whole side of the
 episode is fixed in advance.  The environment walks ``initial_state`` and
 ``next_utterance`` once per config, on first use, into its per-turn table,
-which the config keeps (``UserConfig.episode_table``).
+which the config keeps (``UserConfig.episode_table``).  Each turn makes its
+own utterance and ``UserState``.  A turn that reveals nothing and fires no
+conflict costs only those: it hands on the previous state's ``revealed``
+and ``pending`` tuples and its entries dict.
 """
 
 from __future__ import annotations
@@ -224,20 +227,16 @@ def next_utterance(
     # Turns here start at 2 and only grow, so a conflict fires at most once;
     # initial_state handles a turn-1 conflict.
     fires = conflict is not None and turn == conflict.turn
-    excluded = set(conflict.replace) if fires else set()
 
     budget = config.reveal_count(turn)
-    draw: list[str] = []
-    for slot in state.pending:
-        if len(draw) >= budget:
-            break
-        if slot not in excluded:
-            draw.append(slot)
-
     revealed, pending = state.revealed, state.pending
-    if draw:
-        revealed += tuple(draw)
+    if fires:  # the swapped slots wait for the turns after the swap
+        draw = tuple(s for s in pending if s not in conflict.replace)[:budget]
         pending = tuple(s for s in pending if s not in draw)
+    else:
+        draw, pending = pending[:budget], pending[budget:]
+    if draw:
+        revealed += draw
     interim = UserState(
         turn=turn,
         revealed=revealed,
@@ -279,5 +278,4 @@ def theoretical_max(state: UserState, truth: Profile | Mapping[str, str]) -> flo
     entries = truth.entries if isinstance(truth, Profile) else truth
     if len(entries) == 0:
         raise ValueError("truth profile must be non-empty")
-    hit = sum(1 for slot in state.revealed if slot in entries)
-    return hit / len(entries)
+    return sum(map(entries.__contains__, state.revealed)) / len(entries)

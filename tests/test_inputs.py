@@ -1,10 +1,10 @@
 """The input contract: every outside input is read through its field table.
 
 The refusal test is generated from the tables themselves (``SCENARIO_FIELDS``,
-``CONFLICT_FIELDS``, ``CHECKPOINT_FIELDS``, ``PPO_FIELDS`` and
-``FLAG_FIELDS``): every row, times each break that applies to it, must exit
-2 with exactly one stderr line naming the flag, or the file and the field,
-and leave ``--out`` untouched.
+``CONFLICT_FIELDS``, ``PROFILE_FIELDS``, ``SCHEMA_FIELDS``,
+``CHECKPOINT_FIELDS``, ``PPO_FIELDS`` and ``FLAG_FIELDS``): every row, times
+each break that applies to it, must exit 2 with exactly one stderr line
+naming the flag, or the file and the field, and leave ``--out`` untouched.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from dialign import cli
 from dialign.cli import FLAG_FIELDS, main
 from dialign.errors import REQUIRED, Field
+from dialign.profiles import PROFILE_FIELDS, SCHEMA_FIELDS
 from dialign.rl import CHECKPOINT_FIELDS, PPO_FIELDS, PPOConfig, config_fingerprint, load_checkpoint
 from dialign.scenarios import CONFLICT_FIELDS, SCENARIO_FIELDS, load_scenario
 
@@ -28,21 +29,23 @@ PINNED_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.json"
 
 # One value of each JSON kind, to put where another kind belongs.
 _KINDS = {"text": "x", "float": 0.5, "bool": True, "null": None, "list": [1], "object": {"a": 1}}
-_OWN_KIND = {"number": "float", "text": "text", "object": "object"}
+_OWN_KINDS = {"number": ("float",), "text": ("text",), "object": ("object",),
+              "boolean": ("bool",), "text or object": ("text", "object")}
 _MISSING = object()  # the field is dropped
 
 
 def _scalar_breaks(kind: str, row: Field) -> list[tuple[str, object]]:
     """Breaks of one value of ``kind`` under ``row``: each other JSON kind,
     each bound ± 1 (the bound itself when it is excluded), NaN and ±inf."""
-    breaks = [(name, value) for name, value in _KINDS.items() if name != _OWN_KIND.get(kind)]
+    breaks = [(name, value) for name, value in _KINDS.items()
+              if name not in _OWN_KINDS.get(kind, ())]
     if kind in ("integer", "number"):
         for name, bound, step in (("low-1", row.low, -1), ("high+1", row.high, 1)):
             if math.isfinite(bound):
                 breaks.append((name, bound if row.strict else bound + step))
     if kind == "number":
         breaks += [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("huge", 10**400)]
-    if kind == "text":
+    if kind in ("text", "text or object"):
         breaks += [("empty", "")] + [("other", "x")] * bool(row.choices)
     return breaks
 
@@ -50,7 +53,7 @@ def _scalar_breaks(kind: str, row: Field) -> list[tuple[str, object]]:
 def _breaks(row: Field) -> list[tuple[str, object]]:
     """Every break that applies to ``row``, as (name, value)."""
     breaks = [("missing", _MISSING)] if row.default is REQUIRED else []
-    if row.kind in ("integers", "numbers"):
+    if row.kind in ("integers", "numbers", "texts"):
         entry = row.kind[:-1]
         breaks += [(name, value) for name, value in _KINDS.items() if name != "list"]
         breaks += [(f"entry-{name}", [value] * (row.size or 1))
@@ -86,6 +89,11 @@ def _field_cases(source: str, table: dict) -> list:
 _CASES = [
     *_field_cases("scenario", SCENARIO_FIELDS),
     *_field_cases("conflict", CONFLICT_FIELDS),
+    *_field_cases("profile", PROFILE_FIELDS),
+    # An inline profile schema's slots default to the entries' slots.
+    *(case for case in _field_cases("profile schema", SCHEMA_FIELDS)
+      if case.id != "profile schema:slots:missing"),
+    *_field_cases("checkpoint schema", SCHEMA_FIELDS),
     *_field_cases("checkpoint", CHECKPOINT_FIELDS),
     *_field_cases("checkpoint ppo", PPO_FIELDS),
     *_field_cases("--config", PPO_FIELDS),
@@ -132,6 +140,21 @@ def _write(path: Path, value: object) -> None:
         path.write_text(json.dumps(value))
 
 
+# Where each case source's fields sit in a scenario file or a checkpoint, and
+# the words its refusals put between the file and the field.
+_SCENARIO_PARTS = {
+    "scenario": ("", lambda p: p),
+    "conflict": ("conflict ", lambda p: p["conflict"]),
+    "profile": ("profile ", lambda p: p["profile"]),
+    "profile schema": ("profile schema ", lambda p: p["profile"]["schema"]),
+}
+_CHECKPOINT_PARTS = {
+    "checkpoint": ("", lambda p: p),
+    "checkpoint ppo": ("ppo ", lambda p: p["ppo"]),
+    "checkpoint schema": ("schema ", lambda p: p["schema"]),
+}
+
+
 def _edit(payload: dict, field: str, value: object) -> None:
     if value is _MISSING:
         del payload[field]
@@ -146,27 +169,25 @@ def test_every_broken_input_exits_2_with_one_line_naming_it(
 ) -> None:
     scenarios, checkpoint = inputs
     out = tmp_path / "out"
-    if source in ("scenario", "conflict", "scenario file"):
+    if source in _SCENARIO_PARTS or source == "scenario file":
         scenarios = Path(shutil.copytree(scenarios, tmp_path / "scn"))
         path = scenarios / "scenario_0001.json"
         payload = json.loads(path.read_text())
-        if source == "conflict":
-            _edit(payload["conflict"], field, value)
-        elif source == "scenario":
-            _edit(payload, field, value)
+        part, find = _SCENARIO_PARTS.get(source, ("", None))
+        if find is not None:
+            _edit(find(payload), field, value)
         _write(path, value if source == "scenario file" else payload)
         argv = _command_line("eval", scenarios, out)
-        where = f"scenario file {path}: " + ("conflict " if source == "conflict" else "")
-    elif source in ("checkpoint", "checkpoint ppo", "checkpoint file"):
+        where = f"scenario file {path}: {part}"
+    elif source in _CHECKPOINT_PARTS or source == "checkpoint file":
         payload = json.loads(checkpoint.read_text())
-        if source == "checkpoint ppo":
-            _edit(payload["ppo"], field, value)
-        elif source == "checkpoint":
-            _edit(payload, field, value)
+        part, find = _CHECKPOINT_PARTS.get(source, ("", None))
+        if find is not None:
+            _edit(find(payload), field, value)
         path = tmp_path / "checkpoint.json"
         _write(path, value if source == "checkpoint file" else payload)
         argv = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--checkpoint", str(path)]
-        where = f"checkpoint {path}: " + ("ppo " if source == "checkpoint ppo" else "")
+        where = f"checkpoint {path}: {part}"
     elif source in ("--config", "--config file"):
         path = tmp_path / "ppo.json"
         _write(path, value if source == "--config file" else {field: value})
@@ -185,6 +206,69 @@ def test_every_broken_input_exits_2_with_one_line_naming_it(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(expected), err
+    assert not out.exists()
+
+
+def _set(*path_and_value):
+    """An edit of a scenario payload that puts the last argument at the key path before it."""
+    *path, key, value = path_and_value
+
+    def edit(payload: dict) -> None:
+        for step in path:
+            payload = payload[step]
+        payload[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(("edits", "message"), [
+    pytest.param([_set("profile", "schema", "open", "false"),
+                  _set("profile", "entries", "Hobby", "chess")],
+                 "profile schema open must be a boolean, got 'false'", id="open-as-text"),
+    pytest.param([_set("profile", "schema", "slots", "Age")],
+                 "profile schema slots must be a list of non-empty text, got 'Age'",
+                 id="slots-as-text"),
+    pytest.param([_set("profile", "entries", [["Age", "5"]])],
+                 "profile entries must be an object, got [['Age', '5']]", id="entries-as-pairs"),
+    pytest.param([_set("profile", "schema", "name", 5)],
+                 "profile schema name must be non-empty text, got 5", id="numeric-name"),
+    pytest.param([_set("profile", "schema", 5)],
+                 "profile schema must be non-empty text or an object, got 5", id="numeric-schema"),
+    pytest.param([_set("profile", "entries", "Age", 5)],
+                 "profile: value for slot 'Age' must be non-empty text, got 5", id="numeric-value"),
+])
+def test_a_profile_record_is_read_through_its_field_tables(
+    edits: list, message: str, inputs: tuple[Path, Path], tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    """Profile and schema records that used to load as something else (an
+    open schema, the slots A, g, e, a numeric name) or to be refused under
+    another name ("empty value") exit 2 naming the file and the field."""
+    scenarios = Path(shutil.copytree(inputs[0], tmp_path / "scn"))
+    path, out = scenarios / "scenario_0000.json", tmp_path / "out"
+    payload = json.loads(path.read_text())
+    for edit in edits:
+        edit(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(_command_line("eval", scenarios, out)) == 2
+    assert capsys.readouterr().err == f"error: scenario file {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_checkpoint_schema_that_is_not_closed_or_open_is_refused_as_the_checkpoints(
+    inputs: tuple[Path, Path], tmp_path: Path, capsys: pytest.CaptureFixture[str],
+) -> None:
+    """It used to pass as an open schema and exit 2 blaming the first scenario."""
+    scenarios, checkpoint = inputs
+    payload = json.loads(checkpoint.read_text())
+    payload["schema"]["open"] = "false"
+    path, out = tmp_path / "checkpoint.json", tmp_path / "out"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = ["eval", "--scenarios", str(scenarios), "--out", str(out), "--checkpoint", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {path}: schema open must be a boolean, got 'false'\n")
     assert not out.exists()
 
 
@@ -261,6 +345,9 @@ def test_the_readme_table_states_every_row() -> None:
     rows = [
         *(_readme_row("scenario file", name, row) for name, row in SCENARIO_FIELDS.items()),
         *(_readme_row("scenario `conflict`", name, row) for name, row in CONFLICT_FIELDS.items()),
+        *(_readme_row("scenario `profile`", name, row) for name, row in PROFILE_FIELDS.items()),
+        *(_readme_row("scenario `profile` `schema`, checkpoint `schema`", name, row)
+          for name, row in SCHEMA_FIELDS.items()),
         *(_readme_row("checkpoint", name, row) for name, row in CHECKPOINT_FIELDS.items()),
         *(_readme_row("`--config`, checkpoint `ppo`", name, row)
           for name, row in PPO_FIELDS.items()),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -13,6 +14,8 @@ from dialign.env import DialogueEnv, EvidenceOracleAgent, rollout
 from dialign.metrics import (
     AgreementStats,
     ConfusionMatrix,
+    LongtermCurve,
+    LongtermPoint,
     agreement_stats,
     alignment_curve,
     alignment_matrix,
@@ -21,7 +24,8 @@ from dialign.metrics import (
     normalize_curve,
     summarize_alignment,
 )
-from dialign.profiles import Profile, SlotMatcher, SlotSchema
+from dialign.profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, precision_recall
+from dialign.scenarios import generate_scenarios
 from dialign.user_sim import UserConfig
 
 _POOLS = json.loads(
@@ -283,6 +287,56 @@ def test_longterm_curve_rejects_checkpoints_beyond_horizon() -> None:
     records = _longterm_records(horizon=8)
     with pytest.raises(ValueError):
         longterm_profile_curve(records, checkpoints=[1, 9])
+
+
+def _reference_longterm_curve(records, checkpoints, matcher) -> LongtermCurve:
+    """The curve as one ``precision_recall`` per checkpoint and record, each
+    with a fresh estimate and truth ``Profile``."""
+    points = []
+    for k in checkpoints:
+        scores, ceilings = [], []
+        for record in records:
+            schema, turn = record.schema_object(), record.turns[k - 1]
+            estimate = Profile(schema=schema, entries=dict(turn.estimate))
+            truth = Profile(schema=schema, entries=record.effective_truth_at(k))
+            m = matcher or SlotMatcher.parse(record.matcher)
+            scores.append(precision_recall(estimate, truth, m)[1])
+            ceilings.append(turn.theoretical_max)
+        points.append(LongtermPoint(k, float(np.mean(scores)), float(np.mean(ceilings))))
+    return LongtermCurve(tuple(points), float(np.mean([p.profile_score for p in points])))
+
+
+@pytest.mark.parametrize("schema", [SlotSchema.aloe(),
+                                    SlotSchema("narrow", ALOE_SLOTS[:4], open_schema=True)])
+@pytest.mark.parametrize("matcher_spec", ["exact", "token:0.5"])
+def test_longterm_curve_equals_a_precision_recall_per_checkpoint(
+    matcher_spec: str, schema: SlotSchema
+) -> None:
+    """Conflict records scored on both sides of their turn-6 swap, with
+    estimates that keep, drop, reword or restate stale values; an open
+    schema's estimates also hold slots outside ``schema.slots``."""
+    matcher = SlotMatcher.parse(matcher_spec)
+    rng = random.Random(matcher_spec + schema.name)
+    records = []
+    for scenario in generate_scenarios(3, seed=5, horizon=14, conflict=True):
+        profile = Profile(schema=schema, entries=dict(scenario.profile.entries))
+        config = UserConfig(profile, 14, conflict=scenario.conflict, style_seed=scenario.style_seed)
+        record = rollout(DialogueEnv(config, matcher), EvidenceOracleAgent(), scenario.scenario_id)
+        for turn in record.turns:
+            stale = {slot: scenario.profile.entries[slot] for slot in scenario.conflict.replace}
+            pool = [*turn.estimate.items(), *stale.items()]
+            pool += [(slot, f"{value} indeed") for slot, value in pool]
+            if schema.open_schema:
+                pool += [("Hobby", "chess"), (ALOE_SLOTS[-1], "restated")]
+            turn.estimate = dict(rng.sample(pool, rng.randint(0, len(pool))))
+        records.append(record)
+    # The same truths, logged under the other matcher.
+    other = "token:0.5" if matcher_spec == "exact" else "exact"
+    records.append(dataclasses.replace(records[0], matcher=other))
+    checkpoints = [1, 4, 5, 6, 7, 10, 14, 6]  # both sides of the swap, one twice
+    for given_matcher in (matcher, None):
+        expected = _reference_longterm_curve(records, checkpoints, given_matcher)
+        assert longterm_profile_curve(records, checkpoints, given_matcher) == expected
 
 
 def test_alignment_matrix_flags_match_recorded_verdicts() -> None:

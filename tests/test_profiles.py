@@ -111,7 +111,7 @@ def _reference_profile_check(schema: SlotSchema, entries: dict) -> None:
         if not (schema.open_schema or slot in schema.slots):
             raise SchemaError(f"slot {slot!r} not allowed by closed schema {schema.name!r}")
         if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"empty value for slot {slot!r}")
+            raise ValueError(f"value for slot {slot!r} must be non-empty text, got {value!r}")
 
 
 def _check_outcome(check, *args) -> tuple:

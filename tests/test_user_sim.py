@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import operator
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dialign import user_sim
 from dialign.errors import ConfigError
 from dialign.profiles import Profile, SlotSchema, clearly_different
+from dialign.reward import JudgeContext
 from dialign.scenarios import generate_scenarios
 from dialign.user_sim import (
     FIRST_UTTERANCE_TEXT,
@@ -271,6 +277,82 @@ def test_conflict_at_turn_one_applies_before_any_reveal() -> None:
                 assert value == new
 
 
+# --- the walk against its loop form ----------------------------------------------------
+
+
+def _loop_next_utterance(
+    state: UserState, config: UserConfig
+) -> tuple[UserUtterance, UserState] | None:
+    """``next_utterance`` with its draw written as a loop over ``pending``
+    that skips the slots a firing conflict names: the reference for the
+    slicing form."""
+    if state.turn >= config.horizon:
+        return None
+    turn = state.turn + 1
+    rng = user_sim._turn_rng(config, turn)
+    conflict = config.conflict
+    fires = conflict is not None and turn == conflict.turn
+    excluded = set(conflict.replace) if fires else set()
+    budget = config.reveal_count(turn)
+    draw: list[str] = []
+    for slot in state.pending:
+        if len(draw) >= budget:
+            break
+        if slot not in excluded:
+            draw.append(slot)
+    revealed, pending = state.revealed, state.pending
+    if draw:
+        revealed += tuple(draw)
+        pending = tuple(s for s in pending if s not in draw)
+    interim = UserState(turn, revealed, pending, state.active_entries)
+    if fires:
+        interim = user_sim._apply_conflict(interim, conflict)
+    evidence = tuple((slot, interim.active_entries[slot]) for slot in draw)
+    templates = user_sim._TEMPLATES
+    sentences = [rng.choice(templates["_conflict"])] if fires else []
+    if evidence:
+        sentences += [user_sim._render_reveal(slot, value, rng) for slot, value in evidence]
+        topic = tuple(slot for slot, _ in evidence)
+    elif interim.revealed:
+        slot = rng.choice(interim.revealed)
+        value = interim.active_entries[slot]
+        sentences.append(rng.choice(templates["_restate"]).format(slot=slot.lower(), value=value))
+        topic = (slot,)
+    else:
+        sentences.append(rng.choice(templates["_filler"]))
+        topic = ()
+    return UserUtterance(" ".join(sentences), evidence, turn, topic), interim
+
+
+@st.composite
+def _walk_configs(draw) -> UserConfig:
+    """A profile of 1-10 slots; no schedule, or budgets 0-3 for up to the
+    horizon's turns; maybe a conflict at any turn naming any of the slots, so
+    that at its turn some are revealed and some pending."""
+    profile = _profile(n=draw(st.integers(1, 10)), rng_seed=draw(st.integers(0, 20)))
+    horizon = draw(st.integers(2, 14))
+    schedule = draw(st.none() | st.lists(st.integers(0, 3), max_size=horizon).map(tuple))
+    conflict = None
+    if draw(st.booleans()):
+        named = draw(st.lists(st.sampled_from(list(profile.entries)), min_size=1, unique=True))
+        replace = {slot: f"changed {slot.lower()} {i}" for i, slot in enumerate(named)}
+        conflict = ConflictSpec(turn=draw(st.integers(1, horizon)), replace=replace)
+    return UserConfig(profile, horizon, schedule, conflict, draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_walk_configs())
+def test_the_walk_equals_its_loop_form_turn_by_turn(config: UserConfig) -> None:
+    state = expected_state = initial_state(config)
+    while True:
+        step, expected = next_utterance(state, config), _loop_next_utterance(expected_state, config)
+        assert step == expected
+        if step is None:
+            break
+        state, expected_state = step[1], expected[1]
+    assert state.turn == config.horizon
+
+
 # --- the cached episode table --------------------------------------------------------
 
 
@@ -301,6 +383,11 @@ def test_episode_table_equals_a_fresh_walk(conflict_turn: int | None) -> None:
         {id(s.active_entries) for s in states}
     ) == (1 if conflict_turn in (None, 1) else 2)
     assert list(table.ceilings) == [theoretical_max(s, s.active_entries) for s in states]
+    # What the judge sees of each row; rows with the same inputs share one context.
+    revealed = list(accumulate((bool(u.evidence) for u in utterances), operator.or_))
+    contexts = [JudgeContext(u.topic_slots, r) for u, r in zip(utterances, revealed)]
+    assert list(table.contexts) == contexts
+    assert len({id(context) for context in table.contexts}) == len(set(contexts))
     if conflict_turn is not None:
         before = conflict_turn - 1
         assert [truth.entries[slot] for truth in table.truths] == (
