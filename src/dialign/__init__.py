@@ -11,7 +11,7 @@ files (``scenarios``), and the CLI (``cli``).
 from .env import (
     AgentAction,
     DialogueEnv,
-    DialogueState,
+    EnvView,
     EpisodeRecord,
     EvidenceOracleAgent,
     RewardBreakdown,

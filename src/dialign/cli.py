@@ -136,13 +136,11 @@ def _load_ppo_config(args: argparse.Namespace) -> PPOConfig:
 
 
 def cmd_gen_scenarios(args: argparse.Namespace) -> int:
-    scenarios = generate_scenarios(
-        count=args.count,
-        seed=args.seed,
-        horizon=args.horizon,
-        conflict=args.conflict,
-        extended=args.extended,
-    )
+    try:
+        scenarios = generate_scenarios(args.count, args.seed, args.horizon, args.conflict,
+                                       args.extended)
+    except ConfigError as exc:  # ``main`` checked each flag; this is their combination
+        raise ConfigError(f"--conflict --horizon {args.horizon}: {exc}") from None
     paths = save_scenarios(scenarios, args.out)
     print(f"wrote {len(paths)} scenario files to {args.out}")
     return 0

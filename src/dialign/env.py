@@ -1,35 +1,36 @@
 """Multi-turn dialogue environment.
 
-State after t user turns is what the next agent turn and the judge read
-from the dialogue {u_1, r_1, ..., u_t}: the latest user utterance u_t, the
-latest evidence value per slot, and whether any evidence has been revealed.
-The full transcript lives only in the EpisodeRecord.  An action is the pair
-(structured response, full replacement profile estimate).  Each step judges
-the response, scores the estimate against the current effective ground
-truth (which reflects any conflict swap already triggered), and moves on to
-the next user turn until the horizon is reached.  Rewards are immediate:
-the turn-t action is scored against the truth in force at turn t.
+An ``EnvView`` after t user turns is what the next agent turn acts on and
+the judge reads from the dialogue {u_1, r_1, ..., u_t}: the latest user
+utterance u_t and the latest evidence value per slot, which is non-empty
+once any evidence has been revealed.  The full transcript lives only in
+the EpisodeRecord.  An action is the pair (structured response, full
+replacement profile estimate).  Each step judges the response, scores the
+estimate against the current effective ground truth (which reflects any
+conflict swap already triggered), and moves on to the next user turn until
+the horizon is reached.  Rewards are immediate: the turn-t action is scored
+against the truth in force at turn t.
 
 The scripted user never reads the agent's turns, so the user's side of an
 episode is known before it starts.  ``EpisodeTable.build`` walks the user
 (``initial_state``, ``first_utterance``, ``next_utterance``) once per config
-and keeps every turn's agent view, judge context, ground truth and reveal
-ceiling, and the episode's observation stack; the config caches it as
-``UserConfig.episode_table``.  A turn's own objects are its utterance, its
-dialogue state and its view; what only a reveal or a conflict swap changes
-(the seen-values mapping, the truth, the ceiling, the judge context) is
-shared with the turns before it.  ``reset`` rewinds to turn 1, ``view``
-returns the current row's view, and ``step`` scores the turn with
-``_turn_scores`` (which ``replay_rewards`` also calls), fills its
-``TurnRecord`` and moves one row down the table.  Per config, the table
-keeps a ``profiles.MatchTable`` per matcher and truth, and the responses
-agents render through ``EnvView.respond``; ``_turn_scores`` keeps each
-judge verdict by its inputs.  So each (slot, value) pair is matched, and
-each response rendered, once per config, and each verdict once per
-process, not once per turn.  Observations exist only
-as stacks with a leading turn axis (``observe`` maps T dialogue states to
-one), and a policy reads the whole episode's stack from the table, which
-lets it draw all of an episode's decisions in one batched call.
+and keeps every turn's view, ground truth and reveal ceiling, and the
+episode's observation stack; the config caches it as
+``UserConfig.episode_table``.  A turn's own objects are its utterance and
+its view; what only a reveal or a conflict swap changes (the seen-values
+mapping, the truth, the ceiling) is shared with the turns before it.
+``reset`` rewinds to turn 1 and returns its view, ``view`` returns the
+current row's view, and ``step`` scores the turn with ``_turn_scores``
+(which ``replay_rewards`` also calls), fills its ``TurnRecord`` and moves
+one row down the table.  Per config, the table keeps a
+``profiles.MatchTable`` per matcher and truth, and the responses agents
+render through ``EnvView.respond``; ``_turn_scores`` keeps each judge
+verdict by its inputs.  So each (slot, value) pair is matched, and each
+response rendered, once per config, and each verdict once per process, not
+once per turn.  Observations exist only as stacks with a leading turn axis
+(``observe`` maps T views to one), and a policy reads the whole episode's
+stack from the table, which lets it draw all of an episode's decisions in
+one batched call.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -117,37 +118,6 @@ class RewardBreakdown:
             raise ValueError("total must equal profile + response exactly")
 
 
-@dataclass(frozen=True)
-class DialogueState:
-    """What the observation and the judge read from the dialogue so far.
-
-    Between actions the dialogue always ends in a user turn, ``latest``
-    (None only before the opening turn).  The state carries, one user turn
-    at a time, the latest evidence value per slot (read-only) and whether
-    any user turn has revealed evidence yet.
-    """
-
-    latest: UserUtterance | None = None
-    seen_values: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
-    evidence_revealed: bool = False
-
-    @property
-    def turn(self) -> int:
-        return self.latest.turn if self.latest is not None else 0
-
-    def with_user_turn(self, utterance: UserUtterance) -> "DialogueState":
-        seen = self.seen_values
-        if utterance.evidence:
-            updated = dict(seen)
-            updated.update(utterance.evidence)
-            seen = MappingProxyType(updated)
-        return DialogueState(
-            latest=utterance,
-            seen_values=seen,
-            evidence_revealed=self.evidence_revealed or bool(utterance.evidence),
-        )
-
-
 # Row c is the slot feature row [bias, seen, topic] that code c = 2 * seen + topic stands for.
 SLOT_CODE_FEATS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
 GLOBAL_FEATURE_DIM = 2
@@ -155,7 +125,7 @@ GLOBAL_FEATURE_DIM = 2
 
 @dataclass(frozen=True)
 class Observation:
-    """T DialogueStates as fixed-length features for linear policies, stacked
+    """T views as fixed-length features for linear policies, stacked
     along a leading turn axis.  A slot's whole observation is its code
     2 * seen + topic (its evidence has been seen; the latest utterance is
     about it), whose features are its ``SLOT_CODE_FEATS`` row.
@@ -179,27 +149,27 @@ class Observation:
         return np.concatenate([self.global_feats, self.slot_feats.reshape(len(self), -1)], axis=1)
 
 
-def observe(states: Sequence[DialogueState], schema: SlotSchema, horizon: int) -> Observation:
-    """The observation stack of ``states``, one row per state."""
+def observe(views: Sequence[EnvView], schema: SlotSchema, horizon: int) -> Observation:
+    """The observation stack of ``views``, one row per view."""
     names = tuple(schema.slots)
     column = {slot: i for i, slot in enumerate(names)}
-    # Schema slots only; consecutive states sharing a seen-values mapping share
+    # Schema slots only; consecutive views sharing a seen-values mapping share
     # its seen bits, so each run of them gets one row, repeated over the run.
-    starts = [t for t, state in enumerate(states)
-              if t == 0 or state.seen_values is not states[t - 1].seen_values]
+    starts = [t for t, view in enumerate(views)
+              if t == 0 or view.seen_values is not views[t - 1].seen_values]
     seen = [(run, column[s]) for run, t in enumerate(starts)
-            for s in states[t].seen_values if s in column]
+            for s in views[t].seen_values if s in column]
     rows, cols = np.array(seen, dtype=np.intp).reshape(-1, 2).T
     seen_bits = np.zeros((len(starts), len(names)), np.uint8)
     seen_bits[rows, cols] = 2
-    codes = np.repeat(seen_bits, np.diff(starts + [len(states)]), axis=0)
+    codes = np.repeat(seen_bits, np.diff(starts + [len(views)]), axis=0)
     # Topic bits by their offsets in the flattened stack.
     topics = [t * len(names) + column[s]
-              for t, state in enumerate(states) if state.latest is not None
-              for s in state.latest.topic_slots if s in column]
+              for t, view in enumerate(views) if view.latest is not None
+              for s in view.latest.topic_slots if s in column]
     codes.reshape(-1)[topics] |= 1
-    global_feats = np.ones((len(states), GLOBAL_FEATURE_DIM))
-    global_feats[:, 1] = np.array([state.turn for state in states]) / float(horizon)
+    global_feats = np.ones((len(views), GLOBAL_FEATURE_DIM))
+    global_feats[:, 1] = np.array([view.turn for view in views]) / float(horizon)
     return Observation(codes=codes, global_feats=global_feats)
 
 
@@ -209,15 +179,28 @@ def observation_dim(n_slots: int) -> int:
 
 @dataclass(frozen=True)
 class EnvView:
-    """What an agent sees when asked to act: the dialogue state now."""
+    """What an agent sees when asked to act, and what its turn is judged on:
+    the dialogue {u_1, r_1, ..., u_t} so far.  Between actions the dialogue
+    always ends in a user turn, ``latest`` (None only before the opening
+    turn).  ``with_user_turn`` carries, one user turn at a time, the latest
+    evidence value per slot (read-only); evidence has been revealed exactly
+    when ``seen_values`` is non-empty.  ``responses`` is the config's table
+    of rendered responses."""
 
-    state: DialogueState
     schema: SlotSchema
+    latest: UserUtterance | None = None
+    seen_values: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
     responses: dict[tuple, ResponseRecord] = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def seen_values(self) -> Mapping[str, str]:
-        return self.state.seen_values
+    def turn(self) -> int:
+        return self.latest.turn if self.latest is not None else 0
+
+    def with_user_turn(self, utterance: UserUtterance) -> "EnvView":
+        seen = self.seen_values
+        if utterance.evidence:
+            seen = MappingProxyType({**seen, **dict(utterance.evidence)})
+        return EnvView(self.schema, utterance, seen, self.responses)
 
     def respond(self, addressed: tuple[tuple[str, str], ...], continues: bool) -> ResponseRecord:
         """``make_response(addressed, continues)``, kept per config in
@@ -233,12 +216,14 @@ class EnvView:
 _VERDICTS: dict[tuple, tuple[dict[str, int], dict[str, float], float]] = {}
 
 
-def _verdict(counts: tuple[int, ...], context: JudgeContext, continues: bool) -> tuple:
-    """``judge_counts`` and ``response_reward`` once per key; keepers copy the dicts."""
-    key = (counts, bool(context.latest_topics), bool(context.evidence_revealed), bool(continues))
+def _verdict(counts: tuple[int, ...], topics: tuple[str, ...], revealed: object,
+             continues: bool) -> tuple:
+    """``judge_counts`` and ``response_reward`` once per key, where evidence has
+    been revealed when ``revealed`` (a view's seen values) is true; keepers copy the dicts."""
+    key = (counts, bool(topics), bool(revealed), bool(continues))
     verdict = _VERDICTS.get(key)
     if verdict is None:
-        criteria, dimensions = judge_counts(counts, context, continues)
+        criteria, dimensions = judge_counts(counts, JudgeContext(topics, bool(revealed)), continues)
         verdict = _VERDICTS[key] = (criteria, dimensions, float(response_reward(criteria)))
     return verdict
 
@@ -246,19 +231,20 @@ def _verdict(counts: tuple[int, ...], context: JudgeContext, continues: bool) ->
 def _turn_scores(
     response: ResponseRecord,
     estimate: Profile,
-    context: JudgeContext,
-    truth: Profile,
-    matcher: SlotMatcher,
+    view: EnvView,
+    matches: MatchTable,
     r_profile: float | None = None,
-    matches: MatchTable | None = None,
 ) -> tuple[float, float, dict[str, int], dict[str, float], bool]:
     """A turn's (profile reward, response reward, criteria, dimensions,
     aligned), from one count of its addressed pairs; the one scoring path of
-    ``step`` and ``replay_rewards``, and the dicts are the caller's own.  A
-    given ``r_profile`` is this estimate's ``profile_reward`` against this
-    truth; ``matches`` is the ``MatchTable`` of ``truth`` and ``matcher``."""
-    counts = count_addressed(response.addressed_slots, context.latest_topics, estimate.entries)
-    criteria, dimensions, r_response = _verdict(counts, context, response.continues)
+    ``step`` and ``replay_rewards``, and the dicts are the caller's own.  The
+    judge reads ``view``; the truth and matcher are those of ``matches``.  A
+    given ``r_profile`` is this estimate's ``profile_reward`` against that truth."""
+    topics, truth, matcher = view.latest.topic_slots, matches.truth, matches.matcher
+    counts = count_addressed(response.addressed_slots, topics, estimate.entries)
+    criteria, dimensions, r_response = _verdict(
+        counts, topics, view.seen_values, response.continues
+    )
     if r_profile is None:
         r_profile = profile_reward(estimate, truth, matcher, matches)
     return (
@@ -271,12 +257,11 @@ def _turn_scores(
 class EpisodeTable:
     """A config's whole episode, one row per user turn.  Row t - 1 is what
     the agent turn answering user turn t sees and is scored against: the
-    ``EnvView`` (which holds the dialogue state), the ``JudgeContext`` (one
-    shared by the turns with the same latest topics and evidence-revealed
-    flag), the ground truth in force (``truths``, one ``Profile`` shared by
-    the turns of each stretch between conflict swaps) and the reveal ceiling
-    (``ceilings``, computed again only when the revealed slots or the truth
-    change); ``observations`` is the episode's stack.  ``match_tables``
+    ``EnvView``, which the agent acts on and the judge reads, the ground
+    truth in force (``truths``, one ``Profile`` shared by the turns of each
+    stretch between conflict swaps) and the reveal ceiling (``ceilings``,
+    computed again only when the revealed slots or the truth change);
+    ``observations`` is the episode's stack.  ``match_tables``
     keeps, per matcher, the ``MatchTable`` of each truth, which ``step``
     scores estimates through; ``responses`` holds what ``EnvView.respond`` renders.
 
@@ -284,7 +269,6 @@ class EpisodeTable:
     """
 
     views: tuple[EnvView, ...]
-    contexts: tuple[JudgeContext, ...]
     truths: tuple[Profile, ...]
     ceilings: tuple[float, ...]
     observations: Observation
@@ -309,8 +293,9 @@ class EpisodeTable:
         """Walk the user's side of turns 1..horizon once."""
         schema = config.profile.schema
         user = initial_state(config)
-        state = DialogueState().with_user_turn(first_utterance(config))
-        states: list[DialogueState] = []
+        responses: dict[tuple, ResponseRecord] = {}
+        view = EnvView(schema, responses=responses).with_user_turn(first_utterance(config))
+        views: list[EnvView] = []
         truths: list[Profile] = []
         ceilings: list[float] = []
         entries = truth = revealed = None
@@ -324,30 +309,19 @@ class EpisodeTable:
             if user.revealed is not revealed:
                 revealed = user.revealed
                 ceiling = theoretical_max(user, truth)
-            states.append(state)
+            views.append(view)
             truths.append(truth)
             ceilings.append(ceiling)
             step = next_utterance(user, config)
             if step is None:
                 break
             utterance, user = step
-            state = state.with_user_turn(utterance)
-        observations = observe(states, schema, config.horizon)
+            view = view.with_user_turn(utterance)
+        observations = observe(views, schema, config.horizon)
         # Every episode of the config shares these arrays; nothing may write to them.
         observations.codes.flags.writeable = False
         observations.global_feats.flags.writeable = False
-        responses: dict[tuple, ResponseRecord] = {}
-        # One frozen JudgeContext per distinct (latest topics, evidence revealed).
-        keys = [(state.latest.topic_slots, state.evidence_revealed) for state in states]
-        contexts = {key: JudgeContext(*key) for key in dict.fromkeys(keys)}
-        return cls(
-            tuple(EnvView(state, schema, responses) for state in states),
-            tuple(map(contexts.__getitem__, keys)),
-            tuple(truths),
-            tuple(ceilings),
-            observations,
-            responses,
-        )
+        return cls(tuple(views), tuple(truths), tuple(ceilings), observations, responses)
 
 
 class DialogueEnv:
@@ -375,11 +349,11 @@ class DialogueEnv:
     def schema(self) -> SlotSchema:
         return self.config.profile.schema
 
-    def reset(self) -> DialogueState:
+    def reset(self) -> EnvView:
         self._index = 0
         self._done = False
         self._scored = None
-        return self._table.views[0].state
+        return self._table.views[0]
 
     @property
     def done(self) -> bool:
@@ -397,24 +371,20 @@ class DialogueEnv:
         """Score ``action`` as the agent turn answering the current user turn,
         advance to the next user turn, and return the turn's record.
         ``Profile``s are immutable, so an estimate and truth that are the
-        previous turn's objects keep that turn's profile reward; any other
-        estimate is scored through the row's ``MatchTable``."""
+        previous turn's objects (its ``MatchTable``) keep that turn's profile
+        reward; any other estimate is scored through the row's table."""
         index = self._current()
         if self._done:
             raise ProtocolError("step() after the episode ended")
 
-        table = self._table
-        response, estimate, truth = action.response, action.estimate, table.truths[index]
-        last = self._scored
-        if last and last[0] is estimate and last[1] is truth:
-            known, matches = last[2], None
-        else:
-            known, matches = None, self._matches[index]
+        table, response, estimate = self._table, action.response, action.estimate
+        view, matches, last = table.views[index], self._matches[index], self._scored
+        known = last[2] if last and last[0] is estimate and last[1] is matches else None
         r_profile, r_response, criteria, dimensions, aligned = _turn_scores(
-            response, estimate, table.contexts[index], truth, self.matcher, known, matches
+            response, estimate, view, matches, known
         )
-        self._scored = (estimate, truth, r_profile)
-        utterance = table.views[index].state.latest
+        self._scored = (estimate, matches, r_profile)
+        utterance = view.latest
         record = TurnRecord(
             utterance.turn, utterance.text, utterance.evidence, utterance.topic_slots,
             response.text, response.addressed_slots, response.continues, dict(estimate.entries),
@@ -522,7 +492,7 @@ class EvidenceOracleAgent:
     _actions: dict[tuple[str, ...], AgentAction]
 
     def act(self, view: EnvView) -> AgentAction:
-        seen, topics = view.seen_values, view.state.latest.topic_slots
+        seen, topics = view.seen_values, view.latest.topic_slots
         if seen is not self._seen or self._estimate.schema is not view.schema:
             self._seen, self._actions = seen, {}
             self._estimate = Profile(schema=view.schema, entries=dict(seen))
@@ -565,15 +535,15 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
     matcher = matcher or SlotMatcher.parse(record.matcher)
     schema = record.schema_object()
     breakdowns: list[RewardBreakdown] = []
-    state = DialogueState()
+    view = EnvView(schema)
     for t in record.turns:
-        state = state.with_user_turn(UserUtterance(t.user_text, t.evidence, t.turn, t.topic_slots))
+        view = view.with_user_turn(UserUtterance(t.user_text, t.evidence, t.turn, t.topic_slots))
+        truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
         r_profile, r_response, *verdicts = _turn_scores(
             ResponseRecord(t.addressed, t.continues, t.response_text),
             Profile(schema=schema, entries=dict(t.estimate)),
-            JudgeContext(state.latest.topic_slots, state.evidence_revealed),
-            Profile(schema=schema, entries=record.effective_truth_at(t.turn)),
-            matcher,
+            view,
+            MatchTable(truth, matcher),
         )
         breakdowns.append(RewardBreakdown(r_profile, r_response, r_profile + r_response, *verdicts))
     return breakdowns

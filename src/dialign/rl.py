@@ -581,10 +581,9 @@ class PolicyAgent:
         self._first = rows.start
 
     def act(self, view: EnvView) -> AgentAction:
-        state = view.state
-        row = self._first + state.latest.turn - 1
+        row = self._first + view.latest.turn - 1
         names = view.schema.slots
-        seen = state.seen_values
+        seen = view.seen_values
         included = compress(names, self._include[row])
         entries = {slot: seen.get(slot, UNKNOWN_VALUE) for slot in included}
         addressed: tuple[tuple[str, str], ...] = ()
@@ -756,14 +755,20 @@ def reward_means(records: Sequence[EpisodeRecord]) -> tuple[float, float, float]
     )
 
 
+_NO_SLOTS = "must name at least one slot for a policy, got []"
+
+
 def check_schema(schemas: Iterable[tuple[str, SlotSchema]], expected: SlotSchema) -> None:
-    """Refuse the first scenario whose schema (name, slots or openness) is
-    not ``expected``: one policy and critic fit one slot layout."""
+    """Refuse the first scenario whose schema has no slots, or whose schema
+    (name, slots or openness) is not ``expected``: one policy and critic fit
+    one slot layout, of at least one slot."""
 
     def describe(schema: SlotSchema) -> str:
         return f"{schema.name!r} ({len(schema.slots)} slots, open={schema.open_schema})"
 
     for scenario_id, schema in schemas:
+        if not schema.slots:
+            raise SchemaError(f"scenario {scenario_id}: profile schema slots {_NO_SLOTS}")
         if schema != expected:
             raise SchemaError(
                 f"scenario {scenario_id} has schema {describe(schema)}, "
@@ -927,6 +932,8 @@ def load_checkpoint(path) -> Checkpoint:
         schema = SlotSchema.from_record(record["schema"], f"{where}schema ", CheckpointError)
     except ValueError as exc:
         raise CheckpointError(f"{where}schema: {exc}") from None
+    if not schema.slots:
+        raise CheckpointError(f"{where}schema slots {_NO_SLOTS}")
     phi = Field("numbers", size=observation_dim(len(schema.slots)))  # the row for this schema
     read_fields(where, {"phi": record["phi"]}, {"phi": phi}, CheckpointError)
     return Checkpoint(

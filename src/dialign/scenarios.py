@@ -134,9 +134,8 @@ def generate_scenarios(
 ) -> list[Scenario]:
     read_fields("", dict(count=count, seed=seed, horizon=horizon), GENERATE_FIELDS, ConfigError)
     if conflict and horizon < DEFAULT_CONFLICT_TURN + 1:
-        raise ConfigError(
-            f"conflict scenarios need horizon > {DEFAULT_CONFLICT_TURN} to recover"
-        )
+        raise ConfigError(f"conflict scenarios swap a value at turn {DEFAULT_CONFLICT_TURN} and "
+                          f"need a horizon above {DEFAULT_CONFLICT_TURN} to recover")
     rng = random.Random(seed)
     schema = _schema_for(extended)
     scenarios: list[Scenario] = []

@@ -531,6 +531,19 @@ def test_gen_scenarios_conflict_flag_needs_recovery_room(tmp_path: Path) -> None
     assert code == 2
 
 
+@pytest.mark.parametrize("horizon", ["1", "6"])
+def test_gen_scenarios_conflict_without_recovery_room_names_both_flags(
+    horizon: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tmp_path / "scn"
+    assert main(["gen-scenarios", "--out", str(out), "--horizon", horizon, "--conflict"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --conflict --horizon {horizon}: conflict scenarios swap a value at turn 6 "
+        "and need a horizon above 6 to recover\n"
+    )
+    assert not out.exists()
+
+
 # --- train ------------------------------------------------------------------------
 
 
@@ -885,6 +898,50 @@ def test_eval_negative_seed_exits_2_before_writing(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_scenario_schema_with_no_slots_trains_no_policy_but_the_oracle_runs(
+    scenario_dir: Path, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    """A policy needs a slot to act on; the evidence oracle does not."""
+    payload = json.loads(sorted(scenario_dir.glob("*.json"))[0].read_text())
+    payload["profile"]["schema"] = {"name": "x", "slots": [], "open": True}
+    path = tmp_path / "no-slots.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--scenarios", str(path), "--out", str(out), "--rounds", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario {payload['id']}: profile schema slots must name at least one slot "
+        "for a policy, got []\n"
+    )
+    assert not out.exists()
+    assert main(["eval", "--scenarios", str(path), "--out", str(out), "--agent", "oracle"]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_checkpoint_schema_with_no_slots_exits_2_naming_the_file_and_field(
+    command: str, trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    payload = json.loads((trained_dir / "checkpoint.json").read_text())
+    payload["schema"]["slots"] = []
+    payload["phi"] = payload["phi"][:2]  # as long as the observation of no slots
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    args = [command, "--scenarios", str(scenario_dir), "--out", str(out)]
+    if command == "eval":
+        args += ["--agent", "policy", "--checkpoint", str(checkpoint)]
+    else:
+        args += ["--rounds", "1", "--samples", "1", "--resume", str(checkpoint)]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {checkpoint}: schema slots must name at least one slot for a "
+        "policy, got []\n"
+    )
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from dialign.env import (
     UNKNOWN_VALUE,
     AgentAction,
     DialogueEnv,
-    DialogueState,
     EnvView,
     EpisodeRecord,
     EpisodeTable,
@@ -34,7 +33,8 @@ from dialign.env import (
 import dialign.env
 from dialign.errors import ConfigError, ProtocolError, SchemaError
 from dialign.profiles import (
-    Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall, profile_reward,
+    MatchTable, Profile, SlotMatcher, SlotSchema, clearly_different, precision_recall,
+    profile_reward,
 )
 from dialign.reward import JudgeContext, judge_counts, response_reward
 from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, play
@@ -106,7 +106,7 @@ def test_turns_alternate_user_then_agent() -> None:
         assert record.turn == turn
         # The user replies after every agent turn except the last.
         if not env.done:
-            state = env.view().state
+            state = env.view()
             assert state.turn == turn + 1
             assert state.latest.turn == turn + 1
     assert turn == 6
@@ -212,7 +212,7 @@ class _RebuildingOracle:
 
     def act(self, view: EnvView) -> AgentAction:
         seen = view.seen_values
-        addressed = [(t, seen[t]) for t in view.state.latest.topic_slots if t in seen][:1]
+        addressed = [(t, seen[t]) for t in view.latest.topic_slots if t in seen][:1]
         if not addressed and seen:
             slot = next(iter(seen))
             addressed = [(slot, seen[slot])]
@@ -342,8 +342,8 @@ def test_observation_tracks_seen_and_topic_flags() -> None:
     env.step(agent.act(env.view()))
     view = env.view()
     obs = env.config.episode_table.observations
-    seen_flags = obs.slot_feats[view.state.turn - 1, :, 1]
-    topic_flags = obs.slot_feats[view.state.turn - 1, :, 2]
+    seen_flags = obs.slot_feats[view.turn - 1, :, 1]
+    topic_flags = obs.slot_feats[view.turn - 1, :, 2]
     assert seen_flags.sum() == 1.0
     assert topic_flags.sum() == 1.0
     revealed_slot = next(iter(view.seen_values))
@@ -368,14 +368,14 @@ _NAMES = ("Age", "City", "Diet", "Hobby", "Job", "Pet", "Sport", "Music")
 
 
 @st.composite
-def _state_stacks(draw) -> tuple[list[DialogueState], SlotSchema, int]:
+def _state_stacks(draw) -> tuple[list[EnvView], SlotSchema, int]:
     """A dialogue walked one user turn at a time from the state with no
     utterance, with evidence and topics for slots in and outside the schema;
     the stack lists its states in any order, repeats included."""
     slots = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=6, unique=True))
     schema = SlotSchema(name="s", slots=tuple(slots), open_schema=draw(st.booleans()))
     names = st.sampled_from(_NAMES + ("Outside", "Other"))
-    walk = [DialogueState()]
+    walk = [EnvView(schema)]
     for turn in range(1, draw(st.integers(0, 30)) + 1):
         evidence = draw(st.lists(st.tuples(names, st.sampled_from(["a", "b"])), max_size=3))
         topics = draw(st.lists(names, max_size=2, unique=True))
@@ -427,7 +427,7 @@ def test_observe_writes_each_slots_code_and_its_feature_row(config: UserConfig) 
     and the opening turn (which has no topic) to the last turn, and its
     features, in ``slot_feats`` and ``flat``, are its ``SLOT_CODE_FEATS`` row."""
     table = config.episode_table
-    states = [DialogueState(), *(view.state for view in table.views)]
+    states = [EnvView(config.profile.schema), *table.views]
     assert not states[1].latest.topic_slots
     schema = config.profile.schema
     expected = [
@@ -469,7 +469,7 @@ def test_effective_truth_switches_at_conflict_turn() -> None:
     truth_by_turn: dict[int, str] = {}
     while not env.done:
         view = env.view()
-        truth_by_turn[view.state.turn] = env.config.episode_table.truths[view.state.turn - 1].entries[slot]
+        truth_by_turn[view.turn] = env.config.episode_table.truths[view.turn - 1].entries[slot]
         env.step(agent.act(view))
     assert truth_by_turn[5] == old
     assert truth_by_turn[6] == new
@@ -568,11 +568,12 @@ def test_step_records_the_scores_turn_scores_gives(
     assert table.truths[conflict_turn - 1] is not table.truths[conflict_turn - 2]
     env.reset()
     while not env.done:
-        index = env.view().state.turn - 1
+        index = env.view().turn - 1
         action = agent.act(env.view())
         record = env.step(action)
         profile, response, criteria, dimensions, aligned = dialign.env._turn_scores(
-            action.response, action.estimate, table.contexts[index], table.truths[index], matcher
+            action.response, action.estimate, table.views[index],
+            MatchTable(table.truths[index], matcher),
         )
         assert (record.profile_reward, record.response_reward, record.total_reward,
                 record.criteria, record.dimensions, record.aligned) == (
@@ -621,7 +622,7 @@ def test_step_profile_reward_equals_profile_reward_without_the_match_tables(
         env.reset()
     while not envs[0].done:
         view = envs[0].view()
-        truth = table.truths[view.state.turn - 1]
+        truth = table.truths[view.turn - 1]
         for env in rng.sample(envs, len(envs)):
             if last is not None and rng.random() < 0.2:
                 estimate = last
@@ -668,6 +669,7 @@ def test_step_raises_pair_then_empty_truth_then_schema_errors() -> None:
     bad, good = make_response([("Age", " ")], True), make_response([], True)
     table = env._table
     env._table = dataclasses.replace(table, truths=(Profile(schema=other),) * len(table.truths))
+    env._matches = env._table.match_tables(env.matcher)
     for response, error, message in (
         (bad, ValueError, "addressed value for 'Age' must be non-empty text"),
         (good, ValueError, "truth profile must be non-empty"),
@@ -677,6 +679,7 @@ def test_step_raises_pair_then_empty_truth_then_schema_errors() -> None:
             env.step(AgentAction(response, estimate))
     other_truth = Profile(schema=other, entries={"Age": "34"})
     env._table = dataclasses.replace(table, truths=(other_truth,) * len(table.truths))
+    env._matches = env._table.match_tables(env.matcher)
     env.reset()
     with pytest.raises(SchemaError, match="schema mismatch: 'aloe' vs 'other'"):
         env.step(AgentAction(good, estimate))
@@ -986,7 +989,8 @@ def test_kept_verdicts_equal_judge_counts_and_response_reward(verdicts) -> None:
     # Small counts so that keys repeat within one example and across examples.
     for counts, topics, revealed, continues in verdicts:
         context = JudgeContext(latest_topics=tuple(topics), evidence_revealed=revealed)
-        criteria, dimensions, reward = dialign.env._verdict(counts, context, continues)
+        criteria, dimensions, reward = dialign.env._verdict(counts, tuple(topics), revealed,
+                                                            continues)
         expected_criteria, expected_dimensions = judge_counts(counts, context, continues)
         assert _typed_items(criteria) == _typed_items(expected_criteria)
         assert _typed_items(dimensions) == _typed_items(expected_dimensions)

@@ -1,10 +1,12 @@
-"""The README cites only tests that exist."""
+"""The README cites only tests that exist, and its Python examples run."""
 
 from __future__ import annotations
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +38,31 @@ def test_the_checker_finds_missing_paths_files_and_names(tmp_path: Path) -> None
 
 def test_every_test_the_readme_cites_exists() -> None:
     assert _missing_citations((ROOT / "README.md").read_text(), ROOT) == []
+
+
+def _run_python_blocks(readme: str) -> int:
+    """Run each ```python block of ``readme``, in order, each in a fresh
+    namespace in the current directory; the number of blocks run."""
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    for index, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {index + 1}", "exec"), {"__name__": "readme"})
+    return len(blocks)
+
+
+def test_the_runner_fails_on_an_import_the_package_no_longer_exports(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    runs = "```python\nfrom dialign import EnvView\nopen('ran', 'w').close()\n```\n"
+    assert _run_python_blocks(f"text\n{runs}```sh\nexit 1\n```\n") == 1
+    assert (tmp_path / "ran").exists()
+    with pytest.raises(ImportError, match="DialogueState"):
+        _run_python_blocks(f"{runs}```python\nfrom dialign import DialogueState\n```\n")
+
+
+def test_every_python_example_in_the_readme_runs(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    readme = (ROOT / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)
+    assert _run_python_blocks(readme) >= 1

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialign.env import UNKNOWN_VALUE, _turn_scores
+from dialign.env import UNKNOWN_VALUE, EnvView, _turn_scores
 from dialign.errors import SchemaError
-from dialign.profiles import Profile, SlotMatcher, SlotSchema, normalize_text, profile_reward
+from dialign.profiles import (
+    MatchTable, Profile, SlotMatcher, SlotSchema, normalize_text, profile_reward,
+)
 from dialign.reward import (
     JudgeContext,
     ResponseJudgment,
@@ -18,6 +20,7 @@ from dialign.reward import (
     combined_reward,
     response_reward,
 )
+from dialign.user_sim import UserUtterance
 
 _SCHEMA = SlotSchema.aloe()
 
@@ -30,6 +33,13 @@ class FakeResponse:
 
 def _estimate(**entries: str) -> Profile:
     return Profile(schema=_SCHEMA, entries=dict(entries))
+
+
+def _view(context: JudgeContext) -> EnvView:
+    """The view after one user turn with ``context``'s topics, which reveals
+    evidence exactly when ``context`` says evidence has been revealed."""
+    evidence = (("Age", "34"),) if context.evidence_revealed else ()
+    return EnvView(_SCHEMA).with_user_turn(UserUtterance("u", evidence, 1, context.latest_topics))
 
 
 def _judgment(**overrides: int | float) -> ResponseJudgment:
@@ -264,11 +274,11 @@ def test_turn_scores_raises_pair_then_empty_truth_then_schema_errors() -> None:
     empty_other, other_truth = Profile(schema=other), Profile(schema=other, entries={"Age": "34"})
     bad, good = FakeResponse(addressed_slots=(("Age", ""),)), FakeResponse(addressed_slots=())
     with pytest.raises(ValueError, match="addressed value for 'Age' must be non-empty text"):
-        _turn_scores(bad, estimate, context, empty_other, matcher)
+        _turn_scores(bad, estimate, _view(context), MatchTable(empty_other, matcher))
     with pytest.raises(ValueError, match="truth profile must be non-empty"):
-        _turn_scores(good, estimate, context, empty_other, matcher)
+        _turn_scores(good, estimate, _view(context), MatchTable(empty_other, matcher))
     with pytest.raises(SchemaError, match="schema mismatch: 'aloe' vs 'other'"):
-        _turn_scores(good, estimate, context, other_truth, matcher)
+        _turn_scores(good, estimate, _view(context), MatchTable(other_truth, matcher))
 
 
 # --- parity with the per-criterion reference ------------------------------------------
@@ -397,7 +407,7 @@ def test_judge_and_turn_scores_equal_the_per_criterion_reference(
     assert _typed(astuple(judged[1])) == _typed(astuple(reference[1]))
 
     profile, reward, criteria, dimensions, aligned = _turn_scores(
-        response, est, context, tru, matcher
+        response, est, _view(context), MatchTable(tru, matcher)
     )
     expected = _reference_score(response, est, context, tru, matcher)
     actual = (profile, reward, profile + reward, criteria, dimensions, aligned)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dialign.env import DialogueEnv, DialogueState, Observation, observation_dim, observe, rollout
+from dialign.env import DialogueEnv, EnvView, Observation, observation_dim, observe, rollout
 from dialign.errors import CheckpointError, ConfigError
 from dialign.profiles import SlotMatcher, SlotSchema
 from dialign.reward import combined_reward
@@ -785,7 +785,7 @@ def test_stored_values_are_per_row_predictions() -> None:
     for index, (_, config) in enumerate(pairs):
         # Walk the user side afresh and value each turn's observation on its own.
         schema, horizon = config.profile.schema, config.horizon
-        state = DialogueState().with_user_turn(first_utterance(config))
+        state = EnvView(schema).with_user_turn(first_utterance(config))
         user = initial_state(config)
         expected = [float(observe([state], schema, horizon).flat()[0] @ value_fn.phi)]
         while (step := next_utterance(user, config)) is not None:

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialign import user_sim
+from dialign.env import AgentAction, DialogueEnv, make_response
 from dialign.errors import ConfigError
 from dialign.profiles import Profile, SlotSchema, clearly_different
-from dialign.reward import JudgeContext
 from dialign.scenarios import generate_scenarios
 from dialign.user_sim import (
     FIRST_UTTERANCE_TEXT,
@@ -373,8 +373,8 @@ def test_episode_table_equals_a_fresh_walk(conflict_turn: int | None) -> None:
         states.append(step[1])
 
     table = config.episode_table
-    assert len(table.views) == len(table.contexts) == len(states) == 10
-    assert [view.state.latest for view in table.views] == utterances
+    assert len(table.views) == len(states) == 10
+    assert [view.latest for view in table.views] == utterances
     assert all(view.schema is profile.schema for view in table.views)
     assert [truth.entries for truth in table.truths] == [s.active_entries for s in states]
     assert all(truth.schema is profile.schema for truth in table.truths)
@@ -383,11 +383,11 @@ def test_episode_table_equals_a_fresh_walk(conflict_turn: int | None) -> None:
         {id(s.active_entries) for s in states}
     ) == (1 if conflict_turn in (None, 1) else 2)
     assert list(table.ceilings) == [theoretical_max(s, s.active_entries) for s in states]
-    # What the judge sees of each row; rows with the same inputs share one context.
+    # What the judge reads of each row: the utterance's topics, and whether
+    # any user turn so far has revealed evidence.
     revealed = list(accumulate((bool(u.evidence) for u in utterances), operator.or_))
-    contexts = [JudgeContext(u.topic_slots, r) for u, r in zip(utterances, revealed)]
-    assert list(table.contexts) == contexts
-    assert len({id(context) for context in table.contexts}) == len(set(contexts))
+    assert [view.latest.topic_slots for view in table.views] == [u.topic_slots for u in utterances]
+    assert [bool(view.seen_values) for view in table.views] == revealed
     if conflict_turn is not None:
         before = conflict_turn - 1
         assert [truth.entries[slot] for truth in table.truths] == (
@@ -395,6 +395,24 @@ def test_episode_table_equals_a_fresh_walk(conflict_turn: int | None) -> None:
         )
     assert table.observations.slot_feats.shape == (10, len(profile.schema.slots), 3)
     assert config.episode_table is table
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_walk_configs())
+def test_every_row_is_judged_revealed_once_any_turn_revealed_evidence(config: UserConfig) -> None:
+    """Zero budgets and restated slots make turns that reveal nothing after
+    turns that did; a conflict (at turn 1 too) swaps values.  On every row
+    the view's seen values are non-empty, and the judge holds an empty
+    response uninformative, exactly when some user turn so far revealed evidence."""
+    revealed = list(accumulate((bool(u.evidence) for u in _run_episode(config)), operator.or_))
+    table, env = config.episode_table, DialogueEnv(config)
+    assert len(table.views) == len(revealed)
+    env.reset()
+    for view, was_revealed in zip(table.views, revealed):
+        assert env.view() is view and bool(view.seen_values) == was_revealed
+        record = env.step(AgentAction(make_response((), True), Profile(config.profile.schema)))
+        assert record.criteria["informativeness"] == int(not was_revealed)
+        assert record.dimensions["persona_coherence"] == (0.0 if was_revealed else 1.0)
 
 
 # --- theoretical max ------------------------------------------------------------------
