@@ -162,7 +162,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         policy, value_fn = checkpoint.policy(), checkpoint.value_fn()
         start_step = checkpoint.step
     result = train(
-        [(s.scenario_id, s.user_config()) for s in scenario_list],
+        [(s.scenario_id, s) for s in scenario_list],
         cfg,
         weights=weights,
         matcher=matcher,
@@ -185,19 +185,9 @@ def cmd_train(args: argparse.Namespace) -> int:
          for row in result.curve],
         append=bool(args.resume) and curve_path.exists(),
     )
-    with open(out / "run_config.json", "w") as fh:
-        json.dump(
-            {
-                "ppo": asdict(cfg),
-                "weights": list(weights),
-                "matcher": matcher.label,
-                "scenarios": str(args.scenarios),
-                "resumed_from": args.resume,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    run_config = {"ppo": asdict(cfg), "weights": list(weights), "matcher": matcher.label,
+                  "scenarios": str(args.scenarios), "resumed_from": args.resume}
+    (out / "run_config.json").write_text(json.dumps(run_config, indent=2) + "\n")
     last = result.curve[-1]
     print(
         f"trained {cfg.total_rounds} rounds -> step {result.final_step}; "

@@ -204,7 +204,8 @@ class EnvView:
 
     def respond(self, addressed: tuple[tuple[str, str], ...], continues: bool) -> ResponseRecord:
         """``make_response(addressed, continues)``, kept per config in
-        ``EpisodeTable.responses``, by ``continues``'s type too: 1 is not True."""
+        ``EpisodeTable.responses``, by ``continues``'s type too: 1 is not True.
+        Both bundled agents render through it."""
         key = (addressed, type(continues), continues)
         response = self.responses.get(key)
         if response is None:
@@ -219,7 +220,8 @@ _VERDICTS: dict[tuple, tuple[dict[str, int], dict[str, float], float]] = {}
 def _verdict(counts: tuple[int, ...], topics: tuple[str, ...], revealed: object,
              continues: bool) -> tuple:
     """``judge_counts`` and ``response_reward`` once per key, where evidence has
-    been revealed when ``revealed`` (a view's seen values) is true; keepers copy the dicts."""
+    been revealed when ``revealed`` (a view's seen values) is true; keepers copy the dicts.
+    The key space is small: the benchmark's workloads reach at most 10 keys."""
     key = (counts, bool(topics), bool(revealed), bool(continues))
     verdict = _VERDICTS.get(key)
     if verdict is None:
@@ -280,7 +282,9 @@ class EpisodeTable:
     def match_tables(self, matcher: SlotMatcher) -> tuple[MatchTable, ...]:
         """One ``MatchTable`` per row, of the row's truth under ``matcher``;
         rows that share a truth share its table.  Made on first use per
-        matcher and kept, so every episode of the config fills the same ones."""
+        matcher and kept, so every episode of the config fills the same ones.
+        They grow by the distinct pairs agents submit: the bundled agents
+        submit only seen values and the ``UNKNOWN_VALUE`` placeholder."""
         tables = self._matches.get(matcher)
         if tables is None:
             distinct = {id(truth): truth for truth in self.truths}
@@ -372,7 +376,9 @@ class DialogueEnv:
         advance to the next user turn, and return the turn's record.
         ``Profile``s are immutable, so an estimate and truth that are the
         previous turn's objects (its ``MatchTable``) keep that turn's profile
-        reward; any other estimate is scored through the row's table."""
+        reward; any other estimate is scored through the row's table.  An
+        agent that edits a returned estimate's ``entries`` in place and
+        returns that object again is scored on its old entries."""
         index = self._current()
         if self._done:
             raise ProtocolError("step() after the episode ended")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -33,33 +33,31 @@ DEFAULT_CONFLICT_TURN = 6
 
 
 @dataclass(frozen=True)
-class Scenario:
-    scenario_id: str
-    profile: Profile
-    horizon: int
-    reveal_schedule: tuple[int, ...] | None
-    conflict: ConflictSpec | None
-    style_seed: int
+class Scenario(UserConfig):
+    """A ``UserConfig`` with the id it is saved and logged under; building
+    one validates it."""
+
+    scenario_id: str = field(kw_only=True)
 
     def user_config(
         self,
         horizon: int | None = None,
         conflict: ConflictSpec | None = None,
     ) -> UserConfig:
-        """Materialize the episode config, optionally overriding pieces.
+        """The episode config, this scenario itself unless pieces are overridden.
 
         Overriding the horizon resets the reveal schedule to the default
         one-per-turn so longer episodes keep revealing.  A config the
         overrides make invalid (say, a horizon that cuts off the conflict)
         raises a ``ConfigError`` naming the scenario.
         """
-        effective_horizon = horizon if horizon is not None else self.horizon
-        schedule = self.reveal_schedule if horizon is None else None
+        if horizon is None and conflict is None:
+            return self
         try:
             return UserConfig(
                 profile=self.profile,
-                horizon=effective_horizon,
-                reveal_schedule=schedule,
+                horizon=self.horizon if horizon is None else horizon,
+                reveal_schedule=self.reveal_schedule if horizon is None else None,
                 conflict=conflict if conflict is not None else self.conflict,
                 style_seed=self.style_seed,
             )
@@ -162,9 +160,7 @@ def save_scenarios(scenarios: list[Scenario], out_dir: str | Path) -> list[Path]
     paths: list[Path] = []
     for scenario in scenarios:
         path = out / f"{scenario.scenario_id}.json"
-        with open(path, "w") as fh:
-            json.dump(scenario.to_payload(), fh, indent=2)
-            fh.write("\n")
+        path.write_text(json.dumps(scenario.to_payload(), indent=2) + "\n")
         paths.append(path)
     return paths
 
@@ -183,7 +179,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except (ValueError, SchemaError) as exc:
         raise ConfigError(f"{where}profile: {exc}") from None
     try:
-        scenario = Scenario(
+        return Scenario(
             scenario_id=record["id"] or Path(path).stem,
             profile=profile,
             horizon=record["horizon"],
@@ -191,10 +187,8 @@ def load_scenario(path: str | Path) -> Scenario:
             conflict=ConflictSpec(**conflict) if conflict else None,
             style_seed=record["style_seed"],
         )
-        scenario.user_config()
     except ConfigError as exc:
         raise ConfigError(f"{where}{exc}") from None
-    return scenario
 
 
 def scenario_files(source: str | Path) -> list[Path]:
@@ -211,5 +205,13 @@ def scenario_files(source: str | Path) -> list[Path]:
 
 
 def load_scenarios(source: str | Path) -> list[Scenario]:
-    """Load every scenario JSON from a directory (or a single file)."""
-    return [load_scenario(path) for path in scenario_files(source)]
+    """Load every scenario JSON from a directory (or a single file); two files
+    of one scenario id are refused, naming both."""
+    scenarios: dict[str, tuple[Path, Scenario]] = {}
+    for path in scenario_files(source):
+        scenario = load_scenario(path)
+        first, _ = scenarios.setdefault(scenario.scenario_id, (path, scenario))
+        if first != path:
+            raise ConfigError(f"scenario files {first} and {path} share the id "
+                              f"{scenario.scenario_id!r}")
+    return [scenario for _, scenario in scenarios.values()]

@@ -4,8 +4,10 @@ The simulated user holds a ground-truth profile and reveals it incrementally:
 the first utterance is always the fixed greeting ``"Hello"`` carrying no
 evidence, and from turn 2 onward each utterance reveals up to the scheduled
 number of not-yet-revealed attributes, in schema order shuffled once by
-``style_seed``.  Every revealed (slot, value) pair is machine-readable
-evidence grounded in the active profile at the moment of emission.
+``random.Random(style_seed)``; turn t's wording is drawn from
+``random.Random(f"{style_seed}:{t}")``.  Every revealed (slot, value) pair
+is machine-readable evidence grounded in the active profile at the moment
+of emission.
 
 A conflict specification swaps the named entries' values at the conflict
 turn.  The swap takes effect immediately (rewards downstream are judged

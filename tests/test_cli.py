@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import dialign.cli
 from dialign.cli import _turn_means, main, write_reports
-from dialign.env import read_episodes, replay_rewards
+from dialign.env import DialogueEnv, read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
 from dialign.profiles import Profile, SlotMatcher, precision_recall
-from dialign.rl import load_checkpoint
-from dialign.scenarios import load_scenario
+from dialign.rl import load_checkpoint, play
+from dialign.scenarios import load_scenario, load_scenarios
 
 
 def _read_csv(path: Path) -> list[dict]:
@@ -842,7 +842,9 @@ def test_eval_rejects_mixed_horizons_exits_2(
     assert main(
         ["gen-scenarios", "--out", str(short), "--count", "1", "--seed", "2", "--horizon", "5"]
     ) == 0
-    shutil.copy(short / "scenario_0000.json", mixed / "scenario_short.json")
+    # Under an id of its own: two files of one id are refused before horizons are read.
+    payload = json.loads((short / "scenario_0000.json").read_text())
+    (mixed / "scenario_short.json").write_text(json.dumps({**payload, "id": "scenario_short"}))
     capsys.readouterr()
     args = ["eval", "--scenarios", str(mixed), "--agent", "oracle"]
     assert main(args + ["--out", str(tmp_path / "e")]) == 2
@@ -1039,6 +1041,22 @@ def test_eval_policy_agent_uses_checkpoint(trained_dir: Path, scenario_dir: Path
     )
     assert code == 0
     assert (out / "episodes.jsonl").exists()
+
+
+def test_eval_policy_draws_each_episode_alone_from_seed_scenario_index_and_episode(
+    trained_dir: Path, scenario_dir: Path, tmp_path: Path
+) -> None:
+    out, checkpoint = tmp_path / "eval", trained_dir / "checkpoint.json"
+    assert main(["eval", "--scenarios", str(scenario_dir), "--out", str(out), "--agent", "policy",
+                 "--checkpoint", str(checkpoint), "--episodes", "2", "--seed", "3"]) == 0
+    policy, exact = load_checkpoint(checkpoint).policy(), SlotMatcher.parse("exact")
+    alone = [
+        play(policy, [(s.scenario_id, DialogueEnv(s, matcher=exact))], [[3, index, episode]])[2][0]
+        for index, s in enumerate(load_scenarios(scenario_dir)) for episode in range(2)
+    ]
+    assert [r.to_json() for r in read_episodes(out / "episodes.jsonl")] == [
+        r.to_json() for r in alone
+    ]
 
 
 def test_eval_policy_without_checkpoint_exits_2(scenario_dir: Path, tmp_path: Path) -> None:

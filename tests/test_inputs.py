@@ -316,6 +316,33 @@ def test_a_scenario_id_is_non_empty_text_or_the_file_stem(
     assert load_scenario(path).scenario_id == "named"
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(("name", "scenario_id", "other"), [
+    ("copy.json", "scenario_0000", "scenario_0000.json"),  # a copy of a file
+    ("kitchen.json", None, "scenario_0001.json"),  # an id taken from another file's stem
+], ids=["copy", "stem"])
+def test_two_scenario_files_of_one_id_exit_2_naming_both(
+    command: str, name: str, scenario_id: str | None, other: str,
+    inputs: tuple[Path, Path], tmp_path: Path, capsys: pytest.CaptureFixture[str],
+) -> None:
+    scenarios = Path(shutil.copytree(inputs[0], tmp_path / "scn"))
+    payload = json.loads((scenarios / "scenario_0000.json").read_text())
+    _edit(payload, "id", scenario_id or _MISSING)
+    (scenarios / name).write_text(json.dumps(payload))
+    if scenario_id is None:
+        twin = json.loads((scenarios / other).read_text())
+        (scenarios / other).write_text(json.dumps({**twin, "id": Path(name).stem}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_command_line(command, scenarios, out)) == 2
+    shared = scenario_id or Path(name).stem
+    assert capsys.readouterr().err == (
+        f"error: scenario files {scenarios / name} and {scenarios / other} "
+        f"share the id {shared!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_the_pinned_checkpoint_loads_and_resumes(tmp_path: Path) -> None:
     """A checkpoint in today's format (``tests/data/checkpoint_v1.json``,
     one round on ``gen-scenarios --count 2 --seed 3``) keeps its fingerprint

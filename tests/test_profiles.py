@@ -162,6 +162,15 @@ def test_load_profile_round_trips_record() -> None:
         assert SlotSchema.from_record(schema.to_record()) == schema
 
 
+def test_a_record_naming_its_schema_only_loads() -> None:
+    entries = {"Age": "34", "Hobby": "chess"}
+    aloe = load_profile({"schema": "aloe", "entries": {"Age": "34"}})
+    assert aloe.schema == SlotSchema.aloe()
+    named = load_profile({"schema": "mine", "entries": entries})
+    assert named.schema == SlotSchema("mine", ("Age", "Hobby"), open_schema=True)
+    assert named.entries == entries
+
+
 # --- matchers ------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
-"""The README cites only tests that exist, and its Python examples run."""
+"""The README cites only tests that exist, every promise it makes cites one,
+its library table lists exactly the package's modules, and its Python
+examples run."""
 
 from __future__ import annotations
 
@@ -38,6 +40,58 @@ def test_the_checker_finds_missing_paths_files_and_names(tmp_path: Path) -> None
 
 def test_every_test_the_readme_cites_exists() -> None:
     assert _missing_citations((ROOT / "README.md").read_text(), ROOT) == []
+
+
+# Words that make a README paragraph a promise of an exit code or of identical output.
+_PROMISE = re.compile(r"exits? [0-3]|exit codes?|bit-identical|byte-identical|bit for bit|"
+                      r"byte for byte|same bits|reproducible", re.I)
+_CITATION = re.compile(r"(?<![\w/])(?:(?:bench/)?tests/[\w/]+\.py|test_\w+)")
+
+
+def _prose_paragraphs(readme: str) -> list[str]:
+    """The paragraphs and list items of ``readme`` outside fenced code blocks,
+    tables and headings, each joined into one line."""
+    prose = re.sub(r"^```.*?^```.*?$", "", readme, flags=re.M | re.S)
+    paragraphs = []
+    for block in re.split(r"\n\s*\n", prose):
+        lines = [line.strip() for line in block.splitlines()
+                 if line.strip() and not line.lstrip().startswith(("|", "#"))]
+        items = [[]]
+        for line in lines:
+            if re.match(r"([-*]|\d+\.) ", line) and items[-1]:
+                items.append([])
+            items[-1].append(line)
+        paragraphs += [" ".join(item) for item in items if item]
+    return paragraphs
+
+
+def _uncited_promises(readme: str) -> list[str]:
+    """Each prose paragraph of ``readme`` that promises an exit code or
+    identical output and cites no test."""
+    return [p for p in _prose_paragraphs(readme) if _PROMISE.search(p) and not _CITATION.search(p)]
+
+
+def test_the_promise_check_flags_only_uncited_promises() -> None:
+    readme = (
+        "# Exit codes\n\nA bad flag exits 2.\n\nA bad file exits 2\n(`test_bad_file`).\n\n"
+        "- Training is\n  reproducible.\n- Resuming gives the same bits (`tests/test_cli.py`).\n\n"
+        "| flag | exits 2 |\n| --- | --- |\n\n```sh\ndialign eval  # exit code 2\n```\n\n"
+        "Nothing promised here.\n"
+    )
+    assert _uncited_promises(readme) == ["A bad flag exits 2.", "- Training is reproducible."]
+
+
+def test_every_promise_in_the_readme_cites_a_test() -> None:
+    assert _uncited_promises((ROOT / "README.md").read_text()) == []
+
+
+def test_the_library_layout_lists_exactly_the_modules_of_the_package() -> None:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `(dialign\.\w+)` \|", section, re.M)
+    modules = [f"dialign.{path.stem}" for path in (ROOT / "src" / "dialign").glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
 
 
 def _run_python_blocks(readme: str) -> int:
