@@ -25,7 +25,8 @@ current row's view, and ``step`` scores the turn with ``_turn_scores``
 one row down the table.  Per config, the table keeps a
 ``profiles.MatchTable`` per matcher and truth, and the responses agents
 render through ``EnvView.respond``; ``_turn_scores`` keeps each judge
-verdict by its inputs.  So each (slot, value) pair is matched, and each
+verdict by its inputs.  A turn's profile reward and alignment verdict
+both read the row's table.  So each (slot, value) pair is matched, and each
 response rendered, once per config, and each verdict once per process, not
 once per turn.  Observations exist only as stacks with a leading turn axis
 (``observe`` maps T views to one), and a policy reads the whole episode's
@@ -242,16 +243,16 @@ def _turn_scores(
     ``step`` and ``replay_rewards``, and the dicts are the caller's own.  The
     judge reads ``view``; the truth and matcher are those of ``matches``.  A
     given ``r_profile`` is this estimate's ``profile_reward`` against that truth."""
-    topics, truth, matcher = view.latest.topic_slots, matches.truth, matches.matcher
+    topics = view.latest.topic_slots
     counts = count_addressed(response.addressed_slots, topics, estimate.entries)
     criteria, dimensions, r_response = _verdict(
         counts, topics, view.seen_values, response.continues
     )
     if r_profile is None:
-        r_profile = profile_reward(estimate, truth, matcher, matches)
+        r_profile = profile_reward(estimate, matches.truth, matches.matcher, matches)
     return (
         r_profile, r_response, dict(criteria), dict(dimensions),
-        alignment_verdict(response, r_response, truth, matcher),
+        alignment_verdict(response, r_response, matches),
     )
 
 
@@ -283,13 +284,12 @@ class EpisodeTable:
         """One ``MatchTable`` per row, of the row's truth under ``matcher``;
         rows that share a truth share its table.  Made on first use per
         matcher and kept, so every episode of the config fills the same ones.
-        They grow by the distinct pairs agents submit: the bundled agents
-        submit only seen values and the ``UNKNOWN_VALUE`` placeholder."""
+        They grow by the distinct pairs agents submit in estimates and
+        responses; the bundled agents address pairs of their own estimates,
+        which hold only seen values and the ``UNKNOWN_VALUE`` placeholder."""
         tables = self._matches.get(matcher)
         if tables is None:
-            distinct = {id(truth): truth for truth in self.truths}
-            made = {key: MatchTable(truth, matcher) for key, truth in distinct.items()}
-            tables = self._matches[matcher] = tuple(made[id(t)] for t in self.truths)
+            tables = self._matches[matcher] = MatchTable.per_row(self.truths, matcher)
         return tables
 
     @classmethod
@@ -338,7 +338,7 @@ class DialogueEnv:
         # un-revealed value, lifting recall above the reveal ceiling.
         for slot, value in (config.conflict.replace if config.conflict else {}).items():
             old = config.profile.entries.get(slot)
-            if old is not None and not clearly_different(slot, old, [value], self.matcher):
+            if old is not None and not clearly_different(old, [value], self.matcher):
                 raise ConfigError(
                     f"matcher {self.matcher.label} matches the conflict replacement "
                     f"{value!r} for {slot!r} to the value it replaces, {old!r}"
@@ -475,11 +475,16 @@ class EpisodeRecord:
             name=self.schema_name, slots=self.schema_slots, open_schema=self.open_schema
         )
 
-    def effective_truth_at(self, turn: int) -> dict[str, str]:
-        entries = dict(self.truth)
-        if self.conflict is not None and turn >= int(self.conflict["turn"]):
-            entries.update(self.conflict["replace"])
-        return entries
+    def match_tables(self, matcher: SlotMatcher) -> tuple[MatchTable, ...]:
+        """One ``MatchTable`` per logged turn, of the truth in force at it under
+        ``matcher``; the turns on each side of the conflict swap share one."""
+        schema = self.schema_object()
+        before = after = Profile(schema=schema, entries=dict(self.truth))
+        swap = int(self.conflict["turn"]) if self.conflict is not None else None
+        if swap is not None and any(t.turn >= swap for t in self.turns):
+            after = Profile(schema=schema, entries={**self.truth, **self.conflict["replace"]})
+        truths = [after if swap is not None and t.turn >= swap else before for t in self.turns]
+        return MatchTable.per_row(truths, matcher)
 
 
 class Agent(Protocol):
@@ -538,18 +543,17 @@ def replay_rewards(record: EpisodeRecord, matcher: SlotMatcher | None = None) ->
     Used to check that episode logs are self-contained: the replay must
     reproduce the logged values exactly (same judge, same matcher).
     """
-    matcher = matcher or SlotMatcher.parse(record.matcher)
+    tables = record.match_tables(matcher or SlotMatcher.parse(record.matcher))
     schema = record.schema_object()
     breakdowns: list[RewardBreakdown] = []
     view = EnvView(schema)
-    for t in record.turns:
+    for t, matches in zip(record.turns, tables):
         view = view.with_user_turn(UserUtterance(t.user_text, t.evidence, t.turn, t.topic_slots))
-        truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
         r_profile, r_response, *verdicts = _turn_scores(
             ResponseRecord(t.addressed, t.continues, t.response_text),
             Profile(schema=schema, entries=dict(t.estimate)),
             view,
-            MatchTable(truth, matcher),
+            matches,
         )
         breakdowns.append(RewardBreakdown(r_profile, r_response, r_profile + r_response, *verdicts))
     return breakdowns

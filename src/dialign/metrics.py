@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EpisodeRecord
-from .profiles import MatchTable, Profile, SlotMatcher
+from .profiles import SlotMatcher
 
 
 # --- alignment curves -------------------------------------------------------
@@ -195,36 +195,31 @@ def longterm_profile_curve(
     right scale to compare with the reveal ceiling, because any estimate
     built only from revealed evidence can recover at most the revealed
     fraction.  The ``average`` aggregates the score over checkpoints.  Hits
-    are counted as ``precision_recall`` counts them, through one ``MatchTable``
-    per record and truth in force (the truth changes only at a conflict swap).
+    are counted as ``precision_recall`` counts them, through each record's
+    ``EpisodeRecord.match_tables`` (one per truth in force).
     """
     if not records:
         raise ValueError("longterm_profile_curve needs at least one episode")
     if not checkpoints:
         raise ValueError("need at least one checkpoint turn")
     setups = [
-        (record, record.schema_object(), matcher or SlotMatcher.parse(record.matcher))
+        (record, record.match_tables(matcher or SlotMatcher.parse(record.matcher)))
         for record in records
     ]
-    tables: dict[tuple, MatchTable] = {}  # per record, one for each truth in force
     points: list[LongtermPoint] = []
     for k in checkpoints:
         if k < 1:
             raise ValueError(f"checkpoint turns must be >= 1, got {k}")
         scores: list[float] = []
         ceilings: list[float] = []
-        for record, schema, m in setups:
+        for record, tables in setups:
             if k > len(record.turns):
                 raise ValueError(
                     f"checkpoint {k} beyond episode {record.scenario_id!r}"
                     f" with {len(record.turns)} turns"
                 )
-            turn = record.turns[k - 1]
-            truth = record.effective_truth_at(k)
-            key = (id(record), *truth.items())
-            if key not in tables:
-                tables[key] = MatchTable(Profile(schema=schema, entries=truth), m)
-            scores.append(sum(map(tables[key].__getitem__, turn.estimate.items())) / len(truth))
+            turn, matches = record.turns[k - 1], tables[k - 1]
+            scores.append(sum(map(matches.__getitem__, turn.estimate.items())) / len(matches.truth))
             ceilings.append(turn.theoretical_max)
         points.append(LongtermPoint(k, float(np.mean(scores)), float(np.mean(ceilings))))
     average = float(np.mean([p.profile_score for p in points]))

@@ -7,9 +7,10 @@ truth P is the F1-style overlap score
     R_profile = 2 * |P-hat ∩ P| / (|P-hat| + |P|)
 
 where the intersection is counted slot-by-slot under a configurable value
-matcher.  An empty estimate scores 0 by convention.  ``match_values`` is the
-one matching rule; a ``MatchTable`` remembers its verdicts for one truth and
-matcher, and every overlap count reads one.
+matcher.  An empty estimate scores 0 by convention.
+``SlotMatcher.values_match`` is the one matching rule; a ``MatchTable``
+remembers its verdicts for one truth and matcher, and every comparison of a
+value with a truth reads one: each overlap count, and the alignment verdict.
 
 The module also ships a small synthetic benchmark for matchers: rewrite a
 profile by paraphrasing ``a`` entries and altering ``b`` entries, then check
@@ -204,8 +205,17 @@ class SlotMatcher:
                 f"{self.label!r}; use at most 6 significant digits"
             )
 
-    def values_match(self, slot: str, a: str, b: str) -> bool:
-        return match_values(self.kind, self.threshold, a, b)
+    def values_match(self, a: str, b: str) -> bool:
+        """Whether ``a`` and ``b`` agree; reflexive (``a is b``) for non-empty
+        normalized text, as 0 < threshold <= 1."""
+        if self.kind == "exact":
+            na = normalize_text(a)
+            return na != "" and (a is b or na == normalize_text(b))
+        ta = token_set(a)
+        if a is b:
+            return bool(ta)
+        tb = token_set(b)
+        return bool(ta and tb) and len(ta & tb) / len(ta | tb) >= self.threshold
 
     @property
     def label(self) -> str:
@@ -229,24 +239,11 @@ class SlotMatcher:
         raise ConfigError(f"cannot parse matcher spec {text!r}")
 
 
-def match_values(kind: str, threshold: float, a: str, b: str) -> bool:
-    """The matching rule of a ``SlotMatcher`` of ``kind`` and ``threshold``;
-    reflexive (``a is b``) for non-empty normalized text, as 0 < threshold <= 1."""
-    if kind == "exact":
-        na = normalize_text(a)
-        return na != "" and (a is b or na == normalize_text(b))
-    ta = token_set(a)
-    if a is b:
-        return bool(ta)
-    tb = token_set(b)
-    return bool(ta and tb) and len(ta & tb) / len(ta | tb) >= threshold
-
-
 _HALF_TOKEN_MATCHER = SlotMatcher(kind="token", threshold=0.5)
 
 
 def clearly_different(
-    slot: str, value: str, candidates: Iterable[str], matcher: SlotMatcher | None = None
+    value: str, candidates: Iterable[str], matcher: SlotMatcher | None = None
 ) -> list[str]:
     """The candidates that match ``value`` under neither bundled matcher, nor
     under ``matcher`` when one is given.
@@ -255,7 +252,7 @@ def clearly_different(
     ruling it out rules out both.
     """
     matchers = [_HALF_TOKEN_MATCHER] + ([matcher] if matcher else [])
-    return [c for c in candidates if not any(m.values_match(slot, c, value) for m in matchers)]
+    return [c for c in candidates if not any(m.values_match(c, value) for m in matchers)]
 
 
 # --- overlap scoring ---------------------------------------------------------
@@ -270,8 +267,8 @@ def _check_same_family(estimate: Profile, truth: Profile) -> None:
 
 class MatchTable(dict):
     """(slot, value) -> whether the pair matches ``truth`` under ``matcher``,
-    filled through ``match_values`` on first lookup; it grows by the
-    distinct pairs looked up."""
+    filled through ``SlotMatcher.values_match`` on first lookup; it grows by
+    the distinct pairs looked up."""
 
     __slots__ = ("truth", "matcher")
 
@@ -282,8 +279,15 @@ class MatchTable(dict):
     def __missing__(self, pair: tuple[str, str]) -> bool:
         slot, value = pair
         other = self.truth.entries.get(slot)
-        hit = self[pair] = other is not None and self.matcher.values_match(slot, value, other)
+        hit = self[pair] = other is not None and self.matcher.values_match(value, other)
         return hit
+
+    @classmethod
+    def per_row(cls, truths: Sequence[Profile], matcher: SlotMatcher) -> tuple["MatchTable", ...]:
+        """One table per row of ``truths`` under ``matcher``; rows holding one
+        truth object share its table."""
+        made = {key: cls(truth, matcher) for key, truth in {id(t): t for t in truths}.items()}
+        return tuple(made[id(truth)] for truth in truths)
 
 
 def overlap_count(
@@ -362,7 +366,7 @@ def _alter(
     rng: random.Random,
     counter: int,
 ) -> str:
-    candidates = clearly_different(slot, value, pools.get(slot, []))
+    candidates = clearly_different(value, pools.get(slot, []))
     if candidates:
         return rng.choice(candidates)
     return f"substitute{counter} item{counter}"

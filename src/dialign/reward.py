@@ -25,6 +25,7 @@ A turn is judged from counts: ``count_addressed`` validates and counts the
 addressed pairs in one pass, ``judge_counts`` turns the counts into the
 criteria and dimensions, and ``response_reward`` multiplies the criteria.
 ``RuleJudge.judge`` and ``env._turn_scores`` both go through these three.
+``alignment_verdict`` reads the turn's ``profiles.MatchTable``.
 
 The total reward for a turn is the weighted sum of the profile overlap
 reward and this response reward; both weights default to 1.
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Protocol
 
-from .profiles import Profile, SlotMatcher, match_values, normalize_text
+from .profiles import MatchTable, Profile, normalize_text
 
 
 class ResponseLike(Protocol):
@@ -157,27 +158,18 @@ def combined_reward(
     return w_profile * profile_r + w_response * response_r
 
 
-def alignment_verdict(
-    response: ResponseLike,
-    reward: float,
-    truth: Profile,
-    matcher: SlotMatcher,
-) -> bool:
+def alignment_verdict(response: ResponseLike, reward: float, matches: MatchTable) -> bool:
     """Evaluation-time alignment check with ground-truth access.
 
     Unlike the training judge, evaluation sees the user's full profile: a
     turn counts as aligned when the rule criteria all pass (its
     ``response_reward`` is 1), the response personalizes on at least one
-    slot, and every addressed value agrees with the truth.
+    slot, and every addressed value agrees with the truth, as ``matches``
+    (the turn's ``MatchTable``) finds it.
     """
-    if reward != 1:
+    if reward != 1 or not response.addressed_slots:
         return False
-    addressed = tuple(response.addressed_slots)
-    if not addressed:
-        return False
-    kind, threshold, entries = matcher.kind, matcher.threshold, truth.entries
-    for slot, value in addressed:
-        actual = entries.get(slot)
-        if actual is None or not match_values(kind, threshold, value, actual):
+    for slot, value in response.addressed_slots:
+        if not matches[slot, value]:
             return False
     return True

@@ -103,7 +103,7 @@ def default_conflict(
     """
     target = reveal_order(profile, style_seed)[0]
     original = profile.entries[target]
-    candidates = clearly_different(target, original, _SLOT_VALUES.get(target, []), matcher)
+    candidates = clearly_different(original, _SLOT_VALUES.get(target, []), matcher)
     replacement = rng.choice(candidates) if candidates else f"changed {target.lower()}"
     return ConflictSpec(turn=turn, replace={target: replacement})
 

@@ -117,7 +117,7 @@ class UserConfig:
                 if not self.profile.schema.allows(slot):
                     raise ConfigError(f"conflict slot {slot!r} not allowed by schema")
                 old = self.profile.entries.get(slot)
-                if old is not None and not clearly_different(slot, old, [value]):
+                if old is not None and not clearly_different(old, [value]):
                     raise ConfigError(
                         f"conflict replacement {value!r} for {slot!r} is not clearly "
                         f"different from {old!r}"

@@ -137,7 +137,7 @@ def test_reward_functions_match_independent_oracles() -> None:
         overlap = 0
         for slot, value in estimate.entries.items():
             for t_slot, t_value in truth.entries.items():
-                if slot == t_slot and _EXACT.values_match(slot, value, t_value):
+                if slot == t_slot and _EXACT.values_match(value, t_value):
                     overlap += 1
         expected = 2.0 * overlap / (len(estimate) + len(truth))
         if profile_reward(estimate, truth, _EXACT) != expected:

@@ -1131,10 +1131,13 @@ def test_eval_conflict_mode_picks_swaps_the_run_matcher_sees(tmp_path: Path) -> 
     loose = SlotMatcher.parse("token:0.2")
     for record in read_episodes(out / "episodes.jsonl"):
         ((slot, new),) = record.conflict["replace"].items()
-        assert not loose.values_match(slot, new, record.truth[slot])
+        assert not loose.values_match(new, record.truth[slot])
         schema = record.schema_object()
         for t in record.turns:
-            truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
+            entries = dict(record.truth)  # the truth in force at this turn
+            if t.turn >= record.conflict["turn"]:
+                entries[slot] = new
+            truth = Profile(schema=schema, entries=entries)
             _, recall = precision_recall(Profile(schema=schema, entries=t.estimate), truth, loose)
             assert recall <= t.theoretical_max + 1e-12
 

@@ -183,7 +183,7 @@ def test_table_ceilings_and_truths_equal_a_plain_walk_of_the_user(
         if slot.startswith("rank "):
             slot = reveal_order(profile, style_seed)[int(slot[5:])]
         old = profile.entries.get(slot, "")
-        new = clearly_different(slot, old, _POOLS.get(slot, ["a cat"]))[0]
+        new = clearly_different(old, _POOLS.get(slot, ["a cat"]))[0]
         conflict = ConflictSpec(turn=min(conflict_turn, horizon), replace={slot: new})
     config = UserConfig(
         profile=profile,
@@ -263,7 +263,7 @@ def test_one_estimate_object_is_scored_against_the_truth_of_each_turn(
     profile, matcher = _profile(rng_seed=5), SlotMatcher.parse(matcher_spec)
     slot = reveal_order(profile, 5)[0]
     old = profile.entries[slot]
-    new = clearly_different(slot, old, _POOLS[slot], matcher)[0]
+    new = clearly_different(old, _POOLS[slot], matcher)[0]
     conflict = ConflictSpec(turn=conflict_turn, replace={slot: new})
     env = DialogueEnv(
         UserConfig(profile=profile, horizon=12, conflict=conflict, style_seed=5), matcher
@@ -271,11 +271,11 @@ def test_one_estimate_object_is_scored_against_the_truth_of_each_turn(
     schema = env.schema
     estimates = [profile, Profile(schema=schema, entries={slot: new}),
                  Profile(schema=schema, entries={slot: old, "Others": "unknown"})]
+    swapped = Profile(schema=schema, entries={**profile.entries, slot: new})
     for estimate in estimates:
         record = rollout(env, _FixedEstimateAgent(estimate))
         rewards = [t.profile_reward for t in record.turns]
-        truths = [Profile(schema=schema, entries=record.effective_truth_at(t.turn))
-                  for t in record.turns]
+        truths = [swapped if t.turn >= conflict_turn else profile for t in record.turns]
         assert rewards == [profile_reward(estimate, truth, matcher) for truth in truths]
         assert len(set(rewards)) == 2 or conflict_turn == 1
 
@@ -861,19 +861,21 @@ def test_evidence_only_agents_never_exceed_the_reveal_ceiling(
     try:
         config = scenario.user_config(conflict=conflict)
     except ConfigError:
-        assert conflict is not None and not clearly_different(slot, old, [new])
+        assert conflict is not None and not clearly_different(old, [new])
         return
     matcher = SlotMatcher.parse(matcher_spec)
     try:
         env = DialogueEnv(config, matcher=matcher)
     except ConfigError:
-        assert conflict is not None and matcher.values_match(slot, new, old)
+        assert conflict is not None and matcher.values_match(new, old)
         return
     schema = scenario.profile.schema
     for agent in (EvidenceOracleAgent(), _EvidenceSubsetAgent(agent_seed)):
         record = rollout(env, agent)
         for t in record.turns:
-            truth = Profile(schema=schema, entries=record.effective_truth_at(t.turn))
+            truth = scenario.profile
+            if conflict is not None and t.turn >= conflict_turn:
+                truth = Profile(schema=schema, entries={**truth.entries, slot: new})
             _, recall = precision_recall(Profile(schema=schema, entries=t.estimate), truth, matcher)
             assert recall <= t.theoretical_max + 1e-12
 
@@ -920,13 +922,26 @@ def test_episode_json_round_trip(tmp_path: Path) -> None:
     assert loaded[0].turns[-1].estimate == record.turns[-1].estimate
 
 
-def test_effective_truth_at_honours_conflict(tmp_path: Path) -> None:
+def test_record_match_tables_share_one_table_per_side_of_the_conflict_swap() -> None:
     env, slot, old, new = _conflict_env(style_seed=4)
     record = rollout(env, EvidenceOracleAgent(), scenario_id="conf")
-    assert record.effective_truth_at(5)[slot] == old
-    assert record.effective_truth_at(6)[slot] == new
-    assert record.conflict is not None
-    assert record.conflict["turn"] == 6
+    assert record.conflict is not None and record.conflict["turn"] == 6
+    tables = record.match_tables(env.matcher)
+    assert len(tables) == len(record.turns) == 10
+    before, after = tables[0], tables[5]
+    assert all(t is before for t in tables[:5]) and all(t is after for t in tables[5:])
+    assert before.truth.entries == record.truth and before.truth.entries[slot] == old
+    assert after.truth.entries == {**record.truth, slot: new}
+    assert before.matcher == after.matcher == env.matcher
+    # A swapped truth the schema refuses is built, and refused, only when a
+    # logged turn reaches the swap; replay_rewards reads the same tables.
+    bad = dataclasses.replace(record, conflict={"turn": 6, "replace": {"Pets": "a cat"}})
+    with pytest.raises(SchemaError, match="'Pets'"):
+        bad.match_tables(env.matcher)
+    short = dataclasses.replace(bad, turns=record.turns[:5])
+    first, *rest = short.match_tables(env.matcher)
+    assert all(t is first for t in rest) and first.truth.entries == record.truth
+    assert replay_rewards(short) == _logged(short)
 
 
 def _rendered_text(addressed, continues) -> str:

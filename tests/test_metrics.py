@@ -298,7 +298,10 @@ def _reference_longterm_curve(records, checkpoints, matcher) -> LongtermCurve:
         for record in records:
             schema, turn = record.schema_object(), record.turns[k - 1]
             estimate = Profile(schema=schema, entries=dict(turn.estimate))
-            truth = Profile(schema=schema, entries=record.effective_truth_at(k))
+            entries = dict(record.truth)  # the truth in force at turn k
+            if record.conflict is not None and k >= record.conflict["turn"]:
+                entries.update(record.conflict["replace"])
+            truth = Profile(schema=schema, entries=entries)
             m = matcher or SlotMatcher.parse(record.matcher)
             scores.append(precision_recall(estimate, truth, m)[1])
             ceilings.append(turn.theoretical_max)

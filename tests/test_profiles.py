@@ -19,7 +19,6 @@ from dialign.profiles import (
     build_overlap_bench,
     eval_matcher,
     load_profile,
-    match_values,
     normalize_text,
     overlap_count,
     precision_recall,
@@ -45,7 +44,7 @@ def _brute_force_overlap(estimate: Profile, truth: Profile, matcher: SlotMatcher
     count = 0
     for slot, value in estimate.entries.items():
         for t_slot, t_value in truth.entries.items():
-            if slot == t_slot and matcher.values_match(slot, value, t_value):
+            if slot == t_slot and matcher.values_match(value, t_value):
                 count += 1
     return count
 
@@ -176,17 +175,17 @@ def test_a_record_naming_its_schema_only_loads() -> None:
 
 def test_exact_matcher_uses_normalized_equality() -> None:
     matcher = SlotMatcher(kind="exact")
-    assert matcher.values_match("Interests", "Hiking", "hiking")
-    assert matcher.values_match("Interests", " hiking ", "hiking")
-    assert not matcher.values_match("Interests", "hiking", "reading")
+    assert matcher.values_match("Hiking", "hiking")
+    assert matcher.values_match(" hiking ", "hiking")
+    assert not matcher.values_match("hiking", "reading")
 
 
 def test_token_matcher_jaccard_threshold() -> None:
     matcher = SlotMatcher(kind="token", threshold=0.5)
     # 1 shared token of 2 total -> jaccard 0.5, admitted at threshold 0.5.
-    assert matcher.values_match("Interests", "hiking", "hiking outdoors")
+    assert matcher.values_match("hiking", "hiking outdoors")
     # 1 shared of 3 -> 1/3 < 0.5.
-    assert not matcher.values_match("Interests", "hiking", "hiking outdoors daily")
+    assert not matcher.values_match("hiking", "hiking outdoors daily")
 
 
 def test_matcher_parse_builds_labels() -> None:
@@ -242,14 +241,14 @@ def test_thresholds_the_label_cannot_reproduce_are_rejected() -> None:
 @settings(max_examples=200, deadline=None)
 def test_token_matcher_is_symmetric(a: str, b: str) -> None:
     matcher = SlotMatcher(kind="token", threshold=0.5)
-    assert matcher.values_match("Others", a, b) == matcher.values_match("Others", b, a)
+    assert matcher.values_match(a, b) == matcher.values_match(b, a)
 
 
 @given(st.text(min_size=1, max_size=20).filter(lambda s: token_set(s)))
 @settings(max_examples=200, deadline=None)
 def test_matchers_are_reflexive_on_nonempty_values(value: str) -> None:
-    assert SlotMatcher(kind="exact").values_match("Others", value, value)
-    assert SlotMatcher(kind="token", threshold=1.0).values_match("Others", value, value)
+    assert SlotMatcher(kind="exact").values_match(value, value)
+    assert SlotMatcher(kind="token", threshold=1.0).values_match(value, value)
 
 
 _EDGE_TEXTS = ("", " ", "  \t\n ", "!?", "...,;", "-- ! --", "Red", "rED wine", "x",
@@ -272,7 +271,8 @@ def test_match_of_a_value_with_itself_equals_the_match_with_an_equal_copy(
         # string; a trailing space keeps the normalized text and token set.
         b = a + " "
     assert b is not a
-    assert match_values(kind, threshold, a, a) == match_values(kind, threshold, a, b)
+    matcher = SlotMatcher(kind=kind, threshold=threshold)
+    assert matcher.values_match(a, a) == matcher.values_match(a, b)
 
 
 # --- overlap and rewards --------------------------------------------------------

@@ -4,7 +4,7 @@ import itertools
 from dataclasses import astuple, dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialign.env import UNKNOWN_VALUE, EnvView, _turn_scores
@@ -240,30 +240,69 @@ def test_combined_reward_rejects_non_finite_weights(weights: tuple[float, float]
 
 
 def test_alignment_verdict_needs_truth_agreement() -> None:
-    matcher = SlotMatcher(kind="exact")
-    truth = _estimate(Age="34", Occupation="nurse")
+    matches = MatchTable(_estimate(Age="34", Occupation="nurse"), SlotMatcher(kind="exact"))
     right = FakeResponse(addressed_slots=(("Age", "34"),))
     wrong = FakeResponse(addressed_slots=(("Age", "40"),))
     passing = _judgment()
-    assert alignment_verdict(right, response_reward(passing.criteria()), truth, matcher)
-    assert not alignment_verdict(wrong, response_reward(passing.criteria()), truth, matcher)
+    assert alignment_verdict(right, response_reward(passing.criteria()), matches)
+    assert not alignment_verdict(wrong, response_reward(passing.criteria()), matches)
 
 
 def test_alignment_verdict_requires_personalization_and_passing_criteria() -> None:
-    matcher = SlotMatcher(kind="exact")
-    truth = _estimate(Age="34")
+    matches = MatchTable(_estimate(Age="34"), SlotMatcher(kind="exact"))
     empty = FakeResponse(addressed_slots=())
-    assert not alignment_verdict(empty, response_reward(_judgment().criteria()), truth, matcher)
+    assert not alignment_verdict(empty, response_reward(_judgment().criteria()), matches)
     right = FakeResponse(addressed_slots=(("Age", "34"),))
     failing = _judgment(engagement=0)
-    assert not alignment_verdict(right, response_reward(failing.criteria()), truth, matcher)
+    assert not alignment_verdict(right, response_reward(failing.criteria()), matches)
 
 
 def test_alignment_verdict_rejects_slots_absent_from_truth() -> None:
-    matcher = SlotMatcher(kind="exact")
-    truth = _estimate(Age="34")
+    matches = MatchTable(_estimate(Age="34"), SlotMatcher(kind="exact"))
     response = FakeResponse(addressed_slots=(("Occupation", "nurse"),))
-    assert not alignment_verdict(response, response_reward(_judgment().criteria()), truth, matcher)
+    assert not alignment_verdict(response, response_reward(_judgment().criteria()), matches)
+
+
+_VERDICT_SLOTS = ("Age", "Occupation", "Location", "Interests")
+_VERDICT_VALUES = ("34", "nurse", "Paris", "hiking and chess", "night shift nurse")
+# Paraphrases keep a value's normalized text or most of its tokens; the
+# other values of the pool stand for altered ones.
+_REWORDINGS = ("{}", "{}.", "  {} ", "{} indeed", "really {} now")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    truth=st.dictionaries(
+        st.sampled_from(_VERDICT_SLOTS), st.sampled_from(_VERDICT_VALUES), min_size=1
+    ),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(_VERDICT_SLOTS + ("Pets",)), st.sampled_from(_VERDICT_VALUES),
+                  st.sampled_from(_REWORDINGS)),
+        max_size=3,
+    ),
+    as_lists=st.booleans(),
+    reward=st.sampled_from([0, 1, 0.0, 1.0]),
+    matcher=st.sampled_from([SlotMatcher.parse(s) for s in ("exact", "token:0.5", "token:0.2")]),
+)
+@example(truth={"Age": "34", "Occupation": "nurse"}, pairs=[("Age", "nurse", "{}")],
+         as_lists=False, reward=1, matcher=SlotMatcher(kind="exact"))
+@example(truth={"Age": "34"}, pairs=[("Pets", "34", "{}")], as_lists=True, reward=1.0,
+         matcher=SlotMatcher.parse("token:0.5"))
+def test_alignment_verdict_equals_the_rule_written_out(
+    truth: dict, pairs: list, as_lists: bool, reward: float, matcher: SlotMatcher
+) -> None:
+    """Aligned exactly when the reward is 1, at least one pair is addressed,
+    and each addressed slot is in the truth with a matching value."""
+    addressed = tuple((slot, wording.format(value)) for slot, value, wording in pairs)
+    if as_lists:
+        addressed = tuple(list(pair) for pair in addressed)
+    expected = reward == 1 and len(addressed) >= 1 and all(
+        slot in truth and matcher.values_match(value, truth[slot]) for slot, value in addressed
+    )
+    matches = MatchTable(_estimate(**truth), matcher)
+    response = FakeResponse(addressed_slots=addressed)
+    assert alignment_verdict(response, reward, matches) is expected
+    assert alignment_verdict(response, reward, matches) is expected  # read from the table
 
 
 def test_turn_scores_raises_pair_then_empty_truth_then_schema_errors() -> None:
@@ -346,7 +385,7 @@ def _reference_score(
     r_profile = profile_reward(estimate, truth, matcher)
     aligned = product(judgment) == 1 and bool(response.addressed_slots) and all(
         truth.entries.get(slot) is not None
-        and matcher.values_match(slot, value, truth.entries[slot])
+        and matcher.values_match(value, truth.entries[slot])
         for slot, value in response.addressed_slots
     )
     return (r_profile, r_response, r_profile + r_response, judgment.criteria(),

@@ -356,7 +356,7 @@ def test_log_prob_single_equals_batch_row() -> None:
     batch = _random_decisions(rng, _random_observations(rng, rows=6))
     batched = policy.log_prob_batch(batch)
     singles = [float(policy.log_prob_batch(_row(batch, t))[0]) for t in range(6)]
-    assert batched.tolist() == pytest.approx(singles, abs=0.0)
+    assert batched.tolist() == singles
     # The finite-difference reference gives one gradient row per batch row.
     numeric = numerical_log_prob_grad(policy, batch)
     assert numeric.shape == (6, POLICY_DIM)

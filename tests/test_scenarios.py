@@ -83,10 +83,10 @@ def test_default_conflict_skips_replacements_the_run_matcher_matches() -> None:
         for seed in range(20):
             plain = default_conflict(profile, style_seed, random.Random(seed))
             ((slot, new),) = plain.replace.items()
-            loose_hits_without_filter += loose.values_match(slot, new, profile.entries[slot])
+            loose_hits_without_filter += loose.values_match(new, profile.entries[slot])
             filtered = default_conflict(profile, style_seed, random.Random(seed), matcher=loose)
             ((slot, new),) = filtered.replace.items()
-            assert not loose.values_match(slot, new, profile.entries[slot])
+            assert not loose.values_match(new, profile.entries[slot])
             # Matchers no looser than token:0.5 keep today's picks.
             for matcher in strict:
                 assert default_conflict(

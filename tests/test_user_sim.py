@@ -184,7 +184,7 @@ def test_conflict_that_keeps_a_value_is_rejected() -> None:
     slot = reveal_order(scenario.profile, scenario.style_seed)[0]
     old = scenario.profile.entries[slot]
     for kept in (old, old.upper(), f"{old} indeed"):
-        assert not clearly_different(slot, old, [kept])
+        assert not clearly_different(old, [kept])
         with pytest.raises(ConfigError, match="clearly different"):
             scenario.user_config(conflict=ConflictSpec(turn=4, replace={slot: kept}))
 
@@ -362,7 +362,7 @@ def test_episode_table_equals_a_fresh_walk(conflict_turn: int | None) -> None:
     conflict = None
     if conflict_turn is not None:
         slot = reveal_order(profile, 5)[0]
-        new = clearly_different(slot, profile.entries[slot], _POOLS[slot])[0]
+        new = clearly_different(profile.entries[slot], _POOLS[slot])[0]
         conflict = ConflictSpec(turn=conflict_turn, replace={slot: new})
     config = UserConfig(profile=profile, horizon=10, conflict=conflict, style_seed=5)
 
