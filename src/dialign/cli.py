@@ -8,8 +8,9 @@ Subcommands:
 * ``judge-bench``    score slot matchers on the synthetic overlap benchmark
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
-``main`` checks each numeric flag against its ``FLAG_FIELDS`` row before a
-command runs.  ``eval`` writes every report CSV from the episode logs alone
+``main`` checks each numeric flag against its ``FLAG_FIELDS`` row, and that
+no file stands where ``--out`` needs a directory, before a command runs.
+``eval`` writes every report CSV from the episode logs alone
 (``write_reports``, one turns x episodes table per call), so reports can be
 recomputed offline.
 """
@@ -110,6 +111,22 @@ def _check_flags(args: argparse.Namespace) -> None:
     values = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in FLAG_FIELDS}
     given = {flag: value for flag, value in values.items() if value is not None}
     read_fields("", given, {flag: FLAG_FIELDS[flag] for flag in given}, ConfigError)
+
+
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an ``--out`` that a file blocks before any work: the directory
+    a command makes (``judge-bench``'s report file's parent) must be one or be
+    creatable, and the report file must not be a directory."""
+    if args.out is None:
+        return
+    out = Path(args.out)
+    report = args.command == "judge-bench"
+    if report and out.is_dir():
+        raise ConfigError(f"--out {args.out}: is a directory, not a report file")
+    directory = out.parent if report else out
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {args.out}: {existing} is a file, not a directory")
 
 
 def _write_csv(
@@ -421,6 +438,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_flags(args)
+        _check_out(args)
         return args.func(args)
     except (ConfigError, SchemaError, CheckpointError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,11 +14,11 @@ against the truth in force at turn t.
 The scripted user never reads the agent's turns, so the user's side of an
 episode is known before it starts.  ``EpisodeTable.build`` walks the user
 (``initial_state``, ``first_utterance``, ``next_utterance``) once per config
-and keeps every turn's view, ground truth and reveal ceiling, and the
-episode's observation stack; the config caches it as
-``UserConfig.episode_table``.  A turn's own objects are its utterance and
-its view; what only a reveal or a conflict swap changes (the seen-values
-mapping, the truth, the ceiling) is shared with the turns before it.
+and keeps every turn's view, ground truth and reveal ceiling; the config
+caches it as ``UserConfig.episode_table``.  A turn's own objects are its
+utterance and its view; what only a reveal or a conflict swap changes (the
+seen-values mapping, the truth, the ceiling) is shared with the turns
+before it.
 ``reset`` rewinds to turn 1 and returns its view, ``view`` returns the
 current row's view, and ``step`` scores the turn with ``_turn_scores``
 (which ``replay_rewards`` also calls), fills its ``TurnRecord`` and moves
@@ -29,9 +29,9 @@ verdict by its inputs.  A turn's profile reward and alignment verdict
 both read the row's table.  So each (slot, value) pair is matched, and each
 response rendered, once per config, and each verdict once per process, not
 once per turn.  Observations exist only as stacks with a leading turn axis
-(``observe`` maps T views to one), and a policy reads the whole episode's
-stack from the table, which lets it draw all of an episode's decisions in
-one batched call.
+(``observe`` maps T views to one).  The table makes the episode's stack on
+first read; a policy reads it to draw all of an episode's decisions in one
+batched call, and the oracle never pays for it.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -264,9 +264,10 @@ class EpisodeTable:
     truth in force (``truths``, one ``Profile`` shared by the turns of each
     stretch between conflict swaps) and the reveal ceiling (``ceilings``,
     computed again only when the revealed slots or the truth change);
-    ``observations`` is the episode's stack.  ``match_tables``
-    keeps, per matcher, the ``MatchTable`` of each truth, which ``step``
-    scores estimates through; ``responses`` holds what ``EnvView.respond`` renders.
+    ``observations`` is the episode's stack, made on first read.
+    ``match_tables`` keeps, per matcher, the ``MatchTable`` of each truth,
+    which ``step`` scores estimates through; ``responses`` holds what
+    ``EnvView.respond`` renders.
 
     Read it as ``UserConfig.episode_table``, which builds it once per config.
     """
@@ -274,11 +275,20 @@ class EpisodeTable:
     views: tuple[EnvView, ...]
     truths: tuple[Profile, ...]
     ceilings: tuple[float, ...]
-    observations: Observation
     responses: dict[tuple, ResponseRecord] = field(repr=False, compare=False)
     _matches: dict[SlotMatcher, tuple[MatchTable, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def observations(self) -> Observation:
+        """The episode's observation stack, one row per view, made on first
+        read: a policy reads it, the oracle never does."""
+        observations = observe(self.views, self.views[0].schema, len(self.views))
+        # Every episode of the config shares these arrays; nothing may write to them.
+        observations.codes.flags.writeable = False
+        observations.global_feats.flags.writeable = False
+        return observations
 
     def match_tables(self, matcher: SlotMatcher) -> tuple[MatchTable, ...]:
         """One ``MatchTable`` per row, of the row's truth under ``matcher``;
@@ -321,11 +331,7 @@ class EpisodeTable:
                 break
             utterance, user = step
             view = view.with_user_turn(utterance)
-        observations = observe(views, schema, config.horizon)
-        # Every episode of the config shares these arrays; nothing may write to them.
-        observations.codes.flags.writeable = False
-        observations.global_feats.flags.writeable = False
-        return cls(tuple(views), tuple(truths), tuple(ceilings), observations, responses)
+        return cls(tuple(views), tuple(truths), tuple(ceilings), responses)
 
 
 class DialogueEnv:

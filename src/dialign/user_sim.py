@@ -25,8 +25,9 @@ episode is fixed in advance.  The environment walks ``initial_state`` and
 ``next_utterance`` once per config, on first use, into its per-turn table,
 which the config keeps (``UserConfig.episode_table``).  Each turn makes its
 own utterance and ``UserState``.  A turn that reveals nothing and fires no
-conflict costs only those: it hands on the previous state's ``revealed``
-and ``pending`` tuples and its entries dict.
+conflict costs only those and its wording draw: it goes straight to its one
+restate or filler sentence, and hands on the previous state's ``revealed``
+and ``pending`` tuples and its entries dict, as the same objects.
 """
 
 from __future__ import annotations
@@ -184,12 +185,8 @@ def reveal_order(profile: Profile, style_seed: int) -> list[str]:
 
 def initial_state(config: UserConfig) -> UserState:
     """State at t=1: nothing revealed, reveal order fixed by style_seed."""
-    state = UserState(
-        turn=1,
-        revealed=(),
-        pending=tuple(reveal_order(config.profile, config.style_seed)),
-        active_entries=dict(config.profile.entries),
-    )
+    state = UserState(1, (), tuple(reveal_order(config.profile, config.style_seed)),
+                      dict(config.profile.entries))
     if config.conflict is not None and config.conflict.turn == 1:
         state = _apply_conflict(state, config.conflict)
     return state
@@ -201,12 +198,7 @@ def _apply_conflict(state: UserState, conflict: ConflictSpec) -> UserState:
     named = tuple(conflict.replace)
     revealed = tuple(s for s in state.revealed if s not in named)
     pending = named + tuple(s for s in state.pending if s not in named)
-    return UserState(
-        turn=state.turn,
-        revealed=revealed,
-        pending=pending,
-        active_entries=active,
-    )
+    return UserState(state.turn, revealed, pending, active)
 
 
 def _render_reveal(slot: str, value: str, rng: random.Random) -> str:
@@ -218,9 +210,9 @@ def next_utterance(
     state: UserState, config: UserConfig
 ) -> tuple[UserUtterance, UserState] | None:
     """Emit the next user turn, or None once the horizon is reached.  A turn
-    that reveals nothing and fires no conflict passes on ``state``'s own
-    ``revealed`` and ``pending`` tuples, so an unchanged reveal state keeps
-    its identity."""
+    that reveals nothing and fires no conflict goes straight to its one
+    restate or filler sentence, and its state hands on ``state``'s own
+    ``revealed`` and ``pending`` tuples and entries dict."""
     if state.turn >= config.horizon:
         return None
     turn = state.turn + 1
@@ -229,49 +221,36 @@ def next_utterance(
     # Turns here start at 2 and only grow, so a conflict fires at most once;
     # initial_state handles a turn-1 conflict.
     fires = conflict is not None and turn == conflict.turn
-
     budget = config.reveal_count(turn)
-    revealed, pending = state.revealed, state.pending
-    if fires:  # the swapped slots wait for the turns after the swap
-        draw = tuple(s for s in pending if s not in conflict.replace)[:budget]
-        pending = tuple(s for s in pending if s not in draw)
-    else:
-        draw, pending = pending[:budget], pending[budget:]
-    if draw:
-        revealed += draw
-    interim = UserState(
-        turn=turn,
-        revealed=revealed,
-        pending=pending,
-        # Shared reference is safe: states never mutate entries in place, and
+    said = ""
+    if fires or (budget and state.pending):
+        pending = state.pending
+        if fires:  # the swapped slots wait for the turns after the swap
+            draw = tuple(s for s in pending if s not in conflict.replace)[:budget]
+            pending = tuple(s for s in pending if s not in draw)
+        else:
+            draw, pending = pending[:budget], pending[budget:]
+        # Shared entries are safe: states never mutate them in place, and
         # _apply_conflict copies before swapping values.
-        active_entries=state.active_entries,
-    )
-    if fires:
-        assert conflict is not None
-        interim = _apply_conflict(interim, conflict)
-
-    evidence = tuple((slot, interim.active_entries[slot]) for slot in draw)
-    sentences: list[str] = []
-    topic: tuple[str, ...]
-    if fires:
-        sentences.append(rng.choice(_TEMPLATES["_conflict"]))
-    if evidence:
-        sentences.extend(_render_reveal(slot, value, rng) for slot, value in evidence)
-        topic = tuple(slot for slot, _ in evidence)
-    elif interim.revealed:
-        slot = rng.choice(interim.revealed)
-        value = interim.active_entries[slot]
-        sentences.append(rng.choice(_TEMPLATES["_restate"]).format(slot=slot.lower(), value=value))
-        topic = (slot,)
+        state = UserState(turn, state.revealed + draw, pending, state.active_entries)
+        if fires:
+            state = _apply_conflict(state, conflict)
+            said = rng.choice(_TEMPLATES["_conflict"]) + " "
+        if draw:
+            evidence = tuple((slot, state.active_entries[slot]) for slot in draw)
+            text = " ".join(_render_reveal(slot, value, rng) for slot, value in evidence)
+            return UserUtterance(said + text, evidence, turn, draw), state
     else:
-        sentences.append(rng.choice(_TEMPLATES["_filler"]))
-        topic = ()
+        state = UserState(turn, state.revealed, state.pending, state.active_entries)
 
-    utterance = UserUtterance(
-        text=" ".join(sentences), evidence=evidence, turn=turn, topic_slots=topic
-    )
-    return utterance, interim
+    if state.revealed:
+        slot = rng.choice(state.revealed)
+        value = state.active_entries[slot]
+        text = rng.choice(_TEMPLATES["_restate"]).format(slot=slot.lower(), value=value)
+        topic: tuple[str, ...] = (slot,)
+    else:
+        text, topic = rng.choice(_TEMPLATES["_filler"]), ()
+    return UserUtterance(said + text, (), turn, topic), state
 
 
 def theoretical_max(state: UserState, truth: Profile | Mapping[str, str]) -> float:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dialign.cli
+import dialign.env
 from dialign.cli import _turn_means, main, write_reports
 from dialign.env import DialogueEnv, read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
@@ -259,6 +260,38 @@ def test_missing_scenario_path_exits_2(tmp_path: Path) -> None:
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["gen-scenarios", "train", "eval", "judge-bench"])
+def test_out_under_a_file_exits_2_before_any_work(
+    command: str, scenario_dir: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    def worked(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("generate_scenarios", "load_scenarios", "build_overlap_bench"):
+        monkeypatch.setattr(dialign.cli, name, worked)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept")
+    flags = {"gen-scenarios": [], "judge-bench": ["--count", "3"],
+             "train": ["--scenarios", str(scenario_dir)],
+             "eval": ["--scenarios", str(scenario_dir), "--agent", "oracle"]}[command]
+    capsys.readouterr()
+    assert main([command, "--out", str(blocker / "x.csv"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {blocker / 'x.csv'}: {blocker} is a file, not a directory\n"
+    assert captured.out == "" and blocker.read_text() == "kept"
+
+
+def test_judge_bench_out_naming_a_directory_exits_2_before_any_case(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    capsys.readouterr()
+    assert main(["judge-bench", "--count", "3", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {tmp_path}: is a directory, not a report file\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,inf"])
@@ -1057,6 +1090,26 @@ def test_eval_policy_draws_each_episode_alone_from_seed_scenario_index_and_episo
     assert [r.to_json() for r in read_episodes(out / "episodes.jsonl")] == [
         r.to_json() for r in alone
     ]
+
+
+@pytest.mark.parametrize("agent, stacks_per_config", [("oracle", 0), ("policy", 1)])
+def test_eval_makes_observation_stacks_only_for_the_policy(
+    agent: str, stacks_per_config: int, trained_dir: Path, scenario_dir: Path, tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    calls = []
+    observe = dialign.env.observe
+
+    def counted(*args):
+        calls.append(args)
+        return observe(*args)
+
+    monkeypatch.setattr(dialign.env, "observe", counted)
+    code = main(["eval", "--scenarios", str(scenario_dir), "--out", str(tmp_path / "ev"),
+                 "--agent", agent, "--checkpoint", str(trained_dir / "checkpoint.json"),
+                 "--episodes", "2"])
+    assert code == 0
+    assert len(calls) == stacks_per_config * len(load_scenarios(scenario_dir))
 
 
 def test_eval_policy_without_checkpoint_exits_2(scenario_dir: Path, tmp_path: Path) -> None:

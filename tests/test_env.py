@@ -425,7 +425,9 @@ def _observed_configs(draw) -> UserConfig:
 def test_observe_writes_each_slots_code_and_its_feature_row(config: UserConfig) -> None:
     """Each slot's code is 2 * seen + topic, from the state with no utterance
     and the opening turn (which has no topic) to the last turn, and its
-    features, in ``slot_feats`` and ``flat``, are its ``SLOT_CODE_FEATS`` row."""
+    features, in ``slot_feats`` and ``flat``, are its ``SLOT_CODE_FEATS`` row.
+    The table's stack, made on first read and kept, is ``observe`` of its
+    views, and read-only."""
     table = config.episode_table
     states = [EnvView(config.profile.schema), *table.views]
     assert not states[1].latest.topic_slots
@@ -439,6 +441,10 @@ def test_observe_writes_each_slots_code_and_its_feature_row(config: UserConfig) 
     obs = observe(states, schema, config.horizon)
     assert obs.codes.dtype == np.uint8 and obs.codes.tolist() == expected
     assert table.observations.codes.tolist() == expected[1:]
+    stack, fresh = table.observations, observe(table.views, schema, config.horizon)
+    assert stack.global_feats.tobytes() == fresh.global_feats.tobytes()
+    assert not stack.codes.flags.writeable and not stack.global_feats.flags.writeable
+    assert table.observations is stack
     rows = np.array([[SLOT_CODE_FEATS[code] for code in codes] for codes in expected])
     assert obs.slot_feats.tobytes() == rows.tobytes()
     assert obs.flat()[:, GLOBAL_FEATURE_DIM:].tobytes() == rows.reshape(len(states), -1).tobytes()

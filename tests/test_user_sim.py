@@ -353,6 +353,28 @@ def test_the_walk_equals_its_loop_form_turn_by_turn(config: UserConfig) -> None:
     assert state.turn == config.horizon
 
 
+@settings(max_examples=200, deadline=None)
+@given(config=_walk_configs())
+def test_a_turn_that_reveals_nothing_hands_on_its_state_and_seen_values(
+    config: UserConfig,
+) -> None:
+    """On a turn that reveals nothing and fires no conflict, the new state
+    holds the previous state's own ``revealed``, ``pending`` and entries
+    objects, and the table's view of that turn shares the previous view's
+    seen-values mapping."""
+    state, views = initial_state(config), config.episode_table.views
+    conflict_turn = config.conflict.turn if config.conflict is not None else None
+    while (step := next_utterance(state, config)) is not None:
+        utterance, following = step
+        turn = utterance.turn
+        if not utterance.evidence and turn != conflict_turn:
+            assert following.revealed is state.revealed
+            assert following.pending is state.pending
+            assert following.active_entries is state.active_entries
+            assert views[turn - 1].seen_values is views[turn - 2].seen_values
+        state = following
+
+
 # --- the cached episode table --------------------------------------------------------
 
 
