@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
 ``main`` checks each numeric flag against its ``FLAG_FIELDS`` row, and that
-no file stands where ``--out`` needs a directory, before a command runs.
+no file stands where ``--out`` needs a directory, nor a directory where a
+command writes a file, before a command runs.
 ``eval`` writes every report CSV from the episode logs alone
 (``write_reports``, one turns x episodes table per call), so reports can be
 recomputed offline.
@@ -37,6 +38,7 @@ from .metrics import (
     alignment_matrix,
     longterm_profile_curve,
     summarize_alignment,
+    turn_means,
 )
 from .profiles import SlotMatcher, SlotSchema, build_overlap_bench, eval_matcher
 from .rl import (
@@ -54,6 +56,7 @@ from .rl import (
 from .scenarios import (
     DEFAULT_CONFLICT_TURN,
     GENERATE_FIELDS,
+    SCENARIO_ID,
     default_conflict,
     generate_profile,
     generate_scenarios,
@@ -83,7 +86,7 @@ def _matcher(spec: str) -> SlotMatcher:
         raise ConfigError(f"--matcher {spec!r}: {exc}") from exc
 
 
-# Each PPO flag and the PPOConfig field it sets.
+# Each PPO flag of ``train`` and the PPOConfig field it sets; its row's kind types it.
 _PPO_FLAGS = {"--seed": "seed", "--rounds": "total_rounds", "--epochs": "epochs",
               "--samples": "samples_per_scenario", "--actor-lr": "actor_lr",
               "--critic-lr": "critic_lr"}
@@ -114,19 +117,25 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def _check_out(args: argparse.Namespace) -> None:
-    """Refuse an ``--out`` that a file blocks before any work: the directory
-    a command makes (``judge-bench``'s report file's parent) must be one or be
-    creatable, and the report file must not be a directory."""
+    """Refuse, before any work, an ``--out`` where a file blocks the directory
+    a command makes (``judge-bench``'s report file's parent), or where a
+    directory stands in place of a file the command writes."""
     if args.out is None:
         return
-    out = Path(args.out)
-    report = args.command == "judge-bench"
-    if report and out.is_dir():
-        raise ConfigError(f"--out {args.out}: is a directory, not a report file")
-    directory = out.parent if report else out
+    directory, names = Path(args.out), ["checkpoint.json", "curve.csv", "run_config.json"]
+    if args.command == "gen-scenarios":
+        names = [f"{SCENARIO_ID.format(index)}.json" for index in range(args.count)]
+    elif args.command == "eval":
+        names = ["episodes.jsonl", "turncurve.csv", "altable.csv", "summary.csv",
+                 *["longterm.csv"] * (args.mode == "longterm")]
+    elif args.command == "judge-bench":
+        directory, names = directory.parent, [directory.name]
     existing = next(path for path in (directory, *directory.parents) if path.exists())
     if not existing.is_dir():
         raise ConfigError(f"--out {args.out}: {existing} is a file, not a directory")
+    for path in map(directory.joinpath, names):
+        if path.is_dir():
+            raise ConfigError(f"--out {args.out}: {path} is a directory, not a file")
 
 
 def _write_csv(
@@ -262,17 +271,6 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
     return play(checkpoint.policy(), episodes, seeds)[2]
 
 
-def _turn_means(records: Sequence[EpisodeRecord]) -> list[list[float]]:
-    """Per turn, the mean profile, response and total reward and theoretical
-    max over episodes, as row means of one C-contiguous (turns, 4, episodes)
-    table: each is the pairwise sum that np.mean takes of that row alone."""
-    table = np.array([
-        [(t.profile_reward, t.response_reward, t.total_reward, t.theoretical_max) for t in r.turns]
-        for r in records
-    ])
-    return np.ascontiguousarray(table.transpose(1, 2, 0)).mean(axis=2).tolist()
-
-
 def write_reports(
     records: Sequence[EpisodeRecord], out: Path, mode: str, matcher: SlotMatcher
 ) -> AlignmentSummary:
@@ -281,12 +279,17 @@ def write_reports(
     curve = alignment_curve(alignment_matrix(records))
     horizon = len(curve)
     summary = summarize_alignment(curve)
+    rewards = np.array([
+        [(t.profile_reward, t.response_reward, t.total_reward, t.theoretical_max) for t in r.turns]
+        for r in records
+    ])
+    means = turn_means(rewards.transpose(1, 2, 0))  # (turns, 4, episodes)
     _write_csv(
         out / "turncurve.csv",
         ["turn", "alignment_level", "mean_profile_reward", "mean_response_reward",
          "mean_total_reward", "theoretical_max"],
         [[k, f"{level:.4f}", *(f"{mean:.6f}" for mean in row)]
-         for k, (level, row) in enumerate(zip(curve, _turn_means(records)), start=1)],
+         for k, (level, row) in enumerate(zip(curve, means), start=1)],
     )
     # Wide per-turn alignment row plus the headline summary numbers.
     _write_csv(
@@ -395,14 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--scenarios", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--config", help="JSON file with PPO config overrides")
-    tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--weights", default="1,1", help="profile,response reward weights")
     tr.add_argument("--matcher", default="exact", help="exact or token[:threshold]")
-    tr.add_argument("--rounds", type=int, default=None)
-    tr.add_argument("--epochs", type=int, default=None)
-    tr.add_argument("--samples", type=int, default=None)
-    tr.add_argument("--actor-lr", type=float, default=None)
-    tr.add_argument("--critic-lr", type=float, default=None)
+    for flag, name in _PPO_FLAGS.items():
+        kind = int if PPO_FIELDS[name].kind == "integer" else float
+        tr.add_argument(flag, type=kind, help=f"PPOConfig {name}")
     tr.add_argument("--resume", help="checkpoint to continue from")
     tr.set_defaults(func=cmd_train)
 

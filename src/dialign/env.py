@@ -49,10 +49,8 @@ from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
-from .profiles import (
-    MatchTable, Profile, SlotMatcher, SlotSchema, clearly_different, profile_reward,
-)
+from .errors import ProtocolError
+from .profiles import MatchTable, Profile, SlotMatcher, SlotSchema, profile_reward
 from .reward import (
     JudgeContext,
     alignment_verdict,
@@ -61,7 +59,8 @@ from .reward import (
     response_reward,
 )
 from .user_sim import (
-    UserConfig, UserUtterance, first_utterance, initial_state, next_utterance, theoretical_max,
+    UserConfig, UserUtterance, check_conflict, first_utterance, initial_state, next_utterance,
+    theoretical_max,
 )
 
 EPISODE_SCHEMA_VERSION = "dialign.episode.v1"
@@ -340,15 +339,7 @@ class DialogueEnv:
     def __init__(self, config: UserConfig, matcher: SlotMatcher | None = None) -> None:
         self.config = config
         self.matcher = matcher or SlotMatcher(kind="exact")
-        # A replacement matching the old value would keep scoring a stale,
-        # un-revealed value, lifting recall above the reveal ceiling.
-        for slot, value in (config.conflict.replace if config.conflict else {}).items():
-            old = config.profile.entries.get(slot)
-            if old is not None and not clearly_different(old, [value], self.matcher):
-                raise ConfigError(
-                    f"matcher {self.matcher.label} matches the conflict replacement "
-                    f"{value!r} for {slot!r} to the value it replaces, {old!r}"
-                )
+        check_conflict(config.profile, config.conflict, self.matcher)
         self._table = config.episode_table
         self._matches = self._table.match_tables(self.matcher)
         self._index: int | None = None

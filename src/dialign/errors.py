@@ -50,7 +50,9 @@ def _is_text(value: object) -> bool:
     return isinstance(value, str) and value != ""
 
 
-# Each JSON kind's words and test.  A list kind's range bounds its entries.
+# Each JSON kind's words and test.  A list kind's range bounds its entries; a
+# list kind takes a tuple too, as a library config holds its lists.
+_LISTS = (list, tuple)
 KINDS = {
     "integer": ("an integer", _is_integer),
     "number": ("a finite number", _is_number),
@@ -58,9 +60,9 @@ KINDS = {
     "object": ("an object", lambda v: isinstance(v, dict)),
     "boolean": ("a boolean", lambda v: isinstance(v, bool)),
     "text or object": ("non-empty text or an object", lambda v: isinstance(v, dict) or _is_text(v)),
-    "integers": ("a list of integers", lambda v: type(v) is list and all(map(_is_integer, v))),
-    "numbers": ("a list of finite numbers", lambda v: type(v) is list and all(map(_is_number, v))),
-    "texts": ("a list of non-empty text", lambda v: type(v) is list and all(map(_is_text, v))),
+    "integers": ("a list of integers", lambda v: type(v) in _LISTS and all(map(_is_integer, v))),
+    "numbers": ("a list of finite numbers", lambda v: type(v) in _LISTS and all(map(_is_number, v))),
+    "texts": ("a list of non-empty text", lambda v: type(v) in _LISTS and all(map(_is_text, v))),
 }
 REQUIRED = object()  # the default of a field that must be present
 
@@ -100,7 +102,7 @@ class Field:
         low, high = self.low, self.high
         if low == -math.inf:  # unbounded: every field with a high bound has a low one
             return True
-        values = value if isinstance(value, list) else (value,)
+        values = value if type(value) in _LISTS else (value,)
         if self.strict:
             return all(low < x < high for x in values)
         return all(low <= x <= high for x in values)

@@ -30,20 +30,25 @@ from .profiles import SlotMatcher
 # --- alignment curves -------------------------------------------------------
 
 
+def turn_means(table: np.ndarray) -> list:
+    """The per-turn means over episodes of a turns-major ``table`` whose last
+    axis is the episodes: the row means of one C-contiguous copy, each the
+    pairwise sum that np.mean takes of its row alone."""
+    return np.ascontiguousarray(table, dtype=float).mean(axis=-1).tolist()
+
+
 def alignment_curve(scores: Sequence[Sequence[float]]) -> list[float]:
-    """[AL(1), ..., AL(K)] with K the shortest episode's length: 100 x each row
-    mean of one turns x episodes table (the pairwise sum np.mean takes of the
-    row alone).  The first score outside [0, 1], turn by turn, raises."""
+    """[AL(1), ..., AL(K)] with K the shortest episode's length: 100 x the
+    ``turn_means`` of one turns x episodes table.  The first score outside
+    [0, 1], turn by turn, raises."""
     if not scores:
         raise ValueError("alignment_curve needs at least one episode")
-    columns = list(zip(*scores))  # turn-major, cut to the shortest episode
-    if not columns:
-        return []
-    table = np.array(columns, dtype=float)
+    # Turn-major, cut to the shortest episode: (0, episodes) when one is empty.
+    table = np.array(list(zip(*scores)), dtype=float).reshape(-1, len(scores))
     bad = np.flatnonzero(~((table >= 0.0) & (table <= 1.0)))
     if bad.size:
         raise ValueError(f"alignment scores must lie in [0, 1], got {float(table.flat[bad[0]])}")
-    return (100.0 * table.mean(axis=1)).tolist()
+    return [100.0 * mean for mean in turn_means(table)]
 
 
 def normalize_curve(values: Sequence[float]) -> list[float]:

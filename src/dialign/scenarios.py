@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, Field, SchemaError, read_fields, read_object
 from .profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, clearly_different, load_profile
-from .user_sim import ConflictSpec, UserConfig, reveal_order
+from .user_sim import USER_FIELDS, ConflictSpec, UserConfig, reveal_order
 
 
 def _load_pools() -> dict[str, dict[str, list[str]]]:
@@ -30,6 +30,8 @@ _POOLS = _load_pools()
 _SLOT_VALUES = {**_POOLS["aloe"], **_POOLS["extended"]}
 
 DEFAULT_CONFLICT_TURN = 6
+# The id of a generated scenario, and the stem of its file, by index.
+SCENARIO_ID = "scenario_{:04d}"
 
 
 @dataclass(frozen=True)
@@ -112,15 +114,13 @@ def default_conflict(
 SCENARIO_FIELDS = {
     "id": Field("text", default=None),  # absent: the file's stem
     "profile": Field("object"),
-    "horizon": Field("integer", low=1),
-    "style_seed": Field("integer", low=0),  # -n would share the reveal order of n
-    "reveal_schedule": Field("integers", low=0, default=None, nullable=True),
+    **USER_FIELDS,
     "conflict": Field("object", default=None, nullable=True),
 }
 CONFLICT_FIELDS = {"turn": Field("integer", low=1), "replace": Field("object")}
 # generate_scenarios' count, seed and horizon, which ``gen-scenarios`` takes as flags.
-GENERATE_FIELDS = {"count": Field("integer", low=1), "seed": SCENARIO_FIELDS["style_seed"],
-                   "horizon": SCENARIO_FIELDS["horizon"]}
+GENERATE_FIELDS = {"count": Field("integer", low=1), "seed": USER_FIELDS["style_seed"],
+                   "horizon": USER_FIELDS["horizon"]}
 
 
 def generate_scenarios(
@@ -143,7 +143,7 @@ def generate_scenarios(
         spec = default_conflict(profile, style_seed, rng) if conflict else None
         scenarios.append(
             Scenario(
-                scenario_id=f"scenario_{index:04d}",
+                scenario_id=SCENARIO_ID.format(index),
                 profile=profile,
                 horizon=horizon,
                 reveal_schedule=tuple([1] * horizon),
@@ -171,7 +171,7 @@ def load_scenario(path: str | Path) -> Scenario:
     where = f"scenario file {path}: "
     payload = read_object(path, "scenario file", ConfigError)
     record = read_fields(where, payload, SCENARIO_FIELDS, ConfigError)
-    conflict, schedule = record["conflict"], record["reveal_schedule"]
+    conflict = record["conflict"]
     if conflict is not None:
         conflict = read_fields(f"{where}conflict ", conflict, CONFLICT_FIELDS, ConfigError)
     try:
@@ -182,10 +182,8 @@ def load_scenario(path: str | Path) -> Scenario:
         return Scenario(
             scenario_id=record["id"] or Path(path).stem,
             profile=profile,
-            horizon=record["horizon"],
-            reveal_schedule=None if schedule is None else tuple(schedule),
             conflict=ConflictSpec(**conflict) if conflict else None,
-            style_seed=record["style_seed"],
+            **{name: record[name] for name in USER_FIELDS},
         )
     except ConfigError as exc:
         raise ConfigError(f"{where}{exc}") from None

@@ -39,8 +39,8 @@ from functools import cached_property
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import ConfigError
-from .profiles import Profile, clearly_different
+from .errors import ConfigError, Field, read_fields
+from .profiles import Profile, SlotMatcher, clearly_different
 
 if TYPE_CHECKING:
     from .env import EpisodeTable
@@ -76,6 +76,31 @@ class ConflictSpec:
         return {"turn": self.turn, "replace": dict(self.replace)}
 
 
+# The rows of a ``UserConfig``'s own settings, which scenario files share.
+USER_FIELDS = {
+    "horizon": Field("integer", low=1),
+    "style_seed": Field("integer", low=0),  # -n would share the reveal order of n
+    "reveal_schedule": Field("integers", low=0, default=None, nullable=True),
+}
+
+
+def check_conflict(
+    profile: Profile, conflict: ConflictSpec | None, matcher: SlotMatcher | None = None
+) -> None:
+    """Refuse a conflict that names a slot the schema does not allow, or that
+    replaces a value with one not ``clearly_different`` from it (under
+    ``matcher`` too, when given): a kept value would be un-revealed while an
+    agent still holds it, lifting recall above the reveal ceiling."""
+    for slot, value in (conflict.replace if conflict else {}).items():
+        if not profile.schema.allows(slot):
+            raise ConfigError(f"conflict slot {slot!r} not allowed by schema")
+        old = profile.entries.get(slot)
+        if old is not None and not clearly_different(old, [value], matcher):
+            under = f" under matcher {matcher.label}" if matcher else ""
+            raise ConfigError(f"conflict replacement {value!r} for {slot!r} is not clearly "
+                              f"different from {old!r}{under}")
+
+
 @dataclass(frozen=True)
 class UserConfig:
     """Everything that determines the user's side of an episode.
@@ -83,9 +108,8 @@ class UserConfig:
     ``reveal_schedule[i]`` is the reveal budget for turn ``i + 1``; the
     turn-1 entry is ignored because the opening turn is fixed.  ``None``
     means one reveal per turn; turns past the end of an explicit schedule
-    reveal nothing.  A conflict must replace each value it names with a
-    clearly different one: a kept value would be un-revealed while an
-    agent still holds it, lifting recall above the reveal ceiling.
+    reveal nothing.  The settings are checked against ``USER_FIELDS`` and
+    the conflict by ``check_conflict``.
 
     ``episode_table`` is computed on first use and kept, so a config (its
     profile included) must not be mutated afterwards.
@@ -98,31 +122,17 @@ class UserConfig:
     style_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        read_fields("", {name: getattr(self, name) for name in USER_FIELDS}, USER_FIELDS,
+                    ConfigError)
         if len(self.profile) == 0:
             raise ConfigError("user profile must be non-empty")
         if self.reveal_schedule is not None:
             object.__setattr__(self, "reveal_schedule", tuple(self.reveal_schedule))
             if len(self.reveal_schedule) > self.horizon:
                 raise ConfigError("reveal schedule longer than horizon")
-            for count in self.reveal_schedule:
-                if not isinstance(count, int) or count < 0:
-                    raise ConfigError(f"reveal counts must be non-negative ints, got {count!r}")
-        if self.conflict is not None:
-            if not 1 <= self.conflict.turn <= self.horizon:
-                raise ConfigError(
-                    f"conflict turn {self.conflict.turn} outside [1, {self.horizon}]"
-                )
-            for slot, value in self.conflict.replace.items():
-                if not self.profile.schema.allows(slot):
-                    raise ConfigError(f"conflict slot {slot!r} not allowed by schema")
-                old = self.profile.entries.get(slot)
-                if old is not None and not clearly_different(old, [value]):
-                    raise ConfigError(
-                        f"conflict replacement {value!r} for {slot!r} is not clearly "
-                        f"different from {old!r}"
-                    )
+        if self.conflict is not None and not 1 <= self.conflict.turn <= self.horizon:
+            raise ConfigError(f"conflict turn {self.conflict.turn} outside [1, {self.horizon}]")
+        check_conflict(self.profile, self.conflict)
 
     def reveal_count(self, turn: int) -> int:
         if self.reveal_schedule is None:

@@ -4,16 +4,13 @@ import csv
 import json
 import shutil
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dialign.cli
 import dialign.env
-from dialign.cli import _turn_means, main, write_reports
+from dialign.cli import main, write_reports
 from dialign.env import DialogueEnv, read_episodes, replay_rewards
 from dialign.metrics import alignment_curve, alignment_matrix
 from dialign.profiles import Profile, SlotMatcher, precision_recall
@@ -284,14 +281,47 @@ def test_out_under_a_file_exits_2_before_any_work(
     assert captured.out == "" and blocker.read_text() == "kept"
 
 
-def test_judge_bench_out_naming_a_directory_exits_2_before_any_case(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+@pytest.mark.parametrize(("command", "flags"), [
+    ("gen-scenarios", ["--count", "2"]),
+    ("train", ["--rounds", "1", "--samples", "1"]),
+    ("eval", ["--agent", "oracle"]),
+    ("eval", ["--agent", "oracle", "--mode", "longterm", "--horizon", "10"]),
+    ("judge-bench", ["--count", "3"]),
+], ids=["gen-scenarios", "train", "eval", "eval-longterm", "judge-bench"])
+def test_a_directory_where_a_command_writes_a_file_exits_2_before_any_work(
+    command: str, flags: list[str], scenario_dir: Path, tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str],
 ) -> None:
-    capsys.readouterr()
-    assert main(["judge-bench", "--count", "3", "--out", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: --out {tmp_path}: is a directory, not a report file\n"
-    assert captured.out == ""
+    """Each file a command wrote in a first run, made a directory in a fresh
+    ``--out``, is refused naming ``--out`` and the path; ``judge-bench``'s
+    ``--out`` is its report file."""
+    if command in ("train", "eval"):
+        flags = ["--scenarios", str(scenario_dir), *flags]
+    report = command == "judge-bench"
+
+    def out_arg(directory: Path) -> Path:
+        return directory / "report.csv" if report else directory
+
+    assert main([command, "--out", str(out_arg(tmp_path / "first")), *flags]) == 0
+    written = sorted(path.name for path in (tmp_path / "first").iterdir())
+    if command == "eval" and "longterm" not in flags:  # a standard eval writes no longterm.csv
+        (tmp_path / "standard" / "longterm.csv").mkdir(parents=True)
+        assert main([command, "--out", str(tmp_path / "standard"), *flags]) == 0
+
+    def worked(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("generate_scenarios", "load_scenarios", "build_overlap_bench"):
+        monkeypatch.setattr(dialign.cli, name, worked)
+    for name in written:
+        directory = tmp_path / f"out-{name}"
+        (directory / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([command, "--out", str(out_arg(directory)), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --out {out_arg(directory)}: {directory / name} "
+                                "is a directory, not a file\n")
+        assert captured.out == "" and [path.name for path in directory.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,inf"])
@@ -814,35 +844,6 @@ def test_eval_summary_is_recomputable_from_episodes(scenario_dir: Path, tmp_path
             assert breakdown.total == pytest.approx(turn.total_reward, abs=1e-9)
 
 
-_TURN_FIELDS = ("profile_reward", "response_reward", "total_reward", "theoretical_max")
-
-
-def _reference_turn_means(records) -> list[list[float]]:
-    """One np.mean per turn and column over that turn's values."""
-    return [
-        [float(np.mean([getattr(r.turns[k], name) for r in records])) for name in _TURN_FIELDS]
-        for k in range(len(records[0].turns))
-    ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1), n_episodes=st.integers(1, 200), horizon=st.integers(1, 60)
-)
-def test_turn_means_equal_one_np_mean_per_turn(seed: int, n_episodes: int, horizon: int) -> None:
-    # Values over many magnitudes and both signs, so a running sum in place of
-    # np.mean's pairwise one changes the last bits.
-    rng = np.random.default_rng(seed)
-    shape = (n_episodes, horizon, len(_TURN_FIELDS))
-    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-    records = [
-        SimpleNamespace(turns=[SimpleNamespace(**dict(zip(_TURN_FIELDS, row))) for row in turns])
-        for turns in values.tolist()
-    ]
-    got = _turn_means(records)
-    assert np.array(got).tobytes() == np.array(_reference_turn_means(records)).tobytes()
-
-
 @pytest.mark.parametrize(
     "agent_args, mode",
     [(["--agent", "oracle", "--horizon", "30"], "longterm"), (["--agent", "policy"], "conflict")],
@@ -1153,7 +1154,8 @@ def test_eval_refuses_a_scenario_conflict_its_matcher_matches(
     tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     # scenario_0011 swaps 'outgoing and spontaneous' for 'introverted and
-    # careful', which token:0.2 still matches.
+    # careful', which the bundled matchers tell apart and token:0.2 still
+    # matches, so the file loads and the run refuses through the conflict check.
     scenarios = tmp_path / "scn"
     assert main(["gen-scenarios", "--out", str(scenarios), "--count", "16", "--seed", "0",
                  "--conflict"]) == 0
@@ -1164,8 +1166,10 @@ def test_eval_refuses_a_scenario_conflict_its_matcher_matches(
     assert main([*args, "--out", str(tmp_path / "ok"), "--matcher", "token:0.5"]) == 0
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "bad"), "--matcher", "token:0.2"]) == 2
-    err = capsys.readouterr().err
-    assert "'Personality Traits'" in err and len(err.strip().splitlines()) == 1
+    assert capsys.readouterr().err == (
+        "error: conflict replacement 'introverted and careful' for 'Personality Traits' is not "
+        "clearly different from 'outgoing and spontaneous' under matcher token:0.2\n")
+    assert not (tmp_path / "bad").exists()
     train_out = tmp_path / "train"
     train_args = ["train", "--scenarios", str(scenarios), "--out", str(train_out), "--rounds", "1"]
     assert main([*train_args, "--matcher", "token:0.2"]) == 2

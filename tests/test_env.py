@@ -40,8 +40,8 @@ from dialign.reward import JudgeContext, judge_counts, response_reward
 from dialign.rl import POLICY_DIM, CategoricalSlotPolicy, play
 from dialign.scenarios import default_conflict, generate_scenarios
 from dialign.user_sim import (
-    ConflictSpec, UserConfig, UserUtterance, initial_state, next_utterance, reveal_order,
-    theoretical_max,
+    ConflictSpec, UserConfig, UserUtterance, check_conflict, initial_state, next_utterance,
+    reveal_order, theoretical_max,
 )
 
 _POOLS = json.loads(
@@ -887,13 +887,22 @@ def test_evidence_only_agents_never_exceed_the_reveal_ceiling(
 
 
 def test_env_refuses_a_conflict_its_matcher_matches_to_the_old_value() -> None:
+    """Only the looser token:0.2 matches the replacement to the old value, so
+    the config passes the conflict check and the environment refuses through it."""
     scenario = generate_scenarios(16, seed=0, conflict=True)[11]
     config = scenario.user_config()
     assert config.conflict.replace == {"Personality Traits": "introverted and careful"}
     for spec in ("exact", "token:0.5", "token:0.21"):
         DialogueEnv(config, matcher=SlotMatcher.parse(spec))
-    with pytest.raises(ConfigError, match="'Personality Traits'"):
-        DialogueEnv(config, matcher=SlotMatcher.parse("token:0.2"))
+    loose = SlotMatcher.parse("token:0.2")
+    with pytest.raises(ConfigError) as refused:
+        DialogueEnv(config, matcher=loose)
+    assert str(refused.value) == (
+        "conflict replacement 'introverted and careful' for 'Personality Traits' is not clearly "
+        "different from 'outgoing and spontaneous' under matcher token:0.2")
+    with pytest.raises(ConfigError) as checked:
+        check_conflict(config.profile, config.conflict, loose)
+    assert str(checked.value) == str(refused.value)
 
 
 def test_written_episodes_equal_json_dumps_of_each_record(tmp_path: Path) -> None:

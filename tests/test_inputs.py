@@ -5,10 +5,13 @@ The refusal test is generated from the tables themselves (``SCENARIO_FIELDS``,
 ``CHECKPOINT_FIELDS``, ``PPO_FIELDS`` and ``FLAG_FIELDS``): every row, times
 each break that applies to it, must exit 2 with exactly one stderr line
 naming the flag, or the file and the field, and leave ``--out`` untouched.
+The scenario rows a ``UserConfig`` shares (``USER_FIELDS``) refuse each
+break in a library config with the words they use in a file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -19,10 +22,11 @@ import pytest
 
 from dialign import cli
 from dialign.cli import FLAG_FIELDS, main
-from dialign.errors import REQUIRED, Field
+from dialign.errors import REQUIRED, ConfigError, Field
 from dialign.profiles import PROFILE_FIELDS, SCHEMA_FIELDS
 from dialign.rl import CHECKPOINT_FIELDS, PPO_FIELDS, PPOConfig, config_fingerprint, load_checkpoint
 from dialign.scenarios import CONFLICT_FIELDS, SCENARIO_FIELDS, load_scenario
+from dialign.user_sim import USER_FIELDS, UserConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.json"
@@ -207,6 +211,45 @@ def test_every_broken_input_exits_2_with_one_line_naming_it(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(expected), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("field", "value"), [
+    pytest.param(field, value, id=f"{field}:{name}")
+    for field, row in USER_FIELDS.items() for name, value in _breaks(row) if value is not _MISSING
+])
+def test_a_user_config_refuses_a_break_in_the_words_of_a_scenario_file(
+    field: str, value: object, inputs: tuple[Path, Path], tmp_path: Path
+) -> None:
+    source = inputs[0] / "scenario_0001.json"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**json.loads(source.read_text()), field: value}))
+    with pytest.raises(ConfigError) as in_file:
+        load_scenario(path)
+    scenario = load_scenario(source)
+    settings = {f.name: getattr(scenario, f.name) for f in dataclasses.fields(UserConfig)}
+    with pytest.raises(ConfigError) as in_library:
+        UserConfig(**{**settings, field: value})
+    assert str(in_file.value) == f"scenario file {path}: {in_library.value}"
+    assert str(in_library.value).startswith(f"{field} must be ")
+
+
+# The Python type of a value of each numeric kind, or of each list entry.
+_PYTHON_TYPES = {"integer": int, "number": float, "integers": int, "numbers": float}
+
+
+@pytest.mark.parametrize(("command", "flag"), [
+    pytest.param(command, flag, id=f"{command}:{flag}")
+    for flag in FLAG_FIELDS for command in _commands_taking(flag)
+])
+def test_every_numeric_flag_parses_to_its_rows_python_type(command: str, flag: str) -> None:
+    row = FLAG_FIELDS[flag]
+    text = ",".join(["1"] * row.size) if row.size else "1"
+    args = cli.build_parser().parse_args(
+        [*_command_line(command, Path("scn"), Path("out")), flag, text])
+    cli._check_flags(args)
+    value = getattr(args, flag[2:].replace("-", "_"))
+    entries = value if row.size else [value]
+    assert entries and all(type(entry) is _PYTHON_TYPES[row.kind] for entry in entries)
 
 
 def _set(*path_and_value):

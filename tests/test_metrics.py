@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dialign.metrics import (
     longterm_profile_curve,
     normalize_curve,
     summarize_alignment,
+    turn_means,
 )
 from dialign.profiles import ALOE_SLOTS, Profile, SlotMatcher, SlotSchema, precision_recall
 from dialign.scenarios import generate_scenarios
@@ -108,6 +110,37 @@ def test_alignment_curve_equals_the_per_turn_loop(scores: list[list]) -> None:
     # Same bits (array_equal and more: the float64 bytes), or the same
     # exception type and message, first bad score turn by turn then episode.
     assert _outcome(alignment_curve, scores) == _outcome(_reference_curve, scores)
+
+
+_TURN_FIELDS = ("profile_reward", "response_reward", "total_reward", "theoretical_max")
+
+
+def _reference_turn_means(records) -> list[list[float]]:
+    """One np.mean per turn and column over that turn's values."""
+    return [
+        [float(np.mean([getattr(r.turns[k], name) for r in records])) for name in _TURN_FIELDS]
+        for k in range(len(records[0].turns))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n_episodes=st.integers(1, 200), horizon=st.integers(1, 60)
+)
+def test_turn_means_equal_one_np_mean_per_turn(seed: int, n_episodes: int, horizon: int) -> None:
+    # Values over many magnitudes and both signs, so a running sum in place of
+    # np.mean's pairwise one changes the last bits.
+    rng = np.random.default_rng(seed)
+    shape = (n_episodes, horizon, len(_TURN_FIELDS))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    records = [
+        SimpleNamespace(turns=[SimpleNamespace(**dict(zip(_TURN_FIELDS, row))) for row in turns])
+        for turns in values.tolist()
+    ]
+    table = np.array([[[getattr(t, name) for name in _TURN_FIELDS] for t in r.turns]
+                      for r in records])
+    got = turn_means(table.transpose(1, 2, 0))  # (turns, fields, episodes)
+    assert np.array(got).tobytes() == np.array(_reference_turn_means(records)).tobytes()
 
 
 # --- normalization ----------------------------------------------------------------

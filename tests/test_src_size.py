@@ -55,8 +55,29 @@ def test_src_size_counts_code_docstring_and_comment_lines_and_statements(tmp_pat
     ]
 
 
-def test_src_size_takes_one_directory() -> None:
-    for args in ((), ("a", "b"), (str(TOOL),)):
+def test_src_size_prints_each_change_against_a_base_directory(tmp_path: Path) -> None:
+    new, base = tmp_path / "new", tmp_path / "base"
+    (new / "sub").mkdir(parents=True)
+    base.mkdir()
+    (new / "mod.py").write_text(MODULE)
+    (new / "sub" / "added.py").write_text("x = 1\n")
+    (base / "mod.py").write_text(MODULE.replace("    def g(self): return 1\n", ""))
+    (base / "gone.py").write_text('"""Gone."""\n# note\nimport os\nimport sys\n')
+    done = _run(str(new), str(base))
+    assert done.returncode == 0 and done.stderr == ""
+    table = [line.split() for line in done.stdout.splitlines()]
+    # mod.py gained ``def g``: one code line, and the def and its return.
+    assert table == [
+        ["module", "code", "docstring", "comment", "statements"],
+        ["gone.py", "0", "(-2)", "0", "(-1)", "0", "(-1)", "0", "(-3)"],
+        ["mod.py", "7", "(+1)", "6", "(+0)", "2", "(+0)", "10", "(+2)"],
+        ["sub/added.py", "1", "(+1)", "0", "(+0)", "0", "(+0)", "1", "(+1)"],
+        ["total", "8", "(+0)", "6", "(-1)", "2", "(-1)", "11", "(+0)"],
+    ]
+
+
+def test_src_size_takes_one_or_two_directories(tmp_path: Path) -> None:
+    for args in ((), ("a",), (str(tmp_path), "b"), (str(tmp_path),) * 3, (str(TOOL),)):
         done = _run(*args)
         assert done.returncode == 1 and done.stdout == ""
-        assert done.stderr == "usage: python tools/src_size.py DIRECTORY\n"
+        assert done.stderr == "usage: python tools/src_size.py DIRECTORY [BASE_DIRECTORY]\n"

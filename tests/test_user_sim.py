@@ -185,8 +185,14 @@ def test_conflict_that_keeps_a_value_is_rejected() -> None:
     old = scenario.profile.entries[slot]
     for kept in (old, old.upper(), f"{old} indeed"):
         assert not clearly_different(old, [kept])
-        with pytest.raises(ConfigError, match="clearly different"):
-            scenario.user_config(conflict=ConflictSpec(turn=4, replace={slot: kept}))
+        conflict = ConflictSpec(turn=4, replace={slot: kept})
+        with pytest.raises(ConfigError) as checked:
+            user_sim.check_conflict(scenario.profile, conflict)
+        assert str(checked.value) == (
+            f"conflict replacement {kept!r} for {slot!r} is not clearly different from {old!r}")
+        with pytest.raises(ConfigError) as refused:
+            scenario.user_config(conflict=conflict)
+        assert str(refused.value) == f"scenario {scenario.scenario_id}: {checked.value}"
 
 
 # --- conflict mechanics -------------------------------------------------------------

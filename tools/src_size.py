@@ -1,6 +1,6 @@
 """Count the size of a Python package, module by module.
 
-Usage: python tools/src_size.py DIRECTORY
+Usage: python tools/src_size.py DIRECTORY [BASE_DIRECTORY]
 
 For each ``.py`` file under DIRECTORY, and in total, prints four counts:
 
@@ -10,7 +10,10 @@ For each ``.py`` file under DIRECTORY, and in total, prints four counts:
 * comment lines: the other lines that hold a comment,
 * statements: the ``ast.stmt`` nodes of the module, docstrings included.
 
-Blank lines count in none of them.  Only the standard library is used.
+Blank lines count in none of them.  Given BASE_DIRECTORY, each count is
+followed by its change against the same module there, as ``(+n)`` or
+``(-n)``; a module in only one of the two counts as 0 in the other.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -63,18 +66,32 @@ def count(source: str) -> dict[str, int]:
     }
 
 
+def _table(root: Path) -> dict[str, dict[str, int]]:
+    """Each module's counts by its path under ``root``, then the total's."""
+    rows = {str(path.relative_to(root)): count(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+    return {**rows, "total": {column: sum(counts[column] for counts in rows.values())
+                              for column in COLUMNS}}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not Path(argv[0]).is_dir():
-        print("usage: python tools/src_size.py DIRECTORY", file=sys.stderr)
+    if len(argv) not in (1, 2) or not all(Path(arg).is_dir() for arg in argv):
+        print("usage: python tools/src_size.py DIRECTORY [BASE_DIRECTORY]", file=sys.stderr)
         return 1
-    root = Path(argv[0])
-    rows = [(str(path.relative_to(root)), count(path.read_text(encoding="utf-8")))
-            for path in sorted(root.rglob("*.py"))]
-    total = {column: sum(counts[column] for _, counts in rows) for column in COLUMNS}
-    width = max([len("total"), *(len(name) for name, _ in rows)])
+    rows = _table(Path(argv[0]))
+    base = _table(Path(argv[1])) if len(argv) == 2 else None
+    names = sorted((rows.keys() | (base or {}).keys()) - {"total"}) + ["total"]
+    zero = dict.fromkeys(COLUMNS, 0)
+    width = max(len(name) for name in ["module", *names])
     print(f"{'module':<{width}}" + "".join(f"{column:>12}" for column in COLUMNS))
-    for name, counts in [*rows, ("total", total)]:
-        print(f"{name:<{width}}" + "".join(f"{counts[column]:>12}" for column in COLUMNS))
+    for name in names:
+        counts = rows.get(name, zero)
+        cells = [f"{counts[column]}" for column in COLUMNS]
+        if base is not None:
+            was = base.get(name, zero)
+            cells = [f"{cell} ({counts[column] - was[column]:+d})"
+                     for cell, column in zip(cells, COLUMNS)]
+        print(f"{name:<{width}}" + "".join(f"{cell:>12}" for cell in cells))
     return 0
 
 
