@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
 no file stands where ``--out`` needs a directory, nor a directory where a
 command writes a file, before a command runs.
 ``eval`` writes every report CSV from the episode logs alone
-(``write_reports``, one turns x episodes table per call), so reports can be
-recomputed offline.
+(``write_reports``, which reads their rewards once, into one
+``rl.reward_table``), so reports can be recomputed offline.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .env import DialogueEnv, EpisodeRecord, EvidenceOracleAgent, rollout, write_episodes
 from .errors import (CheckpointError, ConfigError, DialignError, Field, ProtocolError,
@@ -50,6 +48,7 @@ from .rl import (
     load_checkpoint,
     play,
     reward_means,
+    reward_table,
     save_checkpoint,
     train,
 )
@@ -263,7 +262,7 @@ def _eval_records(args: argparse.Namespace, scenario_list, matcher, mode: str):
                 scenario.profile, scenario.style_seed, conflict_rng, matcher=matcher
             )
         config = scenario.user_config(horizon=horizon_override, conflict=conflict)
-        env = DialogueEnv(config, matcher=matcher)
+        env = DialogueEnv(config, matcher, f"scenario {scenario.scenario_id}: ")
         episodes += [(scenario.scenario_id, env)] * args.episodes
         seeds += [[args.seed, index, e] for e in range(args.episodes)]
     if checkpoint is None:
@@ -279,11 +278,10 @@ def write_reports(
     curve = alignment_curve(alignment_matrix(records))
     horizon = len(curve)
     summary = summarize_alignment(curve)
-    rewards = np.array([
-        [(t.profile_reward, t.response_reward, t.total_reward, t.theoretical_max) for t in r.turns]
-        for r in records
-    ])
+    rewards = reward_table(
+        records, ("profile_reward", "response_reward", "total_reward", "theoretical_max"))
     means = turn_means(rewards.transpose(1, 2, 0))  # (turns, 4, episodes)
+    profile, response, total = reward_means(rewards[..., :3])
     _write_csv(
         out / "turncurve.csv",
         ["turn", "alignment_level", "mean_profile_reward", "mean_response_reward",
@@ -303,7 +301,7 @@ def write_reports(
         ["mode", "episodes", "avg_alignment", "n_ir", "n_r2",
          "mean_total_reward", "mean_profile_reward", "mean_response_reward"],
         [[mode, len(records), f"{summary.average:.4f}", f"{summary.n_ir:.6f}",
-          f"{summary.n_r2:.6f}", *(f"{mean:.6f}" for mean in reward_means(records))]],
+          f"{summary.n_r2:.6f}", *(f"{mean:.6f}" for mean in (total, profile, response))]],
     )
 
     if mode == "longterm":

@@ -29,9 +29,9 @@ verdict by its inputs.  A turn's profile reward and alignment verdict
 both read the row's table.  So each (slot, value) pair is matched, and each
 response rendered, once per config, and each verdict once per process, not
 once per turn.  Observations exist only as stacks with a leading turn axis
-(``observe`` maps T views to one).  The table makes the episode's stack on
-first read; a policy reads it to draw all of an episode's decisions in one
-batched call, and the oracle never pays for it.
+(``observe`` maps T views to one, in one pass over them).  The table makes
+the episode's stack on first read; a policy reads it to draw all of an
+episode's decisions in one batched call, and the oracle never pays for it.
 
 The per-turn total in a RewardBreakdown is always the unweighted sum
 profile + response; reward weighting for training or ablations is applied
@@ -150,27 +150,27 @@ class Observation:
 
 
 def observe(views: Sequence[EnvView], schema: SlotSchema, horizon: int) -> Observation:
-    """The observation stack of ``views``, one row per view."""
-    names = tuple(schema.slots)
-    column = {slot: i for i, slot in enumerate(names)}
-    # Schema slots only; consecutive views sharing a seen-values mapping share
-    # its seen bits, so each run of them gets one row, repeated over the run.
-    starts = [t for t, view in enumerate(views)
-              if t == 0 or view.seen_values is not views[t - 1].seen_values]
-    seen = [(run, column[s]) for run, t in enumerate(starts)
-            for s in views[t].seen_values if s in column]
-    rows, cols = np.array(seen, dtype=np.intp).reshape(-1, 2).T
-    seen_bits = np.zeros((len(starts), len(names)), np.uint8)
-    seen_bits[rows, cols] = 2
-    codes = np.repeat(seen_bits, np.diff(starts + [len(views)]), axis=0)
-    # Topic bits by their offsets in the flattened stack.
-    topics = [t * len(names) + column[s]
-              for t, view in enumerate(views) if view.latest is not None
-              for s in view.latest.topic_slots if s in column]
-    codes.reshape(-1)[topics] |= 1
-    global_feats = np.ones((len(views), GLOBAL_FEATURE_DIM))
-    global_feats[:, 1] = np.array([view.turn for view in views]) / float(horizon)
-    return Observation(codes=codes, global_feats=global_feats)
+    """The observation stack of ``views``, one row per view, from one pass
+    over them and one array per part.  Only schema slots have codes; a run
+    of views sharing a seen-values mapping shares its seen bits."""
+    column = {slot: i for i, slot in enumerate(schema.slots)}
+    rows, feats, last = [], [], None
+    for view in views:
+        if view.seen_values is not last:
+            last, seen = view.seen_values, [0] * len(column)
+            for slot in last:
+                if slot in column:
+                    seen[column[slot]] = 2
+        row = seen
+        if view.latest is not None and view.latest.topic_slots:
+            row = seen.copy()
+            for slot in view.latest.topic_slots:
+                if slot in column:
+                    row[column[slot]] |= 1
+        rows.append(row)
+        feats += (1.0, view.turn / float(horizon))
+    codes = np.array(rows, np.uint8).reshape(len(views), len(column))
+    return Observation(codes, np.array(feats).reshape(len(views), GLOBAL_FEATURE_DIM))
 
 
 def observation_dim(n_slots: int) -> int:
@@ -336,10 +336,12 @@ class EpisodeTable:
 class DialogueEnv:
     """Gym-style wrapper around the scripted user and the rule judge."""
 
-    def __init__(self, config: UserConfig, matcher: SlotMatcher | None = None) -> None:
+    def __init__(self, config: UserConfig, matcher: SlotMatcher | None = None,
+                 where: str = "") -> None:
+        """``where`` starts the message of a refusal of the config's conflict."""
         self.config = config
         self.matcher = matcher or SlotMatcher(kind="exact")
-        check_conflict(config.profile, config.conflict, self.matcher)
+        check_conflict(config.profile, config.conflict, self.matcher, where)
         self._table = config.episode_table
         self._matches = self._table.match_tables(self.matcher)
         self._index: int | None = None

@@ -3,7 +3,9 @@
 The CLI maps these onto process exit codes: usage problems exit 1,
 validation/configuration problems exit 2, runtime failures exit 3.  Each
 outside input declares its fields once, as a table of ``Field`` rows keyed
-by name, which ``read_fields`` checks.
+by name, which ``read_fields`` checks.  A list field is checked by C-level
+calls, not a Python call per entry: one type test per distinct entry type,
+and its range through its least and greatest entries.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -50,9 +54,18 @@ def _is_text(value: object) -> bool:
     return isinstance(value, str) and value != ""
 
 
-# Each JSON kind's words and test.  A list kind's range bounds its entries; a
-# list kind takes a tuple too, as a library config holds its lists.
+# A list kind takes a tuple too, as a library config holds its lists.
 _LISTS = (list, tuple)
+
+
+def _list_of(value: object, kind: type) -> bool:
+    """A list of ``kind`` entries, none a bool: one test per distinct entry
+    type, not a Python call per entry."""
+    return type(value) in _LISTS and all(
+        issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, value)))
+
+
+# Each JSON kind's words and test.  A list kind's range bounds its entries.
 KINDS = {
     "integer": ("an integer", _is_integer),
     "number": ("a finite number", _is_number),
@@ -60,9 +73,10 @@ KINDS = {
     "object": ("an object", lambda v: isinstance(v, dict)),
     "boolean": ("a boolean", lambda v: isinstance(v, bool)),
     "text or object": ("non-empty text or an object", lambda v: isinstance(v, dict) or _is_text(v)),
-    "integers": ("a list of integers", lambda v: type(v) in _LISTS and all(map(_is_integer, v))),
-    "numbers": ("a list of finite numbers", lambda v: type(v) in _LISTS and all(map(_is_number, v))),
-    "texts": ("a list of non-empty text", lambda v: type(v) in _LISTS and all(map(_is_text, v))),
+    "integers": ("a list of integers", lambda v: _list_of(v, int)),
+    "numbers": ("a list of finite numbers", lambda v: _list_of(v, numbers.Real)
+                and all(map(operator.le, map(abs, v), repeat(sys.float_info.max)))),
+    "texts": ("a list of non-empty text", lambda v: _list_of(v, str) and "" not in v),
 }
 REQUIRED = object()  # the default of a field that must be present
 
@@ -100,12 +114,11 @@ class Field:
                 or self.size is not None and len(value) != self.size):  # type: ignore[arg-type]
             return False
         low, high = self.low, self.high
-        if low == -math.inf:  # unbounded: every field with a high bound has a low one
-            return True
         values = value if type(value) in _LISTS else (value,)
-        if self.strict:
-            return all(low < x < high for x in values)
-        return all(low <= x <= high for x in values)
+        if low == -math.inf or not values:  # unbounded: every field with a high bound has a low one
+            return True
+        least, most = min(values), max(values)  # a list's bounds hold when its extremes' do
+        return low < least and most < high if self.strict else low <= least and most <= high
 
 
 def read_fields(

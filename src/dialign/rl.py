@@ -43,6 +43,8 @@ actor ascends
 
 with the ratio's exponent clamped for overflow safety.  No KL penalty is
 applied.  The critic is a linear value function regressed on GAE returns.
+The curve's reward means read one episodes x turns table of a round's
+logged rewards (``reward_table``, ``reward_means``), as ``eval``'s reports do.
 Checkpoint files are read through ``CHECKPOINT_FIELDS``, PPO settings ``PPO_FIELDS``.
 """
 
@@ -52,7 +54,7 @@ import hashlib
 import json
 import operator
 from dataclasses import asdict, dataclass, fields
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +71,7 @@ from .env import (
     rollout,
 )
 from .errors import CheckpointError, ConfigError, Field, SchemaError, read_fields, read_object
+from .metrics import turn_means
 from .profiles import Profile, SlotMatcher, SlotSchema
 from .reward import combined_reward
 from .user_sim import UserConfig
@@ -634,7 +637,7 @@ def collect(
     environment, the round's rows valued in one product, and its rewards
     weighted in one ``combined_reward`` call over its turns in episode order."""
     samples = range(cfg.samples_per_scenario)
-    envs = [(sid, DialogueEnv(config, matcher=matcher)) for sid, config in scenarios]
+    envs = [(sid, DialogueEnv(config, matcher, f"scenario {sid}: ")) for sid, config in scenarios]
     seeds = [[cfg.seed, round_index, idx, s] for idx in range(len(scenarios)) for s in samples]
     decisions, log_probs, records = play(policy, [env for env in envs for _ in samples], seeds)
     # A stack of (1, dim) @ (dim,) products runs each row through the 1-D dot
@@ -743,16 +746,26 @@ class TrainResult:
     final_step: int
 
 
-def reward_means(records: Sequence[EpisodeRecord]) -> tuple[float, float, float]:
-    """Mean over episodes of the summed total, profile and response rewards."""
-    totals = [sum(t.total_reward for t in r.turns) for r in records]
-    profiles = [sum(t.profile_reward for t in r.turns) for r in records]
-    responses = [sum(t.response_reward for t in r.turns) for r in records]
-    return (
-        float(np.mean(totals)),
-        float(np.mean(profiles)),
-        float(np.mean(responses)),
-    )
+def reward_table(
+    records: Sequence[EpisodeRecord],
+    names: Sequence[str] = ("profile_reward", "response_reward", "total_reward"),
+) -> np.ndarray:
+    """(episodes, turns, names): each logged turn's named ``TurnRecord``
+    fields (two or more), read once, and zero past each episode's end."""
+    lengths = np.array([len(record.turns) for record in records])
+    in_episode = np.arange(lengths.max()) < lengths[:, None]
+    table = np.zeros(in_episode.shape + (len(names),))
+    fields = map(operator.attrgetter(*names), chain.from_iterable(r.turns for r in records))
+    table[in_episode] = np.fromiter(chain.from_iterable(fields), float).reshape(-1, len(names))
+    return table
+
+
+def reward_means(table: np.ndarray) -> list[float]:
+    """Mean over episodes of each column's per-episode sum, for an (episodes,
+    turns, columns) table zero past each episode's end.  ``np.cumsum`` adds an
+    episode's turns left to right, as Python's ``sum`` does, and each column's
+    mean is the ``turn_means`` of its sums."""
+    return turn_means(np.cumsum(table, axis=1)[:, -1].T)
 
 
 _NO_SLOTS = "must name at least one slot for a policy, got []"
@@ -802,7 +815,7 @@ def train(
         batch, records = collect(
             scenarios, policy, value_fn, cfg, weights, matcher, round_index=step
         )
-        mean_total, mean_profile, mean_response = reward_means(records)
+        mean_profile, mean_response, mean_total = reward_means(reward_table(records))
         stats = update(policy, value_fn, batch, cfg)
         curve.append(
             CurveRow(

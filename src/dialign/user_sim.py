@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
@@ -85,20 +85,22 @@ USER_FIELDS = {
 
 
 def check_conflict(
-    profile: Profile, conflict: ConflictSpec | None, matcher: SlotMatcher | None = None
+    profile: Profile, conflict: ConflictSpec | None, matcher: SlotMatcher | None = None,
+    where: str = "",
 ) -> None:
     """Refuse a conflict that names a slot the schema does not allow, or that
     replaces a value with one not ``clearly_different`` from it (under
     ``matcher`` too, when given): a kept value would be un-revealed while an
-    agent still holds it, lifting recall above the reveal ceiling."""
+    agent still holds it, lifting recall above the reveal ceiling.  The
+    message starts with ``where``."""
     for slot, value in (conflict.replace if conflict else {}).items():
         if not profile.schema.allows(slot):
-            raise ConfigError(f"conflict slot {slot!r} not allowed by schema")
+            raise ConfigError(f"{where}conflict slot {slot!r} not allowed by schema")
         old = profile.entries.get(slot)
         if old is not None and not clearly_different(old, [value], matcher):
             under = f" under matcher {matcher.label}" if matcher else ""
-            raise ConfigError(f"conflict replacement {value!r} for {slot!r} is not clearly "
-                              f"different from {old!r}{under}")
+            raise ConfigError(f"{where}conflict replacement {value!r} for {slot!r} is not "
+                              f"clearly different from {old!r}{under}")
 
 
 @dataclass(frozen=True)
@@ -186,16 +188,23 @@ def first_utterance(config: UserConfig) -> UserUtterance:
     return UserUtterance(text=FIRST_UTTERANCE_TEXT, evidence=(), turn=1, topic_slots=())
 
 
-def reveal_order(profile: Profile, style_seed: int) -> list[str]:
-    """The order in which the profile's slots first surface, fixed by style_seed."""
-    order = list(profile.entries)
-    random.Random(style_seed).shuffle(order)
-    return order
+def reveal_order(profile: Profile, style_seed: int) -> tuple[str, ...]:
+    """The order in which the profile's slots first surface, fixed by style_seed.
+    The last order is kept, so a scenario's ``default_conflict`` and its config's
+    ``initial_state`` shuffle once."""
+    return _shuffled(tuple(profile.entries), style_seed)
+
+
+@lru_cache(maxsize=1)
+def _shuffled(slots: tuple[str, ...], seed: int) -> tuple[str, ...]:
+    order = list(slots)
+    random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 def initial_state(config: UserConfig) -> UserState:
     """State at t=1: nothing revealed, reveal order fixed by style_seed."""
-    state = UserState(1, (), tuple(reveal_order(config.profile, config.style_seed)),
+    state = UserState(1, (), reveal_order(config.profile, config.style_seed),
                       dict(config.profile.entries))
     if config.conflict is not None and config.conflict.turn == 1:
         state = _apply_conflict(state, config.conflict)
@@ -231,9 +240,9 @@ def next_utterance(
     # Turns here start at 2 and only grow, so a conflict fires at most once;
     # initial_state handles a turn-1 conflict.
     fires = conflict is not None and turn == conflict.turn
-    budget = config.reveal_count(turn)
+    budget = config.reveal_count(turn) if fires or state.pending else 0
     said = ""
-    if fires or (budget and state.pending):
+    if fires or budget:
         pending = state.pending
         if fires:  # the swapped slots wait for the turns after the swap
             draw = tuple(s for s in pending if s not in conflict.replace)[:budget]

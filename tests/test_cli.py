@@ -1150,30 +1150,46 @@ def test_eval_conflict_mode_injects_default_swap(scenario_dir: Path, tmp_path: P
         assert record.conflict["turn"] == 6
 
 
-def test_eval_refuses_a_scenario_conflict_its_matcher_matches(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    # scenario_0011 swaps 'outgoing and spontaneous' for 'introverted and
-    # careful', which the bundled matchers tell apart and token:0.2 still
-    # matches, so the file loads and the run refuses through the conflict check.
+_LOOSE_REFUSAL = (
+    "error: scenario scenario_0011: conflict replacement 'introverted and careful' for "
+    "'Personality Traits' is not clearly different from 'outgoing and spontaneous' under "
+    "matcher token:0.2\n")
+
+
+def _scenario_0011(tmp_path: Path) -> Path:
+    """A directory holding only scenario_0011 of the 16 seed-0 conflict scenarios.
+    It swaps 'outgoing and spontaneous' for 'introverted and careful', which the
+    bundled matchers tell apart and token:0.2 still matches, so the file loads
+    and a token:0.2 run refuses through the conflict check."""
     scenarios = tmp_path / "scn"
     assert main(["gen-scenarios", "--out", str(scenarios), "--count", "16", "--seed", "0",
                  "--conflict"]) == 0
     for name in sorted(p.name for p in scenarios.iterdir()):
         if name != "scenario_0011.json":
             (scenarios / name).unlink()
-    args = ["eval", "--scenarios", str(scenarios), "--agent", "oracle"]
+    return scenarios
+
+
+def test_eval_refuses_a_scenario_conflict_its_matcher_matches(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    args = ["eval", "--scenarios", str(_scenario_0011(tmp_path)), "--agent", "oracle"]
     assert main([*args, "--out", str(tmp_path / "ok"), "--matcher", "token:0.5"]) == 0
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "bad"), "--matcher", "token:0.2"]) == 2
-    assert capsys.readouterr().err == (
-        "error: conflict replacement 'introverted and careful' for 'Personality Traits' is not "
-        "clearly different from 'outgoing and spontaneous' under matcher token:0.2\n")
+    assert capsys.readouterr().err == _LOOSE_REFUSAL
     assert not (tmp_path / "bad").exists()
-    train_out = tmp_path / "train"
-    train_args = ["train", "--scenarios", str(scenarios), "--out", str(train_out), "--rounds", "1"]
-    assert main([*train_args, "--matcher", "token:0.2"]) == 2
-    assert not train_out.exists()
+
+
+def test_train_refuses_a_scenario_conflict_its_matcher_matches(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    args = ["train", "--scenarios", str(_scenario_0011(tmp_path)), "--rounds", "1"]
+    assert main([*args, "--out", str(tmp_path / "ok"), "--matcher", "token:0.5"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "bad"), "--matcher", "token:0.2"]) == 2
+    assert capsys.readouterr().err == _LOOSE_REFUSAL
+    assert not (tmp_path / "bad").exists()
 
 
 def test_eval_conflict_mode_picks_swaps_the_run_matcher_sees(tmp_path: Path) -> None:

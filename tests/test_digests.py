@@ -1,6 +1,7 @@
 """Bit identity as a test: the benchmark's workloads reproduce recorded output
 digests at seed 7 (``bench/digests.json``) and at seeds 11 and 23 (pinned
-below, as ``BENCH_10.json`` records them under ``digests_seeds_11_23``).
+below, as ``BENCH_10.json`` records them under ``digests_seeds_11_23``), and
+a short seed-7 ``train`` run writes the pinned ``curve.csv``.
 
 Each workload runs one whole job through the benchmark's own set-up,
 operation and output checks (untimed), then its final check, which also
@@ -9,10 +10,13 @@ replays every logged reward and, for ``train``, retrains in one call.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from dialign.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -80,3 +84,16 @@ def test_seed_11_and_23_outputs_match_the_pinned_digests(
     workload_cls, seed: int, tmp_path: Path
 ) -> None:
     _outputs_match(workload_cls, seed, PINNED[(workload_cls.name, seed)], tmp_path)
+
+
+# curve.csv of ``train --seed 7 --rounds 4 --samples 2`` on ``gen-scenarios
+# --count 8 --seed 7``: the per-round reward means, clip fraction and value loss.
+_CURVE_SEED_7 = "154a773ed0ed22461a77453855fc7fb4ba50fddf6a3f54a2712e44e550c324a5"
+
+
+def test_a_short_seed_7_train_run_writes_the_pinned_curve(tmp_path: Path) -> None:
+    scenarios, out = tmp_path / "scn", tmp_path / "run"
+    assert main(["gen-scenarios", "--out", str(scenarios), "--count", "8", "--seed", "7"]) == 0
+    assert main(["train", "--scenarios", str(scenarios), "--out", str(out), "--seed", "7",
+                 "--rounds", "4", "--samples", "2"]) == 0
+    assert hashlib.sha256((out / "curve.csv").read_bytes()).hexdigest() == _CURVE_SEED_7

@@ -390,22 +390,12 @@ def _state_stacks(draw) -> tuple[list[EnvView], SlotSchema, int]:
     return [walk[i] for i in order], schema, draw(st.integers(1, 60))
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=_state_stacks())
-def test_observe_equals_the_tuple_list_construction(case) -> None:
-    states, schema, horizon = case
-    obs = observe(states, schema, horizon)
-    slot_feats, global_feats = _reference_observe(states, schema, horizon)
-    for got, want in ((obs.slot_feats, slot_feats), (obs.global_feats, global_feats)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 @st.composite
 def _observed_configs(draw) -> UserConfig:
-    """A generated scenario's config, with or without a conflict swap, under
-    its closed or open schema or under an open schema that keeps only some
-    of the profile's slots, so evidence and topics also fall outside it."""
+    """A generated scenario's config, with or without a conflict swap and a
+    reveal schedule (zero-budget entries included), under its closed or open
+    schema or under an open schema that keeps only some of the profile's
+    slots, so evidence and topics also fall outside it."""
     horizon = draw(st.integers(1, 24))
     (scenario,) = generate_scenarios(1, seed=draw(st.integers(0, 2**16)), horizon=horizon,
                                      extended=draw(st.booleans()))
@@ -417,7 +407,23 @@ def _observed_configs(draw) -> UserConfig:
     if draw(st.booleans()):
         turn = draw(st.integers(1, horizon))
         conflict = default_conflict(profile, scenario.style_seed, random.Random(0), turn=turn)
-    return UserConfig(profile, horizon, conflict=conflict, style_seed=scenario.style_seed)
+    schedule = draw(st.none() | st.lists(st.integers(0, 3), max_size=horizon))
+    return UserConfig(profile, horizon, schedule, conflict, scenario.style_seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_state_stacks(), config=_observed_configs())
+def test_observe_equals_the_tuple_list_construction(case, config: UserConfig) -> None:
+    """Over a stack of states from a drawn walk, in any order, and over a
+    config's user walk: open and closed schemas, evidence outside the schema,
+    conflicts and zero-budget schedule entries."""
+    walk = (config.episode_table.views, config.profile.schema, config.horizon)
+    for states, schema, horizon in (case, walk):
+        obs = observe(states, schema, horizon)
+        slot_feats, global_feats = _reference_observe(states, schema, horizon)
+        for got, want in ((obs.slot_feats, slot_feats), (obs.global_feats, global_feats)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,15 +14,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import re
 import shutil
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialign import cli
 from dialign.cli import FLAG_FIELDS, main
-from dialign.errors import REQUIRED, ConfigError, Field
+from dialign.errors import KINDS, REQUIRED, ConfigError, Field
 from dialign.profiles import PROFILE_FIELDS, SCHEMA_FIELDS
 from dialign.rl import CHECKPOINT_FIELDS, PPO_FIELDS, PPOConfig, config_fingerprint, load_checkpoint
 from dialign.scenarios import CONFLICT_FIELDS, SCENARIO_FIELDS, load_scenario
@@ -426,3 +431,103 @@ def test_the_readme_table_states_every_row() -> None:
     missing = [row for row in rows if row not in readme]
     assert missing == []
     assert len(re.findall(r"^\| (scenario|checkpoint|`--config`|flag)", readme, re.M)) == len(rows)
+
+
+class _Int(int):
+    """An ``int`` subclass, which the integer kinds take as an integer."""
+
+
+def _per_entry_accepts(row: Field, value: object) -> bool:
+    """``Field.accepts`` as one Python test per entry and per bound: the rule
+    the C-level list checks must keep."""
+    def integer(v: object) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def number(v: object) -> bool:
+        real = isinstance(v, (int, float, numbers.Real)) and not isinstance(v, bool)
+        return real and abs(v) <= sys.float_info.max
+
+    def text(v: object) -> bool:
+        return isinstance(v, str) and v != ""
+
+    scalar = {"integer": integer, "number": number, "text": text,
+              "object": lambda v: isinstance(v, dict), "boolean": lambda v: isinstance(v, bool),
+              "text or object": lambda v: isinstance(v, dict) or text(v)}
+    listed = {"integers": integer, "numbers": number, "texts": text}
+    if value is None:
+        return row.nullable
+    if row.kind in listed:
+        is_kind = type(value) in (list, tuple) and all(listed[row.kind](v) for v in value)
+    else:
+        is_kind = scalar[row.kind](value)
+    if (not is_kind or row.choices and value not in row.choices
+            or row.size is not None and len(value) != row.size):
+        return False
+    if row.low == -math.inf:
+        return True
+    values = value if type(value) in (list, tuple) else (value,)
+    if row.strict:
+        return all(row.low < x < row.high for x in values)
+    return all(row.low <= x <= row.high for x in values)
+
+
+def _outcome(accepts, row: Field, value: object) -> object:
+    """What ``accepts(row, value)`` returns, or the type of what it raises."""
+    try:
+        return accepts(row, value)
+    except Exception as exc:  # a bound compared with text raises in both rules
+        return type(exc)
+
+
+# Entries near each entry kind, so the bounds are reached: its own values,
+# bools, int subclasses, huge ints, ±inf and NaN, and text beside numbers.
+_NEAR = {
+    "integer": st.integers(-3, 12) | st.builds(_Int, st.integers(-3, 12)) | st.booleans()
+    | st.sampled_from([10**400, -10**400, 2**63, 1.0]),
+    "number": st.integers(-3, 12) | st.floats(-4, 13) | st.booleans() | st.builds(_Int, st.integers(-3, 12))
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e308, 10**400, Fraction(1, 3)]),
+    "text": st.text(max_size=2) | st.sampled_from(["", 0, None]),
+}
+_OTHER = st.none() | st.just({"a": 1}) | st.text(max_size=2) | st.integers(-3, 12) | st.booleans()
+_BOUNDS = st.sampled_from([-math.inf, -1, 0, 0.5, 1, 3, 12, 10**400, math.inf])
+
+
+@st.composite
+def _kinds_and_values(draw) -> tuple[str, object]:
+    """A kind of ``KINDS`` and a value, a list or tuple of entries mostly near
+    its entry kind, or one such entry."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    near = _NEAR.get(kind.removesuffix("s"), _OTHER)
+    entry = st.one_of(near, near, near, _OTHER)
+    lists = st.lists(entry, max_size=5)
+    return kind, draw(st.one_of(lists, lists.map(tuple), entry))
+
+
+def _edge(kind: str, value: object, low: float = -math.inf, high: float = math.inf,
+          strict: bool = False):
+    return example(case=(kind, value), low=low, high=high, strict=strict, nullable=False,
+                   size=None)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=_kinds_and_values(), low=_BOUNDS, high=_BOUNDS, strict=st.booleans(),
+       nullable=st.booleans(), size=st.none() | st.integers(0, 3))
+@_edge("integers", [], low=0)
+@_edge("integers", (3, True), low=0)
+@_edge("integers", [5, 0], low=1)
+@_edge("integers", [0, 3], low=0, high=5, strict=True)
+@_edge("integers", (5, 1), low=1, high=5)
+@_edge("numbers", [0.5, math.nan], low=0, high=1)
+@_edge("numbers", [2, Fraction(1, 3)], low=0)
+@_edge("numbers", [1, 10**400])
+@_edge("texts", ["a", ""])
+@_edge("texts", ["a", "b"], low=0)
+def test_field_accepts_what_the_per_entry_rule_accepts(
+    case: tuple[str, object], low: float, high: float, strict: bool, nullable: bool,
+    size: int | None,
+) -> None:
+    """Every kind in ``KINDS``, its list kinds above all: empty lists and
+    tuples, mixed entries, strict and inclusive bounds, ``size`` and ``nullable``."""
+    kind, value = case
+    row = Field(kind, low=low, high=high, strict=strict, size=size, nullable=nullable)
+    assert _outcome(Field.accepts, row, value) == _outcome(_per_entry_accepts, row, value)

@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from dialign.rl import (
     normalize_advantages,
     pcg64_states,
     play,
+    reward_means,
+    reward_table,
     policy_ratio,
     ppo_surrogate,
     save_checkpoint,
@@ -1136,3 +1139,25 @@ def test_fingerprint_changes_with_config() -> None:
     assert base == config_fingerprint(PPOConfig(seed=0), (1.0, 1.0), schema)
     assert base != config_fingerprint(PPOConfig(seed=1), (1.0, 1.0), schema)
     assert base != config_fingerprint(PPOConfig(seed=0), (1.0, 0.0), schema)
+
+
+_REWARDS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.1, 1 / 3, 2.0, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(episodes=st.lists(st.lists(st.tuples(_REWARDS, _REWARDS, _REWARDS), min_size=1,
+                                  max_size=12), min_size=1, max_size=20))
+@example(episodes=[[(-0.0, -0.0, 0.5)], [(-0.0, 0.25, -0.0)]])
+def test_reward_means_of_a_table_equal_the_per_record_sum_fold(episodes) -> None:
+    """Episodes of any lengths, padded with zeros in the table: each mean has
+    the bits of ``np.mean`` over the episodes' Python ``sum``s, -0.0 included."""
+    names = ("profile_reward", "response_reward", "total_reward")
+    records = [SimpleNamespace(turns=[SimpleNamespace(**dict(zip(names, turn))) for turn in turns])
+               for turns in episodes]
+    table = reward_table(records)
+    assert table.shape == (len(episodes), max(map(len, episodes)), 3)
+    for row, turns in zip(table, episodes):
+        assert row[len(turns):].tobytes() == np.zeros_like(row[len(turns):]).tobytes()
+    folds = [float(np.mean([sum(getattr(t, name) for t in r.turns) for r in records]))
+             for name in names]
+    assert np.array(reward_means(table)).tobytes() == np.array(folds).tobytes()
